@@ -9,7 +9,8 @@
 //!           [--block 16] [--split] [--write-through] [--eager-flush]
 //!           [--asid-tags]
 //!     Replay a trace on a system and print hit ratios, bus traffic and
-//!     per-CPU events.
+//!     per-CPU events. A trace file is streamed: each event goes from the
+//!     decoder straight into the simulator.
 //!
 //! vrsim inspect [--trace-file f.vrt | --preset pops --scale 0.05]
 //!     Print trace characteristics and locality curves.
@@ -31,7 +32,8 @@ use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::analysis::{reuse_histogram, working_set_curve};
 use vrcache_trace::codec;
 use vrcache_trace::presets::TracePreset;
-use vrcache_trace::trace::Trace;
+use vrcache_trace::record::TraceEvent;
+use vrcache_trace::trace::{Trace, TraceSummary};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -82,9 +84,17 @@ fn preset_of(name: &str) -> Option<TracePreset> {
 
 fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     if let Some(path) = flags.get("trace-file") {
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let bytes = read_trace_file(path)?;
         return codec::decode(&bytes).map_err(|e| format!("decoding {path}: {e}"));
     }
+    generate_preset(flags)
+}
+
+fn read_trace_file(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+fn generate_preset(flags: &HashMap<String, String>) -> Result<Trace, String> {
     let preset = flags.get("preset").map(String::as_str).unwrap_or("pops");
     let preset = preset_of(preset).ok_or_else(|| format!("unknown preset: {preset}"))?;
     let scale: f64 = flags
@@ -99,17 +109,20 @@ fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     Ok(preset.generate_scaled(scale))
 }
 
+/// The value of the numeric flag `--name`, if given. The one parser of
+/// every numeric flag: a value that is not a `u64` is an error, never a
+/// silent default.
+fn u64_flag(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, String> {
+    flags
+        .get(name)
+        .map(|s| s.parse().map_err(|_| format!("bad --{name}: {s}")))
+        .transpose()
+}
+
 fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String> {
-    let get = |k: &str, default: u64| -> Result<u64, String> {
-        flags
-            .get(k)
-            .map(|s| s.parse().map_err(|_| format!("bad --{k}: {s}")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let l1 = get("l1", 16 * 1024)?;
-    let l2 = get("l2", 256 * 1024)?;
-    let block = get("block", 16)?;
+    let l1 = u64_flag(flags, "l1")?.unwrap_or(16 * 1024);
+    let l2 = u64_flag(flags, "l2")?.unwrap_or(256 * 1024);
+    let block = u64_flag(flags, "block")?.unwrap_or(16);
     let mut cfg = HierarchyConfig::direct_mapped(l1, l2, block)
         .map_err(|e| format!("invalid geometry: {e}"))?;
     if flags.contains_key("split") {
@@ -127,8 +140,7 @@ fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String>
     if flags.contains_key("update-protocol") {
         cfg = cfg.with_update_protocol();
     }
-    if let Some(d) = flags.get("drain") {
-        let period: u64 = d.parse().map_err(|_| format!("bad --drain: {d}"))?;
+    if let Some(period) = u64_flag(flags, "drain")? {
         cfg = cfg.with_drain_period(period);
     }
     Ok(cfg)
@@ -149,7 +161,6 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let trace = load_trace(flags)?;
     let cfg = config_of(flags)?;
     let kind = match flags.get("kind").map(String::as_str).unwrap_or("vr") {
         "vr" => HierarchyKind::Vr,
@@ -158,21 +169,48 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         "goodman" => HierarchyKind::GoodmanSingleLevel,
         k => return Err(format!("unknown kind: {k}")),
     };
-    let mut sys = System::new(kind, trace.cpus(), &cfg);
-    let run = sys
-        .run_trace(&trace)
-        .map_err(|e| format!("simulation failed: {e}"))?;
+    let report = if let Some(path) = flags.get("trace-file") {
+        let bytes = read_trace_file(path)?;
+        let decoder = codec::Decoder::new(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
+        let summary = TraceSummary::new(decoder.name(), decoder.cpus());
+        let events = decoder.map(|e| e.map_err(|e| format!("decoding {path}: {e}")));
+        replay(kind, &cfg, summary, events)?
+    } else {
+        let trace = generate_preset(flags)?;
+        let summary = TraceSummary::new(trace.name(), trace.cpus());
+        replay(kind, &cfg, summary, trace.iter().copied().map(Ok))?
+    };
+    print!("{report}");
+    Ok(())
+}
+
+/// Replays `events` on a fresh system of `summary.cpus` processors and
+/// renders the `vrsim run` report. Nothing is printed until the whole
+/// trace has replayed cleanly, so a failed run leaves stdout empty.
+fn replay(
+    kind: HierarchyKind,
+    cfg: &HierarchyConfig,
+    mut summary: TraceSummary,
+    events: impl Iterator<Item = Result<TraceEvent, String>>,
+) -> Result<String, String> {
+    let mut sys = System::new(kind, summary.cpus, cfg);
+    for event in events {
+        let event = event?;
+        summary.record(&event);
+        sys.step(&event)
+            .map_err(|e| format!("simulation failed: {e}"))?;
+    }
     sys.check_invariants()
         .map_err(|e| format!("invariants failed: {e}"))?;
-
-    println!("trace: {}", trace.summary());
-    println!("organization: {kind}, L1 {} / L2 {}", cfg.l1, cfg.l2);
-    println!("h1 = {:.4}   h2(local) = {:.4}", run.h1, run.h2_local);
-    println!("{}", run.bus);
-    for c in 0..trace.cpus() {
-        println!("cpu{c}: {}", sys.events(CpuId::new(c)));
+    let run = sys.summary();
+    let mut out = format!(
+        "trace: {summary}\norganization: {kind}, L1 {} / L2 {}\nh1 = {:.4}   h2(local) = {:.4}\n{}\n",
+        cfg.l1, cfg.l2, run.h1, run.h2_local, run.bus
+    );
+    for c in 0..summary.cpus {
+        out.push_str(&format!("cpu{c}: {}\n", sys.events(CpuId::new(c))));
     }
-    Ok(())
+    Ok(out)
 }
 
 fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -191,11 +229,14 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_layout(flags: &HashMap<String, String>) -> Result<(), String> {
-    let get = |k: &str, d: u64| -> u64 { flags.get(k).and_then(|s| s.parse().ok()).unwrap_or(d) };
-    let l1 = CacheGeometry::direct_mapped(get("l1", 16 * 1024), get("block", 16))
+    let block = u64_flag(flags, "block")?.unwrap_or(16);
+    let l1 = CacheGeometry::direct_mapped(u64_flag(flags, "l1")?.unwrap_or(16 * 1024), block)
         .map_err(|e| e.to_string())?;
-    let l2 = CacheGeometry::direct_mapped(get("l2", 256 * 1024), get("block2", get("block", 16)))
-        .map_err(|e| e.to_string())?;
+    let l2 = CacheGeometry::direct_mapped(
+        u64_flag(flags, "l2")?.unwrap_or(256 * 1024),
+        u64_flag(flags, "block2")?.unwrap_or(block),
+    )
+    .map_err(|e| e.to_string())?;
     let page = PageSize::SIZE_4K;
     let t = TagLayout::compute(32, page, &l1, &l2);
     println!("{t}");

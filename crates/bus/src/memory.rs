@@ -6,9 +6,7 @@
 //! while exactly one cache hierarchy holds the block dirty — and that
 //! hierarchy, not memory, will supply the data.
 
-use std::collections::HashMap;
-
-use vrcache_cache::geometry::BlockId;
+use vrcache_cache::geometry::{BlockId, BlockMap};
 
 use crate::oracle::Version;
 
@@ -27,7 +25,7 @@ use crate::oracle::Version;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    blocks: HashMap<BlockId, Version>,
+    blocks: BlockMap<Version>,
     reads: u64,
     writes: u64,
 }

@@ -12,11 +12,9 @@
 //! missed flush, a write-back dropped during a synonym move — into an
 //! immediate, pinpointed [`CoherenceViolation`].
 
-use std::collections::HashMap;
-
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use vrcache_cache::geometry::BlockId;
+use vrcache_cache::geometry::{BlockId, BlockMap};
 use vrcache_mem::access::CpuId;
 
 /// A data version: a globally-unique, monotonically-increasing stamp per
@@ -101,7 +99,7 @@ impl std::error::Error for CoherenceViolation {}
 #[derive(Debug, Clone, Default)]
 pub struct VersionOracle {
     counter: u64,
-    newest: HashMap<BlockId, Version>,
+    newest: BlockMap<Version>,
     checks: u64,
 }
 

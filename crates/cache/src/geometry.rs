@@ -1,6 +1,9 @@
 //! Cache geometry: size / block / associativity and the address split.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use vrcache_mem::{MemError, PhysAddr, SetIndex, Tag, VirtAddr};
 
@@ -38,6 +41,48 @@ impl fmt::Debug for BlockId {
 impl fmt::Display for BlockId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#x}", self.0)
+    }
+}
+
+/// A hash map keyed by block id, on the cheap [`BlockHasher`].
+///
+/// For per-block state that is looked up on every simulated access (the
+/// version oracle, main memory, Goodman's real directory). Iteration
+/// order is unspecified: callers that render or compare contents sort
+/// first.
+pub type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
+
+/// A multiply-rotate hasher for [`BlockMap`] keys.
+///
+/// Block ids are dense integers derived from simulated addresses, so a
+/// single multiply by an odd constant spreads them well enough; the
+/// final rotate moves the well-mixed high product bits down to where the
+/// table takes its bucket index. There is no protection against keys
+/// crafted to collide: a trace file built to do so can only slow down
+/// its own replay.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockHasher(u64);
+
+impl BlockHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for BlockHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(Self::K);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -292,6 +337,23 @@ impl fmt::Display for CacheGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn block_map_is_a_plain_map_with_a_fixed_hash() {
+        use core::hash::{BuildHasher, BuildHasherDefault};
+        let mut m = BlockMap::default();
+        for raw in 0..1000u64 {
+            m.insert(BlockId::new(raw * 16), raw);
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.get(&BlockId::new(16 * 999)), Some(&999));
+        assert_eq!(m.get(&BlockId::new(1)), None);
+        // No per-process random state: the same id hashes the same way
+        // in every map and every run.
+        let h = BuildHasherDefault::<BlockHasher>::default();
+        assert_eq!(h.hash_one(BlockId::new(7)), h.hash_one(BlockId::new(7)));
+        assert_ne!(h.hash_one(BlockId::new(7)), h.hash_one(BlockId::new(8)));
+    }
 
     #[test]
     fn validates_parameters() {

@@ -23,11 +23,9 @@
 //! differences are attributable to the missing second level, not to a
 //! strawman flush policy.
 
-use std::collections::HashMap;
-
 use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
 use vrcache_bus::txn::{BusOp, BusTransaction};
-use vrcache_cache::geometry::{BlockId, CacheGeometry};
+use vrcache_cache::geometry::{BlockId, BlockMap, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
 use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBufferStats;
@@ -55,14 +53,14 @@ pub struct GoodmanHierarchy {
     l1: VCache,
     /// The real directory: physical granule -> virtual block of the (sole)
     /// cached copy. In hardware this is the second, physical tag store.
-    reverse: HashMap<BlockId, BlockId>,
+    reverse: BlockMap<BlockId>,
     tlb: Tlb,
     events: HierarchyEvents,
     granule_geo: CacheGeometry,
     bus_geo: CacheGeometry,
     page: vrcache_mem::page::PageSize,
     /// Per-line exclusivity, tracked in the real directory's state bits.
-    private: HashMap<BlockId, bool>,
+    private: BlockMap<bool>,
     refs: u64,
     last_wb_at: Option<u64>,
     /// Modeled parity on the dual tag stores and the TLB.
@@ -106,13 +104,13 @@ impl GoodmanHierarchy {
         GoodmanHierarchy {
             cpu,
             l1: VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0x9),
-            reverse: HashMap::new(),
+            reverse: BlockMap::default(),
             tlb: Tlb::new(cfg.tlb),
             events: HierarchyEvents::default(),
             granule_geo: cfg.l1,
             bus_geo: cfg.l2,
             page: cfg.page,
-            private: HashMap::new(),
+            private: BlockMap::default(),
             refs: 0,
             last_wb_at: None,
             parity: cfg.parity,

@@ -172,6 +172,23 @@ impl VirtAddr {
     pub const fn offset(self, delta: u64) -> Self {
         Self(self.0.wrapping_add(delta))
     }
+
+    /// The wrapping byte distance from `base` up to `self`: the inverse
+    /// of [`offset`](Self::offset), defined between two virtual
+    /// addresses only.
+    ///
+    /// ```
+    /// use vrcache_mem::addr::VirtAddr;
+    /// let (a, b) = (VirtAddr::new(0x40), VirtAddr::new(0x10));
+    /// assert_eq!(b.offset(a.distance_from(b)), a);
+    /// // Downward distances wrap.
+    /// assert_eq!(a.offset(b.distance_from(a)), b);
+    /// ```
+    #[inline]
+    #[must_use]
+    pub const fn distance_from(self, base: Self) -> u64 {
+        self.0.wrapping_sub(base.0)
+    }
 }
 
 impl PhysAddr {
@@ -180,6 +197,15 @@ impl PhysAddr {
     #[must_use]
     pub const fn offset(self, delta: u64) -> Self {
         Self(self.0.wrapping_add(delta))
+    }
+
+    /// The wrapping byte distance from `base` up to `self`: the inverse
+    /// of [`offset`](Self::offset), defined between two physical
+    /// addresses only.
+    #[inline]
+    #[must_use]
+    pub const fn distance_from(self, base: Self) -> u64 {
+        self.0.wrapping_sub(base.0)
     }
 }
 

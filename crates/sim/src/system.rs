@@ -259,7 +259,7 @@ impl System {
     }
 
     /// Replays a stream of events (may be called repeatedly; statistics
-    /// accumulate).
+    /// accumulate): a loop over [`step`](Self::step).
     ///
     /// # Errors
     ///
@@ -269,62 +269,73 @@ impl System {
         I: IntoIterator<Item = &'a TraceEvent>,
     {
         for event in events {
-            match event {
-                TraceEvent::Access(a) => {
-                    let idx = a.cpu.index();
-                    if idx >= self.hierarchies.len() {
-                        return Err(SimError::UnknownCpu(a.cpu));
+            self.step(event)?;
+        }
+        Ok(())
+    }
+
+    /// Replays one event — the per-event entry point a streaming source
+    /// (such as the trace codec's `Decoder`) feeds directly.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run_trace`](Self::run_trace).
+    pub fn step(&mut self, event: &TraceEvent) -> Result<(), SimError> {
+        match event {
+            TraceEvent::Access(a) => {
+                let idx = a.cpu.index();
+                if idx >= self.hierarchies.len() {
+                    return Err(SimError::UnknownCpu(a.cpu));
+                }
+                let mut h = self.hierarchies[idx].take().expect("not reentrant");
+                let result = {
+                    let mut bus = SnoopingBus::new(
+                        a.cpu,
+                        &mut self.hierarchies,
+                        &mut self.memory,
+                        &mut self.bus_stats,
+                        self.subblocks,
+                    );
+                    h.access(a, &mut bus, &mut self.oracle)
+                };
+                self.hierarchies[idx] = Some(h);
+                let outcome = result?;
+                if outcome.l1_hit {
+                    self.outcomes.l1_hits += 1;
+                } else if outcome.l2_hit == Some(true) {
+                    self.outcomes.l2_hits += 1;
+                } else {
+                    self.outcomes.misses += 1;
+                }
+                match outcome.synonym {
+                    Some(vrcache::hierarchy::SynonymKind::SameSet) => {
+                        self.outcomes.synonym_sameset += 1;
                     }
-                    let mut h = self.hierarchies[idx].take().expect("not reentrant");
-                    let result = {
-                        let mut bus = SnoopingBus::new(
-                            a.cpu,
-                            &mut self.hierarchies,
-                            &mut self.memory,
-                            &mut self.bus_stats,
-                            self.subblocks,
-                        );
-                        h.access(a, &mut bus, &mut self.oracle)
-                    };
-                    self.hierarchies[idx] = Some(h);
-                    let outcome = result?;
-                    if outcome.l1_hit {
-                        self.outcomes.l1_hits += 1;
-                    } else if outcome.l2_hit == Some(true) {
-                        self.outcomes.l2_hits += 1;
-                    } else {
-                        self.outcomes.misses += 1;
+                    Some(vrcache::hierarchy::SynonymKind::Move) => {
+                        self.outcomes.synonym_move += 1;
                     }
-                    match outcome.synonym {
-                        Some(vrcache::hierarchy::SynonymKind::SameSet) => {
-                            self.outcomes.synonym_sameset += 1;
-                        }
-                        Some(vrcache::hierarchy::SynonymKind::Move) => {
-                            self.outcomes.synonym_move += 1;
-                        }
-                        None => {}
-                    }
-                    if outcome.tlb_hit == Some(false) {
-                        self.outcomes.tlb_misses += 1;
-                    }
-                    self.refs_run += 1;
-                    if let Some(every) = self.check_invariants_every {
-                        if self.refs_run.is_multiple_of(every) {
-                            self.check_invariants().map_err(SimError::Invariant)?;
-                        }
+                    None => {}
+                }
+                if outcome.tlb_hit == Some(false) {
+                    self.outcomes.tlb_misses += 1;
+                }
+                self.refs_run += 1;
+                if let Some(every) = self.check_invariants_every {
+                    if self.refs_run.is_multiple_of(every) {
+                        self.check_invariants().map_err(SimError::Invariant)?;
                     }
                 }
-                TraceEvent::ContextSwitch { cpu, from, to } => {
-                    let idx = cpu.index();
-                    if idx >= self.hierarchies.len() {
-                        return Err(SimError::UnknownCpu(*cpu));
-                    }
-                    self.hierarchies[idx]
-                        .as_mut()
-                        .expect("not reentrant")
-                        .context_switch(*from, *to);
-                    self.switches_run += 1;
+            }
+            TraceEvent::ContextSwitch { cpu, from, to } => {
+                let idx = cpu.index();
+                if idx >= self.hierarchies.len() {
+                    return Err(SimError::UnknownCpu(*cpu));
                 }
+                self.hierarchies[idx]
+                    .as_mut()
+                    .expect("not reentrant")
+                    .context_switch(*from, *to);
+                self.switches_run += 1;
             }
         }
         Ok(())
@@ -561,6 +572,19 @@ mod tests {
             msgs[&HierarchyKind::RrNonInclusive]
         );
         assert!(msgs[&HierarchyKind::RrInclusive] < msgs[&HierarchyKind::RrNonInclusive]);
+    }
+
+    #[test]
+    fn stepping_each_event_matches_run_trace() {
+        let trace = small_trace(2, 6_000, 3);
+        let mut whole = System::new(HierarchyKind::Vr, 2, &small_cfg());
+        let expected = whole.run_trace(&trace).unwrap();
+        let mut stepped = System::new(HierarchyKind::Vr, 2, &small_cfg());
+        for event in &trace {
+            stepped.step(event).unwrap();
+        }
+        assert_eq!(stepped.summary(), expected);
+        assert_eq!(stepped.oracle().snapshot(), whole.oracle().snapshot());
     }
 
     #[test]

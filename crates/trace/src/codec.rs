@@ -1,19 +1,42 @@
 //! A compact binary trace format.
 //!
 //! Generated traces can be serialized once and replayed many times (or
-//! shipped between machines) without regenerating. The format is a small
-//! little-endian framing:
+//! shipped between machines) without regenerating. Version 2 frames each
+//! event as one header byte plus LEB128 varints, with every address
+//! stored as a delta from the previous address of its stream; the paper's
+//! presets take about 5 bytes per event.
 //!
 //! ```text
-//! magic "VRTR" | version u16 | cpus u16 | page_bytes u64
-//! name_len u16 | name bytes | event_count u64 | events...
-//! event := 0x00 cpu:u16 asid:u16 kind:u8 vaddr:u64 paddr:u64
-//!        | 0x01 cpu:u16 from:u16 to:u16
+//! file   := "VRTR" | version:u16 (= 2) | cpus:u16 (> 0) | page_bytes:u64
+//!         | name_len:u16 | name:utf8 | event_count:u64 | event*
+//!
+//! event  := head:u8 [cpu:varint] body
+//!   head bit 0    tag: 0 = access, 1 = context switch
+//!   head bits 1-2 access kind (0 instr fetch, 1 data read, 2 data write)
+//!   head bit 3    access only: asid:varint follows (the slot's asid changed)
+//!   head bits 4-7 cpu slot: the cpu id if below 15; 15 escapes, and the
+//!                 cpu:varint that follows holds the id
+//!   (bits 1-3 are zero in a switch head)
+//!
+//! access := [asid:varint] vaddr_delta:zvarint paddr_delta:zvarint
+//! switch := from:varint to:varint           (the slot's asid becomes `to`)
+//!
+//! varint  := unsigned LEB128, at most 10 bytes
+//! zvarint := varint of the zigzag-encoded wrapping difference
 //! ```
+//!
+//! Integers in the file header are little-endian. The delta state starts
+//! at zero: every cpu slot has a current asid, and every (cpu slot,
+//! instruction / data) stream has a previous virtual and a previous
+//! physical address. A vaddr is a delta from the previous vaddr of its
+//! stream and a paddr from the previous paddr, so the two address spaces
+//! never mix. Version 1 files (fixed-width, 22 bytes per access) are
+//! rejected with [`CodecError::UnsupportedVersion`]; regenerate them with
+//! `vrsim gen`.
 
 use core::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
 use vrcache_mem::page::PageSize;
@@ -22,11 +45,25 @@ use crate::record::{MemAccess, TraceEvent};
 use crate::trace::Trace;
 
 const MAGIC: &[u8; 4] = b"VRTR";
-const VERSION: u16 = 1;
-const TAG_ACCESS: u8 = 0x00;
+const VERSION: u16 = 2;
+/// Bytes of the fixed-width header fields around the name.
+const HEADER_BYTES: usize = 4 + 2 + 2 + 8 + 2 + 8;
+/// Head byte: set for a context switch, clear for an access.
 const TAG_SWITCH: u8 = 0x01;
+/// Head byte, access: the asid varint follows.
+const ASID_FOLLOWS: u8 = 0x08;
+/// Head byte: the bits a context switch must leave clear.
+const SWITCH_RESERVED: u8 = 0x0e;
+/// The cpu slot that escapes to an explicit cpu varint.
+const ESCAPE: u8 = 15;
+/// Cpu slots: ids 0..15 plus the escape slot.
+const SLOTS: usize = 16;
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+/// The shortest event: a head byte and two one-byte varints.
+const MIN_EVENT_BYTES: usize = 3;
 
-/// Errors from [`decode`].
+/// Errors from [`decode`] and [`Decoder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CodecError {
@@ -36,7 +73,7 @@ pub enum CodecError {
     UnsupportedVersion(u16),
     /// The buffer ended before the declared content did.
     Truncated,
-    /// An event tag, access kind, or page size was invalid.
+    /// A header field, event head, varint or field value was invalid.
     Corrupt(&'static str),
 }
 
@@ -70,6 +107,79 @@ fn kind_from_u8(v: u8) -> Option<AccessKind> {
     }
 }
 
+/// The head-byte cpu slot of `cpu`.
+fn slot_of(cpu: CpuId) -> u8 {
+    u8::try_from(cpu.raw()).map_or(ESCAPE, |c| c.min(ESCAPE))
+}
+
+/// The address stream of an access: its cpu slot, split into the
+/// instruction and the data stream.
+fn stream(slot: u8, kind: AccessKind) -> usize {
+    2 * usize::from(slot) + usize::from(kind == AccessKind::InstrFetch)
+}
+
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The delta state the encoder and the decoder keep in step: each cpu
+/// slot's current asid, and each stream's previous addresses.
+#[derive(Debug, Default)]
+struct Streams {
+    asid: [Asid; SLOTS],
+    vaddr: [VirtAddr; 2 * SLOTS],
+    paddr: [PhysAddr; 2 * SLOTS],
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_event(out: &mut Vec<u8>, streams: &mut Streams, event: &TraceEvent) {
+    let cpu = event.cpu();
+    let slot = slot_of(cpu);
+    let s = usize::from(slot);
+    match *event {
+        TraceEvent::Access(a) => {
+            let asid_changed = streams.asid[s] != a.asid;
+            out.push(
+                (slot << 4)
+                    | if asid_changed { ASID_FOLLOWS } else { 0 }
+                    | (kind_to_u8(a.kind) << 1),
+            );
+            if slot == ESCAPE {
+                put_varint(out, u64::from(cpu.raw()));
+            }
+            if asid_changed {
+                put_varint(out, u64::from(a.asid.raw()));
+                streams.asid[s] = a.asid;
+            }
+            let st = stream(slot, a.kind);
+            put_varint(out, zigzag(a.vaddr.distance_from(streams.vaddr[st])));
+            put_varint(out, zigzag(a.paddr.distance_from(streams.paddr[st])));
+            streams.vaddr[st] = a.vaddr;
+            streams.paddr[st] = a.paddr;
+        }
+        TraceEvent::ContextSwitch { from, to, .. } => {
+            out.push((slot << 4) | TAG_SWITCH);
+            if slot == ESCAPE {
+                put_varint(out, u64::from(cpu.raw()));
+            }
+            put_varint(out, u64::from(from.raw()));
+            put_varint(out, u64::from(to.raw()));
+            streams.asid[s] = to;
+        }
+    }
+}
+
 /// Serializes a trace to its binary form.
 ///
 /// # Example
@@ -87,112 +197,47 @@ fn kind_from_u8(v: u8) -> Option<AccessKind> {
 /// # }
 /// ```
 pub fn encode(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + trace.len() * 26);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(trace.cpus());
-    buf.put_u64_le(trace.page_size().bytes());
     let name = trace.name().as_bytes();
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name);
-    buf.put_u64_le(trace.len() as u64);
-    for e in trace.iter() {
-        match e {
-            TraceEvent::Access(a) => {
-                buf.put_u8(TAG_ACCESS);
-                buf.put_u16_le(a.cpu.raw());
-                buf.put_u16_le(a.asid.raw());
-                buf.put_u8(kind_to_u8(a.kind));
-                buf.put_u64_le(a.vaddr.raw());
-                buf.put_u64_le(a.paddr.raw());
-            }
-            TraceEvent::ContextSwitch { cpu, from, to } => {
-                buf.put_u8(TAG_SWITCH);
-                buf.put_u16_le(cpu.raw());
-                buf.put_u16_le(from.raw());
-                buf.put_u16_le(to.raw());
-            }
-        }
+    let mut out = Vec::with_capacity(HEADER_BYTES + name.len() + trace.len() * 6);
+    out.put_slice(MAGIC);
+    out.put_u16_le(VERSION);
+    out.put_u16_le(trace.cpus());
+    out.put_u64_le(trace.page_size().bytes());
+    out.put_u16_le(name.len() as u16);
+    out.put_slice(name);
+    out.put_u64_le(trace.len() as u64);
+    let mut streams = Streams::default();
+    for e in trace {
+        put_event(&mut out, &mut streams, e);
     }
-    buf.freeze()
+    Bytes::from(out)
 }
 
-/// Parses a binary trace produced by [`encode`].
+/// Parses a binary trace produced by [`encode`]: collects a [`Decoder`].
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] on bad magic, an unsupported version, a
 /// truncated buffer, or invalid field values.
-pub fn decode(mut buf: &[u8]) -> Result<Trace, CodecError> {
-    fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-        if buf.remaining() < n {
-            Err(CodecError::Truncated)
-        } else {
-            Ok(())
-        }
+pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
+    let mut decoder = Decoder::new(buf)?;
+    // `Decoder::new` bounds the count by the buffer length, so a corrupt
+    // count cannot request an outsized allocation here.
+    let mut events = Vec::with_capacity(decoder.remaining() as usize);
+    for event in decoder.by_ref() {
+        events.push(event?);
     }
-
-    need(buf, 4)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    need(buf, 2 + 2 + 8 + 2)?;
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let cpus = buf.get_u16_le();
-    let page_bytes = buf.get_u64_le();
-    let page = PageSize::new(page_bytes).map_err(|_| CodecError::Corrupt("page size"))?;
-    let name_len = buf.get_u16_le() as usize;
-    need(buf, name_len)?;
-    let mut name_bytes = vec![0u8; name_len];
-    buf.copy_to_slice(&mut name_bytes);
-    let name = String::from_utf8(name_bytes).map_err(|_| CodecError::Corrupt("name"))?;
-    need(buf, 8)?;
-    let count = buf.get_u64_le() as usize;
-    // Every event occupies at least 7 bytes, so a count larger than the
-    // remaining buffer is certainly truncated (and must not be trusted for
-    // pre-allocation — a corrupt count would otherwise request terabytes).
-    if count > buf.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        need(buf, 1)?;
-        match buf.get_u8() {
-            TAG_ACCESS => {
-                need(buf, 2 + 2 + 1 + 8 + 8)?;
-                let cpu = CpuId::new(buf.get_u16_le());
-                let asid = Asid::new(buf.get_u16_le());
-                let kind = kind_from_u8(buf.get_u8()).ok_or(CodecError::Corrupt("access kind"))?;
-                let vaddr = VirtAddr::new(buf.get_u64_le());
-                let paddr = PhysAddr::new(buf.get_u64_le());
-                events.push(TraceEvent::Access(MemAccess {
-                    cpu,
-                    asid,
-                    kind,
-                    vaddr,
-                    paddr,
-                }));
-            }
-            TAG_SWITCH => {
-                need(buf, 6)?;
-                let cpu = CpuId::new(buf.get_u16_le());
-                let from = Asid::new(buf.get_u16_le());
-                let to = Asid::new(buf.get_u16_le());
-                events.push(TraceEvent::ContextSwitch { cpu, from, to });
-            }
-            _ => return Err(CodecError::Corrupt("event tag")),
-        }
-    }
-    Ok(Trace::new(name, cpus, page, events))
+    Ok(Trace::new(
+        decoder.name(),
+        decoder.cpus(),
+        decoder.page_size(),
+        events,
+    ))
 }
 
 /// A streaming decoder: iterates events without materializing the whole
-/// trace, for replaying large stored traces with bounded memory.
+/// trace, for replaying large stored traces with bounded memory. The one
+/// parser of the format; [`decode`] collects it.
 ///
 /// # Example
 ///
@@ -213,10 +258,11 @@ pub fn decode(mut buf: &[u8]) -> Result<Trace, CodecError> {
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
-    name: String,
+    name: &'a str,
     cpus: u16,
     page: PageSize,
     remaining: u64,
+    streams: Streams,
     failed: bool,
 }
 
@@ -225,52 +271,50 @@ impl<'a> Decoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for a bad header.
-    pub fn new(mut buf: &'a [u8]) -> Result<Self, CodecError> {
-        fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-            if buf.remaining() < n {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    /// Returns a [`CodecError`] for a bad header, including a cpu count
+    /// of zero and an event count the buffer cannot hold.
+    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
+        let mut d = Decoder {
+            buf,
+            name: "",
+            cpus: 0,
+            page: PageSize::SIZE_4K,
+            remaining: 0,
+            streams: Streams::default(),
+            failed: false,
+        };
+        if d.array::<4>()? != *MAGIC {
             return Err(CodecError::BadMagic);
         }
-        need(buf, 2 + 2 + 8 + 2)?;
-        let version = buf.get_u16_le();
+        let version = u16::from_le_bytes(d.array()?);
         if version != VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let cpus = buf.get_u16_le();
-        let page_bytes = buf.get_u64_le();
-        let page = PageSize::new(page_bytes).map_err(|_| CodecError::Corrupt("page size"))?;
-        let name_len = buf.get_u16_le() as usize;
-        need(buf, name_len)?;
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| CodecError::Corrupt("name"))?;
-        need(buf, 8)?;
-        let remaining = buf.get_u64_le();
-        if remaining > buf.remaining() as u64 {
+        d.cpus = u16::from_le_bytes(d.array()?);
+        if d.cpus == 0 {
+            return Err(CodecError::Corrupt("cpu count"));
+        }
+        d.page = PageSize::new(u64::from_le_bytes(d.array()?))
+            .map_err(|_| CodecError::Corrupt("page size"))?;
+        let name_len = usize::from(u16::from_le_bytes(d.array()?));
+        if d.buf.len() < name_len {
             return Err(CodecError::Truncated);
         }
-        Ok(Decoder {
-            buf,
-            name,
-            cpus,
-            page,
-            remaining,
-            failed: false,
-        })
+        let (name, rest) = d.buf.split_at(name_len);
+        d.buf = rest;
+        d.name = core::str::from_utf8(name).map_err(|_| CodecError::Corrupt("name"))?;
+        d.remaining = u64::from_le_bytes(d.array()?);
+        // Every event occupies at least MIN_EVENT_BYTES, so a count the
+        // rest of the buffer cannot hold is certainly truncated.
+        if d.remaining > (d.buf.len() / MIN_EVENT_BYTES) as u64 {
+            return Err(CodecError::Truncated);
+        }
+        Ok(d)
     }
 
     /// The trace's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.name
     }
 
     /// Number of CPUs.
@@ -288,41 +332,87 @@ impl<'a> Decoder<'a> {
         self.remaining
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (bytes, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.buf = rest;
+        Ok(*bytes)
+    }
+
+    #[inline]
+    fn varint(&mut self) -> Result<u64, CodecError> {
+        // Most deltas fit in one byte.
+        if let [byte @ 0..=0x7f, rest @ ..] = self.buf {
+            self.buf = rest;
+            return Ok(u64::from(*byte));
+        }
+        self.long_varint()
+    }
+
+    fn long_varint(&mut self) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.buf.iter().take(MAX_VARINT_BYTES).enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                // The tenth byte holds bit 63 only.
+                if i == MAX_VARINT_BYTES - 1 && byte > 1 {
+                    break;
+                }
+                self.buf = &self.buf[i + 1..];
+                return Ok(value);
+            }
+        }
+        if self.buf.len() < MAX_VARINT_BYTES {
+            Err(CodecError::Truncated)
+        } else {
+            Err(CodecError::Corrupt("overlong varint"))
+        }
+    }
+
+    fn varint_u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
+        u16::try_from(self.varint()?).map_err(|_| CodecError::Corrupt(what))
+    }
+
     fn next_event(&mut self) -> Result<TraceEvent, CodecError> {
-        fn need(buf: &[u8], n: usize) -> Result<(), CodecError> {
-            if buf.remaining() < n {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(())
+        let [head, rest @ ..] = self.buf else {
+            return Err(CodecError::Truncated);
+        };
+        let head = *head;
+        self.buf = rest;
+        let slot = head >> 4;
+        let s = usize::from(slot);
+        let cpu = if slot == ESCAPE {
+            CpuId::new(self.varint_u16("cpu")?)
+        } else {
+            CpuId::new(u16::from(slot))
+        };
+        if head & TAG_SWITCH != 0 {
+            if head & SWITCH_RESERVED != 0 {
+                return Err(CodecError::Corrupt("switch head"));
             }
+            let from = Asid::new(self.varint_u16("asid")?);
+            let to = Asid::new(self.varint_u16("asid")?);
+            self.streams.asid[s] = to;
+            return Ok(TraceEvent::ContextSwitch { cpu, from, to });
         }
-        need(self.buf, 1)?;
-        match self.buf.get_u8() {
-            TAG_ACCESS => {
-                need(self.buf, 2 + 2 + 1 + 8 + 8)?;
-                let cpu = CpuId::new(self.buf.get_u16_le());
-                let asid = Asid::new(self.buf.get_u16_le());
-                let kind =
-                    kind_from_u8(self.buf.get_u8()).ok_or(CodecError::Corrupt("access kind"))?;
-                let vaddr = VirtAddr::new(self.buf.get_u64_le());
-                let paddr = PhysAddr::new(self.buf.get_u64_le());
-                Ok(TraceEvent::Access(MemAccess {
-                    cpu,
-                    asid,
-                    kind,
-                    vaddr,
-                    paddr,
-                }))
-            }
-            TAG_SWITCH => {
-                need(self.buf, 6)?;
-                let cpu = CpuId::new(self.buf.get_u16_le());
-                let from = Asid::new(self.buf.get_u16_le());
-                let to = Asid::new(self.buf.get_u16_le());
-                Ok(TraceEvent::ContextSwitch { cpu, from, to })
-            }
-            _ => Err(CodecError::Corrupt("event tag")),
+        let kind = kind_from_u8((head >> 1) & 0x3).ok_or(CodecError::Corrupt("access kind"))?;
+        if head & ASID_FOLLOWS != 0 {
+            self.streams.asid[s] = Asid::new(self.varint_u16("asid")?);
         }
+        let st = stream(slot, kind);
+        let vaddr = self.streams.vaddr[st].offset(unzigzag(self.varint()?));
+        let paddr = self.streams.paddr[st].offset(unzigzag(self.varint()?));
+        self.streams.vaddr[st] = vaddr;
+        self.streams.paddr[st] = paddr;
+        Ok(TraceEvent::Access(MemAccess {
+            cpu,
+            asid: self.streams.asid[s],
+            kind,
+            vaddr,
+            paddr,
+        }))
     }
 }
 
@@ -335,9 +425,7 @@ impl Iterator for Decoder<'_> {
         }
         self.remaining -= 1;
         let r = self.next_event();
-        if r.is_err() {
-            self.failed = true;
-        }
+        self.failed = r.is_err();
         Some(r)
     }
 
@@ -400,16 +488,128 @@ mod tests {
         }
     }
 
+    /// Offset of the first event: the fixed header fields plus the name.
+    fn first_event_at(t: &Trace) -> usize {
+        HEADER_BYTES + t.name().len()
+    }
+
     #[test]
     fn corrupt_kind_rejected() {
         let t = small_trace();
+        assert!(!t.events()[0].is_context_switch());
         let mut bytes = encode(&t).to_vec();
-        // Find the first access event's kind byte: header is
-        // 4 + 2 + 2 + 8 + 2 + name + 8; then tag(1) cpu(2) asid(2) kind(1).
-        let name_len = t.name().len();
-        let kind_pos = 4 + 2 + 2 + 8 + 2 + name_len + 8 + 1 + 2 + 2;
-        bytes[kind_pos] = 99;
-        assert!(matches!(decode(&bytes), Err(CodecError::Corrupt(_))));
+        bytes[first_event_at(&t)] |= 0b110;
+        assert_eq!(decode(&bytes), Err(CodecError::Corrupt("access kind")));
+    }
+
+    #[test]
+    fn version_one_header_is_unsupported() {
+        let mut bytes = encode(&small_trace()).to_vec();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(CodecError::UnsupportedVersion(1)));
+        assert_eq!(
+            Decoder::new(&bytes).err(),
+            Some(CodecError::UnsupportedVersion(1))
+        );
+    }
+
+    #[test]
+    fn zero_cpu_header_rejected() {
+        let mut bytes = encode(&small_trace()).to_vec();
+        bytes[6..8].copy_from_slice(&0u16.to_le_bytes());
+        assert_eq!(
+            Decoder::new(&bytes).err(),
+            Some(CodecError::Corrupt("cpu count"))
+        );
+        assert_eq!(decode(&bytes), Err(CodecError::Corrupt("cpu count")));
+    }
+
+    /// A one-event trace whose event is an access head followed by `tail`.
+    fn one_access_with(tail: &[u8]) -> Vec<u8> {
+        let t = Trace::new("v", 1, PageSize::SIZE_4K, vec![]);
+        let mut bytes = encode(&t).to_vec();
+        let count_at = bytes.len() - 8;
+        bytes[count_at..].copy_from_slice(&1u64.to_le_bytes());
+        bytes.push(0x00);
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    #[test]
+    fn overlong_varint_is_corrupt() {
+        let corrupt = Err(CodecError::Corrupt("overlong varint"));
+        // Eleven bytes, every one with the continuation bit set.
+        assert_eq!(decode(&one_access_with(&[0xff; 11])), corrupt);
+        // Ten bytes whose last one carries more than bit 63.
+        let mut wide = [0xff; 10];
+        wide[9] = 0x02;
+        assert_eq!(
+            decode(&one_access_with(&[&wide[..], &[0]].concat())),
+            corrupt
+        );
+        // The widest legal varint still decodes: u64::MAX, then a zero.
+        let mut max = [0xff; 10];
+        max[9] = 0x01;
+        let trace = decode(&one_access_with(&[&max[..], &[0]].concat())).unwrap();
+        let access = trace.events()[0].access().copied().unwrap();
+        assert_eq!(access.vaddr, VirtAddr::new(0).offset(unzigzag(u64::MAX)));
+        // A varint cut short by the end of the buffer is truncated.
+        assert_eq!(
+            decode(&one_access_with(&[0x80, 0x80])),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn zigzag_round_trips_the_extremes() {
+        for d in [
+            0,
+            1,
+            u64::MAX,
+            1 << 63,
+            (1 << 63) - 1,
+            4,
+            4u64.wrapping_neg(),
+        ] {
+            assert_eq!(unzigzag(zigzag(d)), d);
+        }
+        // Small steps either way stay small.
+        assert_eq!(zigzag(4), 8);
+        assert_eq!(zigzag(4u64.wrapping_neg()), 7);
+    }
+
+    #[test]
+    fn escaped_cpus_round_trip() {
+        let acc = |cpu: u16, va: u64| {
+            TraceEvent::Access(MemAccess {
+                cpu: CpuId::new(cpu),
+                asid: Asid::new(cpu),
+                kind: AccessKind::DataWrite,
+                vaddr: VirtAddr::new(va),
+                paddr: PhysAddr::new(va ^ 0xf000),
+            })
+        };
+        let events = vec![
+            acc(14, 0x100),
+            acc(15, 0x200),
+            acc(16, 0x300),
+            acc(u16::MAX, u64::MAX),
+            TraceEvent::ContextSwitch {
+                cpu: CpuId::new(300),
+                from: Asid::new(300),
+                to: Asid::new(7),
+            },
+            acc(300, 0),
+        ];
+        let t = Trace::new("wide", 2, PageSize::SIZE_4K, events);
+        assert_eq!(decode(&encode(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn pops_encodes_under_six_bytes_per_event() {
+        let t = crate::presets::TracePreset::Pops.generate_scaled(0.01);
+        let per_event = encode(&t).len() as f64 / t.len() as f64;
+        assert!(per_event <= 6.0, "{per_event:.2} B/event");
     }
 
     #[test]

@@ -72,23 +72,9 @@ impl Trace {
 
     /// Computes the trace characteristics reported in the paper's Table 5.
     pub fn summary(&self) -> TraceSummary {
-        let mut s = TraceSummary {
-            name: self.name.clone(),
-            cpus: self.cpus,
-            ..TraceSummary::default()
-        };
+        let mut s = TraceSummary::new(self.name.clone(), self.cpus);
         for e in &self.events {
-            match e {
-                TraceEvent::Access(a) => {
-                    s.total_refs += 1;
-                    match a.kind {
-                        AccessKind::InstrFetch => s.instr_count += 1,
-                        AccessKind::DataRead => s.data_reads += 1,
-                        AccessKind::DataWrite => s.data_writes += 1,
-                    }
-                }
-                TraceEvent::ContextSwitch { .. } => s.context_switches += 1,
-            }
+            s.record(e);
         }
         s
     }
@@ -123,6 +109,31 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
+    /// The summary of a trace with no events yet.
+    pub fn new(name: impl Into<String>, cpus: u16) -> Self {
+        TraceSummary {
+            name: name.into(),
+            cpus,
+            ..TraceSummary::default()
+        }
+    }
+
+    /// Counts one event — the fold [`Trace::summary`] runs, exposed so a
+    /// streamed trace can be summarized without materializing it.
+    pub fn record(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Access(a) => {
+                self.total_refs += 1;
+                match a.kind {
+                    AccessKind::InstrFetch => self.instr_count += 1,
+                    AccessKind::DataRead => self.data_reads += 1,
+                    AccessKind::DataWrite => self.data_writes += 1,
+                }
+            }
+            TraceEvent::ContextSwitch { .. } => self.context_switches += 1,
+        }
+    }
+
     /// Data references (reads + writes).
     pub fn data_refs(&self) -> u64 {
         self.data_reads + self.data_writes

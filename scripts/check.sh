@@ -18,6 +18,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> trace-file replay smoke"
+scripts/trace_smoke.sh
+
 echo "==> model checker (smoke scope)"
 cargo run -q --release -p vrcache-model -- --scope smoke --jobs "$JOBS"
 
