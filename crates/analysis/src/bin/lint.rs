@@ -20,19 +20,19 @@
 //! * `--write-hotpath-baseline` — re-pin
 //!   `crates/analysis/hotpath_baseline.txt` from today's hot-set scan
 //!   and print the per-crate attribution report. `scripts/check.sh`
-//!   gates this behind a clean tier-1 run (`WRITE_HOTPATH=1`).
+//!   gates this behind a clean tier-1 run (`REPIN=hotpath`).
 //! * `--hotpath-report` — print the attribution report without
 //!   touching the baseline.
 //! * `--write-protocol-spec` — re-pin
 //!   `crates/analysis/protocol_spec.txt` from today's extracted
 //!   transition surface. `scripts/check.sh` gates this behind a clean
-//!   tier-1 run (`WRITE_PROTOCOL_SPEC=1`).
+//!   tier-1 run (`REPIN=protocol`).
 //! * `--protocol-report` — print the per-hierarchy transition tables
 //!   without touching the pinned spec.
 //! * `--write-domain-baseline` — re-pin
 //!   `crates/analysis/domain_baseline.txt` from today's address-domain
 //!   analysis and print the flow report. `scripts/check.sh` gates this
-//!   behind a clean tier-1 run (`WRITE_DOMAIN_BASELINE=1`).
+//!   behind a clean tier-1 run (`REPIN=domain`).
 //! * `--domain-report` — print the flagged flows and inferred
 //!   raw-parameter domains without touching the baseline.
 

@@ -108,7 +108,7 @@ pub struct HotRoot {
     pub home_file: &'static str,
 }
 
-/// The per-access hot paths of the simulator: both hierarchies' `access`
+/// The per-access hot paths of the simulator: every organization's `access`
 /// and `snoop` entry points, and the streaming trace decoder that will
 /// feed them at memory-bandwidth speed.
 pub const HOT_ROOTS: &[HotRoot] = &[
@@ -121,6 +121,16 @@ pub const HOT_ROOTS: &[HotRoot] = &[
         self_ty: "VrHierarchy",
         name: "snoop",
         home_file: "crates/core/src/vr.rs",
+    },
+    HotRoot {
+        self_ty: "RrHierarchy",
+        name: "access",
+        home_file: "crates/core/src/rr.rs",
+    },
+    HotRoot {
+        self_ty: "RrHierarchy",
+        name: "snoop",
+        home_file: "crates/core/src/rr.rs",
     },
     HotRoot {
         self_ty: "GoodmanHierarchy",

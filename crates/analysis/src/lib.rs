@@ -40,8 +40,8 @@
 //!   baseline doesn't pin, and no parity-on `sdc` row at all.
 //! * **hot-path-hygiene** — heap allocation and slow-structure sites in
 //!   any function reachable (over the [`callgraph`] module's syntactic
-//!   call graph) from the per-access hot roots (`VrHierarchy::access`,
-//!   `GoodmanHierarchy::access`, both `snoop` paths, the codec's
+//!   call graph) from the per-access hot roots (`access` and `snoop` of
+//!   `VrHierarchy`, `RrHierarchy` and `GoodmanHierarchy`, the codec's
 //!   streaming `Decoder::next`) must be pinned in
 //!   `crates/analysis/hotpath_baseline.txt`. The baseline is a ratchet:
 //!   a new site fails the gate, a removed site demands a (shrunken)

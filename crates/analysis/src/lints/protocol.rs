@@ -20,7 +20,7 @@
 //!
 //! Re-pinning goes through `--write-protocol-spec`, which
 //! `scripts/check.sh` gates behind a clean tier-1 run
-//! (`WRITE_PROTOCOL_SPEC=1`); `--protocol-report` prints the tables
+//! (`REPIN=protocol`); `--protocol-report` prints the tables
 //! read-only.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,7 +32,7 @@ const LINT: &str = "protocol-spec";
 const SPEC_PATH: &str = "crates/analysis/protocol_spec.txt";
 const REPIN: &str =
     "re-pin with `cargo run -p vrcache-analysis --bin lint -- --write-protocol-spec` \
-     after a clean tier-1 run (`WRITE_PROTOCOL_SPEC=1 scripts/check.sh`)";
+     after a clean tier-1 run (`REPIN=protocol scripts/check.sh`)";
 
 /// `(hierarchy, op)` pairs the snoop rejects in *every* coherence state,
 /// with the design reason. An undocumented dead op fails the gate.

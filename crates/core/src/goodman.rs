@@ -27,7 +27,6 @@ use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
 use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::geometry::{BlockId, BlockMap, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
-use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBufferStats;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::addr::{Asid, Vpn};
@@ -35,11 +34,14 @@ use vrcache_mem::tlb::Tlb;
 use vrcache_trace::record::MemAccess;
 
 use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
-use crate::config::{DataProtection, HierarchyConfig};
+use crate::config::HierarchyConfig;
 use crate::events::HierarchyEvents;
-use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison};
+use crate::fault::{
+    self, FaultKind, FaultPort, FaultRecord, Poison, Protection, Scrub, ScrubParts,
+};
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{InvariantExpect, InvariantViolation};
+use crate::rcache::ChildCache;
 use crate::vcache::{VCache, VMeta};
 
 /// Goodman-style single-level dual-tag virtual cache.
@@ -63,12 +65,9 @@ pub struct GoodmanHierarchy {
     private: BlockMap<bool>,
     refs: u64,
     last_wb_at: Option<u64>,
-    /// Modeled parity on the dual tag stores and the TLB.
-    parity: bool,
-    /// Modeled protection on the data array.
-    data_protection: DataProtection,
-    /// Outstanding parity syndromes, scrubbed at the next operation.
-    poison: Vec<Poison>,
+    /// Modeled parity (dual tag stores, TLB) and data protection, with
+    /// outstanding syndromes.
+    protection: Protection,
 }
 
 impl GoodmanHierarchy {
@@ -113,9 +112,7 @@ impl GoodmanHierarchy {
             private: BlockMap::default(),
             refs: 0,
             last_wb_at: None,
-            parity: cfg.parity,
-            data_protection: cfg.data_protection,
-            poison: Vec::new(),
+            protection: Protection::new(cfg),
         }
     }
 
@@ -182,44 +179,22 @@ impl GoodmanHierarchy {
     }
 }
 
-// ---- modeled parity: fault injection, detection and recovery ----
-impl GoodmanHierarchy {
-    /// Detects and recovers outstanding parity syndromes at the entry of
-    /// every public operation (no-op when parity is off).
-    fn scrub_poison(&mut self) {
-        if self.poison.is_empty() {
-            return;
-        }
-        let poisons = std::mem::take(&mut self.poison);
-        for p in poisons {
-            match p {
-                Poison::L1Line { kind, key, .. } => self.scrub_line(kind, key),
-                Poison::L2Line { p2: granule, .. } => {
-                    // The real directory's state bit faulted: demoting to
-                    // shared is always safe (the next write re-arbitrates
-                    // for exclusivity over the bus).
-                    if self.reverse.contains_key(&granule) {
-                        self.private.insert(granule, false);
-                    }
-                    self.events.parity_refetches += 1;
-                }
-                Poison::TlbEntry { asid, vpn } => {
-                    self.tlb.flush_asid_vpn(asid, vpn);
-                    self.events.parity_refetches += 1;
-                }
-                Poison::L1Data { key, stored, .. } => self.scrub_data(key, stored),
-                // There is no write buffer and no second-level data
-                // array in the single-level scheme, so no injection
-                // ever records these syndromes.
-                Poison::WbEntry { .. } => {}
-                Poison::L2Data { .. } => {}
-            }
+// ---- modeled parity: the single-level recovery policy and fault port ----
+impl Scrub for GoodmanHierarchy {
+    fn scrub_parts(&mut self) -> ScrubParts<'_> {
+        // No second level, and no write buffer: no injection ever
+        // records an L2-data or write-buffer syndrome here.
+        ScrubParts {
+            protection: &mut self.protection,
+            tlb: &mut self.tlb,
+            events: &mut self.events,
+            l2: None,
         }
     }
 
     /// Recovers a poisoned cache line: both tag stores must agree, so the
     /// line and its real-directory entry are discarded together.
-    fn scrub_line(&mut self, kind: FaultKind, key: BlockId) {
+    fn scrub_l1_line(&mut self, kind: FaultKind, _child: ChildCache, key: BlockId) {
         let Some(line) = self.l1.invalidate(key) else {
             self.events.parity_refetches += 1;
             return;
@@ -233,182 +208,65 @@ impl GoodmanHierarchy {
         }
     }
 
-    /// Recovers a poisoned *data* word: SECDED corrects it in place,
-    /// plain data parity discards the line (refetch if clean, machine
-    /// check if dirty).
-    fn scrub_data(&mut self, key: BlockId, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l1.peek_mut(key) {
-                            line.meta.version = line.meta.version.with_bit_flipped(bit);
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
+    /// The real directory's state bit for `granule` faulted: demoting to
+    /// shared is always safe (the next write re-arbitrates for
+    /// exclusivity over the bus).
+    fn scrub_l2_line(&mut self, _kind: FaultKind, granule: BlockId) {
+        if self.reverse.contains_key(&granule) {
+            self.private.insert(granule, false);
         }
-        self.scrub_line(FaultKind::VDataBit, key);
+        self.events.parity_refetches += 1;
     }
 
-    fn record_poison(&mut self, poison: Poison) {
-        if self.parity {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Records a *data*-array syndrome, gated on the data-protection
-    /// knob rather than metadata parity.
-    fn record_data_poison(&mut self, poison: Poison) {
-        if self.data_protection != DataProtection::None {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Deterministically picks the `seed`-th resident line. Selection
-    /// never iterates the hash maps (their order is not deterministic);
-    /// everything derives from the cache array's iteration order.
-    fn pick_line(&self, seed: u64) -> Option<(BlockId, VMeta)> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(lines[(seed % lines.len() as u64) as usize])
-    }
-
-    fn inject_v_tag_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let n = lines.len() as u64;
-        let set_bits = self.l1.geometry().set_bits();
-        for off in 0..n {
-            let (key, meta) = lines[((seed + off) % n) as usize];
-            let flipped = fault::flip_tag_bit(key, set_bits);
-            if self.l1.peek(flipped).is_some() {
-                continue;
-            }
-            let line = self.l1.invalidate(key)?;
-            let out = self.l1.fill(flipped, line.meta);
-            debug_assert!(out.evicted.is_none(), "same set, freed way");
-            // The real directory still names the old virtual block — the
-            // dangling pointer *is* the injected corruption.
-            self.record_poison(Poison::L1Line {
-                kind: FaultKind::VTagFlip,
-                child: crate::rcache::ChildCache::Data,
-                key: flipped,
-            });
-            return Some(FaultRecord {
-                kind: FaultKind::VTagFlip,
-                detail: format!("line {key} retagged {flipped} dirty={}", meta.dirty),
-            });
-        }
-        None
-    }
-
-    /// Flips one data bit of a cache line's stored word.
-    fn inject_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_line(seed)?;
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(meta.version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = meta.version.with_bit_flipped(bit);
-        let line = self.l1.peek_mut(key)?;
-        line.meta.version = corrupted;
-        self.record_data_poison(Poison::L1Data {
-            child: crate::rcache::ChildCache::Data,
-            key,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VDataBit,
-            detail: format!(
-                "line {key} data bit {bit} flipped ({} -> {corrupted}) dirty={}",
-                meta.version, meta.dirty
-            ),
-        })
+    fn l1_word(&mut self, _child: ChildCache, key: BlockId) -> Option<&mut Version> {
+        Some(&mut self.l1.peek_mut(key)?.meta.version)
     }
 }
 
 impl FaultPort for GoodmanHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
+        let prot = &mut self.protection;
         match kind {
-            FaultKind::VTagFlip => self.inject_v_tag_flip(seed),
-            FaultKind::VStateFlip => {
-                let (key, meta) = self.pick_line(seed)?;
-                let line = self.l1.peek_mut(key)?;
-                line.meta.dirty = !line.meta.dirty;
-                self.record_poison(Poison::L1Line {
-                    kind,
-                    child: crate::rcache::ChildCache::Data,
-                    key,
-                });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("line {key} dirty {} -> {}", meta.dirty, !meta.dirty),
-                })
-            }
+            FaultKind::VTagFlip => prot.inject_tag_flip(self.l1.array_mut(), seed, "line"),
+            FaultKind::VStateFlip => prot.inject_state_flip(self.l1.array_mut(), seed, "line"),
             FaultKind::RPointerFlip => {
                 // The real directory entry (physical tag) faults: it now
                 // points at a virtual block that holds no such line.
-                let (key, meta) = self.pick_line(seed)?;
-                let set_bits = self.l1.geometry().set_bits();
-                let wrong = fault::flip_tag_bit(key, set_bits);
-                self.reverse.insert(meta.p_block, wrong);
+                let key = fault::pick_line(self.l1.iter(), seed)?;
+                let p_block = self.l1.peek(key)?.meta.p_block;
+                let wrong = fault::flip_tag_bit(key, self.l1.geometry().set_bits());
+                self.reverse.insert(p_block, wrong);
                 // Parity on the physical tag store names the entry; the
                 // line it should point at is recovered through it.
-                self.record_poison(Poison::L1Line {
+                prot.record_meta(Poison::L1Line {
                     kind,
-                    child: crate::rcache::ChildCache::Data,
+                    child: ChildCache::Data,
                     key,
                 });
                 Some(FaultRecord {
                     kind,
-                    detail: format!("real directory {} -> {wrong} (was {key})", meta.p_block),
+                    detail: format!("real directory {p_block} -> {wrong} (was {key})"),
                 })
             }
             FaultKind::CohStateFlip => {
                 // Prefer granting bogus exclusivity (shared -> private):
                 // the demotion direction only costs a redundant upgrade.
-                let shared: Vec<(BlockId, VMeta)> = self
-                    .l1
-                    .iter()
-                    .filter(|l| !self.private.get(&l.meta.p_block).copied().unwrap_or(false))
-                    .map(|l| (l.block, l.meta))
-                    .collect();
-                let (key, meta) = if shared.is_empty() {
-                    self.pick_line(seed)?
-                } else {
-                    shared[(seed % shared.len() as u64) as usize]
-                };
-                let old = self.private.get(&meta.p_block).copied().unwrap_or(false);
-                self.private.insert(meta.p_block, !old);
-                self.record_poison(Poison::L2Line {
-                    kind,
-                    p2: meta.p_block,
+                let private = &self.private;
+                let candidates = self.l1.iter().map(|l| {
+                    let shared = !private.get(&l.meta.p_block).copied().unwrap_or(false);
+                    ((l.block, l.meta.p_block), shared)
                 });
+                let (key, granule) = fault::pick_preferring(candidates, seed)?;
+                let old = self.private.get(&granule).copied().unwrap_or(false);
+                self.private.insert(granule, !old);
+                prot.record_meta(Poison::L2Line { kind, p2: granule });
                 Some(FaultRecord {
                     kind,
-                    detail: format!(
-                        "line {key} granule {} private {old} -> {}",
-                        meta.p_block, !old
-                    ),
+                    detail: format!("line {key} granule {granule} private {old} -> {}", !old),
                 })
             }
-            FaultKind::TlbEntryFlip => {
-                let (asid, vpn) = self.tlb.corrupt_entry(seed)?;
-                self.record_poison(Poison::TlbEntry { asid, vpn });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("tlb asid {} vpn {:#x}", asid.raw(), vpn.raw()),
-                })
-            }
-            FaultKind::VDataBit => self.inject_data_bit(seed),
+            FaultKind::TlbEntryFlip => prot.inject_tlb_flip(&mut self.tlb, seed),
+            FaultKind::VDataBit => prot.inject_data_bit(self.l1.array_mut(), seed, "line"),
             // No second level, no subentries, no write buffer — and no
             // second-level data array for RDataBit to hit.
             FaultKind::RInclusionFlip
@@ -969,6 +827,31 @@ mod tests {
         assert_eq!(r.h.events().parity_refetches, 1);
         assert!(!r.h.granule_private(g), "recovery demotes to shared");
         r.h.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn coh_state_flip_prefers_granting_exclusivity() {
+        // Three private lines; a foreign read demotes the middle one.
+        let mut r = parity_rig();
+        for i in 0..3u64 {
+            r.go(AccessKind::DataRead, 0x1000 + i * 0x10, 0x9000 + i * 0x10);
+        }
+        let g = cfg().l1.block_of(0x9010);
+        let block = r.h.bus_block_of(g);
+        r.h.snoop(&BusTransaction::new(BusOp::ReadMiss, CpuId::new(1), block));
+        assert!(!r.h.granule_private(g));
+        for seed in 0..3 {
+            let mut h = r.h.clone();
+            let rec = h
+                .inject_fault(FaultKind::CohStateFlip, seed)
+                .expect("target");
+            assert!(
+                rec.detail.ends_with("private false -> true"),
+                "{}",
+                rec.detail
+            );
+            assert!(h.granule_private(g), "seed {seed} flips the shared line");
+        }
     }
 
     #[test]

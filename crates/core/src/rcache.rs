@@ -13,6 +13,8 @@ use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 
+use crate::fault::{self, FaultKind, FaultRecord, Poison, Protection};
+
 /// Bus-coherence state of an R-cache line (invalid lines are simply absent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CohState {
@@ -209,6 +211,112 @@ impl RCache {
     }
 }
 
+// ---- fault injection and in-place repair (V-R and R-R alike) ----
+impl RCache {
+    /// Injects one of the subentry or coherence-state kinds, preferring a
+    /// target where the flipped field is live (an inclusion-linked
+    /// subentry for inclusion/vdirty/v-pointer faults, a buffered one for
+    /// buffer faults, a shared line for state faults) and falling back
+    /// to any subentry. `v_set_bits` sizes the child cache's index for
+    /// v-pointer flips; `label` names the line in the report.
+    pub(crate) fn inject_r_side(
+        &mut self,
+        protection: &mut Protection,
+        kind: FaultKind,
+        seed: u64,
+        v_set_bits: u32,
+        label: &str,
+    ) -> Option<FaultRecord> {
+        let candidates = self.iter().flat_map(|line| {
+            line.meta.subs.iter().enumerate().map(move |(si, sub)| {
+                let live = match kind {
+                    FaultKind::RBufferFlip => sub.buffer,
+                    // Prefer granting bogus exclusivity (Shared -> Private):
+                    // the demotion direction only costs a redundant upgrade.
+                    FaultKind::CohStateFlip => line.meta.state == CohState::Shared,
+                    _ => sub.inclusion,
+                };
+                ((line.block, si), live)
+            })
+        });
+        let (p2, si) = fault::pick_preferring(candidates, seed)?;
+        let line = self.peek_mut(p2)?;
+        let sub = &mut line.meta.subs[si];
+        let detail = match kind {
+            FaultKind::RInclusionFlip => {
+                sub.inclusion = !sub.inclusion;
+                format!("{label} {p2} sub {si} inclusion -> {}", sub.inclusion)
+            }
+            FaultKind::RBufferFlip => {
+                sub.buffer = !sub.buffer;
+                format!("{label} {p2} sub {si} buffer -> {}", sub.buffer)
+            }
+            FaultKind::RVdirtyFlip => {
+                sub.vdirty = !sub.vdirty;
+                format!("{label} {p2} sub {si} vdirty -> {}", sub.vdirty)
+            }
+            FaultKind::VPointerFlip => {
+                let old = sub.v_block;
+                sub.v_block = fault::flip_tag_bit(old, v_set_bits);
+                format!("{label} {p2} sub {si} v-pointer {old} -> {}", sub.v_block)
+            }
+            FaultKind::CohStateFlip => {
+                let old = line.meta.state;
+                line.meta.state = match old {
+                    CohState::Shared => CohState::Private,
+                    CohState::Private => CohState::Shared,
+                };
+                format!("{label} {p2} state {old:?} -> {:?}", line.meta.state)
+            }
+            _ => return None,
+        };
+        protection.record_meta(Poison::L2Line { kind, p2 });
+        Some(FaultRecord { kind, detail })
+    }
+
+    /// Flips one data bit of a subentry's stored word, preferring a
+    /// subentry whose copy is authoritative at this level (not shadowed
+    /// by a dirty child or a buffered write).
+    pub(crate) fn inject_data_bit(
+        &mut self,
+        protection: &mut Protection,
+        seed: u64,
+        label: &str,
+    ) -> Option<FaultRecord> {
+        let candidates =
+            self.iter().flat_map(|line| {
+                line.meta.subs.iter().enumerate().map(move |(si, sub)| {
+                    ((line.block, si, sub.version), !sub.vdirty && !sub.buffer)
+                })
+            });
+        let (p2, si, version) = fault::pick_preferring(candidates, seed)?;
+        let (bit, stored, corrupted) = fault::flip_data_bit(version, seed);
+        self.peek_mut(p2)?.meta.subs[si].version = corrupted;
+        protection.record_data(Poison::L2Data {
+            p2,
+            sub: si,
+            stored,
+        });
+        Some(FaultRecord {
+            kind: FaultKind::RDataBit,
+            detail: format!(
+                "{label} {p2} sub {si} data bit {bit} flipped ({version} -> {corrupted})"
+            ),
+        })
+    }
+
+    /// Restores data bit `bit` of subentry `sub` of `p2` in place (a
+    /// SECDED correction); a no-op if the line has since left.
+    pub(crate) fn correct_data_bit(&mut self, p2: BlockId, sub: usize, bit: u32) {
+        if let Some(s) = self
+            .peek_mut(p2)
+            .and_then(|line| line.meta.subs.get_mut(sub))
+        {
+            s.version = s.version.with_bit_flipped(bit);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,6 +409,88 @@ mod tests {
         assert!(r.peek(BlockId::new(3)).is_some());
         assert!(r.invalidate(BlockId::new(3)).is_some());
         assert!(r.lookup(BlockId::new(3)).is_none());
+    }
+
+    fn protection() -> Protection {
+        Protection::new(
+            &crate::config::HierarchyConfig::direct_mapped(256, 4096, 16)
+                .unwrap()
+                .with_parity()
+                .with_data_protection(crate::config::DataProtection::Secded),
+        )
+    }
+
+    /// Block 1 shared with a linked, buffered subentry 1; block 2 private.
+    fn two_lines() -> RCache {
+        let mut r = rcache();
+        let mut linked = RMeta::fetched(CohState::Shared, &[Version::INITIAL; 2]);
+        linked.subs[1].inclusion = true;
+        linked.subs[1].buffer = true;
+        linked.subs[1].v_block = BlockId::new(0x40);
+        r.fill(BlockId::new(1), linked);
+        r.fill(BlockId::new(2), fetched());
+        r
+    }
+
+    #[test]
+    fn r_side_flips_prefer_the_live_target() {
+        let mut p = protection();
+        for (kind, seed, detail) in [
+            (
+                FaultKind::RInclusionFlip,
+                3,
+                "r 0x1 sub 1 inclusion -> false",
+            ),
+            (FaultKind::RBufferFlip, 0, "r 0x1 sub 1 buffer -> false"),
+            (FaultKind::RVdirtyFlip, 0, "r 0x1 sub 1 vdirty -> true"),
+            (
+                FaultKind::VPointerFlip,
+                0,
+                "r 0x1 sub 1 v-pointer 0x40 -> 0x50",
+            ),
+            (FaultKind::CohStateFlip, 1, "r 0x1 state Shared -> Private"),
+        ] {
+            let mut r = two_lines();
+            let rec = r.inject_r_side(&mut p, kind, seed, 4, "r").expect("target");
+            assert_eq!((rec.kind, rec.detail.as_str()), (kind, detail));
+        }
+        // A private line flips the other way.
+        let mut r = rcache();
+        r.fill(BlockId::new(2), fetched());
+        let rec = r.inject_r_side(&mut p, FaultKind::CohStateFlip, 0, 4, "r");
+        assert_eq!(rec.unwrap().detail, "r 0x2 state Private -> Shared");
+        assert_eq!(
+            r.peek(BlockId::new(2)).unwrap().meta.state,
+            CohState::Shared
+        );
+        assert!(r
+            .inject_r_side(&mut p, FaultKind::TlbEntryFlip, 0, 4, "r")
+            .is_none());
+        assert_eq!(p.outstanding(), 6);
+    }
+
+    #[test]
+    fn data_bit_flip_is_corrected_in_place() {
+        let mut p = protection();
+        let mut r = two_lines();
+        // Subentry 1 of block 1 is shadowed upstream: never preferred.
+        for seed in 0..6 {
+            let mut r = two_lines();
+            let rec = r.inject_data_bit(&mut p, seed, "r").expect("target");
+            assert!(!rec.detail.starts_with("r 0x1 sub 1 "), "{}", rec.detail);
+        }
+        let rec = r.inject_data_bit(&mut p, 3, "r").expect("target");
+        assert!(
+            rec.detail.starts_with("r 0x1 sub 0 data bit 3 flipped"),
+            "{}",
+            rec.detail
+        );
+        let word = |r: &RCache| r.peek(BlockId::new(1)).unwrap().meta.subs[0].version;
+        assert_eq!(word(&r), Version::INITIAL.with_bit_flipped(3));
+        r.correct_data_bit(BlockId::new(1), 0, 3);
+        assert_eq!(word(&r), Version::INITIAL);
+        // A line that has since left is left alone.
+        r.correct_data_bit(BlockId::new(7), 0, 1);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::array::{CacheArray, Line};
 use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
-use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBuffer;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::addr::{Asid, Vpn};
@@ -31,9 +30,9 @@ use vrcache_mem::tlb::Tlb;
 use vrcache_trace::record::MemAccess;
 
 use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
-use crate::config::{DataProtection, HierarchyConfig, L1Organization};
+use crate::config::{HierarchyConfig, L1Organization};
 use crate::events::HierarchyEvents;
-use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison};
+use crate::fault::{DataLine, FaultKind, FaultPort, FaultRecord, Protection, Scrub, ScrubParts};
 use crate::hierarchy::{AccessOutcome, CacheHierarchy};
 use crate::invariant::{InvariantExpect, InvariantViolation};
 use crate::rcache::{ChildCache, CohState, RCache, RMeta};
@@ -59,6 +58,12 @@ struct PMeta {
     version: Version,
 }
 
+impl DataLine for PMeta {
+    fn fields(&mut self) -> (&mut bool, &mut Version) {
+        (&mut self.dirty, &mut self.version)
+    }
+}
+
 /// A two-level hierarchy of physically-addressed caches.
 #[derive(Debug, Clone)]
 pub struct RrHierarchy {
@@ -75,12 +80,8 @@ pub struct RrHierarchy {
     drain_period: u64,
     refs: u64,
     last_wb_at: Option<u64>,
-    /// Modeled parity on the tag/state arrays and the TLB.
-    parity: bool,
-    /// Modeled protection on the data arrays.
-    data_protection: DataProtection,
-    /// Outstanding parity syndromes, scrubbed at the next operation.
-    poison: Vec<Poison>,
+    /// Modeled parity and data protection, with outstanding syndromes.
+    protection: Protection,
 }
 
 impl RrHierarchy {
@@ -121,9 +122,7 @@ impl RrHierarchy {
             drain_period: cfg.wb_drain_period.max(1),
             refs: 0,
             last_wb_at: None,
-            parity: cfg.parity,
-            data_protection: cfg.data_protection,
-            poison: Vec::new(),
+            protection: Protection::new(cfg),
         }
     }
 
@@ -438,35 +437,14 @@ impl RrHierarchy {
     }
 }
 
-// ---- modeled parity: fault injection, detection and recovery ----
-impl RrHierarchy {
-    /// Detects and recovers outstanding parity syndromes at the entry of
-    /// every public operation (no-op when parity is off — the list stays
-    /// empty).
-    fn scrub_poison(&mut self) {
-        if self.poison.is_empty() {
-            return;
-        }
-        let poisons = std::mem::take(&mut self.poison);
-        for p in poisons {
-            match p {
-                Poison::L1Line { kind, key, .. } => self.scrub_l1_line(kind, key),
-                Poison::L2Line { kind, p2 } => self.scrub_l2_line(kind, p2),
-                Poison::L1Data { key, stored, .. } => self.scrub_l1_data(key, stored),
-                Poison::L2Data { p2, sub, stored } => self.scrub_l2_data(p2, sub, stored),
-                Poison::TlbEntry { asid, vpn } => {
-                    self.tlb.flush_asid_vpn(asid, vpn);
-                    self.events.parity_refetches += 1;
-                }
-                Poison::WbEntry { p1 } => {
-                    let p2 = self.l2.l2_block_of(p1);
-                    let si = self.l2.sub_index(p1);
-                    if let Some(line) = self.l2.peek_mut(p2) {
-                        line.meta.subs[si].buffer = false;
-                    }
-                    self.events.parity_machine_checks += 1;
-                }
-            }
+// ---- modeled parity: the R-R recovery policy and fault port ----
+impl Scrub for RrHierarchy {
+    fn scrub_parts(&mut self) -> ScrubParts<'_> {
+        ScrubParts {
+            protection: &mut self.protection,
+            tlb: &mut self.tlb,
+            events: &mut self.events,
+            l2: Some(&mut self.l2),
         }
     }
 
@@ -474,7 +452,7 @@ impl RrHierarchy {
     /// inclusive mode) repair any subentry left pointing at a vanished
     /// child. In this organization the line's key *is* its physical
     /// identity, so a clean line is always refetchable.
-    fn scrub_l1_line(&mut self, kind: FaultKind, key: BlockId) {
+    fn scrub_l1_line(&mut self, kind: FaultKind, _child: ChildCache, key: BlockId) {
         let dirty = match self.l1.invalidate(key) {
             Some(line) => line.meta.dirty,
             None => {
@@ -491,32 +469,6 @@ impl RrHierarchy {
             // A flipped dirty bit leaves the true value unknown; a dirty
             // retagged line may hold the only modified copy.
             self.events.parity_machine_checks += 1;
-        }
-    }
-
-    /// Clears every inclusion bit whose child is no longer resident.
-    fn repair_dangling_inclusion(&mut self) {
-        let dangling: Vec<(BlockId, usize)> = self
-            .l2
-            .iter()
-            .flat_map(|line| {
-                let p2 = line.block;
-                line.meta
-                    .subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.inclusion)
-                    .map(move |(i, s)| (p2, i, s.v_block))
-            })
-            .filter(|(_, _, child)| self.l1.peek(*child).is_none())
-            .map(|(p2, i, _)| (p2, i))
-            .collect();
-        for (p2, si) in dangling {
-            if let Some(line) = self.l2.peek_mut(p2) {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = false;
-                sub.vdirty = false;
-            }
         }
     }
 
@@ -542,257 +494,45 @@ impl RrHierarchy {
         }
     }
 
-    /// Recovers a poisoned first-level *data* word: SECDED corrects it
-    /// in place from the syndrome; plain data parity (or a multi-bit
-    /// upset) discards the line — refetch if clean, machine check if
-    /// dirty.
-    fn scrub_l1_data(&mut self, key: BlockId, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l1.peek_mut(key) {
-                            line.meta.version = line.meta.version.with_bit_flipped(bit);
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_l1_line(FaultKind::VDataBit, key);
+    fn l1_word(&mut self, _child: ChildCache, key: BlockId) -> Option<&mut Version> {
+        Some(&mut self.l1.peek_mut(key)?.meta.version)
     }
+}
 
-    /// Recovers a poisoned second-level subentry *data* word (same
-    /// policy as [`scrub_l1_data`](Self::scrub_l1_data)).
-    fn scrub_l2_data(&mut self, p2: BlockId, sub: usize, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l2.peek_mut(p2) {
-                            if let Some(s) = line.meta.subs.get_mut(sub) {
-                                s.version = s.version.with_bit_flipped(bit);
-                            }
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_l2_line(FaultKind::RDataBit, p2);
-    }
-
-    fn record_poison(&mut self, poison: Poison) {
-        if self.parity {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Records a *data*-array syndrome, gated on the data-protection
-    /// knob rather than metadata parity.
-    fn record_data_poison(&mut self, poison: Poison) {
-        if self.data_protection != DataProtection::None {
-            self.poison.push(poison);
-        }
-    }
-
-    fn pick_l1_line(&self, seed: u64) -> Option<(BlockId, bool)> {
-        let lines: Vec<(BlockId, bool)> = self.l1.iter().map(|l| (l.block, l.meta.dirty)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(lines[(seed % lines.len() as u64) as usize])
-    }
-
-    fn inject_l1_tag_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<BlockId> = self.l1.iter().map(|l| l.block).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let n = lines.len() as u64;
-        let set_bits = self.l1.geometry().set_bits();
-        for off in 0..n {
-            let key = lines[((seed + off) % n) as usize];
-            let flipped = fault::flip_tag_bit(key, set_bits);
-            if self.l1.peek(flipped).is_some() {
-                continue;
-            }
-            let line = self.l1.invalidate(key)?;
-            let dirty = line.meta.dirty;
-            let out = self.l1.fill(flipped, line.meta, |_: &Line<PMeta>| true);
-            debug_assert!(out.evicted.is_none(), "same set, freed way");
-            self.record_poison(Poison::L1Line {
-                kind: FaultKind::VTagFlip,
-                child: ChildCache::Data,
-                key: flipped,
-            });
-            return Some(FaultRecord {
-                kind: FaultKind::VTagFlip,
-                detail: format!("l1 line {key} retagged {flipped} dirty={dirty}"),
-            });
-        }
-        None
-    }
-
-    fn inject_r_side(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
-        if !self.inclusive() && kind != FaultKind::CohStateFlip {
-            // Without inclusion the subentry flags are never live; the
-            // only second-level state worth corrupting is the coherence
-            // state.
-            return None;
-        }
-        let mut preferred: Vec<(BlockId, usize)> = Vec::new();
-        let mut any: Vec<(BlockId, usize)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si));
-                let live = match kind {
-                    FaultKind::RBufferFlip => sub.buffer,
-                    // Prefer granting bogus exclusivity (Shared -> Private):
-                    // the demotion direction only costs a redundant upgrade.
-                    FaultKind::CohStateFlip => line.meta.state == CohState::Shared,
-                    _ => sub.inclusion,
-                };
-                if live {
-                    preferred.push((line.block, si));
-                }
-            }
-        }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si) = pool[(seed % pool.len() as u64) as usize];
-        let line = self.l2.peek_mut(p2)?;
-        let detail = match kind {
-            FaultKind::RInclusionFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = !sub.inclusion;
-                format!("l2 line {p2} sub {si} inclusion -> {}", sub.inclusion)
-            }
-            FaultKind::RBufferFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.buffer = !sub.buffer;
-                format!("l2 line {p2} sub {si} buffer -> {}", sub.buffer)
-            }
-            FaultKind::RVdirtyFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.vdirty = !sub.vdirty;
-                format!("l2 line {p2} sub {si} vdirty -> {}", sub.vdirty)
-            }
-            FaultKind::VPointerFlip => {
-                let set_bits = self.l1.geometry().set_bits();
-                let sub = &mut line.meta.subs[si];
-                let old = sub.v_block;
-                sub.v_block = fault::flip_tag_bit(old, set_bits);
-                format!("l2 line {p2} sub {si} v-pointer {old} -> {}", sub.v_block)
-            }
-            FaultKind::CohStateFlip => {
-                let old = line.meta.state;
-                line.meta.state = match old {
-                    CohState::Shared => CohState::Private,
-                    CohState::Private => CohState::Shared,
-                };
-                format!("l2 line {p2} state {old:?} -> {:?}", line.meta.state)
-            }
-            _ => return None,
-        };
-        self.record_poison(Poison::L2Line { kind, p2 });
-        Some(FaultRecord { kind, detail })
-    }
-
-    /// Flips one data bit of a first-level line's stored word.
-    fn inject_l1_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<(BlockId, Version, bool)> = self
-            .l1
+impl RrHierarchy {
+    /// Clears every inclusion bit whose child is no longer resident.
+    fn repair_dangling_inclusion(&mut self) {
+        let dangling: Vec<(BlockId, usize)> = self
+            .l2
             .iter()
-            .map(|l| (l.block, l.meta.version, l.meta.dirty))
+            .flat_map(|line| {
+                let p2 = line.block;
+                line.meta
+                    .subs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.inclusion)
+                    .map(move |(i, s)| (p2, i, s.v_block))
+            })
+            .filter(|(_, _, child)| self.l1.peek(*child).is_none())
+            .map(|(p2, i, _)| (p2, i))
             .collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let (key, version, dirty) = lines[(seed % lines.len() as u64) as usize];
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = version.with_bit_flipped(bit);
-        let line = self.l1.peek_mut(key)?;
-        line.meta.version = corrupted;
-        self.record_data_poison(Poison::L1Data {
-            child: ChildCache::Data,
-            key,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VDataBit,
-            detail: format!(
-                "l1 line {key} data bit {bit} flipped ({version} -> {corrupted}) dirty={dirty}"
-            ),
-        })
-    }
-
-    /// Flips one data bit of a second-level subentry's stored word,
-    /// preferring a subentry whose copy is authoritative at this level.
-    fn inject_l2_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let mut preferred: Vec<(BlockId, usize, Version)> = Vec::new();
-        let mut any: Vec<(BlockId, usize, Version)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si, sub.version));
-                if !sub.vdirty && !sub.buffer {
-                    preferred.push((line.block, si, sub.version));
-                }
+        for (p2, si) in dangling {
+            if let Some(line) = self.l2.peek_mut(p2) {
+                let sub = &mut line.meta.subs[si];
+                sub.inclusion = false;
+                sub.vdirty = false;
             }
         }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si, version) = pool[(seed % pool.len() as u64) as usize];
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = version.with_bit_flipped(bit);
-        let line = self.l2.peek_mut(p2)?;
-        line.meta.subs[si].version = corrupted;
-        self.record_data_poison(Poison::L2Data {
-            p2,
-            sub: si,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::RDataBit,
-            detail: format!(
-                "l2 line {p2} sub {si} data bit {bit} flipped ({version} -> {corrupted})"
-            ),
-        })
     }
 }
 
 impl FaultPort for RrHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
+        let prot = &mut self.protection;
         match kind {
-            FaultKind::VTagFlip => self.inject_l1_tag_flip(seed),
-            FaultKind::VStateFlip => {
-                let (key, dirty) = self.pick_l1_line(seed)?;
-                let line = self.l1.peek_mut(key)?;
-                line.meta.dirty = !line.meta.dirty;
-                self.record_poison(Poison::L1Line {
-                    kind,
-                    child: ChildCache::Data,
-                    key,
-                });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("l1 line {key} dirty {dirty} -> {}", !dirty),
-                })
-            }
+            FaultKind::VTagFlip => prot.inject_tag_flip(&mut self.l1, seed, "l1 line"),
+            FaultKind::VStateFlip => prot.inject_state_flip(&mut self.l1, seed, "l1 line"),
             // The first level is physically addressed: its key *is* its
             // identity, so there is no separate r-pointer to corrupt.
             FaultKind::RPointerFlip => None,
@@ -800,30 +540,20 @@ impl FaultPort for RrHierarchy {
             | FaultKind::RBufferFlip
             | FaultKind::RVdirtyFlip
             | FaultKind::VPointerFlip
-            | FaultKind::CohStateFlip => self.inject_r_side(kind, seed),
-            FaultKind::TlbEntryFlip => {
-                let (asid, vpn) = self.tlb.corrupt_entry(seed)?;
-                self.record_poison(Poison::TlbEntry { asid, vpn });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("tlb asid {} vpn {:#x}", asid.raw(), vpn.raw()),
-                })
-            }
-            FaultKind::WriteBufferDrop => {
-                let blocks: Vec<BlockId> = self.wb.iter().map(|e| e.block).collect();
-                if blocks.is_empty() {
+            | FaultKind::CohStateFlip => {
+                if self.mode == InclusionMode::NonInclusive && kind != FaultKind::CohStateFlip {
+                    // Without inclusion the subentry flags are never live;
+                    // the only second-level state worth corrupting is the
+                    // coherence state.
                     return None;
                 }
-                let p1 = blocks[(seed % blocks.len() as u64) as usize];
-                self.wb.coherence_take(p1)?;
-                self.record_poison(Poison::WbEntry { p1 });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("write buffer lost pending {p1}"),
-                })
+                let set_bits = self.l1.geometry().set_bits();
+                self.l2.inject_r_side(prot, kind, seed, set_bits, "l2 line")
             }
-            FaultKind::VDataBit => self.inject_l1_data_bit(seed),
-            FaultKind::RDataBit => self.inject_l2_data_bit(seed),
+            FaultKind::TlbEntryFlip => prot.inject_tlb_flip(&mut self.tlb, seed),
+            FaultKind::WriteBufferDrop => prot.inject_wb_drop(&mut self.wb, seed),
+            FaultKind::VDataBit => prot.inject_data_bit(&mut self.l1, seed, "l1 line"),
+            FaultKind::RDataBit => self.l2.inject_data_bit(prot, seed, "l2 line"),
             FaultKind::BusDropTxn | FaultKind::BusDuplicateTxn | FaultKind::BusLostInvalidate => {
                 None
             }

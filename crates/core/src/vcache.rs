@@ -20,6 +20,8 @@ use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 
+use crate::fault::DataLine;
+
 /// Per-line metadata of the V-cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VMeta {
@@ -33,6 +35,12 @@ pub struct VMeta {
     pub swapped: bool,
     /// Oracle version of the held data.
     pub version: Version,
+}
+
+impl DataLine for VMeta {
+    fn fields(&mut self) -> (&mut bool, &mut Version) {
+        (&mut self.dirty, &mut self.version)
+    }
 }
 
 /// The virtually-addressed, write-back first-level cache.
@@ -64,6 +72,12 @@ impl VCache {
     /// Mutable statistics access for the owning hierarchy.
     pub fn stats_mut(&mut self) -> &mut CacheStats {
         &mut self.stats
+    }
+
+    /// The raw line array, for the shared fault injectors (no swapped
+    /// filtering, no statistics).
+    pub(crate) fn array_mut(&mut self) -> &mut CacheArray<VMeta> {
+        &mut self.array
     }
 
     /// Looks up `vblock`. Swapped-valid lines are **not** hits — the paper

@@ -33,7 +33,6 @@ use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::array::Line;
 use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
-use vrcache_cache::syndrome::{Codeword, Decode};
 use vrcache_cache::write_buffer::WriteBuffer;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, Vpn};
@@ -42,11 +41,12 @@ use vrcache_trace::record::MemAccess;
 
 use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
 use crate::config::{
-    CoherenceProtocol, ContextSwitchPolicy, DataProtection, HierarchyConfig, L1Organization,
-    L1WritePolicy,
+    CoherenceProtocol, ContextSwitchPolicy, HierarchyConfig, L1Organization, L1WritePolicy,
 };
 use crate::events::HierarchyEvents;
-use crate::fault::{self, FaultKind, FaultPort, FaultRecord, Poison};
+use crate::fault::{
+    self, FaultKind, FaultPort, FaultRecord, Poison, Protection, Scrub, ScrubParts,
+};
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{self, InvariantChecker, InvariantExpect, InvariantViolation};
 use crate::rcache::{ChildCache, CohState, RCache, RMeta};
@@ -77,12 +77,8 @@ pub struct VrHierarchy {
     last_wb_at: Option<u64>,
     last_swapped_wb_at: Option<u64>,
     checker: InvariantChecker,
-    /// Modeled parity on the tag/state arrays and the TLB.
-    parity: bool,
-    /// Modeled protection on the V/R data arrays.
-    data_protection: DataProtection,
-    /// Outstanding parity syndromes, scrubbed at the next operation.
-    poison: Vec<Poison>,
+    /// Modeled parity and data protection, with outstanding syndromes.
+    protection: Protection,
 }
 
 impl VrHierarchy {
@@ -130,9 +126,7 @@ impl VrHierarchy {
             last_wb_at: None,
             last_swapped_wb_at: None,
             checker: InvariantChecker::new(cfg.runtime_checks),
-            parity: cfg.parity,
-            data_protection: cfg.data_protection,
-            poison: Vec::new(),
+            protection: Protection::new(cfg),
         }
     }
 
@@ -1057,49 +1051,21 @@ impl VrHierarchy {
     }
 }
 
-// ---- modeled parity: fault injection, detection and recovery ----
-impl VrHierarchy {
-    /// Detects and recovers outstanding parity syndromes. Runs at the
-    /// entry of every public operation — before any lookup can consume
-    /// corrupted state, exactly as a parity check fires on the array
-    /// read itself. With parity disabled the poison list is always
-    /// empty and this is a no-op.
-    fn scrub_poison(&mut self) {
-        if self.poison.is_empty() {
-            return;
-        }
-        let poisons = std::mem::take(&mut self.poison);
-        for p in poisons {
-            match p {
-                Poison::L1Line { kind, child, key } => self.scrub_v_line(kind, child, key),
-                Poison::L2Line { kind, p2 } => self.scrub_r_line(kind, p2),
-                Poison::L1Data { child, key, stored } => self.scrub_v_data(child, key, stored),
-                Poison::L2Data { p2, sub, stored } => self.scrub_r_data(p2, sub, stored),
-                Poison::TlbEntry { asid, vpn } => {
-                    // A corrupted translation is simply re-walked: flush
-                    // the entry and let the next miss refill it.
-                    self.tlb.flush_asid_vpn(asid, vpn);
-                    self.events.parity_refetches += 1;
-                }
-                Poison::WbEntry { p1 } => {
-                    // The pending write vanished: clear the dangling
-                    // buffer bit so the structure stays sound. The
-                    // modified data is gone — machine check.
-                    let p2 = self.l2.l2_block_of(p1);
-                    let si = self.l2.sub_index(p1);
-                    if let Some(line) = self.l2.peek_mut(p2) {
-                        line.meta.subs[si].buffer = false;
-                    }
-                    self.events.parity_machine_checks += 1;
-                }
-            }
+// ---- modeled parity: the V-R recovery policy and fault port ----
+impl Scrub for VrHierarchy {
+    fn scrub_parts(&mut self) -> ScrubParts<'_> {
+        ScrubParts {
+            protection: &mut self.protection,
+            tlb: &mut self.tlb,
+            events: &mut self.events,
+            l2: Some(&mut self.l2),
         }
     }
 
     /// Recovers a poisoned V-cache line. Parity identifies the entry but
     /// cannot correct it, so the line is discarded; what else must go
     /// depends on which field faulted.
-    fn scrub_v_line(&mut self, kind: FaultKind, child: ChildCache, key: BlockId) {
+    fn scrub_l1_line(&mut self, kind: FaultKind, child: ChildCache, key: BlockId) {
         let Some(line) = self.front_mut(child).invalidate(key) else {
             // The poisoned line was already replaced; nothing to repair.
             self.events.parity_refetches += 1;
@@ -1130,6 +1096,51 @@ impl VrHierarchy {
         }
     }
 
+    /// Recovers a poisoned R-cache line by conservative teardown: every
+    /// V-cache child and buffered write of the line's granules is
+    /// discarded (trusting only the V-side r-pointers, never the
+    /// corrupted subentries) and the line is invalidated. Only a
+    /// provably-clean coherence-state flip counts as a refetch; any
+    /// pointer/flag corruption, or discarded modified data, is a
+    /// machine check.
+    fn scrub_l2_line(&mut self, kind: FaultKind, p2: BlockId) {
+        let granules = self.l2.granules_of(p2);
+        let mut lost_dirty = false;
+        for child in [ChildCache::Data, ChildCache::Instr] {
+            if child == ChildCache::Instr && self.l1i.is_none() {
+                continue;
+            }
+            let keys: Vec<BlockId> = self
+                .front(child)
+                .iter()
+                .filter(|l| granules.contains(&l.meta.p_block))
+                .map(|l| l.block)
+                .collect();
+            for k in keys {
+                if let Some(line) = self.front_mut(child).invalidate(k) {
+                    lost_dirty |= line.meta.dirty;
+                }
+            }
+        }
+        for g in &granules {
+            lost_dirty |= self.wb.coherence_take(*g).is_some();
+        }
+        if let Some(line) = self.l2.invalidate(p2) {
+            lost_dirty |= line.meta.rdirty;
+        }
+        if matches!(kind, FaultKind::CohStateFlip | FaultKind::RDataBit) && !lost_dirty {
+            self.events.parity_refetches += 1;
+        } else {
+            self.events.parity_machine_checks += 1;
+        }
+    }
+
+    fn l1_word(&mut self, child: ChildCache, key: BlockId) -> Option<&mut Version> {
+        Some(&mut self.front_mut(child).peek_mut(key)?.meta.version)
+    }
+}
+
+impl VrHierarchy {
     /// Clears the inclusion linkage of granule `p1`'s parent subentry.
     fn clear_sub_linkage(&mut self, p1: BlockId) {
         let p2 = self.l2.l2_block_of(p1);
@@ -1165,346 +1176,43 @@ impl VrHierarchy {
             }
         }
     }
-
-    /// Recovers a poisoned R-cache line by conservative teardown: every
-    /// V-cache child and buffered write of the line's granules is
-    /// discarded (trusting only the V-side r-pointers, never the
-    /// corrupted subentries) and the line is invalidated. Only a
-    /// provably-clean coherence-state flip counts as a refetch; any
-    /// pointer/flag corruption, or discarded modified data, is a
-    /// machine check.
-    fn scrub_r_line(&mut self, kind: FaultKind, p2: BlockId) {
-        let granules = self.l2.granules_of(p2);
-        let mut lost_dirty = false;
-        for child in [ChildCache::Data, ChildCache::Instr] {
-            if child == ChildCache::Instr && self.l1i.is_none() {
-                continue;
-            }
-            let keys: Vec<BlockId> = self
-                .front(child)
-                .iter()
-                .filter(|l| granules.contains(&l.meta.p_block))
-                .map(|l| l.block)
-                .collect();
-            for k in keys {
-                if let Some(line) = self.front_mut(child).invalidate(k) {
-                    lost_dirty |= line.meta.dirty;
-                }
-            }
-        }
-        for g in &granules {
-            lost_dirty |= self.wb.coherence_take(*g).is_some();
-        }
-        if let Some(line) = self.l2.invalidate(p2) {
-            lost_dirty |= line.meta.rdirty;
-        }
-        if matches!(kind, FaultKind::CohStateFlip | FaultKind::RDataBit) && !lost_dirty {
-            self.events.parity_refetches += 1;
-        } else {
-            self.events.parity_machine_checks += 1;
-        }
-    }
-
-    /// Recovers a poisoned V-cache *data* word. Under SECDED the
-    /// syndrome locates the flipped bit and the word is repaired in
-    /// place; under plain data parity (or an uncorrectable syndrome)
-    /// the line is handled like any other detected corruption — clean
-    /// lines refetch, dirty lines machine-check.
-    fn scrub_v_data(&mut self, child: ChildCache, key: BlockId, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.front_mut(child).peek_mut(key) {
-                            line.meta.version = line.meta.version.with_bit_flipped(bit);
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                // A multi-bit upset: detected, uncorrectable — fall
-                // through to the parity-style discard.
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_v_line(FaultKind::VDataBit, child, key);
-    }
-
-    /// Recovers a poisoned R-cache subentry *data* word (same policy as
-    /// [`scrub_v_data`](Self::scrub_v_data), at the second level).
-    fn scrub_r_data(&mut self, p2: BlockId, sub: usize, stored: Codeword) {
-        if self.data_protection == DataProtection::Secded {
-            match stored.syndrome_decode() {
-                Decode::Clean => return,
-                Decode::Corrected { data_bit } => {
-                    if let Some(bit) = data_bit {
-                        if let Some(line) = self.l2.peek_mut(p2) {
-                            if let Some(s) = line.meta.subs.get_mut(sub) {
-                                s.version = s.version.with_bit_flipped(bit);
-                            }
-                        }
-                    }
-                    self.events.secded_corrections += 1;
-                    return;
-                }
-                Decode::DoubleError => {}
-            }
-        }
-        self.scrub_r_line(FaultKind::RDataBit, p2);
-    }
-
-    fn record_poison(&mut self, poison: Poison) {
-        if self.parity {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Records a *data*-array syndrome: gated on the data-protection
-    /// knob, not on metadata parity.
-    fn record_data_poison(&mut self, poison: Poison) {
-        if self.data_protection != DataProtection::None {
-            self.poison.push(poison);
-        }
-    }
-
-    /// Deterministically picks the `seed`-th valid V-cache line (data
-    /// front), returning its key and metadata.
-    fn pick_v_line(&self, seed: u64) -> Option<(BlockId, VMeta)> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1d.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        Some(lines[(seed % lines.len() as u64) as usize])
-    }
-
-    fn inject_v_tag_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let lines: Vec<(BlockId, VMeta)> = self.l1d.iter().map(|l| (l.block, l.meta)).collect();
-        if lines.is_empty() {
-            return None;
-        }
-        let n = lines.len() as u64;
-        let set_bits = self.l1d.geometry().set_bits();
-        for off in 0..n {
-            let (key, meta) = lines[((seed + off) % n) as usize];
-            let flipped = fault::flip_tag_bit(key, set_bits);
-            if self.l1d.peek(flipped).is_some() {
-                // The flipped tag collides with a resident line; a
-                // different victim keeps the single-fault model clean.
-                continue;
-            }
-            let line = self.l1d.invalidate(key)?;
-            let out = self.l1d.fill(flipped, line.meta);
-            debug_assert!(out.evicted.is_none(), "same set, freed way");
-            self.record_poison(Poison::L1Line {
-                kind: FaultKind::VTagFlip,
-                child: ChildCache::Data,
-                key: flipped,
-            });
-            return Some(FaultRecord {
-                kind: FaultKind::VTagFlip,
-                detail: format!("v-line {key} retagged {flipped} dirty={}", meta.dirty),
-            });
-        }
-        None
-    }
-
-    fn inject_v_state_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.dirty = !line.meta.dirty;
-        self.record_poison(Poison::L1Line {
-            kind: FaultKind::VStateFlip,
-            child: ChildCache::Data,
-            key,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VStateFlip,
-            detail: format!("v-line {key} dirty {} -> {}", meta.dirty, !meta.dirty),
-        })
-    }
-
-    fn inject_r_pointer_flip(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let corrupted = BlockId::new(meta.p_block.raw() ^ 1);
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.p_block = corrupted;
-        self.record_poison(Poison::L1Line {
-            kind: FaultKind::RPointerFlip,
-            child: ChildCache::Data,
-            key,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::RPointerFlip,
-            detail: format!("v-line {key} r-pointer {} -> {corrupted}", meta.p_block),
-        })
-    }
-
-    /// Injects one of the R-cache-side kinds, preferring a target where
-    /// the flipped field is live (an inclusion-linked subentry for
-    /// inclusion/vdirty/v-pointer faults, a buffered one for buffer
-    /// faults) and falling back to any subentry.
-    fn inject_r_side(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
-        let mut preferred: Vec<(BlockId, usize)> = Vec::new();
-        let mut any: Vec<(BlockId, usize)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si));
-                let live = match kind {
-                    FaultKind::RBufferFlip => sub.buffer,
-                    // Prefer granting bogus exclusivity (Shared -> Private):
-                    // the demotion direction only costs a redundant upgrade.
-                    FaultKind::CohStateFlip => line.meta.state == CohState::Shared,
-                    _ => sub.inclusion,
-                };
-                if live {
-                    preferred.push((line.block, si));
-                }
-            }
-        }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si) = pool[(seed % pool.len() as u64) as usize];
-        let line = self.l2.peek_mut(p2)?;
-        let detail = match kind {
-            FaultKind::RInclusionFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = !sub.inclusion;
-                format!("r-line {p2} sub {si} inclusion -> {}", sub.inclusion)
-            }
-            FaultKind::RBufferFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.buffer = !sub.buffer;
-                format!("r-line {p2} sub {si} buffer -> {}", sub.buffer)
-            }
-            FaultKind::RVdirtyFlip => {
-                let sub = &mut line.meta.subs[si];
-                sub.vdirty = !sub.vdirty;
-                format!("r-line {p2} sub {si} vdirty -> {}", sub.vdirty)
-            }
-            FaultKind::VPointerFlip => {
-                let set_bits = self.l1d.geometry().set_bits();
-                let sub = &mut line.meta.subs[si];
-                let old = sub.v_block;
-                sub.v_block = fault::flip_tag_bit(old, set_bits);
-                format!("r-line {p2} sub {si} v-pointer {old} -> {}", sub.v_block)
-            }
-            FaultKind::CohStateFlip => {
-                let old = line.meta.state;
-                line.meta.state = match old {
-                    CohState::Shared => CohState::Private,
-                    CohState::Private => CohState::Shared,
-                };
-                format!("r-line {p2} state {old:?} -> {:?}", line.meta.state)
-            }
-            _ => return None,
-        };
-        self.record_poison(Poison::L2Line { kind, p2 });
-        Some(FaultRecord { kind, detail })
-    }
-
-    fn inject_wb_drop(&mut self, seed: u64) -> Option<FaultRecord> {
-        let blocks: Vec<BlockId> = self.wb.iter().map(|e| e.block).collect();
-        if blocks.is_empty() {
-            return None;
-        }
-        let p1 = blocks[(seed % blocks.len() as u64) as usize];
-        self.wb.coherence_take(p1)?;
-        self.record_poison(Poison::WbEntry { p1 });
-        Some(FaultRecord {
-            kind: FaultKind::WriteBufferDrop,
-            detail: format!("write buffer lost pending {p1}"),
-        })
-    }
-
-    /// Flips one data bit of a V-cache line's stored word. The poison
-    /// carries the corrupted SECDED codeword so the scrub can decode
-    /// the syndrome and correct in place.
-    fn inject_v_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let (key, meta) = self.pick_v_line(seed)?;
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(meta.version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = meta.version.with_bit_flipped(bit);
-        let line = self.l1d.peek_mut(key)?;
-        line.meta.version = corrupted;
-        self.record_data_poison(Poison::L1Data {
-            child: ChildCache::Data,
-            key,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::VDataBit,
-            detail: format!(
-                "v-line {key} data bit {bit} flipped ({} -> {corrupted}) dirty={}",
-                meta.version, meta.dirty
-            ),
-        })
-    }
-
-    /// Flips one data bit of an R-cache subentry's stored word,
-    /// preferring a subentry whose copy is authoritative at this level
-    /// (not shadowed by a dirty V-child or a buffered write).
-    fn inject_r_data_bit(&mut self, seed: u64) -> Option<FaultRecord> {
-        let mut preferred: Vec<(BlockId, usize, Version)> = Vec::new();
-        let mut any: Vec<(BlockId, usize, Version)> = Vec::new();
-        for line in self.l2.iter() {
-            for (si, sub) in line.meta.subs.iter().enumerate() {
-                any.push((line.block, si, sub.version));
-                if !sub.vdirty && !sub.buffer {
-                    preferred.push((line.block, si, sub.version));
-                }
-            }
-        }
-        let pool = if preferred.is_empty() { any } else { preferred };
-        if pool.is_empty() {
-            return None;
-        }
-        let (p2, si, version) = pool[(seed % pool.len() as u64) as usize];
-        let bit = (seed % 64) as u32;
-        let mut stored = Codeword::encode(version.raw());
-        stored.flip_data_bit(bit);
-        let corrupted = version.with_bit_flipped(bit);
-        let line = self.l2.peek_mut(p2)?;
-        line.meta.subs[si].version = corrupted;
-        self.record_data_poison(Poison::L2Data {
-            p2,
-            sub: si,
-            stored,
-        });
-        Some(FaultRecord {
-            kind: FaultKind::RDataBit,
-            detail: format!(
-                "r-line {p2} sub {si} data bit {bit} flipped ({version} -> {corrupted})"
-            ),
-        })
-    }
 }
 
 impl FaultPort for VrHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
+        let prot = &mut self.protection;
         match kind {
-            FaultKind::VTagFlip => self.inject_v_tag_flip(seed),
-            FaultKind::VStateFlip => self.inject_v_state_flip(seed),
-            FaultKind::RPointerFlip => self.inject_r_pointer_flip(seed),
+            FaultKind::VTagFlip => prot.inject_tag_flip(self.l1d.array_mut(), seed, "v-line"),
+            FaultKind::VStateFlip => prot.inject_state_flip(self.l1d.array_mut(), seed, "v-line"),
+            FaultKind::RPointerFlip => {
+                let key = fault::pick_line(self.l1d.iter(), seed)?;
+                let line = self.l1d.peek_mut(key)?;
+                let old = line.meta.p_block;
+                let corrupted = BlockId::new(old.raw() ^ 1);
+                line.meta.p_block = corrupted;
+                prot.record_meta(Poison::L1Line {
+                    kind,
+                    child: ChildCache::Data,
+                    key,
+                });
+                Some(FaultRecord {
+                    kind,
+                    detail: format!("v-line {key} r-pointer {old} -> {corrupted}"),
+                })
+            }
             FaultKind::RInclusionFlip
             | FaultKind::RBufferFlip
             | FaultKind::RVdirtyFlip
             | FaultKind::VPointerFlip
-            | FaultKind::CohStateFlip => self.inject_r_side(kind, seed),
-            FaultKind::TlbEntryFlip => {
-                let (asid, vpn) = self.tlb.corrupt_entry(seed)?;
-                self.record_poison(Poison::TlbEntry { asid, vpn });
-                Some(FaultRecord {
-                    kind,
-                    detail: format!("tlb asid {} vpn {:#x}", asid.raw(), vpn.raw()),
-                })
+            | FaultKind::CohStateFlip => {
+                let v_set_bits = self.l1d.geometry().set_bits();
+                self.l2
+                    .inject_r_side(prot, kind, seed, v_set_bits, "r-line")
             }
-            FaultKind::WriteBufferDrop => self.inject_wb_drop(seed),
-            FaultKind::VDataBit => self.inject_v_data_bit(seed),
-            FaultKind::RDataBit => self.inject_r_data_bit(seed),
+            FaultKind::TlbEntryFlip => prot.inject_tlb_flip(&mut self.tlb, seed),
+            FaultKind::WriteBufferDrop => prot.inject_wb_drop(&mut self.wb, seed),
+            FaultKind::VDataBit => prot.inject_data_bit(self.l1d.array_mut(), seed, "v-line"),
+            FaultKind::RDataBit => self.l2.inject_data_bit(prot, seed, "r-line"),
             FaultKind::BusDropTxn | FaultKind::BusDuplicateTxn | FaultKind::BusLostInvalidate => {
                 None
             }
@@ -2210,7 +1918,7 @@ mod tests {
         // No syndrome was recorded, so nothing will ever be scrubbed —
         // the corruption lies latent until the structure is exercised,
         // which is exactly the silent propagation the campaigns show.
-        assert!(r.h.poison.is_empty());
+        assert_eq!(r.h.protection.outstanding(), 0);
         assert_eq!(detections(&r), 0);
     }
 

@@ -562,13 +562,25 @@ mod tests {
 
     #[test]
     fn secded_correction_is_classified_detected_corrected() {
-        let mut s = spec(Org::Vr, FaultKind::VDataBit, true);
-        s.protection = DataProtection::Secded;
-        let r = run(&s);
-        assert!(r.any_applied(), "a warm V-cache has data targets");
-        assert_eq!(r.outcome, Outcome::DetectedCorrected, "{}", r.detail);
-        assert!(r.corrections > 0);
-        assert!(r.detail.contains("corrected in place"));
+        // Every organization's data words go through the one shared
+        // SECDED path, at both levels.
+        for org in Org::ALL {
+            for kind in [FaultKind::VDataBit, FaultKind::RDataBit] {
+                let mut s = spec(org, kind, true);
+                s.protection = DataProtection::Secded;
+                let r = run(&s);
+                let case = format!("{} {kind}: {}", org.label(), r.detail);
+                if org == Org::Goodman && kind == FaultKind::RDataBit {
+                    // No second-level data array to hit.
+                    assert_eq!(r.outcome, Outcome::NotApplicable, "{case}");
+                    continue;
+                }
+                assert!(r.any_applied(), "a warm hierarchy has data targets: {case}");
+                assert_eq!(r.outcome, Outcome::DetectedCorrected, "{case}");
+                assert!(r.corrections > 0, "{case}");
+                assert!(r.detail.contains("corrected in place"), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ use std::path::{Path, PathBuf};
 pub const TARGET_FILES: &[&str] = &[
     "crates/cache/src/replacement.rs",
     "crates/cache/src/write_buffer.rs",
+    "crates/core/src/fault.rs",
     "crates/core/src/goodman.rs",
     "crates/core/src/hierarchy.rs",
     "crates/core/src/inclusion.rs",

@@ -9,6 +9,21 @@ cd "$(dirname "$0")/.."
 # clock, never output.
 JOBS="${JOBS:-2}"
 
+# REPIN=hotpath|protocol|domain re-pins one lint baseline after tier-1:
+# the hot-path allocation ratchet, the extracted protocol transition
+# surface, or the address-domain flow ratchet. Checked up front so a
+# typo fails before the build, not after it.
+case "${REPIN:-}" in
+  "") REPIN_FLAG="" ;;
+  hotpath) REPIN_FLAG=--write-hotpath-baseline ;;
+  protocol) REPIN_FLAG=--write-protocol-spec ;;
+  domain) REPIN_FLAG=--write-domain-baseline ;;
+  *)
+    echo "REPIN must be hotpath, protocol or domain (got '$REPIN')" >&2
+    exit 2
+    ;;
+esac
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -24,28 +39,13 @@ scripts/trace_smoke.sh
 echo "==> model checker (smoke scope)"
 cargo run -q --release -p vrcache-model -- --scope smoke --jobs "$JOBS"
 
-# Opt-in: WRITE_HOTPATH=1 re-pins the hot-path allocation baseline.
+# Opt-in: REPIN re-pins the chosen lint baseline (flag resolved above).
 # The gate lives here — after the build and the full test suite
-# (tier-1) have passed — so a broken tree can never pin its own debt.
-if [[ "${WRITE_HOTPATH:-0}" == "1" ]]; then
-  echo "==> re-pin hot-path-hygiene baseline (tier-1 clean)"
-  cargo run -q --release -p vrcache-analysis --bin lint -- --write-hotpath-baseline
-fi
-
-# Opt-in: WRITE_PROTOCOL_SPEC=1 re-pins the extracted coherence
-# transition surface. Same placement rationale: only a tree that
-# builds and passes tier-1 may rewrite its own protocol contract.
-if [[ "${WRITE_PROTOCOL_SPEC:-0}" == "1" ]]; then
-  echo "==> re-pin protocol-spec transition surface (tier-1 clean)"
-  cargo run -q --release -p vrcache-analysis --bin lint -- --write-protocol-spec
-fi
-
-# Opt-in: WRITE_DOMAIN_BASELINE=1 re-pins the address-domain flow
-# baseline. Same placement rationale again: the cross-domain debt
-# ratchet may only be rewritten by a tree that passes tier-1.
-if [[ "${WRITE_DOMAIN_BASELINE:-0}" == "1" ]]; then
-  echo "==> re-pin address-domain baseline (tier-1 clean)"
-  cargo run -q --release -p vrcache-analysis --bin lint -- --write-domain-baseline
+# (tier-1) have passed — so a broken tree can never pin its own debt
+# or rewrite its own protocol contract.
+if [[ -n "$REPIN_FLAG" ]]; then
+  echo "==> re-pin $REPIN baseline (tier-1 clean)"
+  cargo run -q --release -p vrcache-analysis --bin lint -- "$REPIN_FLAG"
 fi
 
 echo "==> workspace lints"
