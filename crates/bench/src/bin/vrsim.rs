@@ -9,8 +9,8 @@
 //!           [--block 16] [--split] [--write-through] [--eager-flush]
 //!           [--asid-tags]
 //!     Replay a trace on a system and print hit ratios, bus traffic and
-//!     per-CPU events. A trace file is streamed: each event goes from the
-//!     decoder straight into the simulator.
+//!     per-CPU events. A trace file is streamed: a second thread decodes
+//!     it chunk by chunk while the simulator replays the chunks before.
 //!
 //! vrsim inspect [--trace-file f.vrt | --preset pops --scale 0.05]
 //!     Print trace characteristics and locality curves.
@@ -21,6 +21,8 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::thread;
 
 use vrcache::config::HierarchyConfig;
 use vrcache::inclusion::{min_l2_assoc_for_inclusion, satisfies_inclusion_bound};
@@ -30,7 +32,7 @@ use vrcache_mem::access::CpuId;
 use vrcache_mem::page::PageSize;
 use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::analysis::{reuse_histogram, working_set_curve};
-use vrcache_trace::codec;
+use vrcache_trace::codec::{self, CodecError};
 use vrcache_trace::presets::TracePreset;
 use vrcache_trace::record::TraceEvent;
 use vrcache_trace::trace::{Trace, TraceSummary};
@@ -170,47 +172,157 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         k => return Err(format!("unknown kind: {k}")),
     };
     let report = if let Some(path) = flags.get("trace-file") {
-        let bytes = read_trace_file(path)?;
-        let decoder = codec::Decoder::new(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
-        let summary = TraceSummary::new(decoder.name(), decoder.cpus());
-        let events = decoder.map(|e| e.map_err(|e| format!("decoding {path}: {e}")));
-        replay(kind, &cfg, summary, events)?
+        replay_file(kind, &cfg, path)?
     } else {
         let trace = generate_preset(flags)?;
-        let summary = TraceSummary::new(trace.name(), trace.cpus());
-        replay(kind, &cfg, summary, trace.iter().copied().map(Ok))?
+        let mut replay = Replay::new(kind, &cfg, TraceSummary::new(trace.name(), trace.cpus()));
+        for event in &trace {
+            replay.step(event)?;
+        }
+        replay.report()?
     };
+    // Nothing is printed until the whole trace has replayed cleanly, so
+    // a failed run leaves stdout empty.
     print!("{report}");
     Ok(())
 }
 
-/// Replays `events` on a fresh system of `summary.cpus` processors and
-/// renders the `vrsim run` report. Nothing is printed until the whole
-/// trace has replayed cleanly, so a failed run leaves stdout empty.
-fn replay(
+/// A `vrsim run` in progress: a fresh system of `summary.cpus`
+/// processors and the trace summary its events fold into.
+struct Replay<'a> {
     kind: HierarchyKind,
-    cfg: &HierarchyConfig,
-    mut summary: TraceSummary,
-    events: impl Iterator<Item = Result<TraceEvent, String>>,
-) -> Result<String, String> {
-    let mut sys = System::new(kind, summary.cpus, cfg);
-    for event in events {
-        let event = event?;
-        summary.record(&event);
-        sys.step(&event)
-            .map_err(|e| format!("simulation failed: {e}"))?;
+    cfg: &'a HierarchyConfig,
+    summary: TraceSummary,
+    sys: System,
+}
+
+impl<'a> Replay<'a> {
+    fn new(kind: HierarchyKind, cfg: &'a HierarchyConfig, summary: TraceSummary) -> Self {
+        let sys = System::new(kind, summary.cpus, cfg);
+        Replay {
+            kind,
+            cfg,
+            summary,
+            sys,
+        }
     }
-    sys.check_invariants()
-        .map_err(|e| format!("invariants failed: {e}"))?;
-    let run = sys.summary();
-    let mut out = format!(
-        "trace: {summary}\norganization: {kind}, L1 {} / L2 {}\nh1 = {:.4}   h2(local) = {:.4}\n{}\n",
-        cfg.l1, cfg.l2, run.h1, run.h2_local, run.bus
-    );
-    for c in 0..summary.cpus {
-        out.push_str(&format!("cpu{c}: {}\n", sys.events(CpuId::new(c))));
+
+    fn step(&mut self, event: &TraceEvent) -> Result<(), String> {
+        self.summary.record(event);
+        self.sys
+            .step(event)
+            .map_err(|e| format!("simulation failed: {e}"))
     }
-    Ok(out)
+
+    /// Checks the closing invariants and renders the `vrsim run` report.
+    fn report(self) -> Result<String, String> {
+        let Replay {
+            kind,
+            cfg,
+            summary,
+            sys,
+        } = self;
+        sys.check_invariants()
+            .map_err(|e| format!("invariants failed: {e}"))?;
+        let run = sys.summary();
+        let mut out = format!(
+            "trace: {summary}\norganization: {kind}, L1 {} / L2 {}\nh1 = {:.4}   h2(local) = {:.4}\n{}\n",
+            cfg.l1, cfg.l2, run.h1, run.h2_local, run.bus
+        );
+        for c in 0..summary.cpus {
+            out.push_str(&format!("cpu{c}: {}\n", sys.events(CpuId::new(c))));
+        }
+        Ok(out)
+    }
+}
+
+/// Events per chunk handed from the decoding thread to the simulator.
+const CHUNK_EVENTS: usize = 4096;
+/// Decoded chunks that may wait for the simulator: enough to ride out
+/// jitter on either side, few enough to keep memory flat.
+const CHUNKS_AHEAD: usize = 4;
+
+/// A run of consecutive decoded events, ending in the decode error that
+/// stopped the stream if one did.
+struct Chunk {
+    events: Vec<TraceEvent>,
+    error: Option<CodecError>,
+}
+
+/// Replays the trace file at `path` with decoding overlapped: a scoped
+/// producer thread decodes fixed-size chunks and hands them over a
+/// bounded channel while this thread simulates, and every emptied chunk
+/// buffer goes back to be refilled. Chunks arrive in stream order, so
+/// the first failure, decode or simulation, is the one a one-thread
+/// replay would hit, with the same message.
+fn replay_file(kind: HierarchyKind, cfg: &HierarchyConfig, path: &str) -> Result<String, String> {
+    let bytes = read_trace_file(path)?;
+    let decoder = codec::Decoder::new(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
+    let mut replay = Replay::new(kind, cfg, TraceSummary::new(decoder.name(), decoder.cpus()));
+    let (full_tx, full_rx) = mpsc::sync_channel(CHUNKS_AHEAD);
+    let (empty_tx, empty_rx) = mpsc::channel();
+    thread::scope(|scope| {
+        let producer = thread::Builder::new()
+            .name("decode".into())
+            .spawn_scoped(scope, move || decode_chunks(decoder, &full_tx, &empty_rx))
+            .map_err(|e| format!("starting the decoder thread: {e}"))?;
+        simulate_chunks(&mut replay, full_rx, &empty_tx, path)?;
+        // A producer that died early closed the channel mid-stream: that
+        // is a failure, not the end of the trace.
+        producer
+            .join()
+            .map_err(|_| format!("decoding {path}: the decoder thread panicked"))
+    })?;
+    replay.report()
+}
+
+/// The producer: decodes `decoder` into chunks until the stream ends,
+/// fails, or the consumer hangs up.
+fn decode_chunks(
+    mut decoder: codec::Decoder<'_>,
+    full: &SyncSender<Chunk>,
+    empty: &Receiver<Vec<TraceEvent>>,
+) {
+    loop {
+        let mut events = empty
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(CHUNK_EVENTS));
+        let mut error = None;
+        for event in decoder.by_ref().take(CHUNK_EVENTS) {
+            match event {
+                Ok(event) => events.push(event),
+                Err(e) => error = Some(e),
+            }
+        }
+        let last = error.is_some() || events.len() < CHUNK_EVENTS;
+        if full.send(Chunk { events, error }).is_err() || last {
+            return;
+        }
+    }
+}
+
+/// The consumer: steps `replay` through every chunk in order and returns
+/// each emptied buffer. Takes the receiver by value, so a failure drops
+/// it and the producer, blocked or not, stops at its next send.
+fn simulate_chunks(
+    replay: &mut Replay<'_>,
+    full: Receiver<Chunk>,
+    empty: &Sender<Vec<TraceEvent>>,
+    path: &str,
+) -> Result<(), String> {
+    for Chunk { mut events, error } in full {
+        for event in &events {
+            replay.step(event)?;
+        }
+        if let Some(e) = error {
+            return Err(format!("decoding {path}: {e}"));
+        }
+        events.clear();
+        // The producer is gone once it has sent the final chunk; the
+        // buffer is then simply dropped.
+        let _ = empty.send(events);
+    }
+    Ok(())
 }
 
 fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {

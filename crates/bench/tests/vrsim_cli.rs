@@ -1,22 +1,38 @@
 //! End-to-end tests of the `vrsim` binary: streamed trace-file replay
 //! matches the in-process replay of the decoded trace, and bad input
-//! fails with a message and a non-zero exit, never a panic or partial
-//! output.
+//! fails with a message and a non-zero exit, never a panic, a hang or
+//! partial output — also when the failure lies chunks deep into the
+//! stream, where the decoding thread has long run ahead of the
+//! simulator.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use vrcache::config::HierarchyConfig;
 use vrcache_mem::access::CpuId;
 use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::codec;
 use vrcache_trace::presets::TracePreset;
+use vrcache_trace::record::TraceEvent;
+use vrcache_trace::trace::Trace;
+
+/// How long one `vrsim` run may take before the test calls it hung.
+const DEADLINE: Duration = Duration::from_secs(120);
 
 fn vrsim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_vrsim"))
+    let child = Command::new(env!("CARGO_BIN_EXE_vrsim"))
         .args(args)
-        .output()
-        .expect("vrsim runs")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("vrsim runs");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(child.wait_with_output()));
+    rx.recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("vrsim {args:?} still running after {DEADLINE:?}"))
+        .expect("vrsim output is readable")
 }
 
 /// Writes `bytes` to a file of the temporary directory cargo gives integration tests.
@@ -91,6 +107,112 @@ fn truncated_trace_file_fails_cleanly() {
     let path = temp_file("truncated.vrt", &bytes[..bytes.len() - 2]);
     let out = vrsim(&["run", "--trace-file", path.to_str().unwrap()]);
     assert_clean_failure(&out, "ended early");
+}
+
+/// A pops trace long enough to span several of the decoder's chunks.
+fn long_trace() -> Trace {
+    TracePreset::Pops.generate_scaled(0.01)
+}
+
+/// Byte offset of event `n` in `encode(t)`: the encoding of the first
+/// `n` events is a prefix of the whole, header length included.
+fn event_offset(t: &Trace, n: usize) -> usize {
+    let prefix = Trace::new(t.name(), t.cpus(), t.page_size(), t.events()[..n].to_vec());
+    codec::encode(&prefix).len()
+}
+
+/// The index of the first access at or after three quarters of `t`.
+fn late_access(t: &Trace) -> usize {
+    let start = t.len() * 3 / 4;
+    start
+        + t.events()[start..]
+            .iter()
+            .position(|e| !e.is_context_switch())
+            .expect("pops ends in accesses")
+}
+
+/// The long trace's cpu 0 and 1 events under a two-cpu header, plus
+/// one access of another cpu, first or last.
+fn stray_cpu_trace(first: bool) -> Trace {
+    let t = long_trace();
+    let (mut events, rest): (Vec<TraceEvent>, Vec<TraceEvent>) =
+        t.events().iter().partition(|e| e.cpu().index() < 2);
+    let stray = rest.into_iter().find(|e| !e.is_context_switch()).unwrap();
+    events.insert(if first { 0 } else { events.len() }, stray);
+    Trace::new(t.name(), 2, t.page_size(), events)
+}
+
+#[test]
+fn trailing_bytes_fail_cleanly() {
+    // A count corrupted downward used to replay a silent prefix and
+    // exit 0.
+    let t = long_trace();
+    let mut bytes = codec::encode(&t).to_vec();
+    let count_at = event_offset(&t, 0) - 8;
+    let short = (t.len() as u64 - 1000).to_le_bytes();
+    bytes[count_at..count_at + 8].copy_from_slice(&short);
+    let path = temp_file("short-count.vrt", &bytes);
+    let out = vrsim(&["run", "--trace-file", path.to_str().unwrap()]);
+    assert_clean_failure(&out, "trailing bytes");
+}
+
+#[test]
+fn late_truncation_fails_cleanly() {
+    let t = long_trace();
+    let bytes = codec::encode(&t);
+    let cut = event_offset(&t, late_access(&t)) + 1;
+    assert!(
+        codec::Decoder::new(&bytes[..cut]).is_ok(),
+        "the cut must pass the header's count check and surface mid-stream"
+    );
+    let path = temp_file("late-truncated.vrt", &bytes[..cut]);
+    for kind in ["vr", "goodman"] {
+        let out = vrsim(&[
+            "run",
+            "--trace-file",
+            path.to_str().unwrap(),
+            "--kind",
+            kind,
+        ]);
+        assert_clean_failure(&out, "trace buffer ended early");
+    }
+}
+
+#[test]
+fn late_corrupt_head_fails_cleanly() {
+    let t = long_trace();
+    let mut bytes = codec::encode(&t).to_vec();
+    // Access kind 3 does not exist.
+    bytes[event_offset(&t, late_access(&t))] |= 0b110;
+    let path = temp_file("late-corrupt.vrt", &bytes);
+    let out = vrsim(&["run", "--trace-file", path.to_str().unwrap()]);
+    assert_clean_failure(&out, "corrupt trace field: access kind");
+}
+
+#[test]
+fn late_unknown_cpu_fails_cleanly() {
+    let bad = stray_cpu_trace(false);
+    assert!(bad.len() > 10_000, "the stray access lies chunks deep");
+    let path = temp_file("late-unknown-cpu.vrt", &codec::encode(&bad));
+    let out = vrsim(&["run", "--trace-file", path.to_str().unwrap()]);
+    assert_clean_failure(&out, "simulation failed: trace references unknown cpu");
+}
+
+#[test]
+fn early_failure_stops_the_decoder() {
+    // The very first access fails while the decoding thread still has
+    // ten copies of the trace ahead of it, far more than it may decode
+    // ahead, so it blocks on the full channel: the run must end with
+    // the simulator's error, not wait on the decoder.
+    let t = stray_cpu_trace(true);
+    let mut events = t.events().to_vec();
+    for _ in 0..9 {
+        events.extend_from_slice(&t.events()[1..]);
+    }
+    let long = Trace::new(t.name(), t.cpus(), t.page_size(), events);
+    let path = temp_file("early-unknown-cpu.vrt", &codec::encode(&long));
+    let out = vrsim(&["run", "--trace-file", path.to_str().unwrap()]);
+    assert_clean_failure(&out, "simulation failed: trace references unknown cpu");
 }
 
 #[test]

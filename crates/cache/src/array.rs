@@ -8,8 +8,7 @@
 //! one structure.
 
 use crate::geometry::{BlockId, CacheGeometry};
-use crate::replacement::{ReplacementPolicy, SetState, XorShift64};
-use vrcache_mem::SetIndex;
+use crate::replacement::{ReplacementPolicy, ReplacementState, XorShift64};
 
 /// One cache line: the block it holds and the caller's metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,10 +56,10 @@ pub struct FillOutcome<M> {
 #[derive(Debug, Clone)]
 pub struct CacheArray<M> {
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
-    /// `sets * ways` slots; `None` = invalid line.
+    /// `sets * ways` slots, set-major (`set * ways + way`); `None` =
+    /// invalid line.
     lines: Vec<Option<Line<M>>>,
-    states: Vec<SetState>,
+    replacement: ReplacementState,
     rng: XorShift64,
     clock: u64,
 }
@@ -75,9 +74,8 @@ impl<M> CacheArray<M> {
         lines.resize_with(sets * ways as usize, || None);
         CacheArray {
             geometry,
-            policy,
             lines,
-            states: (0..sets).map(|_| SetState::new(ways)).collect(),
+            replacement: ReplacementState::new(policy, sets, ways),
             rng: XorShift64::new(seed),
             clock: 0,
         }
@@ -92,47 +90,59 @@ impl<M> CacheArray<M> {
     /// The replacement policy in effect.
     #[inline]
     pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
+        self.replacement.policy()
     }
 
+    /// The one probe: `block`'s set, the slot its set starts at, and the
+    /// way holding it, if any.
     #[inline]
-    fn slot_base(&self, set: SetIndex) -> usize {
-        set.index() * self.geometry.assoc() as usize
-    }
-
-    fn way_of(&self, block: BlockId) -> Option<u32> {
-        let set = self.geometry.set_of(block);
-        let base = self.slot_base(set);
-        (0..self.geometry.assoc()).find(|w| {
-            self.lines[base + *w as usize]
-                .as_ref()
-                .is_some_and(|l| l.block == block)
-        })
+    fn probe(&self, block: BlockId) -> (usize, usize, Option<usize>) {
+        let ways = self.geometry.assoc() as usize;
+        let set = self.geometry.set_of(block).index();
+        let base = set * ways;
+        let way = self.lines[base..base + ways]
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| l.block == block));
+        (set, base, way)
     }
 
     /// Looks up `block`, refreshing replacement state on a hit.
+    #[inline]
     pub fn lookup(&mut self, block: BlockId) -> Option<&mut Line<M>> {
-        let way = self.way_of(block)?;
-        let set = self.geometry.set_of(block);
+        self.lookup_if(block, |_| true)
+    }
+
+    /// Looks up `block` and counts it a hit only if `accept` admits its
+    /// line: a hit refreshes replacement state, while a rejected line is
+    /// left untouched and reported absent.
+    #[inline]
+    pub fn lookup_if<A>(&mut self, block: BlockId, accept: A) -> Option<&mut Line<M>>
+    where
+        A: FnOnce(&Line<M>) -> bool,
+    {
+        let (set, base, way) = self.probe(block);
+        let way = way?;
+        let line = self.lines[base + way].as_mut()?;
+        if !accept(line) {
+            return None;
+        }
         self.clock += 1;
-        let clock = self.clock;
-        self.states[set.index()].on_access(self.policy, way, clock);
-        let base = self.slot_base(set);
-        self.lines[base + way as usize].as_mut()
+        self.replacement.on_access(set, way as u32, self.clock);
+        Some(line)
     }
 
     /// Looks up `block` without touching replacement state.
+    #[inline]
     pub fn peek(&self, block: BlockId) -> Option<&Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].as_ref()
+        let (_, base, way) = self.probe(block);
+        self.lines[base + way?].as_ref()
     }
 
     /// Mutable [`peek`](Self::peek): no replacement-state side effects.
+    #[inline]
     pub fn peek_mut(&mut self, block: BlockId) -> Option<&mut Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].as_mut()
+        let (_, base, way) = self.probe(block);
+        self.lines[base + way?].as_mut()
     }
 
     /// Inserts `block` with metadata `meta`, evicting if the set is full.
@@ -150,56 +160,41 @@ impl<M> CacheArray<M> {
     where
         F: FnMut(&Line<M>) -> bool,
     {
+        let (set, base, found) = self.probe(block);
         assert!(
-            self.way_of(block).is_none(),
+            found.is_none(),
             "fill of a block already present: {block:?}"
         );
-        let set = self.geometry.set_of(block);
-        let base = self.slot_base(set);
-        let ways = self.geometry.assoc();
+        let slots = &mut self.lines[base..base + self.geometry.assoc() as usize];
         self.clock += 1;
-        let clock = self.clock;
 
-        // 1. Invalid way?
-        if let Some(way) = (0..ways).find(|w| self.lines[base + *w as usize].is_none()) {
-            self.lines[base + way as usize] = Some(Line { block, meta });
-            self.states[set.index()].on_fill(self.policy, way, clock);
-            return FillOutcome {
-                way,
-                evicted: None,
-                fell_back: false,
-            };
-        }
-
-        // 2. Preferred victims.
-        let mut preferred_mask = 0u64;
-        for w in 0..ways {
-            let Some(line) = self.lines[base + w as usize].as_ref() else {
-                unreachable!("step 1 returned unless every way is valid");
-            };
-            if prefer(line) {
-                preferred_mask |= 1 << w;
-            }
-        }
-        let draw = self.rng.next_u64();
-        let state = &self.states[set.index()];
-        let (way, fell_back) = match state.victim(self.policy, preferred_mask, draw) {
-            Some(w) => (w, false),
+        // 1. An invalid way; 2. the policy's victim among the preferred
+        // ways; 3. its victim among all ways.
+        let (way, fell_back) = match slots.iter().position(Option::is_none) {
+            Some(way) => (way as u32, false),
             None => {
-                let all = if ways == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << ways) - 1
-                };
-                let Some(w) = state.victim(self.policy, all, draw) else {
-                    unreachable!("a full set always yields a victim over the all-ways mask");
-                };
-                (w, true)
+                let mut preferred_mask = 0u64;
+                for (w, slot) in slots.iter().enumerate() {
+                    if slot.as_ref().is_some_and(&mut prefer) {
+                        preferred_mask |= 1 << w;
+                    }
+                }
+                let draw = self.rng.next_u64();
+                match self.replacement.victim(set, preferred_mask, draw) {
+                    Some(w) => (w, false),
+                    None => {
+                        let Some(w) = self.replacement.victim(set, u64::MAX, draw) else {
+                            unreachable!(
+                                "a full set always yields a victim over the all-ways mask"
+                            );
+                        };
+                        (w, true)
+                    }
+                }
             }
         };
-        let evicted = self.lines[base + way as usize].take();
-        self.lines[base + way as usize] = Some(Line { block, meta });
-        self.states[set.index()].on_fill(self.policy, way, clock);
+        let evicted = slots[way as usize].replace(Line { block, meta });
+        self.replacement.on_fill(set, way, self.clock);
         FillOutcome {
             way,
             evicted,
@@ -208,10 +203,10 @@ impl<M> CacheArray<M> {
     }
 
     /// Removes `block` from the cache, returning its line if present.
+    #[inline]
     pub fn invalidate(&mut self, block: BlockId) -> Option<Line<M>> {
-        let way = self.way_of(block)?;
-        let base = self.slot_base(self.geometry.set_of(block));
-        self.lines[base + way as usize].take()
+        let (_, base, way) = self.probe(block);
+        self.lines[base + way?].take()
     }
 
     /// Applies `f` to every valid line (mutably). Used for bulk operations

@@ -186,15 +186,18 @@ impl CacheGeometry {
     }
 
     /// Number of sets.
+    ///
+    /// All three fields are validated powers of two, so this and the
+    /// address split below are shifts and masks, never a division.
     #[inline]
     pub const fn sets(&self) -> u64 {
-        self.size_bytes / (self.block_bytes * self.assoc as u64)
+        1 << self.set_bits()
     }
 
     /// Total number of blocks (lines).
     #[inline]
     pub const fn blocks(&self) -> u64 {
-        self.size_bytes / self.block_bytes
+        self.size_bytes >> self.block_bits()
     }
 
     /// `log2(block size)`.
@@ -206,7 +209,7 @@ impl CacheGeometry {
     /// `log2(sets)`.
     #[inline]
     pub const fn set_bits(&self) -> u32 {
-        self.sets().trailing_zeros()
+        self.size_bytes.trailing_zeros() - self.block_bits() - self.assoc.trailing_zeros()
     }
 
     /// The block id containing a raw byte address.
@@ -375,6 +378,26 @@ mod tests {
         assert_eq!(g.blocks(), 1024);
         assert_eq!(g.block_bits(), 4);
         assert_eq!(g.set_bits(), 10);
+    }
+
+    #[test]
+    fn shift_split_matches_the_division_definition() {
+        for size_log in 0..=24u32 {
+            for block_log in 0..=size_log {
+                for assoc_log in 0..=(size_log - block_log).min(6) {
+                    let (size, block, assoc) =
+                        (1u64 << size_log, 1u64 << block_log, 1u32 << assoc_log);
+                    let g = CacheGeometry::new(size, block, assoc).unwrap();
+                    let sets = size / (block * u64::from(assoc));
+                    assert_eq!(g.sets(), sets, "{g:?}");
+                    assert_eq!(g.blocks(), size / block, "{g:?}");
+                    assert_eq!(1u64 << g.set_bits(), sets, "{g:?}");
+                    let b = BlockId::new(0x1234_5678_9abc);
+                    assert_eq!(g.set_of(b).raw(), b.raw() % sets, "{g:?}");
+                    assert_eq!(g.tag_of(b).raw(), b.raw() / sets, "{g:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`geometry`] — validated cache geometry (total size, block size,
 //!   associativity) and the block/set/tag address split,
 //! * [`replacement`] — LRU / FIFO / Random / tree-PLRU replacement policies
-//!   with per-set state,
+//!   over one flat state per array,
 //! * [`mod@array`] — a generic set-associative store ([`CacheArray<M>`]) whose
 //!   lines carry caller-defined metadata `M` (the V-cache stores r-pointers
 //!   and swapped-valid bits there, the R-cache stores inclusion subentries),

@@ -1,4 +1,4 @@
-//! Replacement policies with per-set state.
+//! Replacement policies and the flat per-array state they run on.
 //!
 //! The paper only requires that the V-cache use "any replacement algorithm
 //! (e.g., LRU)" and that the R-cache prefer victims whose inclusion bits are
@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The replacement policies understood by [`SetState`].
+/// The replacement policies understood by [`ReplacementState`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ReplacementPolicy {
@@ -24,67 +24,105 @@ pub enum ReplacementPolicy {
     TreePlru,
 }
 
-/// Per-set replacement state for up to 64 ways.
+/// The replacement state of a whole array of `sets` sets of up to 64
+/// ways, held flat.
 ///
-/// The state is policy-agnostic storage (timestamps + PLRU tree bits + RNG
-/// stream position); the [`ReplacementPolicy`] passed to each method decides
-/// how the storage is interpreted. Keeping the policy out of the state lets
-/// [`CacheArray`](crate::array::CacheArray) store one flat `Vec<SetState>`.
+/// LRU and FIFO keep one timestamp per slot (`set * ways + way`): access
+/// time for LRU, fill time for FIFO. Tree-PLRU keeps one word of tree
+/// bits per set. Random keeps nothing; the caller threads a
+/// deterministic draw through [`victim`](Self::victim). A direct-mapped
+/// array keeps nothing under any policy: its victim is forced. One
+/// allocation at most, however many sets, so cloning an array (as the
+/// model checker does by the thousand) stays cheap.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SetState {
-    /// Per-way timestamps: access time for LRU, fill time for FIFO.
+pub struct ReplacementState {
+    policy: ReplacementPolicy,
+    ways: u32,
+    /// Per-slot timestamps; empty unless the policy is LRU or FIFO and
+    /// a set has more than one way.
     stamps: Vec<u64>,
-    /// Tree-PLRU bits (one per internal node; ways must be a power of two).
-    plru: u64,
+    /// Per-set tree-PLRU bits (one per internal node; ways must be a
+    /// power of two); empty unless the policy is tree-PLRU and a set
+    /// has more than one way.
+    plru: Vec<u64>,
 }
 
-impl SetState {
-    /// Creates state for a set with `ways` ways.
+impl ReplacementState {
+    /// Creates `policy` state for `sets` sets of `ways` ways each.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is 0 or greater than 64.
-    pub fn new(ways: u32) -> Self {
+    pub fn new(policy: ReplacementPolicy, sets: usize, ways: u32) -> Self {
         assert!(ways > 0 && ways <= 64, "ways must be in 1..=64, got {ways}");
-        SetState {
-            stamps: vec![0; ways as usize],
-            plru: 0,
+        let tracked = |uses: bool, len: usize| {
+            if uses && ways > 1 {
+                vec![0; len]
+            } else {
+                Vec::new()
+            }
+        };
+        ReplacementState {
+            policy,
+            ways,
+            stamps: tracked(
+                matches!(policy, ReplacementPolicy::Lru | ReplacementPolicy::Fifo),
+                sets * ways as usize,
+            ),
+            plru: tracked(policy == ReplacementPolicy::TreePlru, sets),
         }
     }
 
-    /// Number of ways this state tracks.
-    pub fn ways(&self) -> u32 {
-        self.stamps.len() as u32
+    /// The policy this state implements.
+    #[inline]
+    pub fn policy(&self) -> ReplacementPolicy {
+        self.policy
     }
 
-    /// Records an access (hit) to `way` at logical time `now`.
-    pub fn on_access(&mut self, policy: ReplacementPolicy, way: u32, now: u64) {
-        match policy {
-            ReplacementPolicy::Lru => self.stamps[way as usize] = now,
+    /// Number of ways per set.
+    #[inline]
+    pub fn ways(&self) -> u32 {
+        self.ways
+    }
+
+    /// Records an access (hit) to `way` of `set` at logical time `now`.
+    #[inline]
+    pub fn on_access(&mut self, set: usize, way: u32, now: u64) {
+        if self.ways == 1 {
+            return;
+        }
+        match self.policy {
+            ReplacementPolicy::Lru => self.stamps[set * self.ways as usize + way as usize] = now,
             ReplacementPolicy::Fifo => {} // fifo order fixed at fill
             ReplacementPolicy::Random => {}
-            ReplacementPolicy::TreePlru => self.touch_plru(way),
+            ReplacementPolicy::TreePlru => self.touch_plru(set, way),
         }
     }
 
-    /// Records a fill of `way` at logical time `now`.
-    pub fn on_fill(&mut self, policy: ReplacementPolicy, way: u32, now: u64) {
-        match policy {
+    /// Records a fill of `way` of `set` at logical time `now`.
+    #[inline]
+    pub fn on_fill(&mut self, set: usize, way: u32, now: u64) {
+        if self.ways == 1 {
+            return;
+        }
+        match self.policy {
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                self.stamps[way as usize] = now;
+                self.stamps[set * self.ways as usize + way as usize] = now;
             }
             ReplacementPolicy::Random => {}
-            ReplacementPolicy::TreePlru => self.touch_plru(way),
+            ReplacementPolicy::TreePlru => self.touch_plru(set, way),
         }
     }
 
-    /// Picks a victim among the ways whose bit is set in `candidates`.
+    /// Picks a victim of `set` among the ways whose bit is set in
+    /// `candidates`; bits at and above the way count are ignored, so
+    /// `u64::MAX` means "any way".
     ///
     /// Returns `None` when `candidates` selects no way. `rng_draw` supplies
     /// entropy for [`ReplacementPolicy::Random`] (callers thread a
     /// deterministic stream through).
-    pub fn victim(&self, policy: ReplacementPolicy, candidates: u64, rng_draw: u64) -> Option<u32> {
-        let ways = self.ways();
+    pub fn victim(&self, set: usize, candidates: u64, rng_draw: u64) -> Option<u32> {
+        let ways = self.ways;
         let mask = if ways == 64 {
             u64::MAX
         } else {
@@ -94,30 +132,34 @@ impl SetState {
         if candidates == 0 {
             return None;
         }
-        match policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => (0..ways)
-                .filter(|w| candidates & (1 << w) != 0)
-                .min_by_key(|w| self.stamps[*w as usize]),
+        if ways == 1 {
+            return Some(0);
+        }
+        match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                let stamps = &self.stamps[set * ways as usize..][..ways as usize];
+                (0..ways)
+                    .filter(|w| candidates & (1 << w) != 0)
+                    .min_by_key(|w| stamps[*w as usize])
+            }
             ReplacementPolicy::Random => {
                 let n = candidates.count_ones() as u64;
                 let pick = (rng_draw % n) as u32;
                 Some(nth_set_bit(candidates, pick))
             }
-            ReplacementPolicy::TreePlru => Some(self.plru_victim(candidates)),
+            ReplacementPolicy::TreePlru => Some(self.plru_victim(set, candidates)),
         }
     }
 
-    fn touch_plru(&mut self, way: u32) {
+    fn touch_plru(&mut self, set: usize, way: u32) {
         // Walk from the root; at each node set the bit to point *away* from
         // the accessed way.
-        let ways = self.ways();
-        if ways == 1 {
-            return;
-        }
+        let ways = self.ways;
         debug_assert!(
             ways.is_power_of_two(),
             "tree-plru requires power-of-two ways"
         );
+        let plru = &mut self.plru[set];
         let levels = ways.trailing_zeros();
         let mut node = 0u32; // node index within the implicit tree, root = 0
         for level in 0..levels {
@@ -125,27 +167,24 @@ impl SetState {
             let bit = (way >> shift) & 1;
             // Point away from the taken direction.
             if bit == 0 {
-                self.plru |= 1 << node;
+                *plru |= 1 << node;
             } else {
-                self.plru &= !(1 << node);
+                *plru &= !(1 << node);
             }
             node = 2 * node + 1 + bit;
         }
     }
 
-    fn plru_victim(&self, candidates: u64) -> u32 {
-        let ways = self.ways();
-        if ways == 1 {
-            return 0;
-        }
-        let levels = ways.trailing_zeros();
+    fn plru_victim(&self, set: usize, candidates: u64) -> u32 {
+        let plru = self.plru[set];
+        let levels = self.ways.trailing_zeros();
         // Follow the tree bits; if the pointed-to subtree has no candidate,
         // take the other side.
         let mut node = 0u32;
         let mut way = 0u32;
         for level in 0..levels {
             let shift = levels - 1 - level;
-            let preferred = ((self.plru >> node) & 1) as u32;
+            let preferred = ((plru >> node) & 1) as u32;
             let subtree_mask = |dir: u32| -> u64 {
                 let lo = (way | (dir << shift)) & !((1 << shift) - 1);
                 let width = 1u64 << shift;
@@ -219,51 +258,54 @@ impl XorShift64 {
 mod tests {
     use super::*;
 
+    const ALL: [ReplacementPolicy; 4] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+        ReplacementPolicy::TreePlru,
+    ];
+
     #[test]
     fn lru_picks_least_recent() {
-        let mut s = SetState::new(4);
-        let p = ReplacementPolicy::Lru;
+        let mut s = ReplacementState::new(ReplacementPolicy::Lru, 1, 4);
         for (way, t) in [(0, 10), (1, 5), (2, 20), (3, 15)] {
-            s.on_fill(p, way, t);
+            s.on_fill(0, way, t);
         }
-        assert_eq!(s.victim(p, 0b1111, 0), Some(1));
-        s.on_access(p, 1, 30);
-        assert_eq!(s.victim(p, 0b1111, 0), Some(0));
+        assert_eq!(s.victim(0, 0b1111, 0), Some(1));
+        s.on_access(0, 1, 30);
+        assert_eq!(s.victim(0, 0b1111, 0), Some(0));
     }
 
     #[test]
     fn lru_respects_candidate_mask() {
-        let mut s = SetState::new(4);
-        let p = ReplacementPolicy::Lru;
+        let mut s = ReplacementState::new(ReplacementPolicy::Lru, 1, 4);
         for (way, t) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
-            s.on_fill(p, way, t);
+            s.on_fill(0, way, t);
         }
-        assert_eq!(s.victim(p, 0b1100, 0), Some(2));
-        assert_eq!(s.victim(p, 0b1000, 0), Some(3));
-        assert_eq!(s.victim(p, 0, 0), None);
+        assert_eq!(s.victim(0, 0b1100, 0), Some(2));
+        assert_eq!(s.victim(0, 0b1000, 0), Some(3));
+        assert_eq!(s.victim(0, 0, 0), None);
     }
 
     #[test]
     fn fifo_ignores_accesses() {
-        let mut s = SetState::new(2);
-        let p = ReplacementPolicy::Fifo;
-        s.on_fill(p, 0, 1);
-        s.on_fill(p, 1, 2);
-        s.on_access(p, 0, 100); // must not refresh way 0
-        assert_eq!(s.victim(p, 0b11, 0), Some(0));
+        let mut s = ReplacementState::new(ReplacementPolicy::Fifo, 1, 2);
+        s.on_fill(0, 0, 1);
+        s.on_fill(0, 1, 2);
+        s.on_access(0, 0, 100); // must not refresh way 0
+        assert_eq!(s.victim(0, 0b11, 0), Some(0));
     }
 
     #[test]
     fn random_is_deterministic_and_in_mask() {
-        let s = SetState::new(8);
-        let p = ReplacementPolicy::Random;
+        let s = ReplacementState::new(ReplacementPolicy::Random, 1, 8);
         let mut rng = XorShift64::new(42);
         for _ in 0..100 {
             let draw = rng.next_u64();
-            let v = s.victim(p, 0b1010_1010, draw).unwrap();
+            let v = s.victim(0, 0b1010_1010, draw).unwrap();
             assert!([1, 3, 5, 7].contains(&v));
             // Same draw, same victim.
-            assert_eq!(s.victim(p, 0b1010_1010, draw), Some(v));
+            assert_eq!(s.victim(0, 0b1010_1010, draw), Some(v));
         }
     }
 
@@ -273,31 +315,31 @@ mod tests {
         // way back: bits at and above `ways` are stripped before the
         // policy looks at the candidates. Way 63's bit would win a
         // `rng_draw` of 63 if the mask leaked through.
-        let s = SetState::new(4);
         for p in [
             ReplacementPolicy::Lru,
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
         ] {
-            let v = s.victim(p, u64::MAX, 63).unwrap();
+            let v = ReplacementState::new(p, 1, 4)
+                .victim(0, u64::MAX, 63)
+                .unwrap();
             assert!(v < 4, "{p:?} picked way {v} of a 4-way set");
         }
         // The 64-way edge case takes the all-ways mask path (a plain
         // `(1 << ways) - 1` would overflow there).
-        let full = SetState::new(64);
-        assert_eq!(full.victim(ReplacementPolicy::Lru, u64::MAX, 0), Some(0));
-        assert_eq!(full.victim(ReplacementPolicy::Random, 1 << 63, 5), Some(63));
+        let lru = ReplacementState::new(ReplacementPolicy::Lru, 1, 64);
+        assert_eq!(lru.victim(0, u64::MAX, 0), Some(0));
+        let random = ReplacementState::new(ReplacementPolicy::Random, 1, 64);
+        assert_eq!(random.victim(0, 1 << 63, 5), Some(63));
     }
 
     #[test]
     fn random_covers_all_candidates() {
-        let s = SetState::new(4);
+        let s = ReplacementState::new(ReplacementPolicy::Random, 1, 4);
         let mut rng = XorShift64::new(7);
         let mut seen = [false; 4];
         for _ in 0..200 {
-            let v = s
-                .victim(ReplacementPolicy::Random, 0b1111, rng.next_u64())
-                .unwrap();
+            let v = s.victim(0, 0b1111, rng.next_u64()).unwrap();
             seen[v as usize] = true;
         }
         assert!(
@@ -308,38 +350,35 @@ mod tests {
 
     #[test]
     fn plru_single_way() {
-        let mut s = SetState::new(1);
-        let p = ReplacementPolicy::TreePlru;
-        s.on_access(p, 0, 0);
-        assert_eq!(s.victim(p, 1, 0), Some(0));
+        let mut s = ReplacementState::new(ReplacementPolicy::TreePlru, 1, 1);
+        s.on_access(0, 0, 0);
+        assert_eq!(s.victim(0, 1, 0), Some(0));
     }
 
     #[test]
     fn plru_points_away_from_recent() {
-        let mut s = SetState::new(4);
-        let p = ReplacementPolicy::TreePlru;
+        let mut s = ReplacementState::new(ReplacementPolicy::TreePlru, 1, 4);
         // Touch ways 0..3 in order; victim should then be 0 (least recently
         // pointed-to path after touching 3 last: root points left, left
         // subtree points to 0's sibling... exact tree semantics: after
         // touching 0,1,2,3 the victim is 0).
         for w in 0..4 {
-            s.on_access(p, w, w as u64);
+            s.on_access(0, w, w as u64);
         }
-        assert_eq!(s.victim(p, 0b1111, 0), Some(0));
-        s.on_access(p, 0, 10);
-        let v = s.victim(p, 0b1111, 0).unwrap();
+        assert_eq!(s.victim(0, 0b1111, 0), Some(0));
+        s.on_access(0, 0, 10);
+        let v = s.victim(0, 0b1111, 0).unwrap();
         assert_ne!(v, 0, "most recently used way must not be the victim");
     }
 
     #[test]
     fn plru_falls_back_when_preferred_subtree_excluded() {
-        let mut s = SetState::new(4);
-        let p = ReplacementPolicy::TreePlru;
+        let mut s = ReplacementState::new(ReplacementPolicy::TreePlru, 1, 4);
         for w in 0..4 {
-            s.on_access(p, w, w as u64);
+            s.on_access(0, w, w as u64);
         }
         // Victim would be 0; exclude the left subtree entirely.
-        let v = s.victim(p, 0b1100, 0).unwrap();
+        let v = s.victim(0, 0b1100, 0).unwrap();
         assert!(v == 2 || v == 3);
     }
 
@@ -409,10 +448,12 @@ mod tests {
 
     #[test]
     fn plru_matches_the_reference_model() {
-        let p = ReplacementPolicy::TreePlru;
+        // Three sets share the flat state; each runs its own reference
+        // tree, so a set stepping on its neighbour's bits diverges too.
+        const SETS: usize = 3;
         for ways in [2u32, 4, 8, 16] {
-            let mut s = SetState::new(ways);
-            let mut r = RefPlru::new(ways);
+            let mut s = ReplacementState::new(ReplacementPolicy::TreePlru, SETS, ways);
+            let mut r: Vec<RefPlru> = (0..SETS).map(|_| RefPlru::new(ways)).collect();
             let full = (1u64 << ways) - 1;
             let mut x = 0x0123_4567_89AB_CDEFu64;
             for step in 0..400u64 {
@@ -420,41 +461,84 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let way = ((x >> 33) as u32) % ways;
-                s.on_access(p, way, step);
-                r.touch(way);
-                assert_eq!(
-                    s.victim(p, full, 0),
-                    r.victim(full),
-                    "full-mask victim diverged: ways={ways} step={step}"
-                );
-                let mask = (x >> 7) & full;
-                assert_eq!(
-                    s.victim(p, mask, 0),
-                    r.victim(mask),
-                    "masked victim diverged: ways={ways} step={step} mask={mask:#b}"
-                );
+                let set = (x >> 50) as usize % SETS;
+                s.on_access(set, way, step);
+                r[set].touch(way);
+                for (set, r) in r.iter().enumerate() {
+                    assert_eq!(
+                        s.victim(set, full, 0),
+                        r.victim(full),
+                        "full-mask victim diverged: ways={ways} set={set} step={step}"
+                    );
+                    let mask = (x >> 7) & full;
+                    assert_eq!(
+                        s.victim(set, mask, 0),
+                        r.victim(mask),
+                        "masked victim diverged: ways={ways} set={set} step={step} mask={mask:#b}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn victim_none_on_empty_mask() {
-        let s = SetState::new(4);
-        for p in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-            ReplacementPolicy::TreePlru,
-        ] {
-            assert_eq!(s.victim(p, 0, 1), None, "{p:?}");
+        for p in ALL {
+            for ways in [1, 4] {
+                let s = ReplacementState::new(p, 2, ways);
+                assert_eq!(s.victim(1, 0, 1), None, "{p:?} {ways}-way");
+            }
         }
     }
 
     #[test]
     fn mask_is_clipped_to_ways() {
-        let s = SetState::new(2);
+        let s = ReplacementState::new(ReplacementPolicy::Lru, 1, 2);
         // Bits above way 1 must be ignored.
-        assert_eq!(s.victim(ReplacementPolicy::Lru, 0b100, 0), None);
+        assert_eq!(s.victim(0, 0b100, 0), None);
+        let dm = ReplacementState::new(ReplacementPolicy::Lru, 1, 1);
+        assert_eq!(dm.victim(0, 0b10, 0), None);
+    }
+
+    #[test]
+    fn sets_keep_separate_state() {
+        // Way 0 is the oldest in set 0 and the newest in set 1: each
+        // set must answer from its own slots.
+        let mut lru = ReplacementState::new(ReplacementPolicy::Lru, 2, 2);
+        lru.on_fill(0, 0, 1);
+        lru.on_fill(0, 1, 2);
+        lru.on_fill(1, 1, 3);
+        lru.on_fill(1, 0, 4);
+        assert_eq!(lru.victim(0, 0b11, 0), Some(0));
+        assert_eq!(lru.victim(1, 0b11, 0), Some(1));
+        lru.on_access(0, 0, 5);
+        assert_eq!(lru.victim(0, 0b11, 0), Some(1));
+        assert_eq!(lru.victim(1, 0b11, 0), Some(1));
+        let mut plru = ReplacementState::new(ReplacementPolicy::TreePlru, 2, 2);
+        plru.on_access(0, 0, 0);
+        plru.on_access(1, 1, 0);
+        assert_eq!(plru.victim(0, 0b11, 0), Some(1));
+        assert_eq!(plru.victim(1, 0b11, 0), Some(0));
+    }
+
+    #[test]
+    fn state_is_flat_and_sized_by_policy() {
+        let sets = 16;
+        for p in ALL {
+            let s = ReplacementState::new(p, sets, 4);
+            assert_eq!((s.policy(), s.ways()), (p, 4));
+            let stamps = matches!(p, ReplacementPolicy::Lru | ReplacementPolicy::Fifo);
+            assert_eq!(s.stamps.len(), if stamps { sets * 4 } else { 0 }, "{p:?}");
+            let plru = p == ReplacementPolicy::TreePlru;
+            assert_eq!(s.plru.len(), if plru { sets } else { 0 }, "{p:?}");
+            // A direct-mapped array's victim is forced: no state at all,
+            // and updates are no-ops.
+            let mut dm = ReplacementState::new(p, sets, 1);
+            assert!(dm.stamps.is_empty() && dm.plru.is_empty(), "{p:?}");
+            dm.on_fill(sets - 1, 0, 1);
+            dm.on_access(sets - 1, 0, 2);
+            assert_eq!(dm.victim(sets - 1, u64::MAX, 7), Some(0), "{p:?}");
+        }
     }
 
     #[test]
@@ -467,7 +551,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ways must be in")]
     fn zero_ways_rejected() {
-        let _ = SetState::new(0);
+        let _ = ReplacementState::new(ReplacementPolicy::Lru, 1, 0);
     }
 
     #[test]

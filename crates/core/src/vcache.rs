@@ -84,11 +84,8 @@ impl VCache {
     /// invalidates (but does not write back) the V-cache on a context
     /// switch.
     pub fn lookup(&mut self, vblock: BlockId) -> Option<&mut Line<VMeta>> {
-        // Check swapped state without refreshing LRU first.
-        if self.array.peek(vblock).is_some_and(|l| l.meta.swapped) {
-            return None;
-        }
-        self.array.lookup(vblock)
+        // One probe; a swapped line is rejected before LRU is refreshed.
+        self.array.lookup_if(vblock, |l| !l.meta.swapped)
     }
 
     /// Looks up `vblock` without LRU or swapped filtering (diagnostics).
@@ -248,6 +245,27 @@ mod tests {
         assert_eq!(evicted.block, BlockId::new(0));
         assert!(evicted.meta.swapped);
         assert!(!out.fell_back);
+    }
+
+    #[test]
+    fn swapped_lookups_leave_lru_alone() {
+        // Two swapped lines in one 2-way set: a lookup of the older one
+        // misses and must not refresh it, so it stays the victim.
+        let mut v = VCache::new(
+            CacheGeometry::new(32, 16, 2).unwrap(),
+            ReplacementPolicy::Lru,
+            1,
+        );
+        v.fill(BlockId::new(0), meta(100));
+        v.fill(BlockId::new(1), meta(101));
+        v.mark_all_swapped();
+        assert!(v.lookup(BlockId::new(0)).is_none());
+        let out = v.fill(BlockId::new(2), meta(102));
+        assert_eq!(out.evicted.unwrap().block, BlockId::new(0));
+        // The live line hits; the remaining swapped line goes next.
+        assert!(v.lookup(BlockId::new(2)).is_some());
+        let out = v.fill(BlockId::new(3), meta(103));
+        assert_eq!(out.evicted.unwrap().block, BlockId::new(1));
     }
 
     #[test]

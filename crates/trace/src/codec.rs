@@ -25,6 +25,10 @@
 //! zvarint := varint of the zigzag-encoded wrapping difference
 //! ```
 //!
+//! The buffer ends with the last declared event: bytes left over after
+//! `event_count` events are [`CodecError::Corrupt`]`("trailing bytes")`,
+//! so a count corrupted downward cannot replay a silent prefix.
+//!
 //! Integers in the file header are little-endian. The delta state starts
 //! at zero: every cpu slot has a current asid, and every (cpu slot,
 //! instruction / data) stream has a previous virtual and a previous
@@ -420,11 +424,17 @@ impl Iterator for Decoder<'_> {
     type Item = Result<TraceEvent, CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.remaining == 0 {
+        if self.failed {
             return None;
         }
-        self.remaining -= 1;
-        let r = self.next_event();
+        let r = if self.remaining > 0 {
+            self.remaining -= 1;
+            self.next_event()
+        } else if self.buf.is_empty() {
+            return None;
+        } else {
+            Err(CodecError::Corrupt("trailing bytes"))
+        };
         self.failed = r.is_err();
         Some(r)
     }
@@ -433,7 +443,9 @@ impl Iterator for Decoder<'_> {
         if self.failed {
             (0, Some(0))
         } else {
-            (0, Some(self.remaining as usize))
+            // One more item if bytes outlast the declared events.
+            let upper = self.remaining as usize + usize::from(!self.buf.is_empty());
+            (0, Some(upper))
         }
     }
 }
@@ -652,6 +664,40 @@ mod tests {
             }
             Err(e) => panic!("unexpected: {e}"),
         }
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_declared_count_are_corrupt() {
+        let t = small_trace();
+        let bytes = encode(&t).to_vec();
+        let count_at = first_event_at(&t) - 8;
+        let corrupt = CodecError::Corrupt("trailing bytes");
+        let trailing = Err(corrupt.clone());
+        // A count lowered by one leaves the last event's bytes over.
+        let mut short = bytes.clone();
+        short[count_at..count_at + 8].copy_from_slice(&(t.len() as u64 - 1).to_le_bytes());
+        assert_eq!(decode(&short), trailing);
+        let mut d = Decoder::new(&short).unwrap();
+        assert_eq!(d.size_hint(), (0, Some(t.len())));
+        let results: Vec<_> = d.by_ref().collect();
+        assert_eq!(results.len(), t.len());
+        assert!(results[..t.len() - 1].iter().all(Result::is_ok));
+        assert_eq!(results[t.len() - 1], Err(corrupt));
+        assert_eq!(d.size_hint(), (0, Some(0)));
+        assert!(d.next().is_none(), "the decoder fuses after the error");
+        // One stray byte after an intact stream, and after an empty one.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(decode(&padded), trailing);
+        let mut empty = encode(&Trace::new("e", 1, PageSize::SIZE_4K, vec![])).to_vec();
+        empty.push(0);
+        assert_eq!(decode(&empty), trailing);
+        // The exact stream still decodes. Until the last event is read
+        // the hint cannot rule out trailing bytes; then it is exact.
+        let mut d = Decoder::new(&bytes).unwrap();
+        assert_eq!(d.size_hint(), (0, Some(t.len() + 1)));
+        assert_eq!(d.by_ref().count(), t.len());
+        assert_eq!(d.size_hint(), (0, Some(0)));
     }
 
     #[test]

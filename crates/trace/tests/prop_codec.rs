@@ -72,6 +72,22 @@ proptest! {
     }
 
     #[test]
+    fn trailing_bytes_are_always_corrupt(
+        events in proptest::collection::vec(event_strategy(), 0..50),
+        tail in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        // Whatever follows the last declared event is rejected, so no
+        // valid stream is a prefix of another valid stream.
+        let t = Trace::new("t", 2, PageSize::SIZE_4K, events);
+        let mut bytes = encode(&t).to_vec();
+        bytes.extend_from_slice(&tail);
+        prop_assert_eq!(
+            decode(&bytes),
+            Err(vrcache_trace::codec::CodecError::Corrupt("trailing bytes"))
+        );
+    }
+
+    #[test]
     fn decoder_never_panics_on_single_flip(
         events in proptest::collection::vec(event_strategy(), 1..30),
         pos_frac in 0.0f64..1.0,
