@@ -3,7 +3,7 @@
 //! Walks every tracked `.rs` source (plus DESIGN.md, the model
 //! checker's transition table, the mutation, injection, hot-path,
 //! protocol-spec, and address-domain baselines, and the latest mutation
-//! and injection reports), runs the eleven lint passes, prints
+//! and injection reports), runs the ten lint passes, prints
 //! `file:line: [lint] message` diagnostics, and exits non-zero if
 //! anything fired. `scripts/check.sh` runs this as part of the
 //! pre-merge gate.
@@ -16,25 +16,16 @@
 //!   output is unchanged by the flag's existence.
 //! * `--list` — print the lint names, one per line, and exit.
 //! * `--only <lint>` — run a single lint by name (iterate on one pass
-//!   without paying for the other ten).
-//! * `--write-hotpath-baseline` — re-pin
-//!   `crates/analysis/hotpath_baseline.txt` from today's hot-set scan
-//!   and print the per-crate attribution report. `scripts/check.sh`
-//!   gates this behind a clean tier-1 run (`REPIN=hotpath`).
-//! * `--hotpath-report` — print the attribution report without
-//!   touching the baseline.
-//! * `--write-protocol-spec` — re-pin
-//!   `crates/analysis/protocol_spec.txt` from today's extracted
-//!   transition surface. `scripts/check.sh` gates this behind a clean
-//!   tier-1 run (`REPIN=protocol`).
-//! * `--protocol-report` — print the per-hierarchy transition tables
-//!   without touching the pinned spec.
-//! * `--write-domain-baseline` — re-pin
-//!   `crates/analysis/domain_baseline.txt` from today's address-domain
-//!   analysis and print the flow report. `scripts/check.sh` gates this
-//!   behind a clean tier-1 run (`REPIN=domain`).
-//! * `--domain-report` — print the flagged flows and inferred
-//!   raw-parameter domains without touching the baseline.
+//!   without paying for the other nine).
+//! * `--write <hotpath|protocol|domain>` — re-pin one baseline from
+//!   today's sources (`crates/analysis/hotpath_baseline.txt`,
+//!   `protocol_spec.txt` or `domain_baseline.txt`) after printing its
+//!   report. `scripts/check.sh` gates this behind a clean tier-1 run
+//!   (`REPIN=<name>`).
+//! * `--report <hotpath|protocol|domain>` — print the report without
+//!   touching the baseline: the hot-path per-crate attribution, the
+//!   per-hierarchy transition tables, or the flagged address flows and
+//!   inferred raw-parameter domains.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -84,72 +75,76 @@ fn render_json(checked_files: usize, diags: &[Diagnostic]) -> String {
     )
 }
 
-/// Scans the hot set and either writes the pinned baseline (`write`) or
-/// just prints the attribution report.
-fn hotpath_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
-    let scan = hotpath::scan(ws);
-    if !scan.active {
-        eprintln!("lint: no hot root resolves in this workspace; nothing to scan");
-        return ExitCode::from(2);
-    }
-    print!("{}", hotpath::attribution(&scan));
-    if write {
-        let path = root.join("crates/analysis/hotpath_baseline.txt");
-        if let Err(e) = std::fs::write(&path, hotpath::render_baseline(&scan)) {
-            eprintln!("lint: failed to write {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "lint: pinned {} baseline row(s) to crates/analysis/hotpath_baseline.txt",
-            scan.sites.len()
-        );
-    }
-    ExitCode::SUCCESS
+/// One pinned baseline as today's sources would render it.
+struct Pin {
+    report: String,
+    path: &'static str,
+    body: String,
+    rows: usize,
 }
 
-/// Extracts the protocol surface and either writes the pinned spec
-/// (`write`) or prints the per-hierarchy report.
-fn protocol_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
-    let surface = protocol::extract(ws);
-    if surface.hiers.is_empty() {
-        eprintln!("lint: no hierarchy snoop resolves in this workspace; nothing to extract");
-        return ExitCode::from(2);
-    }
-    if write {
-        let path = root.join("crates/analysis/protocol_spec.txt");
-        if let Err(e) = std::fs::write(&path, protocol::render(&surface)) {
-            eprintln!("lint: failed to write {path:?}: {e}");
-            return ExitCode::from(2);
+/// Computes the report and the rendered baseline named `name`, or the
+/// reason nothing can be pinned here.
+fn pin(ws: &Workspace, name: &str) -> Result<Pin, &'static str> {
+    match name {
+        "hotpath" => {
+            let scan = hotpath::scan(ws);
+            if !scan.active {
+                return Err("no hot root resolves in this workspace; nothing to scan");
+            }
+            Ok(Pin {
+                report: hotpath::attribution(&scan),
+                path: hotpath::RATCHET.path,
+                body: hotpath::RATCHET.render(&scan.sites),
+                rows: scan.sites.len(),
+            })
         }
-        println!(
-            "lint: pinned {} transition row(s) to crates/analysis/protocol_spec.txt",
-            surface.rows.len()
-        );
-    } else {
-        print!("{}", protocol::report(&surface));
+        "protocol" => {
+            let surface = protocol::extract(ws);
+            if surface.hiers.is_empty() {
+                return Err("no hierarchy snoop resolves in this workspace; nothing to extract");
+            }
+            Ok(Pin {
+                report: protocol::report(&surface),
+                path: protocol::SPEC_PATH,
+                body: protocol::render(&surface),
+                rows: surface.rows.len(),
+            })
+        }
+        "domain" => {
+            let analysis = domain::analyze(ws);
+            if !analysis.active {
+                return Err("no address newtype seeds this workspace; nothing to analyze");
+            }
+            Ok(Pin {
+                report: domain_lint::report(&analysis),
+                path: domain_lint::RATCHET.path,
+                body: domain_lint::RATCHET.render(&analysis.flags),
+                rows: analysis.flags.len(),
+            })
+        }
+        _ => Err("no such baseline; use hotpath, protocol or domain"),
     }
-    ExitCode::SUCCESS
 }
 
-/// Runs the address-domain analysis and either writes the pinned
-/// baseline (`write`) or just prints the flow report.
-fn domain_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
-    let analysis = domain::analyze(ws);
-    if !analysis.active {
-        eprintln!("lint: no address newtype seeds this workspace; nothing to analyze");
-        return ExitCode::from(2);
-    }
-    print!("{}", domain_lint::report(&analysis));
+/// `--report <name>` prints the report; `--write <name>` prints it and
+/// re-pins the baseline file.
+fn repin(root: &Path, ws: &Workspace, name: &str, write: bool) -> ExitCode {
+    let pinned = match pin(ws, name) {
+        Ok(pinned) => pinned,
+        Err(why) => {
+            eprintln!("lint: {why}");
+            return ExitCode::from(2);
+        }
+    };
+    print!("{}", pinned.report);
     if write {
-        let path = root.join("crates/analysis/domain_baseline.txt");
-        if let Err(e) = std::fs::write(&path, domain_lint::render_baseline(&analysis)) {
+        let path = root.join(pinned.path);
+        if let Err(e) = std::fs::write(&path, pinned.body) {
             eprintln!("lint: failed to write {path:?}: {e}");
             return ExitCode::from(2);
         }
-        println!(
-            "lint: pinned {} baseline row(s) to crates/analysis/domain_baseline.txt",
-            analysis.flags.len()
-        );
+        println!("lint: pinned {} row(s) to {}", pinned.rows, pinned.path);
     }
     ExitCode::SUCCESS
 }
@@ -157,12 +152,8 @@ fn domain_scan(root: &Path, ws: &Workspace, write: bool) -> ExitCode {
 fn main() -> ExitCode {
     let mut json = false;
     let mut only: Option<String> = None;
-    let mut write_hotpath = false;
-    let mut hotpath_report = false;
-    let mut write_protocol = false;
-    let mut protocol_report = false;
-    let mut write_domain = false;
-    let mut domain_report = false;
+    // (`--write`?, baseline name) for `--write` / `--report`.
+    let mut pinned: Option<(bool, String)> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -180,18 +171,17 @@ fn main() -> ExitCode {
                 };
                 only = Some(name);
             }
-            "--write-hotpath-baseline" => write_hotpath = true,
-            "--hotpath-report" => hotpath_report = true,
-            "--write-protocol-spec" => write_protocol = true,
-            "--protocol-report" => protocol_report = true,
-            "--write-domain-baseline" => write_domain = true,
-            "--domain-report" => domain_report = true,
+            "--write" | "--report" => {
+                let Some(name) = args.next() else {
+                    eprintln!("lint: {arg} needs a baseline name: hotpath, protocol or domain");
+                    return ExitCode::from(2);
+                };
+                pinned = Some((arg == "--write", name));
+            }
             other => {
                 eprintln!(
                     "lint: unknown argument `{other}` (usage: lint [--json] [--list] \
-                     [--only <lint>] [--hotpath-report] [--write-hotpath-baseline] \
-                     [--protocol-report] [--write-protocol-spec] \
-                     [--domain-report] [--write-domain-baseline])"
+                     [--only <lint>] [--write <baseline>] [--report <baseline>])"
                 );
                 return ExitCode::from(2);
             }
@@ -212,14 +202,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if write_hotpath || hotpath_report {
-        return hotpath_scan(&root, &ws, write_hotpath);
-    }
-    if write_protocol || protocol_report {
-        return protocol_scan(&root, &ws, write_protocol);
-    }
-    if write_domain || domain_report {
-        return domain_scan(&root, &ws, write_domain);
+    if let Some((write, name)) = &pinned {
+        return repin(&root, &ws, name, *write);
     }
     let diags = match &only {
         None => run_all(&ws),

@@ -51,6 +51,9 @@ pub struct FnNode {
     /// Enclosing `impl` self type or `trait` name (`None` for free
     /// functions).
     pub self_ty: Option<String>,
+    /// The trait an enclosing `impl Trait for Type` block implements
+    /// (`None` for inherent impls, trait blocks and free functions).
+    pub trait_name: Option<String>,
     /// The function's bare name.
     pub name: String,
     /// The signature text from the `fn` keyword up to (not including)
@@ -68,17 +71,6 @@ impl FnNode {
         match &self.self_ty {
             Some(ty) => format!("{ty}::{}", self.name),
             None => self.name.clone(),
-        }
-    }
-
-    /// The owning crate: `crates/<name>/…` → `<name>`, otherwise the
-    /// first path component (`tests`, `examples`).
-    pub fn crate_name(&self) -> &str {
-        let mut parts = self.file.split('/');
-        match (parts.next(), parts.next()) {
-            (Some("crates"), Some(c)) => c,
-            (Some(first), _) => first,
-            (None, _) => "",
         }
     }
 }
@@ -298,8 +290,8 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
 fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
     let lines = scan_source(text);
     let mut depth = 0usize;
-    // (self type, depth at which the block closes).
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
+    // (self type, implemented trait, depth at which the block closes).
+    let mut impl_stack: Vec<(String, Option<String>, usize)> = Vec::new();
     // (node index, depth at which the body closes).
     let mut fn_stack: Vec<(usize, usize)> = Vec::new();
     let mut pending: Option<Pending> = None;
@@ -346,10 +338,12 @@ fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
                                 Some(at) => sig[..at].trim_end().to_string(),
                                 None => sig,
                             };
+                            let block = impl_stack.last();
                             nodes.push(FnNode {
                                 file: rel_path.to_string(),
                                 line,
-                                self_ty: impl_stack.last().map(|(ty, _)| ty.clone()),
+                                self_ty: block.map(|(ty, _, _)| ty.clone()),
+                                trait_name: block.and_then(|(_, tr, _)| tr.clone()),
                                 name,
                                 sig,
                                 body: Vec::new(),
@@ -359,8 +353,8 @@ fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
                             activated = Some(idx);
                         }
                         Some(Pending::Block { header }) => {
-                            if let Some(ty) = block_self_ty(&header) {
-                                impl_stack.push((ty, depth));
+                            if let Some((ty, tr)) = block_types(&header) {
+                                impl_stack.push((ty, tr, depth));
                             }
                         }
                         None => {}
@@ -372,7 +366,7 @@ fn parse_file(rel_path: &str, text: &str, nodes: &mut Vec<FnNode>) {
                     while fn_stack.last().map(|&(_, d)| d) == Some(depth) {
                         fn_stack.pop();
                     }
-                    while impl_stack.last().map(|(_, d)| *d) == Some(depth) {
+                    while impl_stack.last().map(|(_, _, d)| *d) == Some(depth) {
                         impl_stack.pop();
                     }
                 }
@@ -453,11 +447,13 @@ fn block_header(code: &str) -> Option<String> {
     }
 }
 
-/// Extracts the self type from an `impl`/`trait` header: the last path
-/// segment of the type after `for` (trait impls), else the first type
-/// after the keyword — generics stripped (`impl<'a> Decoder<'a>` →
-/// `Decoder`, `impl Iterator for Decoder<'_>` → `Decoder`).
-fn block_self_ty(header: &str) -> Option<String> {
+/// Extracts the self type and the implemented trait from an
+/// `impl`/`trait` header: the self type is the last path segment of the
+/// type after `for` (trait impls, whose trait is the type before it),
+/// else the first type after the keyword — generics stripped
+/// (`impl<'a> Decoder<'a>` → `Decoder`, `impl Iterator for Decoder<'_>`
+/// → `Decoder` implementing `Iterator`).
+fn block_types(header: &str) -> Option<(String, Option<String>)> {
     let t = header.trim_start();
     let rest = if let Some(r) = t.strip_prefix("pub(crate) trait") {
         r
@@ -474,16 +470,12 @@ fn block_self_ty(header: &str) -> Option<String> {
     // `impl Trait for Type {` — the self type is after the ` for `
     // (matched at angle depth 0 so `Vec<T> for` inside generics is safe;
     // after skip_generics the header's own parameter list is gone).
-    let rest = match split_at_for(rest) {
-        Some(after) => after,
-        None => rest,
+    let (trait_name, ty) = match split_at_for(rest) {
+        Some((before, after)) => (Some(first_path_segment_tail(before)), after),
+        None => (None, rest),
     };
-    let ty = first_path_segment_tail(rest);
-    if ty.is_empty() {
-        None
-    } else {
-        Some(ty)
-    }
+    let ty = first_path_segment_tail(ty);
+    (!ty.is_empty()).then_some((ty, trait_name))
 }
 
 /// Skips a leading `<...>` generic parameter list (angle-bracket
@@ -510,8 +502,9 @@ fn skip_generics(s: &str) -> &str {
     ""
 }
 
-/// Finds a ` for ` at angle depth 0 and returns the text after it.
-fn split_at_for(s: &str) -> Option<&str> {
+/// Finds a ` for ` at angle depth 0 and returns the text before and
+/// after it.
+fn split_at_for(s: &str) -> Option<(&str, &str)> {
     let b = s.as_bytes();
     let mut depth = 0usize;
     let mut i = 0;
@@ -525,7 +518,7 @@ fn split_at_for(s: &str) -> Option<&str> {
                 && b[i - 1] == b' '
                 && (i + 3 == b.len() || !is_ident_char(b[i + 3])) =>
             {
-                return Some(&s[i + 3..]);
+                return Some((&s[..i], &s[i + 3..]));
             }
             _ => {}
         }
@@ -774,13 +767,33 @@ mod tests {
     }
 
     #[test]
+    fn trait_impls_record_their_trait() {
+        let g = graph_of(&[(
+            "crates/core/src/vr.rs",
+            "impl FaultPort for VrHierarchy {\n    fn inject_fault(&mut self) {}\n}\n\
+             impl VrHierarchy {\n    fn access(&mut self) {}\n}\n\
+             pub trait Port {\n    fn probe(&self) {}\n}\n",
+        )]);
+        let got: Vec<(String, Option<&str>)> = g
+            .nodes
+            .iter()
+            .map(|n| (n.qual_name(), n.trait_name.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("VrHierarchy::inject_fault".to_string(), Some("FaultPort")),
+                ("VrHierarchy::access".to_string(), None),
+                ("Port::probe".to_string(), None),
+            ]
+        );
+    }
+
+    #[test]
     fn test_modules_contribute_no_nodes_or_edges() {
         let g = graph_of(&[(
             "crates/x/src/lib.rs",
-            &format!(
-                "fn live() {{}}\n#[{}]\nmod tests {{\n    fn test_helper() {{ live(); }}\n}}\n",
-                concat!("cfg(", "test)")
-            ),
+            "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn test_helper() { live(); }\n}\n",
         )]);
         assert_eq!(g.nodes.len(), 1);
         assert_eq!(g.nodes[0].name, "live");

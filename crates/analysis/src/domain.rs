@@ -70,7 +70,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{self, CallGraph};
-use crate::{contains_word, Workspace};
+use crate::flow::{self, split_args, split_top, split_top_once};
+use crate::ratchet::{crate_of, SiteKey, Sites};
+use crate::{contains_word, find_word, Workspace};
 
 /// The crates whose sources the analysis covers: the simulator proper.
 /// The tooling crates (model/mutate/inject/exec/bench/analysis) drive
@@ -296,14 +298,11 @@ pub struct FnInfo {
     pub exempt: bool,
 }
 
-/// A flagged site key: `(file, qualified fn, kind)`.
-pub type SiteKey = (String, String, String);
-
 /// The analysis result over one workspace.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Flagged sites: key → sorted, deduplicated 1-based lines.
-    pub flags: BTreeMap<SiteKey, BTreeSet<usize>>,
+    pub flags: Sites,
     /// Inferred abstract values of bare-integer parameters:
     /// `(qualified fn, param name) → value`, for the report.
     pub raw_params: BTreeMap<(String, String), AbsVal>,
@@ -319,15 +318,6 @@ pub struct Analysis {
 pub fn analyze(ws: &Workspace) -> Analysis {
     let graph = callgraph::build(ws);
     Engine::new(&graph, ws).run()
-}
-
-fn crate_of(file: &str) -> &str {
-    let mut parts = file.split('/');
-    match (parts.next(), parts.next()) {
-        (Some("crates"), Some(c)) => c,
-        (Some(first), _) => first,
-        (None, _) => "",
-    }
 }
 
 fn is_analyzed_file(file: &str) -> bool {
@@ -369,6 +359,10 @@ const RAW_ESCAPE: &[&str] = &["raw", "index"];
 struct Engine<'g> {
     graph: &'g CallGraph,
     info: Vec<FnInfo>,
+    /// Each analyzed body's statement pieces in source order, as
+    /// [`flow::flatten`] lays out the [`flow::parse_fn`] skeleton
+    /// (empty for exempt bodies).
+    stmts: Vec<Vec<(usize, String)>>,
     /// `name → domain` for struct fields declared with a newtype; a
     /// name bound to conflicting domains is poisoned (absent).
     fields: BTreeMap<String, Domain>,
@@ -436,9 +430,22 @@ impl<'g> Engine<'g> {
             .into_iter()
             .filter_map(|(k, v)| v.map(|d| (k, d)))
             .collect();
+        let stmts = graph
+            .nodes
+            .iter()
+            .zip(&info)
+            .map(|(n, fi)| {
+                if fi.exempt {
+                    Vec::new()
+                } else {
+                    flow::flatten(&flow::parse_fn(&n.body))
+                }
+            })
+            .collect();
         Engine {
             graph,
             info,
+            stmts,
             fields,
             param_vals: BTreeMap::new(),
             ret_vals: BTreeMap::new(),
@@ -504,7 +511,10 @@ impl<'g> Engine<'g> {
             }
         }
         Analysis {
-            flags,
+            flags: flags
+                .into_iter()
+                .map(|(key, lines)| (key, lines.into_iter().collect()))
+                .collect(),
             raw_params,
             fn_count: self.graph.nodes.len(),
             active: true,
@@ -519,7 +529,6 @@ impl<'g> Engine<'g> {
         if self.info[fi].exempt {
             return;
         }
-        let node = &self.graph.nodes[fi];
         let mut env: BTreeMap<String, AbsVal> = BTreeMap::new();
         for (pi, p) in self.info[fi].params.iter().enumerate() {
             if p.name.is_empty() {
@@ -536,7 +545,7 @@ impl<'g> Engine<'g> {
             };
             env.insert(p.name.clone(), val);
         }
-        let stmts = body_statements(&node.body, node.line);
+        let stmts = std::mem::take(&mut self.stmts[fi]);
         let mut ret = AbsVal::bottom();
         for pass in 0..2 {
             // Sinks record only once: on the second pass of the
@@ -547,6 +556,7 @@ impl<'g> Engine<'g> {
                 self.stmt(fi, *line, text, &mut env, &mut ret, tail, record);
             }
         }
+        self.stmts[fi] = stmts;
         if self.info[fi].ret_raw {
             let entry = self.ret_vals.entry(fi).or_default();
             let before = entry.clone();
@@ -666,17 +676,9 @@ impl<'g> Engine<'g> {
             while let Some(pos) = text[start..].find(&needle) {
                 let at = start + pos;
                 start = at + needle.len();
-                // Identifier boundary before, and a `{` or `,` opener so
-                // `let x: Ty` ascriptions and paths don't match. The
-                // statement splitter consumes braces, so a field right
-                // after the literal's `{` arrives with an empty prefix.
-                let before = text[..at].trim_end();
-                let opener = matches!(before.chars().last(), Some('{') | Some(',') | None);
-                let boundary = !before
-                    .chars()
-                    .last()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-                if !opener || !boundary {
+                // A `{` or `,` opener right before the field name, so
+                // `let x: Ty` ascriptions and paths don't match.
+                if !text[..at].trim_end().ends_with(['{', ',']) {
                     continue;
                 }
                 let expr = field_expr(&text[at + needle.len()..]);
@@ -1010,31 +1012,12 @@ impl<'g> Engine<'g> {
     }
 }
 
-/// The byte index just past `fn <name>` in a signature line (the text
-/// before `fn` may contain visibility and other qualifiers).
-fn find_fn_name(sig: &str, fn_name: &str) -> Option<usize> {
-    let needle = format!("fn {fn_name}");
-    let b = sig.as_bytes();
-    let is_ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
-    let mut start = 0;
-    while let Some(pos) = sig[start..].find(&needle) {
-        let at = start + pos;
-        let end = at + needle.len();
-        let before_ok = at == 0 || !is_ident(b[at - 1]);
-        let after_ok = end >= b.len() || !is_ident(b[end]);
-        if before_ok && after_ok {
-            return Some(end);
-        }
-        start = end;
-    }
-    None
-}
-
 /// Parses the parameter list out of a signature: the text between the
 /// `(` after the fn name and its matching `)`, split at top-level
 /// commas, `self` receivers skipped.
 fn parse_params(sig: &str, fn_name: &str) -> Vec<Param> {
-    let Some(at) = find_fn_name(sig, fn_name) else {
+    let needle = format!("fn {fn_name}");
+    let Some(at) = find_word(sig, &needle).map(|at| at + needle.len()) else {
         return Vec::new();
     };
     let Some(open_rel) = sig[at..].find('(') else {
@@ -1124,117 +1107,6 @@ fn collect_field_line(code: &str, fields: &mut BTreeMap<String, Option<Domain>>)
     }
 }
 
-/// Splits a function body into whole statements: lines are joined until
-/// parens/brackets balance and the text ends at `;`, `{`, or `}` — a
-/// coarse statement stream that keeps multi-line call expressions
-/// together. Control-flow headers contribute their condition text as a
-/// statement of their own (good enough for call sinks and `if let`
-/// bindings — branch sensitivity is deliberately not modeled; both
-/// sides of every branch are walked).
-fn body_statements(body: &[(usize, String)], decl_line: usize) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let mut cur = String::new();
-    let mut cur_line = 0usize;
-    let mut depth = 0i32;
-    for (line, code) in body {
-        // Skip the signature portion of the first line(s): statements
-        // start after the body brace.
-        let mut code = code.as_str();
-        if *line == decl_line {
-            match code.find('{') {
-                Some(at) => code = &code[at + 1..],
-                None => continue,
-            }
-        }
-        for seg in split_statements(code) {
-            if cur.is_empty() {
-                cur_line = *line;
-            }
-            if !cur.is_empty() {
-                cur.push(' ');
-            }
-            cur.push_str(seg.text);
-            depth += seg.paren_delta;
-            if seg.terminated && depth <= 0 {
-                let text = std::mem::take(&mut cur);
-                let trimmed = clean_stmt(&text);
-                if !trimmed.is_empty() {
-                    out.push((cur_line, trimmed));
-                }
-                depth = 0;
-            }
-        }
-    }
-    if !cur.is_empty() {
-        let trimmed = clean_stmt(&cur);
-        if !trimmed.is_empty() {
-            out.push((cur_line, trimmed));
-        }
-    }
-    out
-}
-
-/// Normalizes one raw statement: strips braces, match arrows and
-/// keywords that prefix the expression part.
-fn clean_stmt(text: &str) -> String {
-    let mut t = text.trim();
-    for kw in ["if ", "while ", "for ", "match ", "else", "loop"] {
-        if let Some(rest) = t.strip_prefix(kw) {
-            t = rest.trim();
-        }
-    }
-    // `pat => expr` match arms: take the expression side.
-    if let Some((_, rhs)) = split_top_once(t, "=>") {
-        t = rhs.trim();
-    }
-    // `for x in iter` headers: the iterator expression.
-    if let Some((_, rhs)) = split_top_once(t, " in ") {
-        t = rhs.trim();
-    }
-    t.trim_matches([';', '{', '}', ' ']).to_string()
-}
-
-struct Seg<'a> {
-    text: &'a str,
-    paren_delta: i32,
-    terminated: bool,
-}
-
-/// Splits one line at top-level statement boundaries (`;`, `{`, `}`),
-/// reporting each segment's paren/bracket balance.
-fn split_statements(code: &str) -> Vec<Seg<'_>> {
-    let mut out = Vec::new();
-    let b = code.as_bytes();
-    let mut start = 0;
-    let mut i = 0;
-    let mut delta = 0i32;
-    while i < b.len() {
-        match b[i] {
-            b'(' | b'[' => delta += 1,
-            b')' | b']' => delta -= 1,
-            b';' | b'{' | b'}' if delta <= 0 => {
-                out.push(Seg {
-                    text: &code[start..i],
-                    paren_delta: delta,
-                    terminated: true,
-                });
-                start = i + 1;
-                delta = 0;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if start < b.len() {
-        out.push(Seg {
-            text: &code[start..],
-            paren_delta: delta,
-            terminated: false,
-        });
-    }
-    out
-}
-
 fn is_ident(s: &str) -> bool {
     !s.is_empty()
         && s.chars()
@@ -1284,98 +1156,6 @@ fn split_assign(t: &str) -> Option<(&str, &str)> {
         }
     }
     None
-}
-
-/// Splits `s` at every top-level occurrence of any operator in `ops`,
-/// returning `None` when no split happened. Both sides of every split
-/// must be non-empty.
-fn split_top<'a>(s: &'a str, ops: &[&str]) -> Option<Vec<&'a str>> {
-    let b = s.as_bytes();
-    let mut parts = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0;
-    let mut i = 0;
-    'outer: while i < b.len() {
-        match b[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            _ if depth == 0 => {
-                for op in ops {
-                    if s[i..].starts_with(op) {
-                        // Two-char operators must not be half of a
-                        // longer one (`<<` inside `<<=` is fine; `|`
-                        // inside `||` is not a bitor).
-                        let before = &s[start..i];
-                        let after = &s[i + op.len()..];
-                        if op.len() == 1 {
-                            let c = b[i];
-                            let prev = if i > 0 { b[i - 1] } else { b' ' };
-                            let next = *b.get(i + op.len()).unwrap_or(&b' ');
-                            if prev == c || next == c || next == b'=' || prev == b'=' {
-                                continue;
-                            }
-                        }
-                        if before.trim().is_empty() || after.trim().is_empty() {
-                            continue;
-                        }
-                        parts.push(before);
-                        start = i + op.len();
-                        i = start;
-                        continue 'outer;
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if parts.is_empty() {
-        return None;
-    }
-    parts.push(&s[start..]);
-    Some(parts)
-}
-
-/// Splits once at the first top-level occurrence of `op`.
-fn split_top_once<'a>(s: &'a str, op: &str) -> Option<(&'a str, &'a str)> {
-    let b = s.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            _ if depth == 0 && s[i..].starts_with(op) => {
-                return Some((&s[..i], &s[i + op.len()..]));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Splits a comma-separated argument list at top-level commas.
-fn split_args(args: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let b = args.as_bytes();
-    let mut depth = 0i32;
-    let mut start = 0;
-    for i in 0..b.len() {
-        match b[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                out.push(&args[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if !args[start..].trim().is_empty() {
-        out.push(&args[start..]);
-    }
-    out
 }
 
 /// The index after a `::<...>` turbofish starting at `pos`.

@@ -34,6 +34,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::find_word;
+use crate::walk::path_idents;
+
 /// A coherence standing of the snooped block in one hierarchy: the two
 /// `CohState` tag states plus absence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -155,6 +158,9 @@ pub enum FlowNode {
     Loop {
         /// 1-based line of the loop keyword.
         line: usize,
+        /// The header's expression: a `for` loop's iterator, a `while`
+        /// loop's condition, empty for `loop`.
+        head: String,
         /// Loop body.
         body: Vec<FlowNode>,
     },
@@ -172,14 +178,16 @@ pub fn parse_fn(body: &[(usize, String)]) -> Vec<FlowNode> {
         chars.push((*line, '\n'));
     }
     let mut p = Parser { chars, at: 0 };
-    // Skip the signature: everything up to the first `{` at
-    // paren/bracket depth 0 (multi-line signatures included).
+    // Skip the signature: everything up to the first `{` outside its
+    // parameter list. A multi-line signature's body lines start at the
+    // line holding the body brace, so a `)` may close a paren opened
+    // before the first line (depth goes negative).
     let mut depth = 0i32;
     while let Some(c) = p.peek_char() {
         match c {
             '(' | '[' => depth += 1,
             ')' | ']' => depth -= 1,
-            '{' if depth == 0 => {
+            '{' if depth <= 0 => {
                 p.bump();
                 return p.parse_block();
             }
@@ -332,21 +340,35 @@ impl Parser {
                 || (t.starts_with(kw)
                     && !t[kw.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_'))
         };
-        if word_at("if") {
+        // `if` / `match` heads, possibly the right-hand side of a binding
+        // (`let reply = match txn.op {`, `let hit = if present {`): the
+        // text after the keyword.
+        let rhs_of = |kw: &str| {
+            let pos = find_word(t, kw)?;
+            let before = t[..pos].trim_end();
+            (before.is_empty() || before.ends_with('=')).then(|| t[pos + kw.len()..].trim())
+        };
+        if let Some(cond) = rhs_of("if") {
             self.bump(); // the `{`
             let then = self.parse_block();
             let els = self.parse_else();
             return Some(FlowNode::If {
                 line,
-                cond: t["if".len()..].trim().to_string(),
+                cond: cond.to_string(),
                 then,
                 els,
             });
         }
-        if word_at("for") || word_at("while") || word_at("loop") {
+        if let Some(kw) = ["for", "while", "loop"].into_iter().find(|kw| word_at(kw)) {
+            let rest = t[kw.len()..].trim();
+            let head = match split_top_once(rest, " in ") {
+                Some((_, iter)) if kw == "for" => iter.trim(),
+                _ => rest,
+            };
             self.bump();
             return Some(FlowNode::Loop {
                 line,
+                head: head.to_string(),
                 body: self.parse_block(),
             });
         }
@@ -358,21 +380,13 @@ impl Parser {
                 els: self.parse_block(),
             });
         }
-        // `match scrut {` — possibly the right-hand side of a binding
-        // (`let reply = match txn.op {`).
-        if let Some(pos) = find_word(t, "match") {
-            let before = t[..pos].trim_end();
-            if before.is_empty() || before.ends_with('=') {
-                self.bump();
-                let arms = self.parse_arms();
-                return Some(FlowNode::Match {
-                    line,
-                    scrutinee: t[pos + "match".len()..].trim().to_string(),
-                    arms,
-                });
-            }
-        }
-        None
+        let scrutinee = rhs_of("match")?;
+        self.bump();
+        Some(FlowNode::Match {
+            line,
+            scrutinee: scrutinee.to_string(),
+            arms: self.parse_arms(),
+        })
     }
 
     /// Parses an optional `else { … }` / `else if …` continuation.
@@ -490,20 +504,128 @@ impl Parser {
     }
 }
 
-/// Position of `word` in `s` at identifier boundaries, if any.
-fn find_word(s: &str, word: &str) -> Option<usize> {
-    let b = s.as_bytes();
-    let is_ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
-    let mut start = 0;
-    while let Some(pos) = s[start..].find(word) {
-        let at = start + pos;
-        let end = at + word.len();
-        if (at == 0 || !is_ident(b[at - 1])) && (end >= b.len() || !is_ident(b[end])) {
-            return Some(at);
+/// Flattens a skeleton in source order into `(line, text)` pieces:
+/// statement text, `if` / `let … else` conditions, `match` scrutinees,
+/// loop header expressions, and the pieces of every branch, arm and
+/// loop body. Line breaks inside a piece become spaces.
+pub fn flatten(nodes: &[FlowNode]) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for node in nodes {
+        let (line, text, bodies): (usize, &str, Vec<&[FlowNode]>) = match node {
+            FlowNode::Stmt { line, text } => (*line, text, Vec::new()),
+            FlowNode::Sub(body) => (0, "", vec![body]),
+            FlowNode::If {
+                line,
+                cond,
+                then,
+                els,
+            } => (*line, cond, vec![then, els]),
+            FlowNode::LetElse { line, cond, els } => (*line, cond, vec![els]),
+            FlowNode::Match {
+                line,
+                scrutinee,
+                arms,
+            } => (*line, scrutinee, arms.iter().map(|(_, b)| &b[..]).collect()),
+            FlowNode::Loop { line, head, body } => (*line, head, vec![body]),
+        };
+        if !text.trim().is_empty() {
+            out.push((line, text.replace('\n', " ")));
         }
-        start = at + word.len();
+        for body in bodies {
+            out.extend(flatten(body));
+        }
+    }
+    out
+}
+
+/// Splits `s` at every top-level (paren/bracket/brace-depth-0)
+/// occurrence of any operator in `ops`, or `None` when no split
+/// happened. Both sides of every split must be non-empty, and a
+/// one-character operator never matches half of a doubled or
+/// compound one (`|` inside `||` or `|=`).
+pub fn split_top<'a>(s: &'a str, ops: &[&str]) -> Option<Vec<&'a str>> {
+    let b = s.as_bytes();
+    let mut parts = Vec::new();
+    let mut depth = 0i32;
+    let mut start = 0;
+    let mut i = 0;
+    'outer: while i < b.len() {
+        match b[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            _ if depth == 0 => {
+                for op in ops {
+                    if !s[i..].starts_with(op) {
+                        continue;
+                    }
+                    if op.len() == 1 {
+                        let c = b[i];
+                        let prev = if i > 0 { b[i - 1] } else { b' ' };
+                        let next = *b.get(i + 1).unwrap_or(&b' ');
+                        if prev == c || next == c || next == b'=' || prev == b'=' {
+                            continue;
+                        }
+                    }
+                    let (before, after) = (&s[start..i], &s[i + op.len()..]);
+                    if before.trim().is_empty() || after.trim().is_empty() {
+                        continue;
+                    }
+                    parts.push(before);
+                    start = i + op.len();
+                    i = start;
+                    continue 'outer;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if parts.is_empty() {
+        return None;
+    }
+    parts.push(&s[start..]);
+    Some(parts)
+}
+
+/// Splits once at the first top-level occurrence of `op`.
+pub fn split_top_once<'a>(s: &'a str, op: &str) -> Option<(&'a str, &'a str)> {
+    let b = s.as_bytes();
+    let mut depth = 0i32;
+    for i in 0..b.len() {
+        match b[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            _ if depth == 0 && s[i..].starts_with(op) => {
+                return Some((&s[..i], &s[i + op.len()..]));
+            }
+            _ => {}
+        }
     }
     None
+}
+
+/// Splits a comma-separated list at top-level commas (a trailing comma
+/// adds no empty part).
+pub fn split_args(args: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let b = args.as_bytes();
+    let mut depth = 0i32;
+    let mut start = 0;
+    for i in 0..b.len() {
+        match b[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(&args[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if !args[start..].trim().is_empty() {
+        out.push(&args[start..]);
+    }
+    out
 }
 
 /// The abstract machine state along one evaluation path.
@@ -824,10 +946,10 @@ impl Machine<'_> {
     }
 
     fn eval_guard(&mut self, cond: &str, state: &AbsState) -> Branches {
-        let conjuncts = split_top_level(cond, "&&");
+        let conjuncts = split_top(cond, &["&&"]).unwrap_or_else(|| vec![cond]);
         // A top-level `||` makes the whole guard opaque (no conjunct
         // below is individually necessary).
-        let opaque_disjunction = split_top_level(cond, "||").len() > 1;
+        let opaque_disjunction = split_top(cond, &["||"]).is_some();
         let mut then_entry = state.clone();
         let mut decided_true = true;
         let mut any_false = false;
@@ -891,18 +1013,11 @@ fn merge_flows(flows: Vec<Flow>) -> Flow {
 fn arm_matches(pat: &str, op: &str) -> (bool, bool) {
     let guarded = find_word(pat, "if").is_some();
     let mut found_any = false;
-    let mut rest = pat;
-    while let Some(pos) = rest.find("BusOp::") {
-        let after = &rest[pos + "BusOp::".len()..];
-        let ident: String = after
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
+    for ident in path_idents(pat, "BusOp::") {
         if ident == op {
             return (true, guarded);
         }
         found_any = true;
-        rest = after;
     }
     // No BusOp mention: a wildcard / binding pattern covers every op.
     (!found_any, guarded)
@@ -928,18 +1043,7 @@ fn classify_guard(conjunct: &str, lens: &Lens, op: &str, state: &AbsState) -> Gu
 
     // `txn.op == BusOp::X` / `!=` and `matches!(txn.op, BusOp::X | …)`.
     if inner.contains("BusOp::") {
-        let mut ops = Vec::new();
-        let mut rest = inner;
-        while let Some(pos) = rest.find("BusOp::") {
-            let after = &rest[pos + "BusOp::".len()..];
-            let ident: String = after
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            ops.push(ident);
-            rest = after;
-        }
-        let mut hit = ops.iter().any(|o| o == op);
+        let mut hit = path_idents(inner, "BusOp::").any(|o| o == op);
         if inner.contains("!=") {
             hit = !hit;
         }
@@ -1119,33 +1223,6 @@ fn state_write(t: &str) -> Option<Ctx> {
     Ctx::from_variant(&ident)
 }
 
-/// Splits `s` at top-level (paren/bracket-depth-0) occurrences of the
-/// two-character operator `sep` (`&&` or `||`).
-fn split_top_level<'a>(s: &'a str, sep: &str) -> Vec<&'a str> {
-    let b = s.as_bytes();
-    let sep = sep.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0;
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            c if depth == 0 && c == sep[0] && i + 1 < b.len() && b[i + 1] == sep[1] => {
-                out.push(s[start..i].trim());
-                i += 2;
-                start = i;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out.push(s[start..].trim());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1166,6 +1243,80 @@ mod tests {
     fn run(src: &str, op: &str, init: Ctx) -> Outcome {
         let tree = parse_fn(&body_of(src));
         eval_handler(&tree, &TEST_LENS, &BTreeMap::new(), op, init)
+    }
+
+    #[test]
+    fn flatten_lays_out_every_piece_in_source_order() {
+        let src = "pub fn f(
+    x: u64,
+) -> u64 {
+    let a = g(x);
+    if let Some(b) = h(a) {
+        k(b);
+    } else {
+        m();
+    }
+    for i in 0..n(a) {
+        p(i);
+    }
+    let Some(c) = q() else {
+        return 0;
+    };
+    let v = match r(c) {
+        1 => s(),
+        _ => {
+            t(
+                c,
+            );
+        }
+    };
+    let w = if u() { y() } else { z() };
+    v + w
+}";
+        let pieces: Vec<(usize, String)> = flatten(&parse_fn(&body_of(src)[2..]));
+        let texts: Vec<&str> = pieces.iter().map(|(_, t)| t.trim()).collect();
+        assert_eq!(
+            texts,
+            [
+                "let a = g(x)",
+                "let Some(b) = h(a)",
+                "k(b)",
+                "m()",
+                "0..n(a)",
+                "p(i)",
+                "let Some(c) = q()",
+                "return 0",
+                "r(c)",
+                "s()",
+                "t(                 c,             )",
+                "u()",
+                "y()",
+                "z()",
+                "v + w",
+            ]
+        );
+        let lines: Vec<usize> = pieces.iter().map(|(l, _)| *l).collect();
+        assert_eq!(
+            lines,
+            [4, 5, 6, 8, 10, 11, 13, 14, 16, 17, 19, 24, 24, 24, 25]
+        );
+    }
+
+    #[test]
+    fn top_level_splits_respect_nesting() {
+        assert_eq!(
+            split_top("a || (b || c)", &["||"]),
+            Some(vec!["a ", " (b || c)"])
+        );
+        assert_eq!(split_top("a | b || c", &["|"]), Some(vec!["a ", " b || c"]));
+        assert_eq!(split_top("{ a + b }", &["+"]), None);
+        assert_eq!(split_top("-a", &["-"]), None, "a sign is not an operator");
+        assert_eq!(
+            split_top_once("x: Vec<(u8, u8)>", ":"),
+            Some(("x", " Vec<(u8, u8)>"))
+        );
+        assert_eq!(split_args("a, f(b, c),\n"), vec!["a", " f(b, c)"]);
+        assert_eq!(split_args(""), Vec::<&str>::new());
     }
 
     #[test]

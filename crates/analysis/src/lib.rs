@@ -1,7 +1,12 @@
 //! Static analysis for the vrcache workspace.
 //!
-//! Eleven lints, run by `cargo run -p vrcache-analysis --bin lint`
-//! (`--list` names them, `--only <lint>` runs one in isolation):
+//! Ten lints, run by `cargo run -p vrcache-analysis --bin lint`
+//! (`--list` names them, `--only <lint>` runs one in isolation). Every
+//! lint that reads Rust source reads it through one front end: the
+//! literal-blanked, test-marked lines of
+//! [`walk::scan_source`], or the function bodies
+//! [`callgraph::parse_nodes`] lifts from them. A needle inside a string
+//! literal or a comment is invisible to all of them.
 //!
 //! * **determinism** — simulation results must be a pure function of the
 //!   seed. Wall-clock and entropy sources are forbidden everywhere, and
@@ -13,15 +18,9 @@
 //! * **doc-drift** — DESIGN.md's experiment index must agree with the
 //!   experiment modules and the `repro` binary's subcommands.
 //! * **panic-hygiene** — `unsafe` is forbidden everywhere; `.unwrap()` /
-//!   `.expect(` are forbidden in `crates/core` and `crates/model` library
-//!   code (tests excepted), where broken invariants must surface as typed
-//!   violations, not ad-hoc panics.
-//! * **transition-coverage** — the coherence transitions the model
-//!   checker exercised (`crates/model/coverage.txt`) must agree with the
-//!   `BusOp` match arms of the `fn snoop` implementations in
-//!   `crates/core`: every exercised transition has an arm, every arm is
-//!   exercised (or allowlisted as unreachable by design), and every
-//!   coherence state appears as a snoop context.
+//!   `.expect(` are forbidden in the library code of the strict crates
+//!   (`#[cfg(test)]` items excepted), where broken invariants must
+//!   surface as typed violations, not ad-hoc panics.
 //! * **fault-coverage** — every `FaultKind` variant must be handled, or
 //!   declined with an explicit `=> None` arm, by every `impl FaultPort`
 //!   site's `inject_fault`; wildcard arms are forbidden there, so a new
@@ -43,18 +42,21 @@
 //!   call graph) from the per-access hot roots (`access` and `snoop` of
 //!   `VrHierarchy`, `RrHierarchy` and `GoodmanHierarchy`, the codec's
 //!   streaming `Decoder::next`) must be pinned in
-//!   `crates/analysis/hotpath_baseline.txt`. The baseline is a ratchet:
-//!   a new site fails the gate, a removed site demands a (shrunken)
-//!   re-pin via `--write-hotpath-baseline`, counts only go down.
+//!   `crates/analysis/hotpath_baseline.txt`. The baseline is a
+//!   [`ratchet`]: a new site fails the gate, a removed site demands a
+//!   (shrunken) re-pin via `--write hotpath`, counts only go down.
 //! * **protocol-spec** — the coherence transition surface the [`flow`]
 //!   scanner extracts from the `snoop` handlers (state-before × bus-op →
 //!   state-after, reply, actions; see the [`protocol`] module) must
 //!   match the pinned `crates/analysis/protocol_spec.txt` byte for byte,
 //!   agree bidirectionally with the model checker's exercised
-//!   transitions in `crates/model/coverage.txt`, and leave no
-//!   undocumented hole in the state×op matrix (dead combinations are
-//!   allowlisted with a reason). Re-pin with `--write-protocol-spec`
-//!   after a clean tier-1 run; `--protocol-report` prints the tables.
+//!   transitions in `crates/model/coverage.txt` (every exercised
+//!   transition has a spec row, every spec row is exercised or
+//!   allowlisted, every coherence state is reached as a snoop context,
+//!   every coverage row parses), and leave no undocumented hole in the
+//!   state×op matrix (dead combinations are allowlisted with a reason).
+//!   Re-pin with `--write protocol` after a clean tier-1 run; `--report
+//!   protocol` prints the tables.
 //! * **address-domain** — the interprocedural dataflow analysis in the
 //!   [`domain`] module assigns every parameter, return value, and local
 //!   binding in the simulator crates an abstract address domain seeded
@@ -63,10 +65,9 @@
 //!   another domain's constructor, field, or parameter position outside
 //!   the sanctioned translation seams — and raw integers inferred to
 //!   carry both virtual- and physical-family values — are pinned in
-//!   `crates/analysis/domain_baseline.txt` with the same ratchet
-//!   semantics as the hot-path baseline. Re-pin with
-//!   `--write-domain-baseline`; `--domain-report` prints flagged sites
-//!   and inferred parameter domains.
+//!   `crates/analysis/domain_baseline.txt` through the same ratchet as
+//!   the hot-path baseline. Re-pin with `--write domain`; `--report
+//!   domain` prints flagged sites and inferred parameter domains.
 //!
 //! Every lint is a pure function over an in-memory [`Workspace`], so the
 //! crate's tests seed violations directly without touching the
@@ -82,6 +83,7 @@ pub mod domain;
 pub mod flow;
 pub mod lints;
 pub mod protocol;
+pub mod ratchet;
 pub mod walk;
 
 use std::fmt;
@@ -179,7 +181,7 @@ impl fmt::Display for Diagnostic {
 /// A lint pass: a pure function from workspace to findings.
 pub type LintFn = fn(&Workspace) -> Vec<Diagnostic>;
 
-/// Name → pass table for all eleven lints, in execution order. The names
+/// Name → pass table for all ten lints, in execution order. The names
 /// are the stable identifiers the binary's `--only` / `--list` flags
 /// accept and the `Diagnostic::lint` field carries.
 pub const LINTS: &[(&str, LintFn)] = &[
@@ -187,7 +189,6 @@ pub const LINTS: &[(&str, LintFn)] = &[
     ("address-hygiene", lints::address::check),
     ("panic-hygiene", lints::panic_hygiene::check),
     ("doc-drift", lints::doc_drift::check),
-    ("transition-coverage", lints::transitions::check),
     ("fault-coverage", lints::faults::check),
     ("mutation-baseline", lints::mutation::check),
     ("injection-baseline", lints::injection::check),
@@ -216,46 +217,22 @@ pub fn run_named(ws: &Workspace, name: &str) -> Option<Vec<Diagnostic>> {
     Some(diags)
 }
 
-/// Strips the `//`-comment tail of a source line, respecting string
-/// literals (a `//` inside `"..."` does not start a comment). Character
-/// literals and raw strings are not modeled; the workspace style makes
-/// those cases irrelevant to the text patterns we search for.
-pub fn code_portion(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_str => i += 1, // skip the escaped character
-            b'"' => in_str = !in_str,
-            b'/' if !in_str && i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                return &line[..i];
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    line
-}
-
-/// True when `word` occurs in `haystack` delimited by non-identifier
-/// characters — `unsafe` must not fire inside `unsafe_code`, nor `Vpn`
-/// inside `VpnLike`.
-pub fn contains_word(haystack: &str, word: &str) -> bool {
+/// The position of the first occurrence of `word` in `haystack` that is
+/// delimited by non-identifier characters — `unsafe` must not match
+/// inside `unsafe_code`, nor `Vpn` inside `VpnLike`.
+pub fn find_word(haystack: &str, word: &str) -> Option<usize> {
     let bytes = haystack.as_bytes();
     let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut start = 0;
-    while let Some(pos) = haystack[start..].find(word) {
-        let at = start + pos;
+    haystack.match_indices(word).map(|(at, _)| at).find(|&at| {
         let end = at + word.len();
-        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
-        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + word.len();
-    }
-    false
+        (at == 0 || !is_ident(bytes[at - 1])) && (end >= bytes.len() || !is_ident(bytes[end]))
+    })
+}
+
+/// True when `word` occurs in `haystack` as a whole word (see
+/// [`find_word`]).
+pub fn contains_word(haystack: &str, word: &str) -> bool {
+    find_word(haystack, word).is_some()
 }
 
 #[cfg(test)]
@@ -267,24 +244,48 @@ mod tests {
         assert!(contains_word("let p: Ppn = q;", "Ppn"));
         assert!(!contains_word("let p: PpnLike = q;", "Ppn"));
         assert!(!contains_word("let p = my_ppn;", "Ppn"));
-        assert!(!contains_word(
-            concat!("#![forbid(uns", "afe_code)]"),
-            concat!("uns", "afe")
-        ));
-        assert!(contains_word(
-            concat!("uns", "afe fn f()"),
-            concat!("uns", "afe")
-        ));
+        assert!(!contains_word("#![forbid(unsafe_code)]", "unsafe"));
+        assert!(contains_word("unsafe fn f()", "unsafe"));
+    }
+
+    /// The three needle lints, each run alone over one source file of a
+    /// strict, stats-path crate (so every needle they own is live there).
+    fn line_lint_findings(text: &str) -> Vec<(&'static str, usize)> {
+        let ws = Workspace {
+            sources: vec![SourceFile::new("crates/model/src/report.rs", text)],
+            ..Workspace::default()
+        };
+        ["determinism", "address-hygiene", "panic-hygiene"]
+            .iter()
+            .flat_map(|name| run_named(&ws, name).expect("registered lint"))
+            .map(|d| (d.lint, d.line))
+            .collect()
     }
 
     #[test]
-    fn code_portion_strips_comments_not_strings() {
-        assert_eq!(code_portion("let x = 1; // tail"), "let x = 1; ");
-        assert_eq!(code_portion(r#"let s = "a // b";"#), r#"let s = "a // b";"#);
-        assert_eq!(code_portion("/// doc"), "");
+    fn needles_in_literals_and_comments_are_invisible_to_line_lints() {
+        let hidden = "fn f() {\n    \
+            let a = \"Instant::now() HashMap VirtAddr::new(x as u64) y.unwrap() unsafe\";\n    \
+            let b = r#\"Instant::now() HashMap VirtAddr::new(x as u64) y.unwrap() unsafe\"#;\n    \
+            /* Instant::now() HashMap\n       VirtAddr::new(x as u64) y.unwrap() unsafe */\n}\n";
+        assert_eq!(line_lint_findings(hidden), []);
+    }
+
+    #[test]
+    fn needles_in_code_after_a_gated_item_are_visible() {
+        let visible = "#[cfg(test)]\nfn helper() {}\nfn g() {\n    \
+            let t = Instant::now();\n    let m: HashMap<u8, u8>;\n    \
+            let v = VirtAddr::new(x as u64);\n    let y = z.unwrap();\n    unsafe {}\n}\n";
+        let found = line_lint_findings(visible);
         assert_eq!(
-            code_portion(r#"let s = "q\" // r";"#),
-            r#"let s = "q\" // r";"#
+            found,
+            [
+                ("determinism", 4),
+                ("determinism", 5),
+                ("address-hygiene", 6),
+                ("panic-hygiene", 7),
+                ("panic-hygiene", 8)
+            ]
         );
     }
 

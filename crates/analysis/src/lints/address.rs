@@ -10,7 +10,8 @@
 //! representation and is the only place allowed to convert; everyone
 //! else goes through `raw()`, `new()`, `index()` and `From` impls.
 
-use crate::{code_portion, contains_word, Diagnostic, Workspace};
+use crate::walk::scan_source;
+use crate::{contains_word, Diagnostic, Workspace};
 
 /// The protected newtype names (see `crates/mem/src/addr.rs`).
 const NEWTYPES: &[&str] = &[
@@ -25,13 +26,7 @@ const NEWTYPES: &[&str] = &[
     "PageOffset",
 ];
 
-// concat!-split so the lint does not flag its own needle table.
-const CASTS: &[&str] = &[
-    concat!(" as", " u64"),
-    concat!(" as", " usize"),
-    concat!(" as", " u32"),
-    concat!(" as", " u16"),
-];
+const CASTS: &[&str] = &[" as u64", " as usize", " as u32", " as u16"];
 
 /// Runs the address-hygiene lint over every source outside `crates/mem`.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
@@ -40,14 +35,13 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         if file.rel_path.starts_with("crates/mem/") {
             continue;
         }
-        for (idx, raw) in file.text.lines().enumerate() {
-            let line = code_portion(raw);
-            let newtype = NEWTYPES.iter().find(|t| contains_word(line, t));
-            let cast = CASTS.iter().find(|c| line.contains(*c));
+        for line in scan_source(&file.text) {
+            let newtype = NEWTYPES.iter().find(|t| contains_word(&line.code, t));
+            let cast = CASTS.iter().find(|c| line.code.contains(*c));
             if let (Some(t), Some(c)) = (newtype, cast) {
                 out.push(Diagnostic {
                     file: file.rel_path.clone(),
-                    line: idx + 1,
+                    line: line.line,
                     lint: "address-hygiene",
                     message: format!(
                         "`{}` on a line handling `{t}`: raw casts around address \
@@ -66,7 +60,7 @@ mod tests {
     use super::*;
     use crate::SourceFile;
 
-    fn ws(path: &str, text: String) -> Workspace {
+    fn ws(path: &str, text: &str) -> Workspace {
         Workspace {
             sources: vec![SourceFile::new(path, text)],
             ..Workspace::default()
@@ -75,7 +69,7 @@ mod tests {
 
     #[test]
     fn flags_cast_next_to_newtype() {
-        let text = format!("let v = VirtAddr::new(x{} u64);\n", concat!(" as"),);
+        let text = "let v = VirtAddr::new(x as u64);\n";
         let diags = check(&ws("crates/core/src/vr.rs", text));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("VirtAddr"));
@@ -83,7 +77,7 @@ mod tests {
 
     #[test]
     fn mem_crate_is_exempt() {
-        let text = format!("let v = VirtAddr::new(x{} u64);\n", concat!(" as"));
+        let text = "let v = VirtAddr::new(x as u64);\n";
         assert!(check(&ws("crates/mem/src/addr.rs", text)).is_empty());
     }
 
@@ -92,12 +86,12 @@ mod tests {
         // The regression this test pins: `Asid` was missing from the
         // NEWTYPES table and ` as u16`/` as u32` from CASTS, so an ASID
         // truncation next to the newtype passed silently.
-        let text = format!("let a = Asid::new(next{} u16);\n", concat!(" as"));
+        let text = "let a = Asid::new(next as u16);\n";
         let diags = check(&ws("crates/core/src/vr.rs", text));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("Asid"), "{diags:?}");
 
-        let text = format!("let wide = SetIndex::new(x){} u32;\n", concat!(" as"));
+        let text = "let wide = SetIndex::new(x) as u32;\n";
         let diags = check(&ws("crates/cache/src/array.rs", text));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("SetIndex"), "{diags:?}");
@@ -105,12 +99,12 @@ mod tests {
 
     #[test]
     fn unrelated_casts_pass() {
-        let text = format!("let n = count{} u64;\n", concat!(" as"));
+        let text = "let n = count as u64;\n";
         assert!(check(&ws("crates/core/src/vr.rs", text)).is_empty());
         // Newtype on the line but no cast.
         assert!(check(&ws(
             "crates/core/src/vr.rs",
-            "let v = VirtAddr::new(u64::from(x));\n".into()
+            "let v = VirtAddr::new(u64::from(x));\n"
         ))
         .is_empty());
     }

@@ -11,36 +11,35 @@
 //!    analysis code, where iteration order leaks into rendered tables:
 //!    use `BTreeMap` / `BTreeSet` or a sorted `Vec` there.
 
-use crate::{code_portion, Diagnostic, Workspace};
+use crate::walk::scan_source;
+use crate::{Diagnostic, Workspace};
 
-// Spelled as concat! fragments so this file does not trip its own lint
-// when the workspace is scanned.
 const GLOBAL_NEEDLES: &[(&str, &str)] = &[
     (
-        concat!("Instant", "::now"),
+        "Instant::now",
         "wall-clock reads make runs irreproducible; timing belongs to the vendored bench harness only",
     ),
     (
-        concat!("System", "Time"),
+        "SystemTime",
         "wall-clock reads make runs irreproducible",
     ),
     (
-        concat!("thread", "_rng"),
+        "thread_rng",
         "OS-entropy RNG breaks seeded reproducibility; use a seeded StdRng",
     ),
     (
-        concat!("from_", "entropy"),
+        "from_entropy",
         "OS-entropy seeding breaks reproducibility; use seed_from_u64",
     ),
 ];
 
 const HASH_NEEDLES: &[(&str, &str)] = &[
     (
-        concat!("Hash", "Map"),
+        "HashMap",
         "hash iteration order is nondeterministic in stats/report code; use BTreeMap or a sorted Vec",
     ),
     (
-        concat!("Hash", "Set"),
+        "HashSet",
         "hash iteration order is nondeterministic in stats/report code; use BTreeSet or a sorted Vec",
     ),
 ];
@@ -67,33 +66,25 @@ pub fn is_stats_path(rel_path: &str) -> bool {
     STATS_PATHS.iter().any(|p| rel_path.contains(p))
 }
 
-/// Runs the determinism lint over every source in `ws`.
+/// Runs the determinism lint over every source in `ws`, test code
+/// included.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.sources {
-        let stats = is_stats_path(&file.rel_path);
-        for (idx, raw) in file.text.lines().enumerate() {
-            let line = code_portion(raw);
-            for (needle, why) in GLOBAL_NEEDLES {
-                if line.contains(needle) {
+        let hash: &[_] = if is_stats_path(&file.rel_path) {
+            HASH_NEEDLES
+        } else {
+            &[]
+        };
+        for line in scan_source(&file.text) {
+            for (needle, why) in GLOBAL_NEEDLES.iter().chain(hash) {
+                if line.code.contains(needle) {
                     out.push(Diagnostic {
                         file: file.rel_path.clone(),
-                        line: idx + 1,
+                        line: line.line,
                         lint: "determinism",
                         message: format!("`{needle}`: {why}"),
                     });
-                }
-            }
-            if stats {
-                for (needle, why) in HASH_NEEDLES {
-                    if line.contains(needle) {
-                        out.push(Diagnostic {
-                            file: file.rel_path.clone(),
-                            line: idx + 1,
-                            lint: "determinism",
-                            message: format!("`{needle}`: {why}"),
-                        });
-                    }
                 }
             }
         }
@@ -106,7 +97,7 @@ mod tests {
     use super::*;
     use crate::SourceFile;
 
-    fn ws(path: &str, text: String) -> Workspace {
+    fn ws(path: &str, text: &str) -> Workspace {
         Workspace {
             sources: vec![SourceFile::new(path, text)],
             ..Workspace::default()
@@ -115,11 +106,7 @@ mod tests {
 
     #[test]
     fn flags_wall_clock_and_entropy_everywhere() {
-        let text = format!(
-            "fn t() {{\n    let a = {}();\n    let r = rand::{}();\n}}\n",
-            concat!("Instant", "::now"),
-            concat!("thread", "_rng"),
-        );
+        let text = "fn t() {\n    let a = Instant::now();\n    let r = rand::thread_rng();\n}\n";
         let diags = check(&ws("crates/core/src/vr.rs", text));
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert_eq!(diags[0].line, 2);
@@ -128,15 +115,15 @@ mod tests {
 
     #[test]
     fn comments_do_not_trip() {
-        let text = format!("// mention of {} in prose\n", concat!("System", "Time"));
+        let text = "// mention of SystemTime in prose\n";
         assert!(check(&ws("crates/core/src/vr.rs", text)).is_empty());
     }
 
     #[test]
     fn hash_collections_flagged_only_in_stats_paths() {
-        let text = format!("use std::collections::{};\n", concat!("Hash", "Map"));
-        assert!(check(&ws("crates/core/src/vr.rs", text.clone())).is_empty());
-        let diags = check(&ws("crates/sim/src/experiments/mod.rs", text.clone()));
+        let text = "use std::collections::HashMap;\n";
+        assert!(check(&ws("crates/core/src/vr.rs", text)).is_empty());
+        let diags = check(&ws("crates/sim/src/experiments/mod.rs", text));
         assert_eq!(diags.len(), 1);
         let diags = check(&ws("crates/cache/src/stats.rs", text));
         assert_eq!(diags.len(), 1);

@@ -9,49 +9,34 @@
 //! translation seams (see [`domain::SANCTIONED`](crate::domain) and the
 //! `crates/mem` blanket). Flags aggregate to
 //! `(file, function, kind) → count` rows pinned in
-//! `crates/analysis/domain_baseline.txt` with the same **ratchet
-//! semantics** as the hot-path baseline: an unpinned site fails the
-//! gate, growth fails, shrinkage (or a stale row) demands a smaller
-//! re-pin. The pin is regenerated byte-deterministically by
-//! `cargo run -p vrcache-analysis --bin lint -- --write-domain-baseline`,
-//! which `scripts/check.sh` gates behind a clean tier-1 run
-//! (`REPIN=domain`).
+//! `crates/analysis/domain_baseline.txt` and compared by the shared
+//! [`ratchet`](crate::ratchet), exactly like the hot-path baseline: an
+//! unpinned site or a grown count fails the gate, and shrinkage (or a
+//! stale row) demands a smaller re-pin (`--write domain`, gated by
+//! `REPIN=domain scripts/check.sh`).
 //!
 //! The lint is inactive while no source names an address newtype
 //! (minimized test workspaces).
 
 use std::collections::BTreeMap;
 
-use crate::domain::{self, Analysis, SiteKey};
+use crate::domain::{self, Analysis};
+use crate::ratchet::{crate_of, Ratchet};
 use crate::{Diagnostic, Workspace};
 
-const LINT: &str = "address-domain";
-const BASELINE_PATH: &str = "crates/analysis/domain_baseline.txt";
-const REPIN: &str =
-    "re-pin with `cargo run -p vrcache-analysis --bin lint -- --write-domain-baseline` \
-     after a clean tier-1 run (`REPIN=domain scripts/check.sh`)";
-
-/// Renders the byte-deterministic baseline for an analysis: a fixed
-/// header plus one `file qualified-fn kind count` row per flagged site,
-/// sorted.
-pub fn render_baseline(a: &Analysis) -> String {
-    let mut out = String::from(
-        "# address-domain baseline — cross-domain address flows the\n\
-         # interprocedural dataflow analysis (src/domain.rs) cannot prove safe.\n\
-         # Format: <file> <qualified-fn> <kind> <count>\n\
-         # Kinds: [may-][raw-]<from>-to-<to> (a value witnessing <from>\n\
-         # reaches a <to> sink), mixed-raw-param (a bare-integer parameter\n\
-         # inferred to carry both virtual- and physical-family values).\n\
-         # Ratchet: new sites fail the lint; removed sites demand a re-pin;\n\
-         # counts only go down. Regenerate after a clean tier-1 run with\n\
-         # `WRITE_DOMAIN_BASELINE=1 scripts/check.sh` (or the lint binary's\n\
-         # --write-domain-baseline flag).\n",
-    );
-    for ((file, qual, kind), lines) in &a.flags {
-        out.push_str(&format!("{file} {qual} {kind} {}\n", lines.len()));
-    }
-    out
-}
+/// The address-domain baseline's ratchet.
+pub const RATCHET: Ratchet = Ratchet {
+    lint: "address-domain",
+    repin: "domain",
+    path: "crates/analysis/domain_baseline.txt",
+    about: "cross-domain address flows the\n\
+            # interprocedural dataflow analysis (src/domain.rs) cannot prove safe.\n\
+            # Kinds: [may-][raw-]<from>-to-<to> (a value witnessing <from>\n\
+            # reaches a <to> sink), mixed-raw-param (a bare-integer parameter\n\
+            # inferred to carry both virtual- and physical-family values).\n",
+    noun: "cross-domain flow",
+    fix: "route it through a sanctioned translation or a typed newtype",
+};
 
 /// Renders the human-readable report: flagged sites with their lines,
 /// then the inferred domains of every bare-integer parameter, then
@@ -81,7 +66,7 @@ pub fn report(a: &Analysis) -> String {
     if !any {
         out.push_str("  none carried a typed witness\n");
     }
-    let mut per_crate: BTreeMap<String, usize> = BTreeMap::new();
+    let mut per_crate: BTreeMap<&str, usize> = BTreeMap::new();
     for ((file, _, _), lines) in &a.flags {
         *per_crate.entry(crate_of(file)).or_default() += lines.len();
     }
@@ -97,150 +82,13 @@ pub fn report(a: &Analysis) -> String {
     out
 }
 
-fn crate_of(file: &str) -> String {
-    let mut parts = file.split('/');
-    match (parts.next(), parts.next()) {
-        (Some("crates"), Some(c)) => c.to_string(),
-        (Some(first), _) => first.to_string(),
-        (None, _) => String::new(),
-    }
-}
-
-/// A parsed baseline row: pinned count plus the row's own line number.
-struct Pin {
-    line: usize,
-    count: usize,
-}
-
-fn parse_baseline(text: &str) -> (BTreeMap<SiteKey, Pin>, Vec<Diagnostic>) {
-    let mut pins = BTreeMap::new();
-    let mut diags = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match fields.as_slice() {
-            [file, qual, kind, count] => count
-                .parse::<usize>()
-                .ok()
-                .map(|c| ((file.to_string(), qual.to_string(), kind.to_string()), c)),
-            _ => None,
-        };
-        let Some((key, count)) = parsed else {
-            diags.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: idx + 1,
-                lint: LINT,
-                message: "malformed row — expected `<file> <qualified-fn> <kind> <count>`"
-                    .to_string(),
-            });
-            continue;
-        };
-        if pins
-            .insert(
-                key.clone(),
-                Pin {
-                    line: idx + 1,
-                    count,
-                },
-            )
-            .is_some()
-        {
-            diags.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: idx + 1,
-                lint: LINT,
-                message: format!("duplicate row for `{} {} {}`", key.0, key.1, key.2),
-            });
-        }
-    }
-    (pins, diags)
-}
-
-fn fmt_lines(lines: &std::collections::BTreeSet<usize>) -> String {
-    let rendered: Vec<String> = lines.iter().take(8).map(usize::to_string).collect();
-    let tail = if lines.len() > 8 { ", …" } else { "" };
-    format!("line(s) {}{tail}", rendered.join(", "))
-}
-
 /// Runs the address-domain lint.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let a = domain::analyze(ws);
     if !a.active {
         return Vec::new();
     }
-    let mut out = Vec::new();
-
-    let Some(baseline_text) = &ws.domain_baseline else {
-        out.push(Diagnostic {
-            file: BASELINE_PATH.to_string(),
-            line: 0,
-            lint: LINT,
-            message: format!("missing address-domain baseline — {REPIN}"),
-        });
-        return out;
-    };
-    let (pins, issues) = parse_baseline(baseline_text);
-    out.extend(issues);
-
-    for (key, lines) in &a.flags {
-        let (file, qual, kind) = key;
-        match pins.get(key) {
-            None => out.push(Diagnostic {
-                file: file.clone(),
-                line: lines.first().copied().unwrap_or(0),
-                lint: LINT,
-                message: format!(
-                    "new cross-domain flow `{kind}` in `{qual}` ({} at {}) — route it \
-                     through a sanctioned translation, a typed newtype, or justify it \
-                     and {REPIN}",
-                    lines.len(),
-                    fmt_lines(lines)
-                ),
-            }),
-            Some(pin) if lines.len() > pin.count => out.push(Diagnostic {
-                file: file.clone(),
-                line: lines.first().copied().unwrap_or(0),
-                lint: LINT,
-                message: format!(
-                    "cross-domain `{kind}` flows in `{qual}` grew {} → {} ({}) — the \
-                     ratchet only goes down; remove the new flow or justify it and {REPIN}",
-                    pin.count,
-                    lines.len(),
-                    fmt_lines(lines)
-                ),
-            }),
-            Some(pin) if lines.len() < pin.count => out.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: pin.line,
-                lint: LINT,
-                message: format!(
-                    "cross-domain `{kind}` debt in `{qual}` shrank {} → {} — the \
-                     improvement must be recorded: {REPIN}",
-                    pin.count,
-                    lines.len()
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (key, pin) in &pins {
-        if !a.flags.contains_key(key) {
-            out.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: pin.line,
-                lint: LINT,
-                message: format!(
-                    "stale row `{} {} {}` — no such flow is found today (the code \
-                     improved or moved): {REPIN}",
-                    key.0, key.1, key.2
-                ),
-            });
-        }
-    }
-    out
+    RATCHET.check(ws.domain_baseline.as_deref(), &a.flags)
 }
 
 #[cfg(test)]
@@ -313,7 +161,7 @@ mod tests {
         let diags = check(&ws(CONFUSED, Some(over)));
         assert_eq!(diags.len(), 1, "{diags:#?}");
         assert!(diags[0].message.contains("shrank 2 → 1"), "{diags:#?}");
-        assert_eq!(diags[0].file, BASELINE_PATH);
+        assert_eq!(diags[0].file, RATCHET.path);
     }
 
     #[test]
@@ -333,8 +181,8 @@ mod tests {
     fn baseline_rendering_is_deterministic_and_sorted() {
         let a1 = domain::analyze(&ws(CONFUSED, None));
         let a2 = domain::analyze(&ws(CONFUSED, None));
-        let b1 = render_baseline(&a1);
-        assert_eq!(b1, render_baseline(&a2), "byte-identical");
+        let b1 = RATCHET.render(&a1.flags);
+        assert_eq!(b1, RATCHET.render(&a2.flags), "byte-identical");
         let rows: Vec<&str> = b1.lines().filter(|l| !l.starts_with('#')).collect();
         let mut sorted = rows.clone();
         sorted.sort();

@@ -20,15 +20,10 @@
 //!   (growth reallocation debt).
 //!
 //! Sites aggregate to `(file, function, kind) → count` rows pinned in
-//! `crates/analysis/hotpath_baseline.txt` with **ratchet semantics**: a
-//! site not covered by the baseline fails the gate; a count above the
-//! pin fails; a count *below* the pin (or a stale row) also fails, with
-//! a message demanding the baseline be re-pinned smaller — so the debt
-//! can never silently grow and every improvement is recorded. The pin
-//! is regenerated byte-deterministically by
-//! `cargo run -p vrcache-analysis --bin lint -- --write-hotpath-baseline`,
-//! which `scripts/check.sh` gates behind a clean tier-1 run
-//! (`REPIN=hotpath`).
+//! `crates/analysis/hotpath_baseline.txt` and compared by the shared
+//! [`ratchet`](crate::ratchet): a new site or a grown count fails the
+//! gate, and a shrunken count or stale row demands a smaller re-pin
+//! (`--write hotpath`, gated by `REPIN=hotpath scripts/check.sh`).
 //!
 //! The lint is inactive while no configured hot root resolves (seed
 //! trees, minimized test workspaces).
@@ -36,46 +31,47 @@
 use std::collections::BTreeMap;
 
 use crate::callgraph::{self, HotRoot};
+use crate::ratchet::{crate_of, Ratchet, Sites};
 use crate::{contains_word, Diagnostic, Workspace};
 
-const LINT: &str = "hot-path-hygiene";
-const BASELINE_PATH: &str = "crates/analysis/hotpath_baseline.txt";
-const REPIN: &str =
-    "re-pin with `cargo run -p vrcache-analysis --bin lint -- --write-hotpath-baseline` \
-     after a clean tier-1 run (`REPIN=hotpath scripts/check.sh`)";
+/// The hot-path baseline's ratchet.
+pub const RATCHET: Ratchet = Ratchet {
+    lint: "hot-path-hygiene",
+    repin: "hotpath",
+    path: "crates/analysis/hotpath_baseline.txt",
+    about: "allocation and slow-structure sites\n\
+            # reachable from the configured hot roots (src/callgraph.rs HOT_ROOTS).\n",
+    noun: "hot-path site",
+    fix: "remove the allocation",
+};
 
-// Needles are concat!-split so a scan of this very file cannot match
-// its own pattern table.
 const NEEDLES: &[(&str, &str)] = &[
-    (concat!("Vec:", ":new("), "vec-new"),
-    (concat!("vec", "!"), "vec-macro"),
-    (concat!("Box:", ":new("), "box-new"),
-    (concat!("for", "mat!"), "format"),
-    (concat!("String:", ":new("), "string-new"),
-    (concat!(".to_", "string("), "to-string"),
-    (concat!(".to_", "owned("), "to-owned"),
-    (concat!(".to_", "vec("), "to-vec"),
-    (concat!(".col", "lect"), "collect"),
-    (concat!(".cl", "one("), "clone"),
-    (concat!(".ent", "ry("), "map-entry"),
-    (concat!(".ins", "ert("), "insert"),
+    ("Vec::new(", "vec-new"),
+    ("vec!", "vec-macro"),
+    ("Box::new(", "box-new"),
+    ("format!", "format"),
+    ("String::new(", "string-new"),
+    (".to_string(", "to-string"),
+    (".to_owned(", "to-owned"),
+    (".to_vec(", "to-vec"),
+    (".collect", "collect"),
+    (".clone(", "clone"),
+    (".entry(", "map-entry"),
+    (".insert(", "insert"),
 ];
-const BTREE_WORDS: &[&str] = &[concat!("BTree", "Map"), concat!("BTree", "Set")];
-const PUSH_NEEDLE: &str = concat!(".pu", "sh(");
-const RESERVE_NEEDLE: &str = concat!("with_", "capacity");
+const BTREE_WORDS: &[&str] = &["BTreeMap", "BTreeSet"];
+const PUSH_NEEDLE: &str = ".push(";
+const RESERVE_NEEDLE: &str = "with_capacity";
 
 /// One hot function: `(file, qualified name, declaration line)`.
 pub type HotFn = (String, String, usize);
-
-/// Site key: `(file, qualified function name, kind)`.
-pub type SiteKey = (String, String, String);
 
 /// The result of scanning the hot set for allocation debt.
 #[derive(Debug, Default)]
 pub struct HotScan {
     /// Flagged sites: key → 1-based lines (one entry per occurrence,
     /// sorted; the row count is the vector's length).
-    pub sites: BTreeMap<SiteKey, Vec<usize>>,
+    pub sites: Sites,
     /// Every function in the hot set, sorted by (file, name, line).
     pub hot_fns: Vec<HotFn>,
     /// Configured roots that did not resolve to any parsed function.
@@ -132,29 +128,11 @@ pub fn scan(ws: &Workspace) -> HotScan {
     out
 }
 
-/// Renders the byte-deterministic baseline for `scan`: a fixed header
-/// plus one `file qualified-fn kind count` row per site key, sorted.
-pub fn render_baseline(scan: &HotScan) -> String {
-    let mut out = String::from(
-        "# hot-path-hygiene baseline — allocation and slow-structure sites\n\
-         # reachable from the configured hot roots (src/callgraph.rs HOT_ROOTS).\n\
-         # Format: <file> <qualified-fn> <kind> <count>\n\
-         # Ratchet: new sites fail the lint; removed sites demand a re-pin;\n\
-         # counts only go down. Regenerate after a clean tier-1 run with\n\
-         # `REPIN=hotpath scripts/check.sh` (or the lint binary's\n\
-         # --write-hotpath-baseline flag).\n",
-    );
-    for ((file, qual, kind), lines) in &scan.sites {
-        out.push_str(&format!("{file} {qual} {kind} {}\n", lines.len()));
-    }
-    out
-}
-
 /// Renders the per-crate attribution report: hot-function and pinned
 /// site counts per crate, then totals.
 pub fn attribution(scan: &HotScan) -> String {
-    let mut fns: BTreeMap<String, usize> = BTreeMap::new();
-    let mut sites: BTreeMap<String, usize> = BTreeMap::new();
+    let mut fns: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut sites: BTreeMap<&str, usize> = BTreeMap::new();
     for (file, _, _) in &scan.hot_fns {
         *fns.entry(crate_of(file)).or_default() += 1;
     }
@@ -176,165 +154,30 @@ pub fn attribution(scan: &HotScan) -> String {
     out
 }
 
-fn crate_of(file: &str) -> String {
-    let mut parts = file.split('/');
-    match (parts.next(), parts.next()) {
-        (Some("crates"), Some(c)) => c.to_string(),
-        (Some(first), _) => first.to_string(),
-        (None, _) => String::new(),
-    }
-}
-
-/// A parsed baseline row: pinned count plus the row's own line number.
-struct Pin {
-    line: usize,
-    count: usize,
-}
-
-fn parse_baseline(text: &str) -> (BTreeMap<SiteKey, Pin>, Vec<Diagnostic>) {
-    let mut pins = BTreeMap::new();
-    let mut diags = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match fields.as_slice() {
-            [file, qual, kind, count] => count
-                .parse::<usize>()
-                .ok()
-                .map(|c| ((file.to_string(), qual.to_string(), kind.to_string()), c)),
-            _ => None,
-        };
-        let Some((key, count)) = parsed else {
-            diags.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: idx + 1,
-                lint: LINT,
-                message: "malformed row — expected `<file> <qualified-fn> <kind> <count>`"
-                    .to_string(),
-            });
-            continue;
-        };
-        if pins
-            .insert(
-                key.clone(),
-                Pin {
-                    line: idx + 1,
-                    count,
-                },
-            )
-            .is_some()
-        {
-            diags.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: idx + 1,
-                lint: LINT,
-                message: format!("duplicate row for `{} {} {}`", key.0, key.1, key.2),
-            });
-        }
-    }
-    (pins, diags)
-}
-
-fn fmt_lines(lines: &[usize]) -> String {
-    let rendered: Vec<String> = lines.iter().take(8).map(usize::to_string).collect();
-    let tail = if lines.len() > 8 { ", …" } else { "" };
-    format!("line(s) {}{tail}", rendered.join(", "))
-}
-
 /// Runs the hot-path-hygiene lint.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let scan = scan(ws);
     if !scan.active {
         return Vec::new();
     }
-    let mut out = Vec::new();
-
-    for root in &scan.missing_roots {
-        // Only a root whose home file exists is drift; a fixture
-        // workspace without that subsystem is simply smaller.
-        if ws.file(root.home_file).is_some() {
-            out.push(Diagnostic {
-                file: root.home_file.to_string(),
-                line: 0,
-                lint: LINT,
-                message: format!(
-                    "hot root `{}::{}` not found — the HOT_ROOTS table in \
-                     src/callgraph.rs must follow renames",
-                    root.self_ty, root.name
-                ),
-            });
-        }
-    }
-
-    let Some(baseline_text) = &ws.hotpath_baseline else {
-        out.push(Diagnostic {
-            file: BASELINE_PATH.to_string(),
+    // Only a root whose home file exists is drift; a fixture workspace
+    // without that subsystem is simply smaller.
+    let mut out: Vec<Diagnostic> = scan
+        .missing_roots
+        .iter()
+        .filter(|root| ws.file(root.home_file).is_some())
+        .map(|root| Diagnostic {
+            file: root.home_file.to_string(),
             line: 0,
-            lint: LINT,
-            message: format!("missing hot-path baseline — {REPIN}"),
-        });
-        return out;
-    };
-    let (pins, issues) = parse_baseline(baseline_text);
-    out.extend(issues);
-
-    for (key, lines) in &scan.sites {
-        let (file, qual, kind) = key;
-        match pins.get(key) {
-            None => out.push(Diagnostic {
-                file: file.clone(),
-                line: lines.first().copied().unwrap_or(0),
-                lint: LINT,
-                message: format!(
-                    "new hot-path `{kind}` site in `{qual}` ({} at {}), reachable from \
-                     the hot roots — remove the allocation or justify it and {REPIN}",
-                    lines.len(),
-                    fmt_lines(lines)
-                ),
-            }),
-            Some(pin) if lines.len() > pin.count => out.push(Diagnostic {
-                file: file.clone(),
-                line: lines.first().copied().unwrap_or(0),
-                lint: LINT,
-                message: format!(
-                    "hot-path `{kind}` sites in `{qual}` grew {} → {} ({}) — the ratchet \
-                     only goes down; remove the new site or justify it and {REPIN}",
-                    pin.count,
-                    lines.len(),
-                    fmt_lines(lines)
-                ),
-            }),
-            Some(pin) if lines.len() < pin.count => out.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: pin.line,
-                lint: LINT,
-                message: format!(
-                    "hot-path `{kind}` debt in `{qual}` shrank {} → {} — the improvement \
-                     must be recorded: {REPIN}",
-                    pin.count,
-                    lines.len()
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (key, pin) in &pins {
-        if !scan.sites.contains_key(key) {
-            out.push(Diagnostic {
-                file: BASELINE_PATH.to_string(),
-                line: pin.line,
-                lint: LINT,
-                message: format!(
-                    "stale row `{} {} {}` — no such site is scanned today (the code \
-                     improved or moved): {REPIN}",
-                    key.0, key.1, key.2
-                ),
-            });
-        }
-    }
+            lint: RATCHET.lint,
+            message: format!(
+                "hot root `{}::{}` not found — the HOT_ROOTS table in \
+                 src/callgraph.rs must follow renames",
+                root.self_ty, root.name
+            ),
+        })
+        .collect();
+    out.extend(RATCHET.check(ws.hotpath_baseline.as_deref(), &scan.sites));
     out
 }
 
@@ -389,7 +232,7 @@ mod tests {
 
         let diags = check(&ws(hot_src("let b = Box::new(2);"), Some(CLEAN_BASELINE)));
         assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("new hot-path `box-new` site"));
+        assert!(diags[0].message.contains("new hot-path site `box-new`"));
         assert_eq!(diags[0].file, "crates/core/src/vr.rs");
     }
 
@@ -410,7 +253,7 @@ mod tests {
         let diags = check(&ws(hot_src(""), Some(over_pinned)));
         assert_eq!(diags.len(), 1, "{diags:#?}");
         assert!(diags[0].message.contains("shrank 2 → 1"), "{diags:#?}");
-        assert_eq!(diags[0].file, BASELINE_PATH);
+        assert_eq!(diags[0].file, RATCHET.path);
     }
 
     #[test]
@@ -476,8 +319,8 @@ mod tests {
     fn baseline_rendering_is_deterministic_and_sorted() {
         let scan1 = scan(&ws(hot_src("let c = x.clone();"), None));
         let scan2 = scan(&ws(hot_src("let c = x.clone();"), None));
-        let b1 = render_baseline(&scan1);
-        assert_eq!(b1, render_baseline(&scan2), "byte-identical");
+        let b1 = RATCHET.render(&scan1.sites);
+        assert_eq!(b1, RATCHET.render(&scan2.sites), "byte-identical");
         let rows: Vec<&str> = b1.lines().filter(|l| !l.starts_with('#')).collect();
         let mut sorted = rows.clone();
         sorted.sort();

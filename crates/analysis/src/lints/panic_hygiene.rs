@@ -10,17 +10,15 @@
 //! held to the same bar: a counterexample must surface as a typed
 //! `Violation`, never as a panic mid-search. The cache and bus crates
 //! sit under core on every simulated access, so their library code is
-//! strict too. Test modules (everything after the `#[cfg(test)]`
-//! marker) and `src/bin/` entry points are exempt, as are the other
-//! crates, whose binaries and experiment harnesses may legitimately
-//! fail fast.
+//! strict too. Items gated by `#[cfg(test)]` (test modules and
+//! test-only helpers alike, wherever they sit in the file) and `src/bin/`
+//! entry points are exempt, as are the other crates, whose binaries and
+//! experiment harnesses may legitimately fail fast.
 
-use crate::{code_portion, contains_word, Diagnostic, Workspace};
+use crate::walk::scan_source;
+use crate::{contains_word, Diagnostic, Workspace};
 
-// concat!-split so this file does not flag its own needle table.
-const UNSAFE_NEEDLE: &str = concat!("uns", "afe");
-const PANIC_NEEDLES: &[&str] = &[concat!(".unw", "rap()"), concat!(".exp", "ect(")];
-const TEST_MARKER: &str = concat!("#[cfg(", "test)]");
+const PANIC_NEEDLES: &[&str] = &[".unwrap()", ".expect("];
 
 /// Crates whose library code (everything under `src/` except `src/bin/`)
 /// must surface broken invariants as typed violations, not panics. The
@@ -47,40 +45,30 @@ fn strict_lib(rel_path: &str) -> bool {
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.sources {
-        let core_lib = strict_lib(&file.rel_path);
-        let mut in_tests = false;
-        for (idx, raw) in file.text.lines().enumerate() {
-            let line = code_portion(raw);
-            if line.contains(TEST_MARKER) {
-                // Workspace style keeps the test module at the bottom of
-                // the file, so everything from here on is test code.
-                in_tests = true;
-            }
-            if contains_word(line, UNSAFE_NEEDLE) {
+        let strict = strict_lib(&file.rel_path);
+        for line in scan_source(&file.text) {
+            let mut flag = |message: String| {
                 out.push(Diagnostic {
                     file: file.rel_path.clone(),
-                    line: idx + 1,
+                    line: line.line,
                     lint: "panic-hygiene",
-                    message: format!(
-                        "`{UNSAFE_NEEDLE}` is forbidden across the workspace \
-                         (every crate carries #![forbid({UNSAFE_NEEDLE}_code)])"
-                    ),
-                });
+                    message,
+                })
+            };
+            if contains_word(&line.code, "unsafe") {
+                flag(
+                    "`unsafe` is forbidden across the workspace \
+                     (every crate carries #![forbid(unsafe_code)])"
+                        .into(),
+                );
             }
-            if core_lib && !in_tests {
-                for needle in PANIC_NEEDLES {
-                    if line.contains(needle) {
-                        out.push(Diagnostic {
-                            file: file.rel_path.clone(),
-                            line: idx + 1,
-                            lint: "panic-hygiene",
-                            message: format!(
-                                "`{needle}..` in strict-crate library code: surface a typed \
-                                 invariant violation or use `let .. else` with a \
-                                 named unreachable!()"
-                            ),
-                        });
-                    }
+            if strict && !line.in_test {
+                for needle in PANIC_NEEDLES.iter().filter(|n| line.code.contains(*n)) {
+                    flag(format!(
+                        "`{needle}..` in strict-crate library code: surface a typed \
+                         invariant violation or use `let .. else` with a \
+                         named unreachable!()"
+                    ));
                 }
             }
         }
@@ -93,39 +81,50 @@ mod tests {
     use super::*;
     use crate::SourceFile;
 
-    fn ws(path: &str, text: String) -> Workspace {
+    fn ws(path: &str, text: &str) -> Workspace {
         Workspace {
             sources: vec![SourceFile::new(path, text)],
             ..Workspace::default()
         }
     }
 
-    fn unwrap_line() -> String {
-        format!("    let x = y{};\n", concat!(".unw", "rap()"))
-    }
+    const UNWRAP_LINE: &str = "    let x = y.unwrap();\n";
 
     #[test]
     fn flags_unwrap_in_core_lib() {
-        let diags = check(&ws("crates/core/src/vr.rs", unwrap_line()));
+        let diags = check(&ws("crates/core/src/vr.rs", UNWRAP_LINE));
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
 
     #[test]
     fn other_crates_may_unwrap() {
-        assert!(check(&ws("crates/sim/src/system.rs", unwrap_line())).is_empty());
+        assert!(check(&ws("crates/sim/src/system.rs", UNWRAP_LINE)).is_empty());
     }
 
     #[test]
     fn core_test_modules_may_unwrap() {
-        let text = format!("{}\nmod tests {{\n{}\n}}\n", TEST_MARKER, unwrap_line());
-        assert!(check(&ws("crates/core/src/vr.rs", text)).is_empty());
+        let text = format!("#[cfg(test)]\nmod tests {{\n{UNWRAP_LINE}\n}}\n");
+        assert!(check(&ws("crates/core/src/vr.rs", &text)).is_empty());
+    }
+
+    #[test]
+    fn library_code_after_a_gated_helper_is_still_strict() {
+        // A test-only helper near the top of the file used to exempt
+        // everything below it; only the gated item itself is exempt.
+        let text = format!(
+            "#[cfg(test)]\nfn corrupt_parts() {{\n{UNWRAP_LINE}}}\n\
+             fn access() {{\n{UNWRAP_LINE}}}\n"
+        );
+        let diags = check(&ws("crates/core/src/vr.rs", &text));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 6);
     }
 
     #[test]
     fn model_lib_is_strict_but_its_bin_is_not() {
-        let diags = check(&ws("crates/model/src/world.rs", unwrap_line()));
+        let diags = check(&ws("crates/model/src/world.rs", UNWRAP_LINE));
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(check(&ws("crates/model/src/bin/main.rs", unwrap_line())).is_empty());
+        assert!(check(&ws("crates/model/src/bin/main.rs", UNWRAP_LINE)).is_empty());
     }
 
     #[test]
@@ -135,28 +134,26 @@ mod tests {
             "crates/bus/src/txn.rs",
             "crates/exec/src/lib.rs",
         ] {
-            let diags = check(&ws(path, unwrap_line()));
+            let diags = check(&ws(path, UNWRAP_LINE));
             assert_eq!(diags.len(), 1, "{path}: {diags:?}");
         }
     }
 
     #[test]
     fn expect_flagged_in_core_lib() {
-        let text = format!("let x = y{}\"msg\");\n", concat!(".exp", "ect("));
-        let diags = check(&ws("crates/core/src/rcache.rs", text));
+        let diags = check(&ws(
+            "crates/core/src/rcache.rs",
+            "let x = y.expect(\"msg\");\n",
+        ));
         assert_eq!(diags.len(), 1);
     }
 
     #[test]
     fn unsafe_flagged_everywhere() {
-        let text = format!("{} fn f() {{}}\n", UNSAFE_NEEDLE);
-        let diags = check(&ws("crates/trace/src/codec.rs", text));
+        let diags = check(&ws("crates/trace/src/codec.rs", "unsafe fn f() {}\n"));
         assert_eq!(diags.len(), 1);
         // ... even in test modules.
-        let text = format!(
-            "{}\nmod tests {{ {} fn f() {{}} }}\n",
-            TEST_MARKER, UNSAFE_NEEDLE
-        );
+        let text = "#[cfg(test)]\nmod tests { unsafe fn f() {} }\n";
         assert_eq!(check(&ws("crates/core/src/vr.rs", text)).len(), 1);
     }
 }

@@ -38,7 +38,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{parse_nodes, FnNode};
 use crate::flow::{self, Ctx, FlowNode, Lens, Tri};
+use crate::walk::{enum_variants, path_idents, scan_source};
 use crate::Workspace;
+
+/// Where the pinned spec lives, relative to the workspace root.
+pub const SPEC_PATH: &str = "crates/analysis/protocol_spec.txt";
 
 /// Fixed header of the pinned spec file.
 pub const SPEC_HEADER: &str = "\
@@ -48,8 +52,8 @@ pub const SPEC_HEADER: &str = "\
 # `?` marks a path-dependent (may) fact; `|` joins alternative states.
 # Ratchet: any drift from the snoop handlers fails the `protocol-spec`
 # lint. Regenerate after a clean tier-1 run with
-# `WRITE_PROTOCOL_SPEC=1 scripts/check.sh` (or the lint binary's
-# --write-protocol-spec flag).
+# `REPIN=protocol scripts/check.sh` (or the lint binary's
+# `--write protocol` flag).
 ";
 
 /// One hierarchy the extractor knows how to read.
@@ -119,13 +123,11 @@ pub struct ProtocolSurface {
     /// Hierarchies whose home file exists but whose `snoop` handler the
     /// extractor could not find — a lint error, not a silent skip.
     pub missing_snoop: Vec<String>,
-    /// Kebab-cased bus-op universe used for the matrix.
-    pub ops: Vec<String>,
 }
 
 /// CamelCase → kebab-case (`ReadModifiedWrite` → `read-modified-write`),
 /// matching the model checker's label convention.
-fn kebab_case(ident: &str) -> String {
+pub fn kebab_case(ident: &str) -> String {
     let mut out = String::new();
     for c in ident.chars() {
         if c.is_ascii_uppercase() {
@@ -140,61 +142,27 @@ fn kebab_case(ident: &str) -> String {
     out
 }
 
-/// The bus-op variant universe: read from the `BusOp` enum declaration
-/// in `crates/bus/src/txn.rs` when the workspace has it, otherwise the
-/// union of `BusOp::X` mentions across the hierarchy home files (the
-/// fixture-workspace fallback).
+/// The bus-op variant universe: the `BusOp` enum declared in
+/// `crates/bus/src/txn.rs` when the workspace has it, otherwise the
+/// union of `BusOp::X` / `BusRequest::X` mentions across the hierarchy
+/// home files (the fixture-workspace fallback).
 fn bus_op_variants(ws: &Workspace) -> Vec<String> {
-    if let Some(f) = ws.file("crates/bus/src/txn.rs") {
-        let text = &f.text;
-        if let Some(pos) = text.find("pub enum BusOp") {
-            let after = &text[pos..];
-            if let Some(open) = after.find('{') {
-                if let Some(close) = after[open..].find('}') {
-                    let body = &after[open + 1..open + close];
-                    let mut out = Vec::new();
-                    for line in body.lines() {
-                        let t = line.trim().trim_end_matches(',');
-                        if !t.is_empty()
-                            && !t.starts_with("//")
-                            && !t.starts_with('#')
-                            && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                        {
-                            out.push(t.to_string());
-                        }
-                    }
-                    if !out.is_empty() {
-                        return out;
-                    }
-                }
-            }
-        }
+    let declared = ws
+        .file("crates/bus/src/txn.rs")
+        .map(|f| enum_variants(&f.text, "BusOp").0)
+        .unwrap_or_default();
+    if !declared.is_empty() {
+        return declared;
     }
     let mut seen = BTreeSet::new();
-    for h in HIERARCHIES {
-        let Some(text) = source_of(ws, h.home_file) else {
-            continue;
-        };
-        for marker in ["BusOp::", "BusRequest::"] {
-            let mut rest: &str = text;
-            while let Some(pos) = rest.find(marker) {
-                let after = &rest[pos + marker.len()..];
-                let ident: String = after
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                if !ident.is_empty() && ident != "ALL" {
-                    seen.insert(ident);
-                }
-                rest = after;
+    for file in HIERARCHIES.iter().filter_map(|h| ws.file(h.home_file)) {
+        for line in scan_source(&file.text) {
+            for marker in ["BusOp::", "BusRequest::"] {
+                seen.extend(path_idents(&line.code, marker).filter(|ident| ident != "ALL"));
             }
         }
     }
     seen.into_iter().collect()
-}
-
-fn source_of<'a>(ws: &'a Workspace, rel: &str) -> Option<&'a str> {
-    ws.file(rel).map(|f| f.text.as_str())
 }
 
 fn reply_label(has_copy: Tri, supplied: Tri) -> String {
@@ -241,12 +209,11 @@ fn states_label(states: &BTreeSet<Ctx>) -> String {
 pub fn extract(ws: &Workspace) -> ProtocolSurface {
     let mut surface = ProtocolSurface::default();
     let variants = bus_op_variants(ws);
-    surface.ops = variants.iter().map(|v| kebab_case(v)).collect();
     for h in HIERARCHIES {
-        let Some(text) = source_of(ws, h.home_file) else {
+        let Some(file) = ws.file(h.home_file) else {
             continue;
         };
-        let nodes = parse_nodes(h.home_file, text);
+        let nodes = parse_nodes(h.home_file, &file.text);
         let of_ty: Vec<&FnNode> = nodes
             .iter()
             .filter(|n| n.self_ty.as_deref() == Some(h.self_ty))
@@ -304,20 +271,13 @@ pub fn extract(ws: &Workspace) -> ProtocolSurface {
         let mut issuers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for n in &of_ty {
             for (_, code) in &n.body {
-                let mut rest = code.as_str();
-                while let Some(pos) = rest.find("BusRequest::") {
-                    let after = &rest[pos + "BusRequest::".len()..];
-                    let ident: String = after
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                        .collect();
-                    if variants.iter().any(|v| v == &ident) {
+                for ident in path_idents(code, "BusRequest::") {
+                    if variants.contains(&ident) {
                         issuers
                             .entry(kebab_case(&ident))
                             .or_default()
                             .insert(n.name.clone());
                     }
-                    rest = after;
                 }
             }
         }
@@ -345,7 +305,7 @@ pub fn render(surface: &ProtocolSurface) -> String {
     out
 }
 
-/// Human-readable per-hierarchy report for `--protocol-report`.
+/// Human-readable per-hierarchy report for `--report protocol`.
 pub fn report(surface: &ProtocolSurface) -> String {
     let mut out = String::new();
     for h in HIERARCHIES {
@@ -371,13 +331,6 @@ pub fn report(surface: &ProtocolSurface) -> String {
         out.push('\n');
     }
     out
-}
-
-/// The spec-derived dead `(hierarchy, op)` pairs, for the
-/// `transition-coverage` lint (so the two lints cannot disagree about
-/// which ops a hierarchy rejects).
-pub fn dead_pairs(ws: &Workspace) -> BTreeSet<(String, String)> {
-    extract(ws).dead
 }
 
 #[cfg(test)]
@@ -502,7 +455,32 @@ impl VrHierarchy {
     }
 
     #[test]
+    fn helper_methods_do_not_leak_into_the_snoop_surface() {
+        // `snoop_read` mentions Update, but the handler has no Update
+        // arm: the op stays dead and only the handler's own arm lives.
+        let src = "\
+impl VrHierarchy {
+    fn snoop_read(&mut self) {
+        BusOp::Update;
+    }
+    fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
+        match txn.op { BusOp::ReadMiss => x() }
+    }
+}
+";
+        let s = extract(&ws(&[("crates/core/src/vr.rs", src)]));
+        assert!(
+            s.rows
+                .contains(&"vr absent read-miss -> absent nocopy -".to_string()),
+            "{:#?}",
+            s.rows
+        );
+        assert!(s.dead.contains(&("vr".into(), "update".into())));
+    }
+
+    #[test]
     fn kebab_matches_model_labels() {
+        assert_eq!(kebab_case("ReadMiss"), "read-miss");
         assert_eq!(kebab_case("ReadModifiedWrite"), "read-modified-write");
         assert_eq!(kebab_case("WriteBack"), "write-back");
         assert_eq!(kebab_case("Update"), "update");

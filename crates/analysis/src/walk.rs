@@ -7,7 +7,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::{SourceFile, Workspace};
+use crate::{contains_word, SourceFile, Workspace};
 
 /// Directories never descended into. `vendor/` holds offline shims for
 /// third-party crates (see vendor/README.md) and is exempt from the
@@ -31,7 +31,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Loads every tracked `.rs` file under `root` (skipping [`SKIP_DIRS`])
-/// plus `DESIGN.md`, the model checker's transition-coverage table, the
+/// plus `DESIGN.md`, the model checker's exercised-transition table, the
 /// mutation and injection baselines, and the latest mutation and
 /// injection reports, into an in-memory [`Workspace`].
 ///
@@ -119,9 +119,7 @@ pub struct ScannedLine {
     pub in_test: bool,
 }
 
-// Spelled as a concat! so the marker string in this file does not make
-// the panic-hygiene lint treat the rest of walk.rs as test code.
-const CFG_TEST_MARKER: &str = concat!("cfg(", "test)");
+const CFG_TEST_MARKER: &str = "cfg(test)";
 
 /// Scans `text` into [`ScannedLine`]s: blanks literals and comments,
 /// then tracks brace depth to mark every line inside a `#[cfg(test)]`
@@ -176,6 +174,40 @@ pub fn scan_source(text: &str) -> Vec<ScannedLine> {
         });
     }
     out
+}
+
+/// The unit variants of `enum <name>` declared in `text`, in
+/// declaration order, plus the 1-based line of the declaration — empty
+/// (and 0) when `text` declares no such enum.
+pub fn enum_variants(text: &str, name: &str) -> (Vec<String>, usize) {
+    let lines = scan_source(text);
+    let decl = format!("enum {name}");
+    let Some(at) = lines.iter().position(|l| contains_word(&l.code, &decl)) else {
+        return (Vec::new(), 0);
+    };
+    let variants = lines[at + 1..]
+        .iter()
+        .map(|l| l.code.trim().trim_end_matches(','))
+        .take_while(|code| *code != "}")
+        .filter(|code| {
+            code.starts_with(|c: char| c.is_ascii_uppercase())
+                && code.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+        .map(str::to_string)
+        .collect();
+    (variants, at + 1)
+}
+
+/// Every identifier that directly follows `marker` in `text`: the
+/// `Variant` of each `Enum::Variant` path when `marker` is `Enum::`.
+pub fn path_idents<'a>(text: &'a str, marker: &'a str) -> impl Iterator<Item = String> + 'a {
+    text.match_indices(marker).filter_map(move |(at, _)| {
+        let ident: String = text[at + marker.len()..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        (!ident.is_empty()).then_some(ident)
+    })
 }
 
 /// Replaces comment text and string/char literal contents with spaces,
@@ -332,17 +364,27 @@ mod tests {
         assert!(ws.domain_baseline.is_some(), "domain baseline loads");
     }
 
-    fn marker() -> String {
-        format!("#[{CFG_TEST_MARKER}]")
+    #[test]
+    fn enum_variants_reads_unit_variants_in_declaration_order() {
+        let src = "// enum BusOp in prose\n#[derive(Debug)]\npub enum BusOp {\n    \
+                   /// A read.\n    ReadMiss,\n    #[default]\n    Write_Back,\n    \
+                   Data(u8),\n}\nenum BusOpKind {\n    X,\n}\n";
+        let want = vec!["ReadMiss".to_string(), "Write_Back".to_string()];
+        assert_eq!(enum_variants(src, "BusOp"), (want, 3));
+        assert_eq!(enum_variants(src, "Missing"), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn path_idents_collects_every_variant_mention() {
+        let code = "BusOp::ReadMiss | BusOp::Update => BusOp::";
+        let got: Vec<String> = path_idents(code, "BusOp::").collect();
+        assert_eq!(got, ["ReadMiss", "Update"]);
     }
 
     #[test]
     fn cfg_test_module_lines_are_marked() {
-        let src = format!(
-            "fn live() {{}}\n{}\nmod tests {{\n    fn helper() {{}}\n}}\nfn after() {{}}\n",
-            marker()
-        );
-        let lines = scan_source(&src);
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\nfn after() {}\n";
+        let lines = scan_source(src);
         let flags: Vec<bool> = lines.iter().map(|l| l.in_test).collect();
         assert_eq!(
             flags,
@@ -353,11 +395,8 @@ mod tests {
 
     #[test]
     fn nested_test_module_inside_live_module() {
-        let src = format!(
-            "mod outer {{\n    fn live() {{}}\n    {}\n    mod tests {{\n        fn t() {{}}\n    }}\n    fn also_live() {{}}\n}}\n",
-            marker()
-        );
-        let lines = scan_source(&src);
+        let src = "mod outer {\n    fn live() {}\n    #[cfg(test)]\n    mod tests {\n        fn t() {}\n    }\n    fn also_live() {}\n}\n";
+        let lines = scan_source(src);
         assert!(!lines[1].in_test, "live fn in outer module");
         assert!(lines[3].in_test && lines[4].in_test && lines[5].in_test);
         assert!(!lines[6].in_test, "module continues after the test block");
@@ -366,11 +405,8 @@ mod tests {
 
     #[test]
     fn stacked_attributes_and_gated_fn() {
-        let src = format!(
-            "{}\n#[allow(dead_code)]\nfn only_for_tests() {{\n    body();\n}}\nfn live() {{}}\n",
-            marker()
-        );
-        let lines = scan_source(&src);
+        let src = "#[cfg(test)]\n#[allow(dead_code)]\nfn only_for_tests() {\n    body();\n}\nfn live() {}\n";
+        let lines = scan_source(src);
         assert!(lines[0].in_test && lines[1].in_test, "{lines:#?}");
         assert!(lines[2].in_test && lines[3].in_test && lines[4].in_test);
         assert!(!lines[5].in_test);

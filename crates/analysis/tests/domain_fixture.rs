@@ -2,7 +2,7 @@
 //! throwaway workspace on disk whose `VrHierarchy::confuse` smuggles a
 //! virtual address into a physical constructor, runs the real `lint`
 //! binary against it, and asserts the gate fails without a baseline,
-//! that `--write-domain-baseline` pins the flow, and that the pinned
+//! that `--write domain` pins the flow, and that the pinned
 //! workspace then passes — until the flow is fixed, when the stale pin
 //! demands a re-pin.
 
@@ -87,7 +87,7 @@ fn seeded_flow_fails_then_pin_then_clean_then_stale() {
     assert!(stdout.contains("VrHierarchy::confuse"), "{stdout}");
 
     // 3. Pin today's flows.
-    let (code, stdout) = run_lint(&root, &["--write-domain-baseline"]);
+    let (code, stdout) = run_lint(&root, &["--write", "domain"]);
     assert_eq!(code, 0, "pinning must succeed: {stdout}");
     let pinned = fs::read_to_string(&baseline).expect("baseline written");
     assert!(
@@ -107,7 +107,7 @@ fn seeded_flow_fails_then_pin_then_clean_then_stale() {
     assert!(stdout.contains("stale row"), "{stdout}");
 
     // 6. Re-pinning shrinks the baseline to zero rows and passes.
-    let (code, stdout) = run_lint(&root, &["--write-domain-baseline"]);
+    let (code, stdout) = run_lint(&root, &["--write", "domain"]);
     assert_eq!(code, 0, "re-pinning must succeed: {stdout}");
     let repinned = fs::read_to_string(&baseline).expect("baseline written");
     assert!(!repinned.contains("VrHierarchy::confuse"), "{repinned}");
@@ -130,7 +130,7 @@ fn json_mode_reports_domain_rows() {
 #[test]
 fn report_mode_names_flows_and_inferred_params() {
     let root = make_fixture("report");
-    let (code, stdout) = run_lint(&root, &["--domain-report"]);
+    let (code, stdout) = run_lint(&root, &["--report", "domain"]);
     assert_eq!(code, 0, "report mode is informational: {stdout}");
     assert!(stdout.contains("address-domain report:"), "{stdout}");
     assert!(stdout.contains("raw-virtual-to-physical"), "{stdout}");
@@ -146,7 +146,7 @@ fn domain_free_workspace_refuses_to_pin() {
         "pub fn plain(x: u64) -> u64 { x }\n",
     )
     .expect("fixture source");
-    let (code, _) = run_lint(&root, &["--write-domain-baseline"]);
+    let (code, _) = run_lint(&root, &["--write", "domain"]);
     assert_eq!(code, 2, "nothing to analyze is a usage error");
     // And the lint itself is inactive: no baseline, yet clean.
     let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);

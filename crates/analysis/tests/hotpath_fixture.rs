@@ -1,7 +1,7 @@
 //! End-to-end fixture test for the `hot-path-hygiene` ratchet: builds a
 //! throwaway workspace on disk whose `VrHierarchy::access` allocates,
 //! runs the real `lint` binary against it, and asserts the gate fails
-//! without a baseline, that `--write-hotpath-baseline` pins the sites,
+//! without a baseline, that `--write hotpath` pins the sites,
 //! and that the pinned workspace then passes.
 
 use std::fs;
@@ -72,7 +72,7 @@ fn seeded_allocation_fails_then_pin_then_clean() {
     assert!(stdout.contains("VrHierarchy::access"), "{stdout}");
 
     // 3. Pin today's sites.
-    let (code, stdout) = run_lint(&root, &["--write-hotpath-baseline"]);
+    let (code, stdout) = run_lint(&root, &["--write", "hotpath"]);
     assert_eq!(code, 0, "pinning must succeed: {stdout}");
     let pinned = fs::read_to_string(&baseline).expect("baseline written");
     assert!(pinned.contains("VrHierarchy::access vec-new 1"), "{pinned}");
@@ -114,7 +114,7 @@ fn list_and_only_flags() {
     let (code, stdout) = run_lint(&root, &["--list"]);
     assert_eq!(code, 0);
     let names: Vec<&str> = stdout.lines().collect();
-    assert_eq!(names.len(), 11, "eleven lints listed: {stdout}");
+    assert_eq!(names.len(), 10, "ten lints listed: {stdout}");
     assert!(names.contains(&"hot-path-hygiene"), "{stdout}");
     assert!(names.contains(&"determinism"), "{stdout}");
 

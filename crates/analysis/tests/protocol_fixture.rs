@@ -87,7 +87,7 @@ fn fail_pin_clean_stale_cycle() {
     assert!(stdout.contains("missing protocol spec"), "{stdout}");
 
     // 2. Pin today's surface; the write is byte-deterministic.
-    let (code, stdout) = run_lint(&root, &["--write-protocol-spec"]);
+    let (code, stdout) = run_lint(&root, &["--write", "protocol"]);
     assert_eq!(code, 0, "pinning must succeed: {stdout}");
     let pinned = fs::read_to_string(&spec_path).expect("spec written");
     assert!(
@@ -102,7 +102,7 @@ fn fail_pin_clean_stale_cycle() {
         pinned.contains("vr issue read-miss -> - - miss"),
         "{pinned}"
     );
-    let (code, _) = run_lint(&root, &["--write-protocol-spec"]);
+    let (code, _) = run_lint(&root, &["--write", "protocol"]);
     assert_eq!(code, 0);
     let repinned = fs::read_to_string(&spec_path).expect("spec written");
     assert_eq!(pinned, repinned, "re-pin must be byte-identical");
@@ -141,7 +141,7 @@ fn fail_pin_clean_stale_cycle() {
 #[test]
 fn coverage_row_without_spec_row_fails() {
     let root = make_fixture("coverage");
-    let (code, _) = run_lint(&root, &["--write-protocol-spec"]);
+    let (code, _) = run_lint(&root, &["--write", "protocol"]);
     assert_eq!(code, 0);
     fs::create_dir_all(root.join("crates/model")).expect("fixture tree");
     // `nonesuch` is no op the fixture snoop handles: an exercised
@@ -160,7 +160,7 @@ fn coverage_row_without_spec_row_fails() {
 #[test]
 fn protocol_report_is_read_only() {
     let root = make_fixture("report");
-    let (code, stdout) = run_lint(&root, &["--protocol-report"]);
+    let (code, stdout) = run_lint(&root, &["--report", "protocol"]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("== vr =="), "{stdout}");
     assert!(stdout.contains("vr shared read-miss"), "{stdout}");

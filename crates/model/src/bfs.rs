@@ -238,15 +238,12 @@ fn emit_test(scope: &Scope, events: &[ModelEvent], violation: &str) -> String {
          #[test]\n\
          fn replays_{fn_name}_counterexample() {{\n\
          \x20   use vrcache_model::{{replay, ModelEvent, Scope}};\n\
-         \x20   let scope = Scope::by_name(\"{name}\"){unwrap};\n\
+         \x20   let scope = Scope::by_name(\"{name}\").unwrap();\n\
          \x20   let events = [\n{body}\x20   ];\n\
          \x20   let err = replay(&scope, &events).unwrap_err();\n\
          \x20   assert!(!err.is_empty(), \"counterexample no longer reproduces\");\n\
          }}\n",
         name = scope.name,
-        // concat!-split so the panic-hygiene lint does not flag the
-        // emitted test source (where unwrapping is legitimate) here.
-        unwrap = concat!(".unw", "rap()"),
     )
 }
 

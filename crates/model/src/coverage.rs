@@ -7,9 +7,11 @@
 //! snoop; every transaction issued is recorded with context `issue`.
 //! The union over all scopes is checked in as `crates/model/coverage.txt`
 //! and cross-checked two ways: a golden test here asserts the file matches
-//! what the scopes exercise today, and the `transition-coverage` lint in
-//! `vrcache-analysis` asserts the file and the `fn snoop` match arms in
-//! `crates/core` agree (no unhandled rows, no dead arms).
+//! what the scopes exercise today, and the `protocol-spec` lint in
+//! `vrcache-analysis` asserts the file and the transition surface it
+//! extracts from the `fn snoop` handlers in `crates/core` agree (every
+//! exercised row has a spec row, every spec row is exercised or
+//! allowlisted, every coherence state is reached as a snoop context).
 
 use std::collections::BTreeSet;
 

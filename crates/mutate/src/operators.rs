@@ -45,9 +45,7 @@ struct Scan<'a> {
     eligible: Vec<bool>,
 }
 
-// Spelled via concat! so workspace lints scanning for the marker do not
-// treat this table as the start of a test module.
-const TEST_MARKER: &str = concat!("#[cfg(", "test)]");
+const TEST_MARKER: &str = "#[cfg(test)]";
 
 /// Net `{`/`}` depth change of a line's code portion, ignoring braces
 /// inside string literals (format strings routinely contain `{x:?}`).
@@ -737,7 +735,7 @@ mod tests {
 
     #[test]
     fn test_regions_and_assertions_are_never_mutated() {
-        let marker = concat!("#[cfg(", "test)]");
+        let marker = "#[cfg(test)]";
         let text = format!(
             "fn f() {{\n    let x = a == b;\n}}\n\n{marker}\nmod tests {{\n    fn t() {{\n        let y = a == b;\n    }}\n}}\n"
         );

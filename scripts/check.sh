@@ -13,11 +13,9 @@ JOBS="${JOBS:-2}"
 # the hot-path allocation ratchet, the extracted protocol transition
 # surface, or the address-domain flow ratchet. Checked up front so a
 # typo fails before the build, not after it.
-case "${REPIN:-}" in
-  "") REPIN_FLAG="" ;;
-  hotpath) REPIN_FLAG=--write-hotpath-baseline ;;
-  protocol) REPIN_FLAG=--write-protocol-spec ;;
-  domain) REPIN_FLAG=--write-domain-baseline ;;
+REPIN="${REPIN:-}"
+case "$REPIN" in
+  "" | hotpath | protocol | domain) ;;
   *)
     echo "REPIN must be hotpath, protocol or domain (got '$REPIN')" >&2
     exit 2
@@ -39,13 +37,13 @@ scripts/trace_smoke.sh
 echo "==> model checker (smoke scope)"
 cargo run -q --release -p vrcache-model -- --scope smoke --jobs "$JOBS"
 
-# Opt-in: REPIN re-pins the chosen lint baseline (flag resolved above).
+# Opt-in: REPIN re-pins the chosen lint baseline (validated above).
 # The gate lives here — after the build and the full test suite
 # (tier-1) have passed — so a broken tree can never pin its own debt
 # or rewrite its own protocol contract.
-if [[ -n "$REPIN_FLAG" ]]; then
+if [[ -n "$REPIN" ]]; then
   echo "==> re-pin $REPIN baseline (tier-1 clean)"
-  cargo run -q --release -p vrcache-analysis --bin lint -- "$REPIN_FLAG"
+  cargo run -q --release -p vrcache-analysis --bin lint -- --write "$REPIN"
 fi
 
 echo "==> workspace lints"
