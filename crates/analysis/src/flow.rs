@@ -14,7 +14,8 @@
 //!   have ([`Ctx`]: absent / shared / private),
 //! * whether the reply acknowledges a copy (`has_copy`) and supplies
 //!   data (`supplied`), each as a three-valued fact ([`Tri`]),
-//! * the observable side effects (`self.events.* += 1` counters).
+//! * the observable side effects (`events.* += 1` counters, on `self`
+//!   or passed into a shared helper).
 //!
 //! # Approximation policy
 //!
@@ -29,8 +30,10 @@
 //! query decides exactly. A path that hits `debug_assert!(false …)` or
 //! `unreachable!(…)` is *rejected* — it contributes nothing, and a
 //! query all of whose paths reject is a dead combination. Calls other
-//! than the same-type `snoop_*` helpers (which are inlined) are opaque
-//! statements: their internal effects are not modeled.
+//! than the `snoop_*` helpers (the handler type's own, and those of a
+//! shared impl such as the second level both V-R and R-R delegate to;
+//! all inlined) are opaque statements: their internal effects are not
+//! modeled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -706,12 +709,14 @@ pub struct Outcome {
 
 /// Evaluates `body` (a parsed handler skeleton) for bus operation
 /// variant `op` (e.g. `ReadMiss`) starting from coherence standing
-/// `init`. `helpers` maps same-type `snoop_*` helper names to their
-/// parsed bodies for inlining.
+/// `init`. `helpers` pairs each inlinable `snoop_*` helper's call
+/// needle (`self.snoop_read(` for the handler type's own, `.snoop_read(`
+/// for a shared impl's) with its parsed body; a statement inlines the
+/// first helper, in slice order, whose needle it contains.
 pub fn eval_handler(
     body: &[FlowNode],
     lens: &Lens,
-    helpers: &BTreeMap<String, Vec<FlowNode>>,
+    helpers: &[(String, Vec<FlowNode>)],
     op: &str,
     init: Ctx,
 ) -> Outcome {
@@ -765,7 +770,7 @@ impl Flow {
 
 struct Machine<'a> {
     lens: &'a Lens,
-    helpers: &'a BTreeMap<String, Vec<FlowNode>>,
+    helpers: &'a [(String, Vec<FlowNode>)],
     op: &'a str,
     inlining: Vec<String>,
 }
@@ -890,24 +895,26 @@ impl Machine<'_> {
         if t.contains("debug_assert!(false") || t.contains("unreachable!(") {
             return Flow::dead();
         }
-        // Same-type helper inlining: `self.snoop_*(…)`.
-        for (name, body) in self.helpers {
-            if t.contains(&format!("self.{name}(")) && !self.inlining.contains(name) {
-                self.inlining.push(name.clone());
+        // Helper inlining: `self.snoop_*(…)` or `<shared>.snoop_*(…)`.
+        for (call, body) in self.helpers {
+            if t.contains(call.as_str()) && !self.inlining.contains(call) {
+                self.inlining.push(call.clone());
                 let inner = self.eval_block(body, state);
                 self.inlining.pop();
                 // Helper `return`s are helper exits: they join the
-                // caller's fallthrough.
+                // caller's fallthrough — or the caller's return, for
+                // `return self.snoop_*(…)`.
                 let mut paths = inner.rets;
                 paths.extend(inner.fall);
-                return match join_all(paths) {
-                    None => Flow::dead(),
-                    Some(s) => Flow {
-                        fall: Some(s),
-                        rets: Vec::new(),
-                        conts: Vec::new(),
-                        brks: Vec::new(),
-                    },
+                let Some(s) = join_all(paths) else {
+                    return Flow::dead();
+                };
+                let returns = find_word(t, "return").is_some();
+                return Flow {
+                    fall: (!returns).then(|| s.clone()),
+                    rets: if returns { vec![s] } else { Vec::new() },
+                    conts: Vec::new(),
+                    brks: Vec::new(),
                 };
             }
         }
@@ -1191,10 +1198,19 @@ fn apply_facts(t: &str, lens: &Lens, state: &mut AbsState) {
             }
         }
     }
-    // Observable actions: `self.events.<name> += …`.
+    // Observable actions: `events.<name> += …`, as a field of `self` or
+    // as a shared helper's parameter — but not `other_events.…`.
     let mut rest = t;
-    while let Some(pos) = rest.find("self.events.") {
-        let after = &rest[pos + "self.events.".len()..];
+    while let Some(pos) = rest.find("events.") {
+        let after = &rest[pos + "events.".len()..];
+        let bound = rest[..pos]
+            .chars()
+            .next_back()
+            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
+        if !bound {
+            rest = after;
+            continue;
+        }
         let ident: String = after
             .chars()
             .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
@@ -1242,7 +1258,7 @@ mod tests {
 
     fn run(src: &str, op: &str, init: Ctx) -> Outcome {
         let tree = parse_fn(&body_of(src));
-        eval_handler(&tree, &TEST_LENS, &BTreeMap::new(), op, init)
+        eval_handler(&tree, &TEST_LENS, &[], op, init)
     }
 
     #[test]
@@ -1469,8 +1485,10 @@ mod tests {
             let reply = self.snoop_read(txn.block);
             reply
         }";
-        let mut helpers = BTreeMap::new();
-        helpers.insert("snoop_read".to_string(), parse_fn(&body_of(helper_src)));
+        let helpers = [(
+            "self.snoop_read(".to_string(),
+            parse_fn(&body_of(helper_src)),
+        )];
         let tree = parse_fn(&body_of(src));
         let out = eval_handler(&tree, &TEST_LENS, &helpers, "ReadMiss", Ctx::Private);
         assert_eq!(out.has_copy, Tri::Yes);

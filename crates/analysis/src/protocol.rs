@@ -65,9 +65,37 @@ pub struct HierSpec {
     pub home_file: &'static str,
     /// Impl self type of the `snoop` handler.
     pub self_ty: &'static str,
-    /// Guard/statement needles for this hierarchy's home array.
+    /// Guard/statement needles for this hierarchy's home array (they
+    /// must also match the shared impl's spelling of it).
     pub lens: Lens,
+    /// The impl this hierarchy delegates its shared protocol steps to:
+    /// its `snoop_*` helpers are inlined where called, and its
+    /// `BusRequest::` sites count as this hierarchy's issue sites.
+    pub shared: Option<ImplRef>,
 }
+
+/// An impl block the extractor reads: its file and self type.
+pub struct ImplRef {
+    /// File defining the impl.
+    pub file: &'static str,
+    /// The impl's self type.
+    pub self_ty: &'static str,
+}
+
+/// The second level (R-cache and write buffer) that V-R and R-R share.
+const SECOND_LEVEL: ImplRef = ImplRef {
+    file: "crates/core/src/rcache.rs",
+    self_ty: "SecondLevel",
+};
+
+/// The home-array needles of an organization whose home array is the
+/// shared second level's R-cache (`self.cache` inside the shared impl,
+/// `self.l2.cache` in the hierarchy).
+const SECOND_LEVEL_LENS: Lens = Lens {
+    presence: &[".cache.peek", ".cache.lookup"],
+    home_invalidate: &[".cache.invalidate("],
+    private_bit: None,
+};
 
 /// The three hierarchies of the paper's evaluation.
 pub const HIERARCHIES: &[HierSpec] = &[
@@ -75,21 +103,15 @@ pub const HIERARCHIES: &[HierSpec] = &[
         label: "vr",
         home_file: "crates/core/src/vr.rs",
         self_ty: "VrHierarchy",
-        lens: Lens {
-            presence: &[".l2.peek", ".l2.lookup"],
-            home_invalidate: &[".l2.invalidate("],
-            private_bit: None,
-        },
+        lens: SECOND_LEVEL_LENS,
+        shared: Some(SECOND_LEVEL),
     },
     HierSpec {
         label: "rr",
         home_file: "crates/core/src/rr.rs",
         self_ty: "RrHierarchy",
-        lens: Lens {
-            presence: &[".l2.peek", ".l2.lookup"],
-            home_invalidate: &[".l2.invalidate("],
-            private_bit: None,
-        },
+        lens: SECOND_LEVEL_LENS,
+        shared: Some(SECOND_LEVEL),
     },
     HierSpec {
         label: "goodman",
@@ -100,6 +122,7 @@ pub const HIERARCHIES: &[HierSpec] = &[
             home_invalidate: &[".reverse.remove("],
             private_bit: Some(".private.insert("),
         },
+        shared: None,
     },
 ];
 
@@ -227,12 +250,25 @@ pub fn extract(ws: &Workspace) -> ProtocolSurface {
         };
         surface.hiers.insert(h.label.to_string());
         let snoop_tree = flow::parse_fn(&snoop.body);
-        let mut helpers: BTreeMap<String, Vec<FlowNode>> = BTreeMap::new();
-        for n in &of_ty {
-            if n.name.starts_with("snoop_") {
-                helpers.insert(n.name.clone(), flow::parse_fn(&n.body));
-            }
-        }
+        let shared_nodes = h
+            .shared
+            .as_ref()
+            .and_then(|s| Some((s, ws.file(s.file)?)))
+            .map(|(s, f)| parse_nodes(s.file, &f.text))
+            .unwrap_or_default();
+        let shared: Vec<&FnNode> = shared_nodes
+            .iter()
+            .filter(|n| h.shared.as_ref().map(|s| s.self_ty) == n.self_ty.as_deref())
+            .collect();
+        // The hierarchy's own helpers first: a shared helper of the same
+        // name is reached only through its receiver (`self.l2.snoop_read(`).
+        let own = of_ty.iter().map(|n| (format!("self.{}(", n.name), *n));
+        let delegated = shared.iter().map(|n| (format!(".{}(", n.name), *n));
+        let helpers: Vec<(String, Vec<FlowNode>)> = own
+            .chain(delegated)
+            .filter(|(_, n)| n.name.starts_with("snoop_"))
+            .map(|(call, n)| (call, flow::parse_fn(&n.body)))
+            .collect();
         for variant in &variants {
             let op = kebab_case(variant);
             let mut live_in_any = false;
@@ -267,9 +303,10 @@ pub fn extract(ws: &Workspace) -> ProtocolSurface {
             }
         }
         // Issue rows: which ops this hierarchy originates, from
-        // `BusRequest::X` construction sites anywhere in the impl.
+        // `BusRequest::X` construction sites anywhere in the impl or the
+        // shared impl it delegates to.
         let mut issuers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for n in &of_ty {
+        for n in of_ty.iter().chain(&shared) {
             for (_, code) in &n.body {
                 for ident in path_idents(code, "BusRequest::") {
                     if variants.contains(&ident) {
@@ -353,7 +390,7 @@ impl VrHierarchy {
         match txn.op {
             BusOp::ReadMiss => self.snoop_read(txn.block),
             BusOp::Invalidate => {
-                let Some(line) = self.l2.invalidate(p2) else {
+                let Some(line) = self.l2.cache.invalidate(p2) else {
                     return SnoopReply::default();
                 };
                 self.events.inval_v += 1;
@@ -368,7 +405,7 @@ impl VrHierarchy {
         }
     }
     fn snoop_read(&mut self, block: BlockId) -> SnoopReply {
-        let Some(line) = self.l2.peek_mut(p2) else {
+        let Some(line) = self.l2.cache.peek_mut(p2) else {
             return SnoopReply::default();
         };
         line.meta.state = CohState::Shared;

@@ -17,7 +17,7 @@ impl VrHierarchy {
         match txn.op {
             BusOp::ReadMiss => self.snoop_read(txn.block),
             BusOp::Invalidate => {
-                let Some(line) = self.l2.invalidate(p2) else {
+                let Some(line) = self.l2.cache.invalidate(p2) else {
                     return SnoopReply::default();
                 };
                 self.events.inval_v += 1;
@@ -30,7 +30,7 @@ impl VrHierarchy {
         }
     }
     fn snoop_read(&mut self, block: BlockId) -> SnoopReply {
-        let Some(line) = self.l2.peek_mut(p2) else {
+        let Some(line) = self.l2.cache.peek_mut(p2) else {
             return SnoopReply::default();
         };
         line.meta.state = CohState::Shared;

@@ -15,12 +15,17 @@ fn real_workspace() -> Workspace {
 
 /// The same workspace with `vr.rs` replaced by `mutated`.
 fn with_vr(ws: &Workspace, mutated: String) -> Workspace {
+    with_file(ws, "crates/core/src/vr.rs", mutated)
+}
+
+/// The same workspace with the file at `path` replaced by `mutated`.
+fn with_file(ws: &Workspace, path: &str, mutated: String) -> Workspace {
     Workspace {
         sources: ws
             .sources
             .iter()
             .map(|f| {
-                if f.rel_path == "crates/core/src/vr.rs" {
+                if f.rel_path == path {
                     SourceFile::new(f.rel_path.clone(), mutated.clone())
                 } else {
                     f.clone()
@@ -89,4 +94,42 @@ fn mutant_catalogue_has_coherent_arm_swaps() {
         mutants.iter().any(|m| m.op == Operator::ArmSwap),
         "vr.rs must keep yielding arm-swap mutants for this check to bite"
     );
+}
+
+/// The shared second level's snoop-invalidate helper is read for both
+/// organizations that delegate to it: dropping its `inval_v` count must
+/// change the `vr` and the `rr` rows alike (an extractor that silently
+/// saw no shared helper would change neither).
+#[test]
+fn shared_helper_edit_changes_both_delegating_hierarchies() {
+    let ws = real_workspace();
+    let rcache = &ws
+        .file("crates/core/src/rcache.rs")
+        .expect("rcache.rs is tracked")
+        .text;
+    let needle = "events.inval_v += 1;";
+    assert_eq!(rcache.matches(needle).count(), 1, "one shared inval-v site");
+    let mutated_ws = with_file(&ws, "crates/core/src/rcache.rs", rcache.replace(needle, ""));
+    let rows = |ws: &Workspace, hier: &str| -> Vec<String> {
+        protocol::extract(ws)
+            .rows
+            .into_iter()
+            .filter(|r| r.starts_with(&format!("{hier} ")))
+            .collect()
+    };
+    for hier in ["vr", "rr"] {
+        let (before, after) = (rows(&ws, hier), rows(&mutated_ws, hier));
+        assert_ne!(before, after, "{hier} rows must see the shared helper");
+        let invalidate = format!("{hier} private invalidate -> ");
+        let row = |rows: &[String]| {
+            rows.iter()
+                .find(|r| r.starts_with(&invalidate))
+                .cloned()
+                .expect("a private invalidate row")
+        };
+        assert!(row(&before).contains("inval-v?"), "{}", row(&before));
+        assert!(!row(&after).contains("inval-v"), "{}", row(&after));
+    }
+    // Goodman does not delegate: its rows are untouched.
+    assert_eq!(rows(&ws, "goodman"), rows(&mutated_ws, "goodman"));
 }

@@ -582,11 +582,8 @@ fn scrub_outstanding<H: Scrub + ?Sized>(h: &mut H) {
                 // bit so the structure stays sound. The modified data is
                 // gone — machine check.
                 let parts = h.scrub_parts();
-                if let Some(l2) = parts.l2 {
-                    let si = l2.sub_index(p1);
-                    if let Some(line) = l2.peek_mut(l2.l2_block_of(p1)) {
-                        line.meta.subs[si].buffer = false;
-                    }
+                if let Some((meta, si)) = parts.l2.and_then(|l2| l2.parent_mut(p1)) {
+                    meta.subs[si].buffer = false;
                 }
                 parts.events.parity_machine_checks += 1;
             }

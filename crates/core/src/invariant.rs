@@ -6,7 +6,10 @@
 //! no physical block may have two V copies, a set buffer bit must match a
 //! pending write, and a vdirty bit is meaningful only under inclusion.
 //! [`check`] verifies all of that over a [`HierarchyView`] and reports the
-//! first breach as a typed [`InvariantViolation`].
+//! first breach as a typed [`InvariantViolation`]. The view is generic
+//! over the [`FirstLevel`]: the inclusive R-R baseline's physical L1 is
+//! checked by the same rules (its key is its physical block, and every
+//! line is a data child).
 //!
 //! [`VrHierarchy`](crate::vr::VrHierarchy) owns an [`InvariantChecker`]
 //! and re-verifies itself after every access, snoop, context switch and
@@ -32,8 +35,7 @@ use vrcache_bus::oracle::Version;
 use vrcache_cache::geometry::BlockId;
 use vrcache_cache::write_buffer::WriteBuffer;
 
-use crate::rcache::{ChildCache, RCache};
-use crate::vcache::VCache;
+use crate::rcache::{FirstLevel, RCache};
 
 /// One breached structural invariant — the first found, in checking order
 /// (V-cache linkage, then R-cache subentries, then the write buffer).
@@ -129,8 +131,8 @@ pub enum InvariantViolation {
         /// The buffered granule.
         granule: BlockId,
     },
-    /// A violation from a hierarchy with its own structural rules (the
-    /// real-real baselines, Goodman's one-level scheme).
+    /// A violation from a hierarchy with its own structural rules
+    /// (Goodman's one-level scheme).
     Other(
         /// Free-form description of the breach.
         String,
@@ -138,7 +140,7 @@ pub enum InvariantViolation {
 }
 
 impl InvariantViolation {
-    /// Wraps a hierarchy-specific description (used by the baselines).
+    /// Wraps a hierarchy-specific description (used by Goodman's scheme).
     pub fn other(description: impl Into<String>) -> Self {
         InvariantViolation::Other(description.into())
     }
@@ -212,34 +214,17 @@ impl fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// A borrowed view of the structures [`check`] inspects: the first-level
-/// cache(s), the second level, and the write buffer between them.
+/// A borrowed view of the structures [`check`] inspects: the first
+/// level (the V-cache pair, or the R-R baseline's physical L1), the
+/// second level, and the write buffer between them.
 #[derive(Debug)]
-pub struct HierarchyView<'a> {
-    /// The unified (or data) V-cache.
-    pub data: &'a VCache,
-    /// The instruction V-cache of a split first level.
-    pub instr: Option<&'a VCache>,
+pub struct HierarchyView<'a, L> {
+    /// The first level.
+    pub l1: &'a L,
     /// The R-cache.
     pub l2: &'a RCache,
     /// The write buffer between the levels.
     pub wb: &'a WriteBuffer<Version>,
-}
-
-impl<'a> HierarchyView<'a> {
-    fn fronts(&self) -> Vec<(ChildCache, &'a VCache)> {
-        match self.instr {
-            Some(i) => vec![(ChildCache::Data, self.data), (ChildCache::Instr, i)],
-            None => vec![(ChildCache::Data, self.data)],
-        }
-    }
-
-    fn front(&self, child: ChildCache) -> Option<&'a VCache> {
-        match child {
-            ChildCache::Data => Some(self.data),
-            ChildCache::Instr => self.instr,
-        }
-    }
 }
 
 /// Verifies every structural invariant of the view, reporting the first
@@ -249,50 +234,43 @@ impl<'a> HierarchyView<'a> {
 /// # Errors
 ///
 /// Returns the first [`InvariantViolation`] found, in checking order:
-/// per-V-line linkage, then per-subentry reverse linkage, then write-buffer
-/// agreement.
-pub fn check(view: &HierarchyView<'_>) -> Result<(), InvariantViolation> {
+/// per-first-level-line linkage, then per-subentry reverse linkage, then
+/// write-buffer agreement.
+pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), InvariantViolation> {
     let mut seen_physical = BTreeSet::new();
-    for (which, front) in view.fronts() {
-        for line in front.iter() {
-            // At most one V copy per physical block, across both fronts.
-            if !seen_physical.insert(line.meta.p_block) {
-                return Err(InvariantViolation::DuplicateVCopy {
-                    p_block: line.meta.p_block,
-                });
-            }
-            // Inclusion: parent present and linked back.
-            let p2 = view.l2.l2_block_of(line.meta.p_block);
-            let si = view.l2.sub_index(line.meta.p_block);
-            let Some(parent) = view.l2.peek(p2) else {
-                return Err(InvariantViolation::OrphanVLine {
-                    v_block: line.block,
-                });
-            };
-            let sub = &parent.meta.subs[si];
-            if !sub.inclusion {
-                return Err(InvariantViolation::InclusionBitClear {
-                    v_block: line.block,
-                });
-            }
-            if sub.v_block != line.block {
-                return Err(InvariantViolation::VPointerMismatch {
-                    v_block: line.block,
-                    pointer: sub.v_block,
-                });
-            }
-            if sub.child != which {
-                return Err(InvariantViolation::ChildLinkWrong {
-                    v_block: line.block,
-                });
-            }
-            if sub.vdirty != line.meta.dirty {
-                return Err(InvariantViolation::VdirtySync {
-                    v_block: line.block,
-                    vdirty: sub.vdirty,
-                    dirty: line.meta.dirty,
-                });
-            }
+    for (which, line) in view.l1.lines() {
+        // At most one first-level copy per physical block, across both
+        // fronts of a split first level.
+        if !seen_physical.insert(line.p_block) {
+            return Err(InvariantViolation::DuplicateVCopy {
+                p_block: line.p_block,
+            });
+        }
+        // Inclusion: parent present and linked back.
+        let p2 = view.l2.l2_block_of(line.p_block);
+        let si = view.l2.sub_index(line.p_block);
+        let Some(parent) = view.l2.peek(p2) else {
+            return Err(InvariantViolation::OrphanVLine { v_block: line.key });
+        };
+        let sub = &parent.meta.subs[si];
+        if !sub.inclusion {
+            return Err(InvariantViolation::InclusionBitClear { v_block: line.key });
+        }
+        if sub.v_block != line.key {
+            return Err(InvariantViolation::VPointerMismatch {
+                v_block: line.key,
+                pointer: sub.v_block,
+            });
+        }
+        if sub.child != which {
+            return Err(InvariantViolation::ChildLinkWrong { v_block: line.key });
+        }
+        if sub.vdirty != line.dirty {
+            return Err(InvariantViolation::VdirtySync {
+                v_block: line.key,
+                vdirty: sub.vdirty,
+                dirty: line.dirty,
+            });
         }
     }
     // Every inclusion, vdirty and buffer bit points at something real.
@@ -300,17 +278,14 @@ pub fn check(view: &HierarchyView<'_>) -> Result<(), InvariantViolation> {
         let granules = view.l2.granules_of(rline.block);
         for (i, sub) in rline.meta.subs.iter().enumerate() {
             if sub.inclusion {
-                let child = view
-                    .front(sub.child)
-                    .and_then(|front| front.peek(sub.v_block));
-                let Some(child) = child else {
+                let Some(child) = view.l1.child(sub.child, sub.v_block) else {
                     return Err(InvariantViolation::DanglingVPointer {
                         r_block: rline.block,
                         sub: i,
                         v_block: sub.v_block,
                     });
                 };
-                if child.meta.p_block != granules[i] {
+                if child.p_block != granules[i] {
                     return Err(InvariantViolation::VPointerWrongGranule {
                         r_block: rline.block,
                         sub: i,
@@ -386,7 +361,7 @@ impl InvariantChecker {
     ///
     /// Panics when a structural invariant is broken — always an
     /// implementation bug, never a workload property.
-    pub fn verify(&mut self, view: &HierarchyView<'_>, context: &'static str) {
+    pub fn verify<L: FirstLevel>(&mut self, view: &HierarchyView<'_, L>, context: &'static str) {
         let Some(period) = self.period else {
             return;
         };
@@ -444,6 +419,7 @@ mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
     use crate::hierarchy::CacheHierarchy;
+    use crate::rcache::ChildCache;
     use crate::sys::LoopbackBus;
     use crate::vcache::VMeta;
     use crate::vr::VrHierarchy;
@@ -498,7 +474,7 @@ mod tests {
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
         let (v, _, _) = h.corrupt_parts();
         // A second V line (different set) caching the same physical block.
-        v.fill(
+        v.data.fill(
             BlockId::new(0x101),
             VMeta {
                 p_block: BlockId::new(0x900),
@@ -567,7 +543,7 @@ mod tests {
         let (mut h, mut bus, mut oracle) = rig();
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
         let (v, _, _) = h.corrupt_parts();
-        v.peek_mut(BlockId::new(0x100)).unwrap().meta.dirty = true;
+        v.data.peek_mut(BlockId::new(0x100)).unwrap().meta.dirty = true;
         assert!(matches!(
             h.check_invariants(),
             Err(InvariantViolation::VdirtySync {
@@ -583,7 +559,7 @@ mod tests {
         let (mut h, mut bus, mut oracle) = rig();
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
         let (v, _, _) = h.corrupt_parts();
-        let _ = v.invalidate(BlockId::new(0x100)); // inclusion bit left set
+        let _ = v.data.invalidate(BlockId::new(0x100)); // inclusion bit left set
         assert!(matches!(
             h.check_invariants(),
             Err(InvariantViolation::DanglingVPointer { sub: 0, .. })
@@ -596,7 +572,7 @@ mod tests {
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000); // vblock 0x100
         read(&mut h, &mut bus, &mut oracle, 0x1010, 0x9010); // vblock 0x101
         let (v, r, _) = h.corrupt_parts();
-        let _ = v.invalidate(BlockId::new(0x100));
+        let _ = v.data.invalidate(BlockId::new(0x100));
         // Granule 0x900's subentry now points at the line caching 0x901.
         r.peek_mut(BlockId::new(0x900)).unwrap().meta.subs[0].v_block = BlockId::new(0x101);
         assert!(matches!(
@@ -611,7 +587,7 @@ mod tests {
         let (mut h, mut bus, mut oracle) = rig();
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
         let (v, r, _) = h.corrupt_parts();
-        let _ = v.invalidate(BlockId::new(0x100));
+        let _ = v.data.invalidate(BlockId::new(0x100));
         let sub = &mut r.peek_mut(BlockId::new(0x900)).unwrap().meta.subs[0];
         sub.inclusion = false;
         sub.vdirty = true;
@@ -699,12 +675,7 @@ mod tests {
     fn checker_samples_exactly_every_period() {
         let (mut h, _, _) = rig();
         let (v, r, wb) = h.corrupt_parts();
-        let view = HierarchyView {
-            data: v,
-            instr: None,
-            l2: r,
-            wb,
-        };
+        let view = HierarchyView { l1: v, l2: r, wb };
         for (period, ops, expected) in [(1u64, 10u64, 10u64), (3, 10, 3), (4, 8, 2), (7, 6, 0)] {
             let mut checker = InvariantChecker::new(NonZeroU64::new(period));
             assert!(checker.enabled());
@@ -724,12 +695,7 @@ mod tests {
     fn disarmed_checker_never_verifies() {
         let (mut h, _, _) = rig();
         let (v, r, wb) = h.corrupt_parts();
-        let view = HierarchyView {
-            data: v,
-            instr: None,
-            l2: r,
-            wb,
-        };
+        let view = HierarchyView { l1: v, l2: r, wb };
         let mut checker = InvariantChecker::new(None);
         assert!(!checker.enabled());
         for _ in 0..100 {
@@ -745,12 +711,7 @@ mod tests {
         read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
         let (v, r, wb) = h.corrupt_parts();
         r.peek_mut(BlockId::new(0x900)).unwrap().meta.subs[0].inclusion = false;
-        let view = HierarchyView {
-            data: v,
-            instr: None,
-            l2: r,
-            wb,
-        };
+        let view = HierarchyView { l1: v, l2: r, wb };
         let mut checker = InvariantChecker::new(NonZeroU64::new(3));
         // Ops 1 and 2 fall between samples: the corruption goes unseen.
         checker.verify(&view, "test");

@@ -6,14 +6,26 @@
 //! subblock holding the *inclusion* bit, the *buffer* bit, the *vdirty*
 //! bit and the *v-pointer* (kept at full precision as the child's virtual
 //! block id; see [`layout`](crate::layout) for the real bit budget).
+//!
+//! `SecondLevel` is everything below the first level that the V-R
+//! hierarchy and the inclusive R-R baseline share (the paper's Table 4
+//! interface): the R-cache, the write buffer in front of it, and the
+//! protocol steps that read or write the subentries. It reaches the
+//! first level only through the [`FirstLevel`] trait, which the V-cache
+//! pair and the physical L1 each implement.
 
 use vrcache_bus::oracle::Version;
 use vrcache_cache::array::{CacheArray, FillOutcome, Line};
 use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
+use vrcache_cache::write_buffer::WriteBuffer;
 
+use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
+use crate::config::HierarchyConfig;
+use crate::events::HierarchyEvents;
 use crate::fault::{self, FaultKind, FaultRecord, Poison, Protection};
+use crate::invariant::{HierarchyView, InvariantExpect};
 
 /// Bus-coherence state of an R-cache line (invalid lines are simply absent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +114,20 @@ impl RMeta {
     }
 }
 
+impl SubEntry {
+    /// Folds removed first-level `child` back into this subentry: the
+    /// linkage is cleared and dirty data lands here. Returns whether the
+    /// child was dirty (the owning line must then become rdirty).
+    fn fold(&mut self, child: ChildLine) -> bool {
+        self.inclusion = false;
+        self.vdirty = false;
+        if child.dirty {
+            self.version = child.version;
+        }
+        child.dirty
+    }
+}
+
 /// The physically-addressed, write-back second-level cache.
 #[derive(Debug, Clone)]
 pub struct RCache {
@@ -171,6 +197,14 @@ impl RCache {
             .collect()
     }
 
+    /// The resident line holding granule `p1`'s subentry, with the
+    /// subentry's index (no replacement update).
+    pub(crate) fn parent_mut(&mut self, p1: BlockId) -> Option<(&mut RMeta, usize)> {
+        let si = self.sub_index(p1);
+        let line = self.peek_mut(self.l2_block_of(p1))?;
+        Some((&mut line.meta, si))
+    }
+
     /// Looks up L2 block `p2`, refreshing replacement state.
     pub fn lookup(&mut self, p2: BlockId) -> Option<&mut Line<RMeta>> {
         self.array.lookup(p2)
@@ -208,6 +242,388 @@ impl RCache {
     /// Iterates over valid lines (diagnostics and invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = &Line<RMeta>> {
         self.array.iter()
+    }
+}
+
+/// One first-level line as the second level sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChildLine {
+    /// The line's first-level key: what a subentry's v-pointer names.
+    pub key: BlockId,
+    /// The physical L1-sized granule it caches: its r-pointer.
+    pub p_block: BlockId,
+    /// The line holds data newer than its parent.
+    pub dirty: bool,
+    /// Oracle version of the held data.
+    pub version: Version,
+}
+
+/// The first level above a `SecondLevel`: the V-cache pair of the V-R
+/// hierarchy, or the physical L1 of the R-R baseline. Lines are named by
+/// the `(child, key)` pair a subentry records.
+pub trait FirstLevel {
+    /// The line at `key` in `child`, swapped or not.
+    fn child(&self, child: ChildCache, key: BlockId) -> Option<ChildLine>;
+
+    /// Removes the line at `key` in `child`.
+    fn remove(&mut self, child: ChildCache, key: BlockId) -> Option<ChildLine>;
+
+    /// Cleans the dirty line at `key` in `child` for a read snoop's
+    /// flush (it is no longer exclusive either) and returns its data.
+    fn clean(&mut self, child: ChildCache, key: BlockId) -> Option<Version>;
+
+    /// Every resident line with the cache holding it.
+    fn lines(&self) -> impl Iterator<Item = (ChildCache, ChildLine)> + '_;
+}
+
+/// A buffered write-back that completed after its parent line left a
+/// non-inclusive second level: the granule and its data, bound for
+/// memory. An inclusive second level never yields one, so the methods
+/// that complete write-backs return `Result<(), Orphan>`.
+pub(crate) type Orphan = (BlockId, Version);
+
+/// The R-cache, the write buffer in front of it, and their protocol
+/// steps, shared by the V-R hierarchy and the R-R baselines.
+#[derive(Debug, Clone)]
+pub(crate) struct SecondLevel {
+    /// The second-level cache.
+    pub(crate) cache: RCache,
+    /// The write buffer between the levels.
+    pub(crate) wb: WriteBuffer<Version>,
+    drain_period: u64,
+    /// Reference clock (this CPU's references), for interval histograms.
+    refs: u64,
+    last_wb_at: Option<u64>,
+}
+
+impl SecondLevel {
+    /// The second level `cfg` describes; `seed` seeds its replacement.
+    pub(crate) fn new(cfg: &HierarchyConfig, seed: u64) -> Self {
+        SecondLevel {
+            cache: RCache::new(cfg.l2, cfg.l1, cfg.l2_policy, seed),
+            wb: WriteBuffer::new(cfg.write_buffer),
+            drain_period: cfg.wb_drain_period.max(1),
+            refs: 0,
+            last_wb_at: None,
+        }
+    }
+
+    /// The structures the invariant checker inspects, under `l1`.
+    pub(crate) fn view<'a, L>(&'a self, l1: &'a L) -> HierarchyView<'a, L> {
+        HierarchyView {
+            l1,
+            l2: &self.cache,
+            wb: &self.wb,
+        }
+    }
+
+    /// References counted so far.
+    pub(crate) fn refs(&self) -> u64 {
+        self.refs
+    }
+
+    /// Counts one processor reference. The write buffer drains in
+    /// parallel with execution: one pending write-back completes per
+    /// drain period (the second level retires one write per t2/t1
+    /// first-level cycles).
+    pub(crate) fn tick(&mut self) -> Result<(), Orphan> {
+        self.refs += 1;
+        if self.refs.is_multiple_of(self.drain_period) {
+            if let Some(e) = self.wb.drain_one() {
+                return self.complete_writeback(e.block, e.payload);
+            }
+        }
+        Ok(())
+    }
+
+    /// Completes a pending write-back of granule `p1`: the data lands in
+    /// the parent line, which becomes dirty with respect to memory.
+    pub(crate) fn complete_writeback(
+        &mut self,
+        p1: BlockId,
+        version: Version,
+    ) -> Result<(), Orphan> {
+        let Some((meta, si)) = self.cache.parent_mut(p1) else {
+            return Err((p1, version));
+        };
+        let sub = &mut meta.subs[si];
+        sub.buffer = false;
+        sub.version = version;
+        meta.rdirty = true;
+        Ok(())
+    }
+
+    /// Retires a replaced first-level line. Under inclusion (`linked`)
+    /// its parent subentry is unlinked; a dirty victim enters the write
+    /// buffer (setting the buffer bit: the paper's replacement signal).
+    /// A full buffer completes its oldest entry at once (a processor
+    /// stall, counted by the buffer's statistics).
+    pub(crate) fn retire(
+        &mut self,
+        events: &mut HierarchyEvents,
+        victim: ChildLine,
+        linked: bool,
+    ) -> Result<(), Orphan> {
+        if linked {
+            let (meta, si) = self
+                .cache
+                .parent_mut(victim.p_block)
+                .invariant_expect("inclusion property: an L1 victim has an L2 parent");
+            let sub = &mut meta.subs[si];
+            debug_assert!(sub.inclusion, "L1 victim's inclusion bit was not set");
+            debug_assert_eq!(sub.v_block, victim.key, "v-pointer out of sync");
+            debug_assert_eq!(sub.vdirty, victim.dirty, "vdirty out of sync");
+            sub.inclusion = false;
+            sub.vdirty = false;
+            if victim.dirty {
+                sub.buffer = true;
+            }
+        }
+        if !victim.dirty {
+            return Ok(());
+        }
+        events.l1_writebacks += 1;
+        events.writeback_intervals.note_event();
+        if let Some(prev) = self.last_wb_at {
+            // Bulk retirement (e.g. a TLB shootdown) can retire several
+            // lines within one reference; clamp to the 1-based histogram.
+            events.writeback_intervals.record((self.refs - prev).max(1));
+        }
+        self.last_wb_at = Some(self.refs);
+        match self.wb.push(victim.p_block, victim.version, self.refs) {
+            Some(forced) => self.complete_writeback(forced.block, forced.payload),
+            None => Ok(()),
+        }
+    }
+
+    /// Links granule `p1`'s parent subentry to its new first-level copy
+    /// at `(child, key)`.
+    pub(crate) fn link(&mut self, p1: BlockId, child: ChildCache, key: BlockId, dirty: bool) {
+        let (meta, si) = self
+            .cache
+            .parent_mut(p1)
+            .invariant_expect("install requires a resident parent");
+        let sub = &mut meta.subs[si];
+        sub.inclusion = true;
+        sub.v_block = key;
+        sub.child = child;
+        sub.vdirty = dirty;
+    }
+
+    /// Marks granule `p1`'s first-level copy dirty in its parent.
+    pub(crate) fn mark_vdirty(&mut self, p1: BlockId) {
+        let (meta, si) = self
+            .cache
+            .parent_mut(p1)
+            .invariant_expect("a written granule has a resident parent");
+        meta.subs[si].vdirty = true;
+    }
+
+    /// Folds first-level line `child`, removed outside replacement (a
+    /// TLB shootdown, an eager flush), into its resident parent. Returns
+    /// whether it carried dirty data.
+    pub(crate) fn fold(&mut self, child: ChildLine) -> bool {
+        let (meta, si) = self
+            .cache
+            .parent_mut(child.p_block)
+            .invariant_expect("inclusion property: a removed child has a parent");
+        let dirty = meta.subs[si].fold(child);
+        if dirty {
+            meta.rdirty = true;
+        }
+        dirty
+    }
+
+    /// Evicts a replaced R-cache line: buffered writes and first-level
+    /// children fold into it first (a child here is the paper's
+    /// *inclusion invalidation*), then a dirty line is written back.
+    pub(crate) fn evict<L: FirstLevel>(
+        &mut self,
+        l1: &mut L,
+        events: &mut HierarchyEvents,
+        victim: Line<RMeta>,
+        bus: &mut dyn SystemBus,
+    ) {
+        let p2 = victim.block;
+        let mut meta = victim.meta;
+        let granules = self.cache.granules_of(p2);
+        for (i, sub) in meta.subs.iter_mut().enumerate() {
+            if sub.buffer {
+                let e = self
+                    .wb
+                    .force_complete(granules[i])
+                    .invariant_expect("buffer bit implies a pending write");
+                sub.version = e.payload;
+                sub.buffer = false;
+                meta.rdirty = true;
+            }
+            if sub.inclusion {
+                events.inclusion_invalidations += 1;
+                let child = l1
+                    .remove(sub.child, sub.v_block)
+                    .invariant_expect("inclusion bit implies a first-level child");
+                debug_assert_eq!(child.p_block, granules[i]);
+                if sub.fold(child) {
+                    meta.rdirty = true;
+                }
+            }
+        }
+        if meta.rdirty {
+            events.l2_writebacks += 1;
+            bus.issue(BusRequest::WriteBack {
+                block: p2,
+                granules: granules
+                    .iter()
+                    .zip(meta.subs.iter())
+                    .map(|(g, s)| (*g, s.version))
+                    .collect(),
+            });
+        }
+    }
+
+    /// Makes resident line `p2` private before a write, invalidating the
+    /// other copies over the bus if it is shared. Returns false when `p2`
+    /// is not resident.
+    pub(crate) fn obtain_write_permission(&mut self, p2: BlockId, bus: &mut dyn SystemBus) -> bool {
+        let Some(line) = self.cache.peek_mut(p2) else {
+            return false;
+        };
+        if line.meta.state == CohState::Shared {
+            bus.issue(BusRequest::Invalidate { block: p2 });
+            line.meta.state = CohState::Private;
+        }
+        true
+    }
+
+    /// A foreign read of `p2`, filtered by inclusion: only the vdirty and
+    /// buffer bits send a flush to the first level or the buffer, and the
+    /// line supplies its data if anything was dirty.
+    pub(crate) fn snoop_read<L: FirstLevel>(
+        &mut self,
+        l1: &mut L,
+        events: &mut HierarchyEvents,
+        p2: BlockId,
+    ) -> SnoopReply {
+        let Some(_) = self.cache.peek(p2) else {
+            return SnoopReply::default();
+        };
+        let mut reply = SnoopReply {
+            has_copy: true,
+            ..SnoopReply::default()
+        };
+        let granules = self.cache.granules_of(p2);
+        let line = self.cache.peek_mut(p2).invariant_expect("resident");
+        let mut any_dirty = line.meta.rdirty;
+        for (sub, g) in line.meta.subs.iter_mut().zip(&granules) {
+            if sub.vdirty {
+                debug_assert!(sub.inclusion, "vdirty without inclusion");
+                events.flush_v += 1;
+                reply.l1_messages += 1;
+                sub.version = l1
+                    .clean(sub.child, sub.v_block)
+                    .invariant_expect("vdirty implies a first-level child");
+                sub.vdirty = false;
+                any_dirty = true;
+            }
+            if sub.buffer {
+                events.flush_buffer += 1;
+                reply.l1_messages += 1;
+                let e = self
+                    .wb
+                    .coherence_take(*g)
+                    .invariant_expect("buffer bit implies a pending write");
+                sub.version = e.payload;
+                sub.buffer = false;
+                any_dirty = true;
+            }
+        }
+        line.meta.state = CohState::Shared;
+        if any_dirty {
+            line.meta.rdirty = false;
+            reply.supplied = Some(
+                granules
+                    .iter()
+                    .zip(line.meta.subs.iter())
+                    .map(|(g, s)| (*g, s.version))
+                    .collect(),
+            );
+        }
+        reply
+    }
+
+    /// A foreign invalidation of `p2`, filtered by inclusion: the line
+    /// goes, and only subentries with the inclusion or buffer bit set
+    /// disturb the first level or the buffer. A processor-issued
+    /// invalidation only targets clean shared copies, but a DMA write may
+    /// land on a dirty block: its data is superseded and dropped.
+    pub(crate) fn snoop_invalidate<L: FirstLevel>(
+        &mut self,
+        l1: &mut L,
+        events: &mut HierarchyEvents,
+        p2: BlockId,
+    ) -> SnoopReply {
+        let Some(line) = self.cache.invalidate(p2) else {
+            return SnoopReply::default();
+        };
+        let mut reply = SnoopReply {
+            has_copy: true,
+            ..SnoopReply::default()
+        };
+        let granules = self.cache.granules_of(p2);
+        for (sub, g) in line.meta.subs.iter().zip(&granules) {
+            if sub.inclusion {
+                events.inval_v += 1;
+                reply.l1_messages += 1;
+                let removed = l1.remove(sub.child, sub.v_block);
+                debug_assert!(removed.is_some(), "inclusion bit implies a child");
+            }
+            if sub.buffer {
+                events.inval_buffer += 1;
+                reply.l1_messages += 1;
+                let taken = self.wb.coherence_take(*g);
+                debug_assert!(taken.is_some(), "buffer bit implies a pending write");
+            }
+        }
+        reply
+    }
+}
+
+// ---- parity recovery shared by V-R and R-R ----
+impl SecondLevel {
+    /// Recovers a poisoned line `p2` by conservative teardown: every
+    /// first-level copy of its granules (found through the copies' own
+    /// r-pointers, never the suspect subentries) and every buffered write
+    /// is discarded, then the line itself. Only a provably clean
+    /// coherence-state or data flip counts as a refetch; any pointer or
+    /// flag corruption, or discarded modified data, is a machine check.
+    pub(crate) fn scrub_line<L: FirstLevel>(
+        &mut self,
+        l1: &mut L,
+        events: &mut HierarchyEvents,
+        kind: FaultKind,
+        p2: BlockId,
+    ) {
+        let granules = self.cache.granules_of(p2);
+        let copies: Vec<(ChildCache, BlockId)> = l1
+            .lines()
+            .filter(|(_, line)| granules.contains(&line.p_block))
+            .map(|(child, line)| (child, line.key))
+            .collect();
+        let mut lost_dirty = false;
+        for (child, key) in copies {
+            lost_dirty |= l1.remove(child, key).is_some_and(|line| line.dirty);
+        }
+        for g in &granules {
+            lost_dirty |= self.wb.coherence_take(*g).is_some();
+        }
+        if let Some(line) = self.cache.invalidate(p2) {
+            lost_dirty |= line.meta.rdirty;
+        }
+        if matches!(kind, FaultKind::CohStateFlip | FaultKind::RDataBit) && !lost_dirty {
+            events.parity_refetches += 1;
+        } else {
+            events.parity_machine_checks += 1;
+        }
     }
 }
 

@@ -21,6 +21,8 @@ use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 
 use crate::fault::DataLine;
+use crate::invariant::InvariantExpect;
+use crate::rcache::{ChildCache, ChildLine, FirstLevel};
 
 /// Per-line metadata of the V-cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +160,82 @@ impl VCache {
     /// Iterates over valid lines (diagnostics and invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = &Line<VMeta>> {
         self.array.iter()
+    }
+}
+
+/// The V-R first level: a unified V-cache, or the D and I halves of a
+/// split one.
+#[derive(Debug, Clone)]
+pub(crate) struct VCaches {
+    /// Unified V-cache, or the D half of a split first level.
+    pub(crate) data: VCache,
+    /// The I half of a split first level.
+    pub(crate) instr: Option<VCache>,
+}
+
+impl VCaches {
+    /// The V-cache holding `child`, if this first level has it.
+    fn get(&self, child: ChildCache) -> Option<&VCache> {
+        match child {
+            ChildCache::Data => Some(&self.data),
+            ChildCache::Instr => self.instr.as_ref(),
+        }
+    }
+
+    fn get_mut(&mut self, child: ChildCache) -> Option<&mut VCache> {
+        match child {
+            ChildCache::Data => Some(&mut self.data),
+            ChildCache::Instr => self.instr.as_mut(),
+        }
+    }
+
+    /// The V-cache an access routed to `child` uses.
+    pub(crate) fn front(&self, child: ChildCache) -> &VCache {
+        self.get(child).invariant_expect(SPLIT)
+    }
+
+    /// Mutable [`front`](Self::front).
+    pub(crate) fn front_mut(&mut self, child: ChildCache) -> &mut VCache {
+        self.get_mut(child).invariant_expect(SPLIT)
+    }
+}
+
+const SPLIT: &str = "instruction route requires a split first level";
+
+/// A V line as its parent sees it.
+pub(crate) fn child_line(line: &Line<VMeta>) -> ChildLine {
+    ChildLine {
+        key: line.block,
+        p_block: line.meta.p_block,
+        dirty: line.meta.dirty,
+        version: line.meta.version,
+    }
+}
+
+impl FirstLevel for VCaches {
+    fn child(&self, child: ChildCache, key: BlockId) -> Option<ChildLine> {
+        self.get(child)?.peek(key).map(child_line)
+    }
+
+    fn remove(&mut self, child: ChildCache, key: BlockId) -> Option<ChildLine> {
+        self.get_mut(child)?
+            .invalidate(key)
+            .as_ref()
+            .map(child_line)
+    }
+
+    fn clean(&mut self, child: ChildCache, key: BlockId) -> Option<Version> {
+        let line = self.get_mut(child)?.peek_mut(key)?;
+        debug_assert!(line.meta.dirty, "cleaning a clean V line");
+        line.meta.dirty = false;
+        Some(line.meta.version)
+    }
+
+    fn lines(&self) -> impl Iterator<Item = (ChildCache, ChildLine)> + '_ {
+        [ChildCache::Data, ChildCache::Instr]
+            .into_iter()
+            .filter_map(|c| Some((c, self.get(c)?)))
+            .flat_map(|(c, front)| front.iter().map(move |l| (c, child_line(l))))
     }
 }
 

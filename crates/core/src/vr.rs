@@ -49,19 +49,17 @@ use crate::fault::{
 };
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{self, InvariantChecker, InvariantExpect, InvariantViolation};
-use crate::rcache::{ChildCache, CohState, RCache, RMeta};
-use crate::vcache::{VCache, VMeta};
+use crate::rcache::{ChildCache, CohState, FirstLevel, RCache, RMeta, SecondLevel};
+use crate::vcache::{child_line, VCache, VCaches, VMeta};
 
 /// The paper's two-level virtual-real cache hierarchy for one processor.
 #[derive(Debug, Clone)]
 pub struct VrHierarchy {
     cpu: CpuId,
-    /// Unified V-cache, or the D half of a split first level.
-    l1d: VCache,
-    /// The I half of a split first level.
-    l1i: Option<VCache>,
-    l2: RCache,
-    wb: WriteBuffer<Version>,
+    /// The V-cache, or the split pair.
+    l1: VCaches,
+    /// The R-cache and the write buffer in front of it.
+    l2: SecondLevel,
     tlb: Tlb,
     events: HierarchyEvents,
     /// Geometry used for physical L1-granule block ids (block size of L1).
@@ -71,15 +69,15 @@ pub struct VrHierarchy {
     write_policy: L1WritePolicy,
     cs_policy: ContextSwitchPolicy,
     protocol: CoherenceProtocol,
-    drain_period: u64,
-    /// Reference clock (this CPU's references), for interval histograms.
-    refs: u64,
-    last_wb_at: Option<u64>,
     last_swapped_wb_at: Option<u64>,
     checker: InvariantChecker,
     /// Modeled parity and data protection, with outstanding syndromes.
     protection: Protection,
 }
+
+/// Why a completed write-back always lands: the V-R second level is
+/// inclusive.
+const LANDS: &str = "buffer bit implies a resident R-cache parent";
 
 impl VrHierarchy {
     /// Builds the hierarchy for `cpu` from `cfg`.
@@ -96,7 +94,7 @@ impl VrHierarchy {
                 && cfg.l1_write_policy == L1WritePolicy::WriteThrough),
             "update protocol + write-through first level is not modeled"
         );
-        let (l1d, l1i) = match cfg.l1_org {
+        let (data, instr) = match cfg.l1_org {
             L1Organization::Unified => (VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0xD), None),
             L1Organization::Split => {
                 let Ok(half) = cfg.split_half_geometry() else {
@@ -110,10 +108,8 @@ impl VrHierarchy {
         };
         VrHierarchy {
             cpu,
-            l1d,
-            l1i,
-            l2: RCache::new(cfg.l2, cfg.l1, cfg.l2_policy, cfg.seed ^ 0x2),
-            wb: WriteBuffer::new(cfg.write_buffer),
+            l1: VCaches { data, instr },
+            l2: SecondLevel::new(cfg, cfg.seed ^ 0x2),
             tlb: Tlb::new(cfg.tlb),
             events: HierarchyEvents::default(),
             granule_geo: cfg.l1,
@@ -121,9 +117,6 @@ impl VrHierarchy {
             write_policy: cfg.l1_write_policy,
             cs_policy: cfg.context_switch_policy,
             protocol: cfg.protocol,
-            drain_period: cfg.wb_drain_period.max(1),
-            refs: 0,
-            last_wb_at: None,
             last_swapped_wb_at: None,
             checker: InvariantChecker::new(cfg.runtime_checks),
             protection: Protection::new(cfg),
@@ -142,13 +135,7 @@ impl VrHierarchy {
         if !self.checker.enabled() {
             return;
         }
-        let view = invariant::HierarchyView {
-            data: &self.l1d,
-            instr: self.l1i.as_ref(),
-            l2: &self.l2,
-            wb: &self.wb,
-        };
-        self.checker.verify(&view, context);
+        self.checker.verify(&self.l2.view(&self.l1), context);
     }
 
     /// Mutable access to the raw parts, for corruption-injection tests of
@@ -156,28 +143,28 @@ impl VrHierarchy {
     #[cfg(test)]
     pub(crate) fn corrupt_parts(
         &mut self,
-    ) -> (&mut VCache, &mut RCache, &mut WriteBuffer<Version>) {
-        (&mut self.l1d, &mut self.l2, &mut self.wb)
+    ) -> (&mut VCaches, &mut RCache, &mut WriteBuffer<Version>) {
+        (&mut self.l1, &mut self.l2.cache, &mut self.l2.wb)
     }
 
     /// The V-cache (unified/data front).
     pub fn vcache(&self) -> &VCache {
-        &self.l1d
+        &self.l1.data
     }
 
     /// The instruction V-cache of a split first level.
     pub fn icache(&self) -> Option<&VCache> {
-        self.l1i.as_ref()
+        self.l1.instr.as_ref()
     }
 
     /// The R-cache.
     pub fn rcache(&self) -> &RCache {
-        &self.l2
+        &self.l2.cache
     }
 
     /// The write buffer between the levels.
     pub fn write_buffer(&self) -> &WriteBuffer<Version> {
-        &self.wb
+        &self.l2.wb
     }
 
     /// The second-level TLB.
@@ -201,143 +188,30 @@ impl VrHierarchy {
     }
 
     fn route(&self, kind: AccessKind) -> ChildCache {
-        if self.l1i.is_some() && kind.is_instruction() {
+        if self.l1.instr.is_some() && kind.is_instruction() {
             ChildCache::Instr
         } else {
             ChildCache::Data
         }
     }
 
-    fn front_mut(&mut self, child: ChildCache) -> &mut VCache {
-        match child {
-            ChildCache::Data => &mut self.l1d,
-            ChildCache::Instr => self
-                .l1i
-                .as_mut()
-                .invariant_expect("instruction route requires a split first level"),
-        }
-    }
-
-    fn front(&self, child: ChildCache) -> &VCache {
-        match child {
-            ChildCache::Data => &self.l1d,
-            ChildCache::Instr => self
-                .l1i
-                .as_ref()
-                .invariant_expect("instruction route requires a split first level"),
-        }
-    }
-
-    /// Completes a pending write-back: the buffered data lands in the
-    /// R-cache, whose copy becomes dirty with respect to memory.
-    fn complete_writeback(&mut self, block: BlockId, version: Version) {
-        let p2 = self.l2.l2_block_of(block);
-        let si = self.l2.sub_index(block);
-        let line = self
-            .l2
-            .peek_mut(p2)
-            .invariant_expect("buffer bit implies a resident R-cache parent");
-        let sub = &mut line.meta.subs[si];
-        debug_assert!(sub.buffer, "completing a write-back without a buffer bit");
-        sub.buffer = false;
-        sub.version = version;
-        line.meta.rdirty = true;
-    }
-
-    /// Handles a replaced (evicted) V-cache line: clean lines just clear
-    /// the inclusion bit; dirty lines enter the write buffer and set the
-    /// buffer bit (the paper's replacement signal).
+    /// Handles a replaced (evicted) V-cache line: the shared retirement
+    /// (unlink; a dirty line enters the write buffer) plus the swapped
+    /// write-back accounting of the lazy context-switch policy.
     fn handle_v_victim(&mut self, victim: Line<VMeta>) {
-        let p1 = victim.meta.p_block;
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
-        {
-            let line = self
-                .l2
-                .peek_mut(p2)
-                .invariant_expect("inclusion property: V victim must have an R parent");
-            let sub = &mut line.meta.subs[si];
-            debug_assert!(sub.inclusion, "V victim's inclusion bit was not set");
-            debug_assert_eq!(sub.v_block, victim.block, "v-pointer out of sync");
-            debug_assert_eq!(sub.vdirty, victim.meta.dirty, "vdirty out of sync");
-            sub.inclusion = false;
-            sub.vdirty = false;
-            if victim.meta.dirty {
-                sub.buffer = true;
-            }
-        }
-        if victim.meta.dirty {
-            self.events.l1_writebacks += 1;
-            self.events.writeback_intervals.note_event();
-            if let Some(prev) = self.last_wb_at {
+        self.l2
+            .retire(&mut self.events, child_line(&victim), true)
+            .invariant_expect(LANDS);
+        if victim.meta.dirty && victim.meta.swapped {
+            let now = self.l2.refs();
+            self.events.swapped_writebacks += 1;
+            self.events.swapped_writeback_intervals.note_event();
+            if let Some(prev) = self.last_swapped_wb_at {
                 self.events
-                    .writeback_intervals
-                    .record((self.refs - prev).max(1));
+                    .swapped_writeback_intervals
+                    .record((now - prev).max(1));
             }
-            self.last_wb_at = Some(self.refs);
-            if victim.meta.swapped {
-                self.events.swapped_writebacks += 1;
-                self.events.swapped_writeback_intervals.note_event();
-                if let Some(prev) = self.last_swapped_wb_at {
-                    self.events
-                        .swapped_writeback_intervals
-                        .record((self.refs - prev).max(1));
-                }
-                self.last_swapped_wb_at = Some(self.refs);
-            }
-            if let Some(forced) = self.wb.push(p1, victim.meta.version, self.refs) {
-                // Buffer full: the oldest write-back completes immediately
-                // (processor stall, counted by the buffer's statistics).
-                self.complete_writeback(forced.block, forced.payload);
-            }
-        }
-    }
-
-    /// Handles a replaced R-cache line: any upstream state (write-buffer
-    /// entries, V-cache children) is folded in first — the fallback case is
-    /// the paper's *inclusion invalidation* — and the line is written back
-    /// to memory if dirty.
-    fn handle_r_victim(&mut self, victim: Line<RMeta>, bus: &mut dyn SystemBus) {
-        let p2 = victim.block;
-        let mut meta = victim.meta;
-        let granules = self.l2.granules_of(p2);
-        for (i, sub) in meta.subs.iter_mut().enumerate() {
-            if sub.buffer {
-                let e = self
-                    .wb
-                    .force_complete(granules[i])
-                    .invariant_expect("buffer bit implies a pending write");
-                sub.version = e.payload;
-                sub.buffer = false;
-                meta.rdirty = true;
-            }
-            if sub.inclusion {
-                // Inclusion invalidation: the relaxed replacement rule had
-                // to evict a block still present in the V-cache.
-                self.events.inclusion_invalidations += 1;
-                let line = self
-                    .front_mut(sub.child)
-                    .invalidate(sub.v_block)
-                    .invariant_expect("inclusion bit implies a V-cache child");
-                debug_assert_eq!(line.meta.p_block, granules[i]);
-                if line.meta.dirty {
-                    sub.version = line.meta.version;
-                    meta.rdirty = true;
-                }
-                sub.inclusion = false;
-                sub.vdirty = false;
-            }
-        }
-        if meta.rdirty {
-            self.events.l2_writebacks += 1;
-            bus.issue(BusRequest::WriteBack {
-                block: p2,
-                granules: granules
-                    .iter()
-                    .zip(meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
-                    .collect(),
-            });
+            self.last_swapped_wb_at = Some(now);
         }
     }
 
@@ -352,7 +226,7 @@ impl VrHierarchy {
         version: Version,
         dirty: bool,
     ) {
-        let out = self.front_mut(child).fill(
+        let out = self.l1.front_mut(child).fill(
             vblock,
             VMeta {
                 p_block: p1,
@@ -364,51 +238,21 @@ impl VrHierarchy {
         if let Some(victim) = out.evicted {
             self.handle_v_victim(victim);
         }
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
-        let line = self
-            .l2
-            .peek_mut(p2)
-            .invariant_expect("install requires a resident R parent");
-        let sub = &mut line.meta.subs[si];
-        sub.inclusion = true;
-        sub.v_block = vblock;
-        sub.child = child;
-        sub.vdirty = dirty;
-    }
-
-    /// Obtains write permission for granule `p1` (whose parent is resident):
-    /// invalidates other cached copies if the line is shared and marks the
-    /// line private. The callers mark vdirty (write-back) or route the data
-    /// through the buffer (write-through) themselves.
-    fn obtain_write_permission(&mut self, p1: BlockId, bus: &mut dyn SystemBus) {
-        let p2 = self.l2.l2_block_of(p1);
-        let shared = {
-            let line = self
-                .l2
-                .peek_mut(p2)
-                .invariant_expect("write permission requires a resident R parent");
-            line.meta.state == CohState::Shared
-        };
-        if shared {
-            bus.issue(BusRequest::Invalidate { block: p2 });
-            let line = self.l2.peek_mut(p2).invariant_expect("still resident");
-            line.meta.state = CohState::Private;
-        }
+        self.l2.link(p1, child, vblock, dirty);
     }
 
     /// Update-protocol write: broadcast the new version of `p1` to every
     /// sharer; if nobody answered, the line quietly becomes private and
     /// future writes stay off the bus.
     fn broadcast_update(&mut self, p1: BlockId, v: Version, bus: &mut dyn SystemBus) {
-        let p2 = self.l2.l2_block_of(p1);
+        let p2 = self.l2.cache.l2_block_of(p1);
         let resp = bus.issue(BusRequest::Update {
             block: p2,
             granule: p1,
             version: v,
         });
         if !resp.shared_elsewhere {
-            let line = self.l2.peek_mut(p2).invariant_expect("resident");
+            let line = self.l2.cache.peek_mut(p2).invariant_expect("resident");
             line.meta.state = CohState::Private;
         }
     }
@@ -425,18 +269,18 @@ impl VrHierarchy {
         bus: &mut dyn SystemBus,
         oracle: &mut VersionOracle,
     ) {
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
+        let p2 = self.l2.cache.l2_block_of(p1);
         let v = oracle.on_write(self.cpu, p1);
         match self.protocol {
             CoherenceProtocol::Invalidation => {
                 if !already_exclusive {
-                    self.obtain_write_permission(p1, bus);
+                    self.l2.obtain_write_permission(p2, bus);
                 }
             }
             CoherenceProtocol::Update => {
                 let shared = self
                     .l2
+                    .cache
                     .peek(p2)
                     .map(|l| l.meta.state == CohState::Shared)
                     .unwrap_or(false);
@@ -445,9 +289,9 @@ impl VrHierarchy {
                 }
             }
         }
-        let line = self.l2.peek_mut(p2).invariant_expect("resident");
-        line.meta.subs[si].vdirty = true;
+        self.l2.mark_vdirty(p1);
         let vline = self
+            .l1
             .front_mut(child)
             .peek_mut(vblock)
             .invariant_expect("line resident");
@@ -459,89 +303,26 @@ impl VrHierarchy {
     /// the second level via the (coalescing) write buffer.
     fn forward_write_through(&mut self, p1: BlockId, v: Version) {
         self.events.wt_writes_forwarded += 1;
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
-        {
-            let line = self.l2.peek_mut(p2).invariant_expect("resident parent");
-            line.meta.subs[si].buffer = true;
+        let (meta, si) = self
+            .l2
+            .cache
+            .parent_mut(p1)
+            .invariant_expect("resident parent");
+        meta.subs[si].buffer = true;
+        let now = self.l2.refs();
+        if let Some(forced) = self.l2.wb.push_coalescing(p1, v, now) {
+            self.l2
+                .complete_writeback(forced.block, forced.payload)
+                .invariant_expect(LANDS);
         }
-        if let Some(forced) = self.wb.push_coalescing(p1, v, self.refs) {
-            self.complete_writeback(forced.block, forced.payload);
-        }
-    }
-
-    fn snoop_read(&mut self, p2: BlockId) -> SnoopReply {
-        let Some(line) = self.l2.peek_mut(p2) else {
-            return SnoopReply::default();
-        };
-        let mut reply = SnoopReply {
-            has_copy: true,
-            ..SnoopReply::default()
-        };
-        let mut any_dirty = line.meta.rdirty;
-        // Collect the flush work first to keep borrows short.
-        let mut flush_v: Vec<(usize, ChildCache, BlockId)> = Vec::new();
-        let mut flush_buf: Vec<usize> = Vec::new();
-        for (i, sub) in line.meta.subs.iter().enumerate() {
-            if sub.vdirty {
-                debug_assert!(sub.inclusion, "vdirty without inclusion");
-                flush_v.push((i, sub.child, sub.v_block));
-            }
-            if sub.buffer {
-                flush_buf.push(i);
-            }
-        }
-        let granules = self.l2.granules_of(p2);
-        for (i, child, v_block) in flush_v {
-            self.events.flush_v += 1;
-            reply.l1_messages += 1;
-            let version = {
-                let vline = self
-                    .front_mut(child)
-                    .peek_mut(v_block)
-                    .invariant_expect("vdirty implies a V-cache child");
-                debug_assert!(vline.meta.dirty);
-                vline.meta.dirty = false;
-                vline.meta.version
-            };
-            let line = self.l2.peek_mut(p2).invariant_expect("resident");
-            line.meta.subs[i].version = version;
-            line.meta.subs[i].vdirty = false;
-            any_dirty = true;
-        }
-        for i in flush_buf {
-            self.events.flush_buffer += 1;
-            reply.l1_messages += 1;
-            let e = self
-                .wb
-                .coherence_take(granules[i])
-                .invariant_expect("buffer bit implies a pending write");
-            let line = self.l2.peek_mut(p2).invariant_expect("resident");
-            line.meta.subs[i].version = e.payload;
-            line.meta.subs[i].buffer = false;
-            any_dirty = true;
-        }
-        let line = self.l2.peek_mut(p2).invariant_expect("resident");
-        line.meta.state = CohState::Shared;
-        if any_dirty {
-            line.meta.rdirty = false;
-            reply.supplied = Some(
-                granules
-                    .iter()
-                    .zip(line.meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
-                    .collect(),
-            );
-        }
-        reply
     }
 
     /// Applies an update-protocol broadcast: the local copies of `granule`
     /// (R-cache subentry, V-cache child, buffered write) are refreshed to
     /// `version`; ownership moves to the updater.
     fn snoop_update(&mut self, p2: BlockId, granule: BlockId, version: Version) -> SnoopReply {
-        let si = self.l2.sub_index(granule);
-        let Some(line) = self.l2.peek_mut(p2) else {
+        let si = self.l2.cache.sub_index(granule);
+        let Some(line) = self.l2.cache.peek_mut(p2) else {
             return SnoopReply::default();
         };
         let mut reply = SnoopReply {
@@ -563,6 +344,7 @@ impl VrHierarchy {
             self.events.update_v += 1;
             reply.l1_messages += 1;
             let vline = self
+                .l1
                 .front_mut(child)
                 .peek_mut(v_block)
                 .invariant_expect("inclusion bit implies a V child");
@@ -573,40 +355,10 @@ impl VrHierarchy {
             // The buffered older write is superseded by the broadcast.
             self.events.update_buffer += 1;
             reply.l1_messages += 1;
-            let taken = self.wb.coherence_take(granule);
+            let taken = self.l2.wb.coherence_take(granule);
             debug_assert!(taken.is_some(), "buffer bit implies a pending write");
-            let line = self.l2.peek_mut(p2).invariant_expect("resident");
+            let line = self.l2.cache.peek_mut(p2).invariant_expect("resident");
             line.meta.subs[si].buffer = false;
-        }
-        reply
-    }
-
-    fn snoop_invalidate(&mut self, p2: BlockId) -> SnoopReply {
-        let Some(line) = self.l2.invalidate(p2) else {
-            return SnoopReply::default();
-        };
-        let mut reply = SnoopReply {
-            has_copy: true,
-            ..SnoopReply::default()
-        };
-        let granules = self.l2.granules_of(p2);
-        for (i, sub) in line.meta.subs.iter().enumerate() {
-            // A processor-issued invalidation only ever targets clean
-            // shared copies (a dirty copy is exclusive), but a DMA write
-            // may land on a dirty block — its data is simply superseded
-            // and dropped along with the line.
-            if sub.inclusion {
-                self.events.inval_v += 1;
-                reply.l1_messages += 1;
-                let removed = self.front_mut(sub.child).invalidate(sub.v_block);
-                debug_assert!(removed.is_some(), "inclusion bit implies a V child");
-            }
-            if sub.buffer {
-                self.events.inval_buffer += 1;
-                reply.l1_messages += 1;
-                let taken = self.wb.coherence_take(granules[i]);
-                debug_assert!(taken.is_some(), "buffer bit implies a pending write");
-            }
         }
         reply
     }
@@ -621,24 +373,16 @@ impl CacheHierarchy for VrHierarchy {
     ) -> Result<AccessOutcome, CoherenceViolation> {
         debug_assert_eq!(access.cpu, self.cpu, "access routed to the wrong CPU");
         self.scrub_poison();
-        self.refs += 1;
-        // The write buffer drains in parallel with processor execution: one
-        // pending write-back completes per drain period (the second level
-        // retires one write per t2/t1 first-level cycles).
-        if self.refs.is_multiple_of(self.drain_period) {
-            if let Some(e) = self.wb.drain_one() {
-                self.complete_writeback(e.block, e.payload);
-            }
-        }
+        self.l2.tick().invariant_expect(LANDS);
 
         let child = self.route(access.kind);
         let vblock = self.v_key(access.asid, access.vaddr.raw());
         let p1 = self.granule_geo.pblock_of(access.paddr);
-        let p2 = self.l2.l2_block_of(p1);
+        let p2 = self.l2.cache.l2_block_of(p1);
 
         // ---- first level ----
         let l1_hit = {
-            let front = self.front_mut(child);
+            let front = self.l1.front_mut(child);
             match front.lookup(vblock) {
                 Some(line) => {
                     debug_assert_eq!(
@@ -651,7 +395,10 @@ impl CacheHierarchy for VrHierarchy {
             }
         };
         if let Some(meta) = l1_hit {
-            self.front_mut(child).stats_mut().record(access.kind, true);
+            self.l1
+                .front_mut(child)
+                .stats_mut()
+                .record(access.kind, true);
             if access.kind.is_write() {
                 match self.write_policy {
                     L1WritePolicy::WriteBack => {
@@ -663,9 +410,10 @@ impl CacheHierarchy for VrHierarchy {
                     }
                     L1WritePolicy::WriteThrough => {
                         debug_assert!(!meta.dirty, "write-through lines stay clean");
-                        self.obtain_write_permission(p1, bus);
+                        self.l2.obtain_write_permission(p2, bus);
                         let v = oracle.on_write(self.cpu, p1);
                         let line = self
+                            .l1
                             .front_mut(child)
                             .peek_mut(vblock)
                             .invariant_expect("line just hit");
@@ -679,7 +427,10 @@ impl CacheHierarchy for VrHierarchy {
             self.verify_after("access");
             return Ok(AccessOutcome::hit_l1());
         }
-        self.front_mut(child).stats_mut().record(access.kind, false);
+        self.l1
+            .front_mut(child)
+            .stats_mut()
+            .record(access.kind, false);
 
         // ---- TLB (probed in parallel; its result is consumed only now) ----
         let vpn = self.page.vpn_of(access.vaddr);
@@ -691,7 +442,7 @@ impl CacheHierarchy for VrHierarchy {
         }
 
         // A swapped line may occupy this very slot key; retire it first.
-        if let Some(sw) = self.front_mut(child).take_swapped(vblock) {
+        if let Some(sw) = self.l1.front_mut(child).take_swapped(vblock) {
             self.handle_v_victim(sw);
         }
 
@@ -699,7 +450,7 @@ impl CacheHierarchy for VrHierarchy {
         // first level; the store goes straight down.
         if access.kind.is_write() && self.write_policy == L1WritePolicy::WriteThrough {
             let l2_hit = self.write_through_miss(p1, p2, bus);
-            self.l2.stats_mut().record(access.kind, l2_hit);
+            self.l2.cache.stats_mut().record(access.kind, l2_hit);
             let v = oracle.on_write(self.cpu, p1);
             self.forward_write_through(p1, v);
             self.verify_after("access");
@@ -715,19 +466,22 @@ impl CacheHierarchy for VrHierarchy {
         // Only the addressed sub-block's entry is consulted below, and
         // `SubEntry` is `Copy` — extracting it avoids cloning the whole
         // `RMeta` (and its subs vector) on every access.
-        let si = self.l2.sub_index(p1);
-        let l2_sub = self.l2.lookup(p2).map(|l| l.meta.subs[si]);
+        let si = self.l2.cache.sub_index(p1);
+        let l2_sub = self.l2.cache.lookup(p2).map(|l| l.meta.subs[si]);
         let (l2_hit, synonym) = match l2_sub {
             Some(sub) => {
-                self.l2.stats_mut().record(access.kind, true);
+                self.l2.cache.stats_mut().record(access.kind, true);
 
                 // Newest data may be in the write buffer: fold it in first.
                 if sub.buffer {
                     let e = self
+                        .l2
                         .wb
                         .force_complete(p1)
                         .invariant_expect("buffer bit implies a pending write");
-                    self.complete_writeback_into(p2, si, e.payload);
+                    self.l2
+                        .complete_writeback(p1, e.payload)
+                        .invariant_expect(LANDS);
                 }
 
                 let synonym = if sub.inclusion {
@@ -736,9 +490,10 @@ impl CacheHierarchy for VrHierarchy {
                         "a resident same-key child would have been an L1 hit"
                     );
                     let same_set = sub.child == child
-                        && self.front(child).geometry().set_of(sub.v_block)
-                            == self.front(child).geometry().set_of(vblock);
+                        && self.l1.front(child).geometry().set_of(sub.v_block)
+                            == self.l1.front(child).geometry().set_of(vblock);
                     let old = self
+                        .l1
                         .front_mut(sub.child)
                         .invalidate(sub.v_block)
                         .invariant_expect("inclusion bit implies a V child");
@@ -747,7 +502,7 @@ impl CacheHierarchy for VrHierarchy {
                         self.events.synonym_sameset += 1;
                         // Re-tag in place: the freed way absorbs the block,
                         // so no replacement (and no write-back) happens.
-                        let out = self.front_mut(child).fill(
+                        let out = self.l1.front_mut(child).fill(
                             vblock,
                             VMeta {
                                 p_block: p1,
@@ -757,7 +512,7 @@ impl CacheHierarchy for VrHierarchy {
                             },
                         );
                         debug_assert!(out.evicted.is_none(), "sameset must not evict");
-                        self.relink(p2, si, vblock, child, old.meta.dirty);
+                        self.l2.link(p1, child, vblock, old.meta.dirty);
                         Some(SynonymKind::SameSet)
                     } else {
                         self.events.synonym_move += 1;
@@ -766,15 +521,21 @@ impl CacheHierarchy for VrHierarchy {
                     }
                 } else {
                     // Plain data supply from the R-cache.
-                    let version =
-                        self.l2.peek(p2).invariant_expect("resident").meta.subs[si].version;
+                    let version = self
+                        .l2
+                        .cache
+                        .peek(p2)
+                        .invariant_expect("resident")
+                        .meta
+                        .subs[si]
+                        .version;
                     self.install_in_v(child, vblock, p1, version, false);
                     None
                 };
                 (true, synonym)
             }
             None => {
-                self.l2.stats_mut().record(access.kind, false);
+                self.l2.cache.stats_mut().record(access.kind, false);
                 // The invalidation protocol turns a write miss into a
                 // read-modified-write (fetch + invalidate); the update
                 // protocol fetches normally and broadcasts the new data
@@ -784,12 +545,12 @@ impl CacheHierarchy for VrHierarchy {
                 let request = if rmw {
                     BusRequest::ReadModifiedWrite {
                         block: p2,
-                        subblocks: self.l2.subblocks(),
+                        subblocks: self.l2.cache.subblocks(),
                     }
                 } else {
                     BusRequest::ReadMiss {
                         block: p2,
-                        subblocks: self.l2.subblocks(),
+                        subblocks: self.l2.cache.subblocks(),
                     }
                 };
                 let resp = bus.issue(request);
@@ -800,9 +561,9 @@ impl CacheHierarchy for VrHierarchy {
                 };
                 let meta = RMeta::fetched(state, &resp.granule_versions);
                 let version = meta.subs[si].version;
-                let out = self.l2.fill(p2, meta);
+                let out = self.l2.cache.fill(p2, meta);
                 if let Some(victim) = out.evicted {
-                    self.handle_r_victim(victim, bus);
+                    self.l2.evict(&mut self.l1, &mut self.events, victim, bus);
                 }
                 self.install_in_v(child, vblock, p1, version, false);
                 (false, None)
@@ -817,6 +578,7 @@ impl CacheHierarchy for VrHierarchy {
             self.perform_write(child, vblock, p1, already_exclusive, bus, oracle);
         } else {
             let version = self
+                .l1
                 .front(child)
                 .peek(vblock)
                 .invariant_expect("just installed")
@@ -839,8 +601,8 @@ impl CacheHierarchy for VrHierarchy {
         self.events.context_switches += 1;
         match self.cs_policy {
             ContextSwitchPolicy::SwappedValid => {
-                self.events.lines_swapped += self.l1d.mark_all_swapped();
-                if let Some(i) = self.l1i.as_mut() {
+                self.events.lines_swapped += self.l1.data.mark_all_swapped();
+                if let Some(i) = self.l1.instr.as_mut() {
                     self.events.lines_swapped += i.mark_all_swapped();
                 }
             }
@@ -850,24 +612,12 @@ impl CacheHierarchy for VrHierarchy {
             ContextSwitchPolicy::EagerFlush => {
                 // The naive scheme: every line is invalidated now and every
                 // dirty line written back now, in one burst.
-                let mut lines: Vec<Line<VMeta>> = self.l1d.drain_all();
-                if let Some(i) = self.l1i.as_mut() {
+                let mut lines: Vec<Line<VMeta>> = self.l1.data.drain_all();
+                if let Some(i) = self.l1.instr.as_mut() {
                     lines.extend(i.drain_all());
                 }
                 for line in lines {
-                    let p1 = line.meta.p_block;
-                    let p2 = self.l2.l2_block_of(p1);
-                    let si = self.l2.sub_index(p1);
-                    let rline = self
-                        .l2
-                        .peek_mut(p2)
-                        .invariant_expect("inclusion property: flushed line has a parent");
-                    let sub = &mut rline.meta.subs[si];
-                    sub.inclusion = false;
-                    sub.vdirty = false;
-                    if line.meta.dirty {
-                        sub.version = line.meta.version;
-                        rline.meta.rdirty = true;
+                    if self.l2.fold(child_line(&line)) {
                         self.events.eager_flush_writebacks += 1;
                     }
                 }
@@ -889,26 +639,9 @@ impl CacheHierarchy for VrHierarchy {
         for i in 0..blocks_per_page {
             let key = self.v_key(asid, (first_vblock + i) << self.granule_geo.block_bits());
             for child in [ChildCache::Data, ChildCache::Instr] {
-                if child == ChildCache::Instr && self.l1i.is_none() {
-                    continue;
-                }
-                let Some(line) = self.front_mut(child).invalidate(key) else {
-                    continue;
-                };
-                disturbed += 1;
-                let p1 = line.meta.p_block;
-                let p2 = self.l2.l2_block_of(p1);
-                let si = self.l2.sub_index(p1);
-                let rline = self
-                    .l2
-                    .peek_mut(p2)
-                    .invariant_expect("inclusion property: shot-down line has a parent");
-                let sub = &mut rline.meta.subs[si];
-                sub.inclusion = false;
-                sub.vdirty = false;
-                if line.meta.dirty {
-                    sub.version = line.meta.version;
-                    rline.meta.rdirty = true;
+                if let Some(line) = self.l1.remove(child, key) {
+                    disturbed += 1;
+                    self.l2.fold(line);
                 }
             }
         }
@@ -919,13 +652,14 @@ impl CacheHierarchy for VrHierarchy {
     fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
         debug_assert_ne!(txn.source, self.cpu, "a hierarchy never snoops itself");
         self.scrub_poison();
+        let (l1, events) = (&mut self.l1, &mut self.events);
         let reply = match txn.op {
-            BusOp::ReadMiss => self.snoop_read(txn.block),
-            BusOp::Invalidate => self.snoop_invalidate(txn.block),
+            BusOp::ReadMiss => self.l2.snoop_read(l1, events, txn.block),
+            BusOp::Invalidate => self.l2.snoop_invalidate(l1, events, txn.block),
             BusOp::ReadModifiedWrite => {
                 // Treated as a read-miss followed by an invalidation.
-                let mut r = self.snoop_read(txn.block);
-                let inv = self.snoop_invalidate(txn.block);
+                let mut r = self.l2.snoop_read(l1, events, txn.block);
+                let inv = self.l2.snoop_invalidate(l1, events, txn.block);
                 r.has_copy |= inv.has_copy;
                 r.l1_messages += inv.l1_messages;
                 r
@@ -945,7 +679,7 @@ impl CacheHierarchy for VrHierarchy {
     fn coh_presence(&self, block: BlockId) -> BlockPresence {
         // Inclusion means the R-cache tag array is the whole story: no V
         // line or buffered write exists without a resident R parent.
-        match self.l2.peek(block).map(|line| line.meta.state) {
+        match self.l2.cache.peek(block).map(|line| line.meta.state) {
             Some(CohState::Private) => BlockPresence::Private,
             Some(CohState::Shared) => BlockPresence::Shared,
             None => BlockPresence::Absent,
@@ -957,19 +691,22 @@ impl CacheHierarchy for VrHierarchy {
     }
 
     fn l1_stats(&self) -> CacheStats {
-        let mut s = *self.l1d.stats();
-        if let Some(i) = &self.l1i {
+        let mut s = *self.l1.data.stats();
+        if let Some(i) = &self.l1.instr {
             s.merge(i.stats());
         }
         s
     }
 
     fn l1_split_stats(&self) -> Option<(CacheStats, CacheStats)> {
-        self.l1i.as_ref().map(|i| (*i.stats(), *self.l1d.stats()))
+        self.l1
+            .instr
+            .as_ref()
+            .map(|i| (*i.stats(), *self.l1.data.stats()))
     }
 
     fn l2_stats(&self) -> CacheStats {
-        *self.l2.stats()
+        *self.l2.cache.stats()
     }
 
     fn events(&self) -> &HierarchyEvents {
@@ -977,77 +714,46 @@ impl CacheHierarchy for VrHierarchy {
     }
 
     fn write_buffer_stats(&self) -> vrcache_cache::write_buffer::WriteBufferStats {
-        self.wb.stats()
+        self.l2.wb.stats()
     }
 
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        invariant::check(&invariant::HierarchyView {
-            data: &self.l1d,
-            instr: self.l1i.as_ref(),
-            l2: &self.l2,
-            wb: &self.wb,
-        })
+        invariant::check(&self.l2.view(&self.l1))
     }
 }
 
 impl VrHierarchy {
-    /// Updates the subentry linkage after a sameset re-tag.
-    fn relink(&mut self, p2: BlockId, si: usize, vblock: BlockId, child: ChildCache, dirty: bool) {
-        let line = self.l2.peek_mut(p2).invariant_expect("resident");
-        let sub = &mut line.meta.subs[si];
-        sub.v_block = vblock;
-        sub.child = child;
-        sub.inclusion = true;
-        sub.vdirty = dirty;
-    }
-
     /// The second-level half of a write-through store miss: secures a
     /// resident, exclusive parent line (fetching with read-modified-write
     /// if absent) and invalidates any synonym copy in the first level.
     /// Returns whether the second level hit.
     fn write_through_miss(&mut self, p1: BlockId, p2: BlockId, bus: &mut dyn SystemBus) -> bool {
-        let si = self.l2.sub_index(p1);
-        if self.l2.lookup(p2).is_some() {
-            let (incl, child_k, v_blk) = {
-                let line = self.l2.peek(p2).invariant_expect("just hit");
-                let sub = &line.meta.subs[si];
-                (sub.inclusion, sub.child, sub.v_block)
-            };
-            if incl {
+        let si = self.l2.cache.sub_index(p1);
+        if let Some(line) = self.l2.cache.lookup(p2) {
+            let sub = line.meta.subs[si];
+            if sub.inclusion {
                 // The store supersedes the (clean) synonym copy.
                 let old = self
-                    .front_mut(child_k)
-                    .invalidate(v_blk)
+                    .l1
+                    .remove(sub.child, sub.v_block)
                     .invariant_expect("inclusion bit implies a V child");
-                debug_assert!(!old.meta.dirty, "write-through lines stay clean");
-                let line = self.l2.peek_mut(p2).invariant_expect("resident");
-                line.meta.subs[si].inclusion = false;
-                line.meta.subs[si].vdirty = false;
+                debug_assert!(!old.dirty, "write-through lines stay clean");
+                self.l2.fold(old);
             }
-            self.obtain_write_permission(p1, bus);
+            self.l2.obtain_write_permission(p2, bus);
             true
         } else {
             let resp = bus.issue(BusRequest::ReadModifiedWrite {
                 block: p2,
-                subblocks: self.l2.subblocks(),
+                subblocks: self.l2.cache.subblocks(),
             });
             let meta = RMeta::fetched(CohState::Private, &resp.granule_versions);
-            let out = self.l2.fill(p2, meta);
+            let out = self.l2.cache.fill(p2, meta);
             if let Some(victim) = out.evicted {
-                self.handle_r_victim(victim, bus);
+                self.l2.evict(&mut self.l1, &mut self.events, victim, bus);
             }
             false
         }
-    }
-
-    /// Folds a completed write-back into subentry `si` of `p2`.
-    fn complete_writeback_into(&mut self, p2: BlockId, si: usize, version: Version) {
-        let line = self.l2.peek_mut(p2).invariant_expect("resident");
-        let sub = &mut line.meta.subs[si];
-        debug_assert!(sub.buffer);
-        sub.buffer = false;
-        sub.version = version;
-        line.meta.rdirty = true;
     }
 }
 
@@ -1058,7 +764,7 @@ impl Scrub for VrHierarchy {
             protection: &mut self.protection,
             tlb: &mut self.tlb,
             events: &mut self.events,
-            l2: Some(&mut self.l2),
+            l2: Some(&mut self.l2.cache),
         }
     }
 
@@ -1066,7 +772,7 @@ impl Scrub for VrHierarchy {
     /// cannot correct it, so the line is discarded; what else must go
     /// depends on which field faulted.
     fn scrub_l1_line(&mut self, kind: FaultKind, child: ChildCache, key: BlockId) {
-        let Some(line) = self.front_mut(child).invalidate(key) else {
+        let Some(line) = self.l1.front_mut(child).invalidate(key) else {
             // The poisoned line was already replaced; nothing to repair.
             self.events.parity_refetches += 1;
             return;
@@ -1096,57 +802,21 @@ impl Scrub for VrHierarchy {
         }
     }
 
-    /// Recovers a poisoned R-cache line by conservative teardown: every
-    /// V-cache child and buffered write of the line's granules is
-    /// discarded (trusting only the V-side r-pointers, never the
-    /// corrupted subentries) and the line is invalidated. Only a
-    /// provably-clean coherence-state flip counts as a refetch; any
-    /// pointer/flag corruption, or discarded modified data, is a
-    /// machine check.
+    /// Recovers a poisoned R-cache line: the shared teardown.
     fn scrub_l2_line(&mut self, kind: FaultKind, p2: BlockId) {
-        let granules = self.l2.granules_of(p2);
-        let mut lost_dirty = false;
-        for child in [ChildCache::Data, ChildCache::Instr] {
-            if child == ChildCache::Instr && self.l1i.is_none() {
-                continue;
-            }
-            let keys: Vec<BlockId> = self
-                .front(child)
-                .iter()
-                .filter(|l| granules.contains(&l.meta.p_block))
-                .map(|l| l.block)
-                .collect();
-            for k in keys {
-                if let Some(line) = self.front_mut(child).invalidate(k) {
-                    lost_dirty |= line.meta.dirty;
-                }
-            }
-        }
-        for g in &granules {
-            lost_dirty |= self.wb.coherence_take(*g).is_some();
-        }
-        if let Some(line) = self.l2.invalidate(p2) {
-            lost_dirty |= line.meta.rdirty;
-        }
-        if matches!(kind, FaultKind::CohStateFlip | FaultKind::RDataBit) && !lost_dirty {
-            self.events.parity_refetches += 1;
-        } else {
-            self.events.parity_machine_checks += 1;
-        }
+        self.l2.scrub_line(&mut self.l1, &mut self.events, kind, p2);
     }
 
     fn l1_word(&mut self, child: ChildCache, key: BlockId) -> Option<&mut Version> {
-        Some(&mut self.front_mut(child).peek_mut(key)?.meta.version)
+        Some(&mut self.l1.front_mut(child).peek_mut(key)?.meta.version)
     }
 }
 
 impl VrHierarchy {
     /// Clears the inclusion linkage of granule `p1`'s parent subentry.
     fn clear_sub_linkage(&mut self, p1: BlockId) {
-        let p2 = self.l2.l2_block_of(p1);
-        let si = self.l2.sub_index(p1);
-        if let Some(line) = self.l2.peek_mut(p2) {
-            let sub = &mut line.meta.subs[si];
+        if let Some((meta, si)) = self.l2.cache.parent_mut(p1) {
+            let sub = &mut meta.subs[si];
             sub.inclusion = false;
             sub.vdirty = false;
         }
@@ -1157,6 +827,7 @@ impl VrHierarchy {
     fn clear_linkage_by_v_pointer(&mut self, child: ChildCache, vblock: BlockId) {
         let targets: Vec<(BlockId, usize)> = self
             .l2
+            .cache
             .iter()
             .flat_map(|line| {
                 let p2 = line.block;
@@ -1169,7 +840,7 @@ impl VrHierarchy {
             })
             .collect();
         for (p2, si) in targets {
-            if let Some(line) = self.l2.peek_mut(p2) {
+            if let Some(line) = self.l2.cache.peek_mut(p2) {
                 let sub = &mut line.meta.subs[si];
                 sub.inclusion = false;
                 sub.vdirty = false;
@@ -1182,11 +853,13 @@ impl FaultPort for VrHierarchy {
     fn inject_fault(&mut self, kind: FaultKind, seed: u64) -> Option<FaultRecord> {
         let prot = &mut self.protection;
         match kind {
-            FaultKind::VTagFlip => prot.inject_tag_flip(self.l1d.array_mut(), seed, "v-line"),
-            FaultKind::VStateFlip => prot.inject_state_flip(self.l1d.array_mut(), seed, "v-line"),
+            FaultKind::VTagFlip => prot.inject_tag_flip(self.l1.data.array_mut(), seed, "v-line"),
+            FaultKind::VStateFlip => {
+                prot.inject_state_flip(self.l1.data.array_mut(), seed, "v-line")
+            }
             FaultKind::RPointerFlip => {
-                let key = fault::pick_line(self.l1d.iter(), seed)?;
-                let line = self.l1d.peek_mut(key)?;
+                let key = fault::pick_line(self.l1.data.iter(), seed)?;
+                let line = self.l1.data.peek_mut(key)?;
                 let old = line.meta.p_block;
                 let corrupted = BlockId::new(old.raw() ^ 1);
                 line.meta.p_block = corrupted;
@@ -1205,14 +878,15 @@ impl FaultPort for VrHierarchy {
             | FaultKind::RVdirtyFlip
             | FaultKind::VPointerFlip
             | FaultKind::CohStateFlip => {
-                let v_set_bits = self.l1d.geometry().set_bits();
+                let v_set_bits = self.l1.data.geometry().set_bits();
                 self.l2
+                    .cache
                     .inject_r_side(prot, kind, seed, v_set_bits, "r-line")
             }
             FaultKind::TlbEntryFlip => prot.inject_tlb_flip(&mut self.tlb, seed),
-            FaultKind::WriteBufferDrop => prot.inject_wb_drop(&mut self.wb, seed),
-            FaultKind::VDataBit => prot.inject_data_bit(self.l1d.array_mut(), seed, "v-line"),
-            FaultKind::RDataBit => self.l2.inject_data_bit(prot, seed, "r-line"),
+            FaultKind::WriteBufferDrop => prot.inject_wb_drop(&mut self.l2.wb, seed),
+            FaultKind::VDataBit => prot.inject_data_bit(self.l1.data.array_mut(), seed, "v-line"),
+            FaultKind::RDataBit => self.l2.cache.inject_data_bit(prot, seed, "r-line"),
             FaultKind::BusDropTxn | FaultKind::BusDuplicateTxn | FaultKind::BusLostInvalidate => {
                 None
             }
@@ -1888,7 +1562,7 @@ mod tests {
         // write buffer and nothing folds it back in.
         r.write(0x1000, 0x9000);
         r.write(0x2000, 0x9100);
-        assert!(!r.h.wb.is_empty(), "a write-back is pending");
+        assert!(!r.h.l2.wb.is_empty(), "a write-back is pending");
         let rec =
             r.h.inject_fault(FaultKind::WriteBufferDrop, 0)
                 .expect("target");

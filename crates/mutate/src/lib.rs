@@ -55,6 +55,7 @@ pub const TARGET_FILES: &[&str] = &[
     "crates/core/src/hierarchy.rs",
     "crates/core/src/inclusion.rs",
     "crates/core/src/rcache.rs",
+    "crates/core/src/rr.rs",
     "crates/core/src/vcache.rs",
     "crates/core/src/vr.rs",
 ];

@@ -1,16 +1,19 @@
 //! Property-based system tests: arbitrary access interleavings — including
 //! synonyms, cross-process sharing and context switches — never violate
 //! coherence (version oracle) or the structural invariants, on any
-//! organization.
+//! organization — plus the metamorphic relation VR ≡ RR(incl) over
+//! generated workloads.
 
 use proptest::prelude::*;
 
 use vrcache::config::HierarchyConfig;
+use vrcache_bus::stats::BusStats;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
 use vrcache_mem::page::PageSize;
 use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::record::{MemAccess, TraceEvent};
+use vrcache_trace::synth::{generate, WorkloadConfig};
 
 const CPUS: u16 = 2;
 const PAGE: u64 = 4096;
@@ -164,4 +167,73 @@ proptest! {
         run_schedule(HierarchyKind::Vr, &base.clone().with_asid_tags(), &steps);
         run_schedule(HierarchyKind::Vr, &base.with_write_through(), &steps);
     }
+}
+
+/// A synth genome with no context switches, no synonym aliases and one
+/// process per CPU: the conditions under which a virtual first level
+/// behaves exactly like a physical one, as long as its index bits stay
+/// inside the page offset.
+fn aliasless(seed: u64, cpus: u16, refs: u64, p_shared: f64, write_frac: f64) -> WorkloadConfig {
+    WorkloadConfig {
+        cpus,
+        processes_per_cpu: 1,
+        total_refs: refs,
+        context_switches: 0,
+        seed,
+        p_shared,
+        write_frac,
+        p_synonym_alias: 0.0,
+        ..WorkloadConfig::default()
+    }
+}
+
+/// L1 hits, L2 hits and every bus-traffic counter of one run.
+fn counts(kind: HierarchyKind, wl: &WorkloadConfig, cfg: &HierarchyConfig) -> (u64, u64, BusStats) {
+    let s = System::new(kind, wl.cpus, cfg)
+        .run_trace(&generate(wl))
+        .unwrap_or_else(|e| panic!("{kind}: {e}"));
+    (s.l1.hits(), s.l2.hits(), s.bus)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// VR ≡ RR(incl): with a 4K direct-mapped L1 (no larger than the
+    /// page) over a 64K direct-mapped write-back L2, an aliasless,
+    /// switch-free workload sees identical L1 hits, L2 hits and bus
+    /// transactions in both organizations — the V-R design costs nothing
+    /// when synonyms and context switches are absent.
+    #[test]
+    fn vr_matches_inclusive_rr_without_aliases(
+        seed in any::<u64>(),
+        cpus in 1u16..=4,
+        refs in 2_000u64..6_000,
+        p_shared in 0.0f64..0.3,
+        write_frac in 0.0f64..0.5,
+    ) {
+        let wl = aliasless(seed, cpus, refs, p_shared, write_frac);
+        let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
+        prop_assert_eq!(
+            counts(HierarchyKind::Vr, &wl, &cfg),
+            counts(HierarchyKind::RrInclusive, &wl, &cfg)
+        );
+    }
+}
+
+/// The relation is sensitive to the page-offset condition: at 16K/256K
+/// the L1 index reaches above the 4K page offset, so virtual and
+/// physical placement differ and the counts diverge.
+#[test]
+fn vr_and_inclusive_rr_diverge_when_l1_exceeds_the_page() {
+    let wl = aliasless(7, 2, 6_000, 0.1, 0.2);
+    let small = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
+    assert_eq!(
+        counts(HierarchyKind::Vr, &wl, &small),
+        counts(HierarchyKind::RrInclusive, &wl, &small)
+    );
+    let large = HierarchyConfig::direct_mapped(16 * 1024, 256 * 1024, 16).unwrap();
+    assert_ne!(
+        counts(HierarchyKind::Vr, &wl, &large),
+        counts(HierarchyKind::RrInclusive, &wl, &large)
+    );
 }
