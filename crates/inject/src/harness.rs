@@ -16,10 +16,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vrcache::bus_api::{BusRequest, BusResponse, SystemBus};
 use vrcache::fault::{FaultKind, FaultPort, FaultRecord};
 use vrcache::hierarchy::CacheHierarchy;
-use vrcache_bus::memory::MainMemory;
-use vrcache_bus::oracle::{Version, VersionOracle};
+use vrcache_bus::oracle::Version;
 use vrcache_bus::retry::{NackStats, RetryPolicy};
-use vrcache_bus::stats::BusStats;
+use vrcache_mem::access::CpuId;
+use vrcache_sim::machine::Machine;
 use vrcache_sim::snoop::SnoopingBus;
 use vrcache_trace::record::TraceEvent;
 
@@ -119,6 +119,7 @@ impl RunResult {
 /// Bus-fault arming state, shared across every transaction of a run.
 /// Armed entries are tagged with their plan position so a pair of bus
 /// faults fires in plan order, one per applicable transaction.
+#[derive(Default)]
 struct BusFaultState {
     armed: Vec<(usize, FaultKind)>,
     /// Detect-and-retry enabled (tied to the parity setting of the run).
@@ -129,19 +130,6 @@ struct BusFaultState {
     subblocks: u32,
 }
 
-impl BusFaultState {
-    fn new(recovery: bool, subblocks: u32) -> BusFaultState {
-        BusFaultState {
-            armed: Vec::new(),
-            recovery,
-            policy: RetryPolicy::default(),
-            nacks: NackStats::default(),
-            fired: Vec::new(),
-            subblocks,
-        }
-    }
-}
-
 fn request_label(request: &BusRequest) -> &'static str {
     match request {
         BusRequest::ReadMiss { .. } => "read-miss",
@@ -149,16 +137,6 @@ fn request_label(request: &BusRequest) -> &'static str {
         BusRequest::Invalidate { .. } => "invalidate",
         BusRequest::WriteBack { .. } => "write-back",
         BusRequest::Update { .. } => "update",
-    }
-}
-
-fn request_block(request: &BusRequest) -> u64 {
-    match request {
-        BusRequest::ReadMiss { block, .. }
-        | BusRequest::ReadModifiedWrite { block, .. }
-        | BusRequest::Invalidate { block }
-        | BusRequest::WriteBack { block, .. }
-        | BusRequest::Update { block, .. } => block.raw(),
     }
 }
 
@@ -204,7 +182,7 @@ impl SystemBus for FaultyBus<'_, '_> {
                     "{} on {} for block {:#x}",
                     kind.label(),
                     request_label(&request),
-                    request_block(&request)
+                    request.block().raw()
                 ),
             },
         ));
@@ -231,6 +209,7 @@ impl SystemBus for FaultyBus<'_, '_> {
 /// Everything the replay records that must survive a panic: the closure
 /// updates this after every event, so classification works even when an
 /// assertion killed the run halfway through.
+#[derive(Default)]
 struct Observations {
     /// Per-plan-position: `Some(port_result)` once that structural
     /// injection was attempted (bus positions stay `None` here — the
@@ -243,17 +222,17 @@ struct Observations {
     completed: bool,
 }
 
-fn tally_events(hs: &[Option<Box<dyn FaultTarget>>]) -> (u64, u64, u64) {
-    let mut refetches = 0;
-    let mut machine_checks = 0;
-    let mut corrections = 0;
-    for h in hs.iter().flatten() {
-        let e = h.events();
-        refetches += e.parity_refetches;
-        machine_checks += e.parity_machine_checks;
-        corrections += e.secded_corrections;
+impl Observations {
+    /// Re-reads the detection counters from every hierarchy.
+    fn tally(&mut self, machine: &Machine<dyn FaultTarget>) {
+        (self.refetches, self.machine_checks, self.corrections) = (0, 0, 0);
+        for h in machine.iter() {
+            let e = h.events();
+            self.refetches += e.parity_refetches;
+            self.machine_checks += e.parity_machine_checks;
+            self.corrections += e.secded_corrections;
+        }
     }
-    (refetches, machine_checks, corrections)
 }
 
 fn one_line(s: &str) -> String {
@@ -281,21 +260,17 @@ pub fn run(spec: &Spec) -> RunResult {
 
     let mut obs = Observations {
         injected: vec![None; spec.plan.len()],
-        refetches: 0,
-        machine_checks: 0,
-        corrections: 0,
-        violation: None,
-        completed: false,
+        ..Observations::default()
     };
-    let mut bus_state = BusFaultState::new(spec.parity, subblocks);
+    let mut bus_state = BusFaultState {
+        recovery: spec.parity,
+        subblocks,
+        ..BusFaultState::default()
+    };
 
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let mut hs: Vec<Option<Box<dyn FaultTarget>>> = (0..CPUS)
-            .map(|c| Some(spec.org.build(vrcache_mem::access::CpuId::new(c), &cfg)))
-            .collect();
-        let mut memory = MainMemory::new();
-        let mut oracle = VersionOracle::new();
-        let mut stats = BusStats::default();
+        let hierarchies = (0..CPUS).map(|c| spec.org.build(CpuId::new(c), &cfg));
+        let mut machine: Machine<dyn FaultTarget> = Machine::new(hierarchies, subblocks);
 
         for (i, event) in events.iter().enumerate() {
             for (position, fault) in spec.plan.iter().enumerate() {
@@ -305,8 +280,8 @@ pub fn run(spec: &Spec) -> RunResult {
                 if fault.kind.is_bus_level() {
                     bus_state.armed.push((position, fault.kind));
                 } else {
-                    let record = hs[0]
-                        .as_mut()
+                    let record = machine
+                        .get_mut(CpuId::new(0))
                         .expect("hierarchy present between events")
                         .inject_fault(fault.kind, fault_seed(spec.seed, position));
                     obs.injected[position] = Some(record);
@@ -322,47 +297,33 @@ pub fn run(spec: &Spec) -> RunResult {
             {
                 return;
             }
-            match event {
-                TraceEvent::Access(a) => {
-                    let idx = a.cpu.index();
-                    let mut h = hs[idx].take().expect("not reentrant");
-                    let result = {
-                        let mut inner =
-                            SnoopingBus::new(a.cpu, &mut hs, &mut memory, &mut stats, subblocks);
+            let result = match event {
+                TraceEvent::Access(a) => machine
+                    .with_bus(a.cpu, None, |h, inner, oracle| {
                         let mut bus = FaultyBus {
-                            inner: &mut inner,
+                            inner,
                             state: &mut bus_state,
                         };
-                        h.access(a, &mut bus, &mut oracle)
-                    };
-                    hs[idx] = Some(h);
-                    let (refetches, machine_checks, corrections) = tally_events(&hs);
-                    obs.refetches = refetches;
-                    obs.machine_checks = machine_checks;
-                    obs.corrections = corrections;
-                    if let Err(v) = result {
-                        obs.violation = Some(v.to_string());
-                        return;
-                    }
-                    // A machine check halts the processor: graceful
-                    // degradation, but the run is over.
-                    if machine_checks > 0 {
-                        return;
-                    }
-                }
+                        h.access(a, &mut bus, oracle).map(|_| ())
+                    })
+                    .expect("workload cpus are in range"),
                 TraceEvent::ContextSwitch { cpu, from, to } => {
-                    hs[cpu.index()]
-                        .as_mut()
-                        .expect("not reentrant")
+                    machine
+                        .get_mut(*cpu)
+                        .expect("workload cpus are in range")
                         .context_switch(*from, *to);
-                    let (refetches, machine_checks, corrections) = tally_events(&hs);
-                    obs.refetches = refetches;
-                    obs.machine_checks = machine_checks;
-                    obs.corrections = corrections;
-                    if machine_checks > 0 {
-                        return;
-                    }
+                    Ok(())
                 }
+            };
+            obs.tally(&machine);
+            if let Err(v) = result {
+                obs.violation = Some(v.to_string());
+                return;
+            }
+            // A machine check halts the processor: graceful
+            // degradation, but the run is over.
+            if obs.machine_checks > 0 {
+                return;
             }
         }
         obs.completed = true;
@@ -497,25 +458,13 @@ mod tests {
     }
 
     fn pair_spec(org: Org, first: FaultKind, second: FaultKind, parity: bool) -> Spec {
-        Spec {
-            org,
-            plan: vec![
-                PlannedFault {
-                    kind: first,
-                    point_idx: 0,
-                    point: 60,
-                },
-                PlannedFault {
-                    kind: second,
-                    point_idx: 1,
-                    point: 140,
-                },
-            ],
-            seed: 1,
-            parity,
-            protection: DataProtection::None,
-            shape: WorkloadShape::default(),
-        }
+        let mut s = spec(org, first, parity);
+        s.plan.push(PlannedFault {
+            kind: second,
+            point_idx: 1,
+            point: 140,
+        });
+        s
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The model-checked world: the *real* hierarchies from `vrcache`, the
-//! real snooping bus from `vrcache-sim`, the flat main memory, and the
-//! sequentially-consistent version oracle — plus everything the checker
-//! needs that the simulator does not: cloning a configuration mid-flight,
-//! a canonical state encoding for duplicate detection, and the two global
-//! properties (single-writer and value equivalence) checked after every
-//! event.
+//! The model-checked world: the *real* hierarchies from `vrcache` on the
+//! real bus-attached `Machine` from `vrcache-sim` (snooping bus, flat
+//! main memory, sequentially-consistent version oracle) — plus
+//! everything the checker needs that the simulator does not: cloning a
+//! configuration mid-flight, a canonical state encoding for duplicate
+//! detection, and the two global properties (single-writer and value
+//! equivalence) checked after every event.
 //!
 //! Nothing here re-models the protocol. An event is applied by calling
 //! the same `access` / `context_switch` / `tlb_shootdown` entry points
@@ -20,13 +20,11 @@ use vrcache::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy};
 use vrcache::invariant::{InvariantExpect, InvariantViolation};
 use vrcache::rcache::CohState;
 use vrcache::vr::VrHierarchy;
-use vrcache_bus::memory::MainMemory;
 use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
-use vrcache_bus::stats::BusStats;
 use vrcache_cache::geometry::BlockId;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
-use vrcache_sim::snoop::SnoopingBus;
+use vrcache_sim::machine::Machine;
 use vrcache_trace::record::MemAccess;
 
 use crate::coverage::{CoverageSet, Recorder};
@@ -299,14 +297,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One complete system state: per-processor hierarchies, the shared
-/// memory, the version oracle, and each processor's current ASID.
+/// One complete system state: the machine (per-processor hierarchies,
+/// shared memory, version oracle) and each processor's current ASID.
 #[derive(Clone)]
 pub struct World<H: ModelHierarchy> {
-    hierarchies: Vec<Option<Box<H>>>,
-    memory: MainMemory,
-    oracle: VersionOracle,
-    bus_stats: BusStats,
+    machine: Machine<H>,
     asids: Vec<Asid>,
 }
 
@@ -314,21 +309,16 @@ impl<H: ModelHierarchy> World<H> {
     /// The initial state of `scope`: cold caches, pristine memory, every
     /// processor running the first ASID.
     pub fn new(scope: &Scope) -> Self {
-        let hierarchies = (0..scope.cpus)
-            .map(|c| Some(Box::new(H::build(CpuId::new(c), &scope.cfg))))
-            .collect();
+        let hierarchies = (0..scope.cpus).map(|c| Box::new(H::build(CpuId::new(c), &scope.cfg)));
         World {
-            hierarchies,
-            memory: MainMemory::new(),
-            oracle: VersionOracle::new(),
-            bus_stats: BusStats::default(),
+            machine: Machine::new(hierarchies, scope.cfg.subblocks()),
             asids: vec![ASIDS[0]; usize::from(scope.cpus)],
         }
     }
 
     /// The version oracle (the flat sequentially-consistent reference).
     pub fn oracle(&self) -> &VersionOracle {
-        &self.oracle
+        &self.machine.oracle
     }
 
     /// Performs one processor reference through mapping `mapping`.
@@ -346,10 +336,9 @@ impl<H: ModelHierarchy> World<H> {
         coverage: &mut CoverageSet,
     ) -> Result<AccessOutcome, Violation> {
         let m = scope.mappings[mapping];
-        let idx = usize::from(cpu);
         let access = MemAccess {
             cpu: CpuId::new(cpu),
-            asid: self.asids[idx],
+            asid: self.asids[usize::from(cpu)],
             kind: if write {
                 AccessKind::DataWrite
             } else {
@@ -358,23 +347,11 @@ impl<H: ModelHierarchy> World<H> {
             vaddr: VirtAddr::new(m.va),
             paddr: PhysAddr::new(m.pa),
         };
-        let mut h = self.hierarchies[idx]
-            .take()
-            .invariant_expect("hierarchy slots are occupied between events");
         let mut recorder = Recorder::new(coverage, H::LABEL);
-        let result = {
-            let mut bus = SnoopingBus::new(
-                CpuId::new(cpu),
-                &mut self.hierarchies,
-                &mut self.memory,
-                &mut self.bus_stats,
-                scope.cfg.subblocks(),
-            )
-            .with_observer(&mut recorder);
-            h.access(&access, &mut bus, &mut self.oracle)
-        };
-        self.hierarchies[idx] = Some(h);
-        result.map_err(Violation::Coherence)
+        self.machine
+            .access(&access, Some(&mut recorder))
+            .invariant_expect("hierarchy slots are occupied between events")
+            .map_err(Violation::Coherence)
     }
 
     /// Applies one alphabet event.
@@ -402,10 +379,10 @@ impl<H: ModelHierarchy> World<H> {
                 let from = self.asids[idx];
                 let to = if from == ASIDS[0] { ASIDS[1] } else { ASIDS[0] };
                 self.asids[idx] = to;
-                let h = self.hierarchies[idx]
-                    .as_mut()
-                    .invariant_expect("hierarchy slots are occupied between events");
-                h.context_switch(from, to);
+                self.machine
+                    .get_mut(CpuId::new(cpu))
+                    .invariant_expect("hierarchy slots are occupied between events")
+                    .context_switch(from, to);
                 Ok(())
             }
             ModelEvent::Shootdown { mapping } => {
@@ -416,23 +393,13 @@ impl<H: ModelHierarchy> World<H> {
                 let asid = self.asids[0];
                 let va = VirtAddr::new(scope.mappings[mapping].va);
                 let vpn = scope.cfg.page.vpn_of(va);
-                for idx in 0..self.hierarchies.len() {
-                    let mut h = self.hierarchies[idx]
-                        .take()
-                        .invariant_expect("hierarchy slots are occupied between events");
+                for cpu in 0..scope.cpus {
                     let mut recorder = Recorder::new(coverage, H::LABEL);
-                    {
-                        let mut bus = SnoopingBus::new(
-                            CpuId::new(idx as u16),
-                            &mut self.hierarchies,
-                            &mut self.memory,
-                            &mut self.bus_stats,
-                            scope.cfg.subblocks(),
-                        )
-                        .with_observer(&mut recorder);
-                        h.tlb_shootdown(asid, vpn, &mut bus);
-                    }
-                    self.hierarchies[idx] = Some(h);
+                    self.machine
+                        .with_bus(CpuId::new(cpu), Some(&mut recorder), |h, bus, _| {
+                            h.tlb_shootdown(asid, vpn, bus)
+                        })
+                        .invariant_expect("hierarchy slots are occupied between events");
                 }
                 Ok(())
             }
@@ -447,7 +414,7 @@ impl<H: ModelHierarchy> World<H> {
     /// hierarchy, single-writer exclusivity across hierarchies, or a held
     /// copy older than the globally newest version.
     pub fn check(&self, scope: &Scope) -> Result<(), Violation> {
-        for h in self.hierarchies.iter().flatten() {
+        for h in self.machine.iter() {
             h.check_invariants()
                 .map_err(|violation| Violation::Invariant {
                     cpu: h.cpu(),
@@ -458,9 +425,8 @@ impl<H: ModelHierarchy> World<H> {
         // SWMR, writer half: a private holder excludes every other copy.
         for &block in &scope.l2_blocks() {
             let presences: Vec<(CpuId, BlockPresence)> = self
-                .hierarchies
+                .machine
                 .iter()
-                .flatten()
                 .map(|h| (h.cpu(), h.coh_presence(block)))
                 .collect();
             if let Some(&(owner, _)) = presences.iter().find(|(_, p)| *p == BlockPresence::Private)
@@ -483,8 +449,8 @@ impl<H: ModelHierarchy> World<H> {
         // *reads*; this catches stale copies parked in a cache even if no
         // event in the explored prefix ever reads them.)
         for &granule in &scope.granules() {
-            let newest = self.oracle.newest(granule);
-            for h in self.hierarchies.iter().flatten() {
+            let newest = self.machine.oracle.newest(granule);
+            for h in self.machine.iter() {
                 if let Some(held) = h.effective_version(granule) {
                     if held != newest {
                         return Err(Violation::StaleCopy {
@@ -505,19 +471,19 @@ impl<H: ModelHierarchy> World<H> {
     /// renamed consistently across hierarchies, memory, and oracle).
     pub fn canon_key(&self, scope: &Scope) -> Vec<u64> {
         let mut enc = Encoder::new();
-        enc.word(self.hierarchies.len() as u64);
-        for (h, asid) in self.hierarchies.iter().flatten().zip(&self.asids) {
+        enc.word(self.machine.cpus() as u64);
+        for (h, asid) in self.machine.iter().zip(&self.asids) {
             enc.word(u64::from(asid.raw()));
             h.encode(&mut enc);
         }
-        let snapshot = self.memory.snapshot();
+        let snapshot = self.machine.memory.snapshot();
         enc.word(snapshot.len() as u64);
         for (block, version) in snapshot {
             enc.word(block.raw());
             enc.version(version);
         }
         for &granule in &scope.granules() {
-            enc.version(self.oracle.newest(granule));
+            enc.version(self.machine.oracle.newest(granule));
         }
         enc.finish()
     }
@@ -592,8 +558,8 @@ mod tests {
         let g = scope.granules()[0];
         w.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();
-        let h = w.hierarchies[0].as_ref().unwrap();
-        assert_eq!(h.effective_version(g), Some(w.oracle.newest(g)));
+        let h = w.machine.get(CpuId::new(0)).unwrap();
+        assert_eq!(h.effective_version(g), Some(w.oracle().newest(g)));
         w.check(&scope).unwrap();
     }
 

@@ -6,11 +6,18 @@
 //!
 //! This crate ties the workspace together:
 //!
-//! * [`system`] — a [`System`] of N processors, each with a
-//!   private two-level hierarchy (V-R, R-R with inclusion, or R-R without),
-//!   connected by a snooping bus over a version-checked main memory. It
-//!   replays a [`Trace`](vrcache_trace::trace::Trace) and collects hit
-//!   ratios, coherence-message counts and event statistics.
+//! * [`machine`] — a [`Machine`] of N private hierarchies on one
+//!   snooping bus over a version-checked main memory: the one replay
+//!   step the simulator, the model checker and the injection harness
+//!   share.
+//! * [`snoop`] — the [`SnoopingBus`](snoop::SnoopingBus) a transaction
+//!   rides to every other hierarchy, with an optional transition
+//!   observer.
+//! * [`system`] — a [`System`]: a machine whose processors all run one
+//!   organization (V-R, R-R with inclusion, R-R without, or Goodman's
+//!   single level). It replays a [`Trace`](vrcache_trace::trace::Trace)
+//!   and collects hit ratios, coherence-message counts and event
+//!   statistics.
 //! * [`report`] — minimal markdown table rendering for experiment output.
 //! * [`experiments`] — one module per table and figure of the paper's
 //!   evaluation, each of which regenerates its artifact from scratch:
@@ -38,9 +45,11 @@
 //! ```
 
 pub mod experiments;
+pub mod machine;
 pub mod report;
 pub mod snoop;
 pub mod system;
 
+pub use machine::Machine;
 pub use report::TableReport;
 pub use system::{HierarchyKind, RunSummary, SimError, System};

@@ -1,10 +1,9 @@
 //! The snooping bus: the one place a transaction leaves its issuing
 //! hierarchy and visits everyone else.
 //!
-//! [`SnoopingBus`] is generic over the hierarchy type so the same bus
-//! semantics serve both the trace-driven [`System`](crate::system::System)
-//! (boxed trait objects, mixed only in kind) and the exhaustive model
-//! checker in `vrcache-model` (concrete, cloneable hierarchies). An
+//! [`SnoopingBus`] is generic over the hierarchy type, so every
+//! [`Machine`](crate::machine::Machine), boxed or concrete, rides the same
+//! bus semantics; `Machine::with_bus` builds one per transaction. An
 //! optional [`SnoopObserver`] sees every snoop delivery together with the
 //! snooper's coherence standing *before* the transaction — exactly the
 //! (state, bus event) pair of a protocol transition table, which is how
@@ -41,9 +40,9 @@ pub trait SnoopObserver {
 }
 
 /// The snooping-bus implementation handed to a hierarchy during an access:
-/// it walks every *other* hierarchy and the shared memory. The issuing
-/// hierarchy's own slot in `others` must be `None` for the duration (the
-/// take/put pattern `System` uses).
+/// it walks every *other* hierarchy and the shared memory. The issuer's
+/// own slot in `others` is `None` for the duration (`Machine::with_bus`
+/// lifts it out); a DMA agent's bus walks every slot.
 pub struct SnoopingBus<'a, H: CacheHierarchy + ?Sized> {
     source: CpuId,
     others: &'a mut [Option<Box<H>>],
@@ -173,9 +172,9 @@ impl<H: CacheHierarchy + ?Sized> SystemBus for SnoopingBus<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use vrcache::config::HierarchyConfig;
     use vrcache::vr::VrHierarchy;
-    use vrcache_bus::oracle::VersionOracle;
     use vrcache_mem::access::AccessKind;
     use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
     use vrcache_trace::record::MemAccess;
@@ -197,13 +196,8 @@ mod tests {
     #[test]
     fn observer_sees_pre_snoop_presence() {
         let cfg = HierarchyConfig::direct_mapped(256, 4096, 16).unwrap();
-        let mut hs: Vec<Option<Box<VrHierarchy>>> = (0..2)
-            .map(|c| Some(Box::new(VrHierarchy::new(CpuId::new(c), &cfg))))
-            .collect();
-        let mut memory = MainMemory::new();
-        let mut stats = BusStats::default();
-        let mut oracle = VersionOracle::new();
-        let subblocks = cfg.subblocks();
+        let hierarchies = (0..2).map(|c| Box::new(VrHierarchy::new(CpuId::new(c), &cfg)));
+        let mut machine = Machine::new(hierarchies, cfg.subblocks());
         let mut rec = Recorder(Vec::new());
 
         let access = |cpu: u16, kind: AccessKind| MemAccess {
@@ -214,27 +208,14 @@ mod tests {
             paddr: PhysAddr::new(0x9000),
         };
 
-        // CPU 0 writes: CPU 1 is snooped while absent.
-        let mut h = hs[0].take().unwrap();
-        {
-            let mut bus =
-                SnoopingBus::new(CpuId::new(0), &mut hs, &mut memory, &mut stats, subblocks)
-                    .with_observer(&mut rec);
-            h.access(&access(0, AccessKind::DataWrite), &mut bus, &mut oracle)
+        // CPU 0 writes: CPU 1 is snooped while absent. Then CPU 1 reads
+        // the same block: CPU 0 is snooped while private.
+        for (cpu, kind) in [(0, AccessKind::DataWrite), (1, AccessKind::DataRead)] {
+            machine
+                .access(&access(cpu, kind), Some(&mut rec))
+                .unwrap()
                 .unwrap();
         }
-        hs[0] = Some(h);
-
-        // CPU 1 reads the same block: CPU 0 is snooped while private.
-        let mut h = hs[1].take().unwrap();
-        {
-            let mut bus =
-                SnoopingBus::new(CpuId::new(1), &mut hs, &mut memory, &mut stats, subblocks)
-                    .with_observer(&mut rec);
-            h.access(&access(1, AccessKind::DataRead), &mut bus, &mut oracle)
-                .unwrap();
-        }
-        hs[1] = Some(h);
 
         assert!(rec
             .0

@@ -2,22 +2,21 @@
 
 use core::fmt;
 
+use vrcache::bus_api::BusRequest;
 use vrcache::config::HierarchyConfig;
 use vrcache::events::HierarchyEvents;
 use vrcache::hierarchy::CacheHierarchy;
 use vrcache::rr::{InclusionMode, RrHierarchy};
 use vrcache::vr::VrHierarchy;
-use vrcache_bus::memory::MainMemory;
 use vrcache_bus::oracle::{CoherenceViolation, VersionOracle};
 use vrcache_bus::stats::BusStats;
-use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::geometry::BlockId;
 use vrcache_cache::stats::CacheStats;
 use vrcache_mem::access::CpuId;
 use vrcache_trace::record::TraceEvent;
 use vrcache_trace::trace::Trace;
 
-use crate::snoop::SnoopingBus;
+use crate::machine::Machine;
 
 /// Which hierarchy organization every processor of the system uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +88,8 @@ impl From<CoherenceViolation> for SimError {
     }
 }
 
-/// Per-reference outcome tallies of a run.
+/// Per-reference outcome tallies of a run, folded from the cache
+/// statistics and hierarchy event counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// References that hit in the first level.
@@ -138,21 +138,16 @@ impl RunSummary {
     }
 }
 
-/// A shared-bus multiprocessor: one hierarchy per CPU, a snooping bus, a
-/// version-checked main memory, and a coherence oracle.
+/// A shared-bus multiprocessor: a [`Machine`] whose CPUs all run one
+/// organization, plus the bookkeeping of a trace replay.
 pub struct System {
     kind: HierarchyKind,
-    hierarchies: Vec<Option<Box<dyn CacheHierarchy>>>,
-    memory: MainMemory,
-    oracle: VersionOracle,
-    bus_stats: BusStats,
-    subblocks: u32,
+    machine: Machine<dyn CacheHierarchy>,
     l1_block_bytes: u64,
     l2_block_bytes: u64,
     check_invariants_every: Option<u64>,
     refs_run: u64,
     switches_run: u64,
-    outcomes: OutcomeCounts,
 }
 
 impl System {
@@ -164,37 +159,29 @@ impl System {
     /// Panics if `cpus` is zero.
     pub fn new(kind: HierarchyKind, cpus: u16, cfg: &HierarchyConfig) -> System {
         assert!(cpus > 0, "a system needs at least one cpu");
-        let hierarchies = (0..cpus)
-            .map(|c| {
-                let cpu = CpuId::new(c);
-                let h: Box<dyn CacheHierarchy> = match kind {
-                    HierarchyKind::Vr => Box::new(VrHierarchy::new(cpu, cfg)),
-                    HierarchyKind::RrInclusive => {
-                        Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::Inclusive))
-                    }
-                    HierarchyKind::RrNonInclusive => {
-                        Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive))
-                    }
-                    HierarchyKind::GoodmanSingleLevel => {
-                        Box::new(vrcache::goodman::GoodmanHierarchy::new(cpu, cfg))
-                    }
-                };
-                Some(h)
-            })
-            .collect();
+        let hierarchies = (0..cpus).map(|c| -> Box<dyn CacheHierarchy> {
+            let cpu = CpuId::new(c);
+            match kind {
+                HierarchyKind::Vr => Box::new(VrHierarchy::new(cpu, cfg)),
+                HierarchyKind::RrInclusive => {
+                    Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::Inclusive))
+                }
+                HierarchyKind::RrNonInclusive => {
+                    Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive))
+                }
+                HierarchyKind::GoodmanSingleLevel => {
+                    Box::new(vrcache::goodman::GoodmanHierarchy::new(cpu, cfg))
+                }
+            }
+        });
         System {
             kind,
-            hierarchies,
-            memory: MainMemory::new(),
-            oracle: VersionOracle::new(),
-            bus_stats: BusStats::default(),
-            subblocks: cfg.subblocks(),
+            machine: Machine::new(hierarchies, cfg.subblocks()),
             l1_block_bytes: cfg.l1.block_bytes(),
             l2_block_bytes: cfg.l2.block_bytes(),
             check_invariants_every: None,
             refs_run: 0,
             switches_run: 0,
-            outcomes: OutcomeCounts::default(),
         }
     }
 
@@ -213,7 +200,7 @@ impl System {
 
     /// Number of processors.
     pub fn cpus(&self) -> usize {
-        self.hierarchies.len()
+        self.machine.cpus()
     }
 
     /// The hierarchy of one processor.
@@ -222,9 +209,7 @@ impl System {
     ///
     /// Panics if `cpu` is out of range.
     pub fn hierarchy(&self, cpu: CpuId) -> &dyn CacheHierarchy {
-        self.hierarchies[cpu.index()]
-            .as_deref()
-            .expect("hierarchy present outside access()")
+        self.machine.get(cpu).expect("cpu in range")
     }
 
     /// Event counters of one processor's hierarchy.
@@ -234,7 +219,7 @@ impl System {
 
     /// Bus traffic counters.
     pub fn bus_stats(&self) -> &BusStats {
-        &self.bus_stats
+        &self.machine.bus_stats
     }
 
     /// Write-buffer statistics of one processor's hierarchy.
@@ -244,7 +229,7 @@ impl System {
 
     /// The coherence oracle (exposed for tests).
     pub fn oracle(&self) -> &VersionOracle {
-        &self.oracle
+        &self.machine.oracle
     }
 
     /// Replays every event of `trace`.
@@ -283,42 +268,9 @@ impl System {
     pub fn step(&mut self, event: &TraceEvent) -> Result<(), SimError> {
         match event {
             TraceEvent::Access(a) => {
-                let idx = a.cpu.index();
-                if idx >= self.hierarchies.len() {
-                    return Err(SimError::UnknownCpu(a.cpu));
-                }
-                let mut h = self.hierarchies[idx].take().expect("not reentrant");
-                let result = {
-                    let mut bus = SnoopingBus::new(
-                        a.cpu,
-                        &mut self.hierarchies,
-                        &mut self.memory,
-                        &mut self.bus_stats,
-                        self.subblocks,
-                    );
-                    h.access(a, &mut bus, &mut self.oracle)
-                };
-                self.hierarchies[idx] = Some(h);
-                let outcome = result?;
-                if outcome.l1_hit {
-                    self.outcomes.l1_hits += 1;
-                } else if outcome.l2_hit == Some(true) {
-                    self.outcomes.l2_hits += 1;
-                } else {
-                    self.outcomes.misses += 1;
-                }
-                match outcome.synonym {
-                    Some(vrcache::hierarchy::SynonymKind::SameSet) => {
-                        self.outcomes.synonym_sameset += 1;
-                    }
-                    Some(vrcache::hierarchy::SynonymKind::Move) => {
-                        self.outcomes.synonym_move += 1;
-                    }
-                    None => {}
-                }
-                if outcome.tlb_hit == Some(false) {
-                    self.outcomes.tlb_misses += 1;
-                }
+                self.machine
+                    .access(a, None)
+                    .ok_or(SimError::UnknownCpu(a.cpu))??;
                 self.refs_run += 1;
                 if let Some(every) = self.check_invariants_every {
                     if self.refs_run.is_multiple_of(every) {
@@ -327,13 +279,9 @@ impl System {
                 }
             }
             TraceEvent::ContextSwitch { cpu, from, to } => {
-                let idx = cpu.index();
-                if idx >= self.hierarchies.len() {
-                    return Err(SimError::UnknownCpu(*cpu));
-                }
-                self.hierarchies[idx]
-                    .as_mut()
-                    .expect("not reentrant")
+                self.machine
+                    .get_mut(*cpu)
+                    .ok_or(SimError::UnknownCpu(*cpu))?
                     .context_switch(*from, *to);
                 self.switches_run += 1;
             }
@@ -352,20 +300,16 @@ impl System {
     /// Never fails today; kept fallible for symmetry with
     /// [`dma_read`](Self::dma_read).
     pub fn dma_write(&mut self, paddr: u64, bytes: u64) -> Result<(), SimError> {
-        let first = paddr / self.l2_block_bytes;
-        let last = (paddr + bytes.max(1) - 1) / self.l2_block_bytes;
-        for l2_block in first..=last {
-            let txn = BusTransaction::new(BusOp::Invalidate, DMA_AGENT, BlockId::new(l2_block));
-            for h in self.hierarchies.iter_mut().flatten() {
-                let _ = h.snoop(&txn);
-            }
-            self.bus_stats.record(BusOp::Invalidate, false);
+        let subblocks = u64::from(self.machine.subblocks());
+        for l2_block in self.l2_blocks(paddr, bytes) {
+            let block = BlockId::new(l2_block);
+            self.machine
+                .issue_as(DMA_AGENT, BusRequest::Invalidate { block });
             // Fresh device data, one version per L1-sized granule.
-            let base = l2_block * u64::from(self.subblocks);
-            for i in 0..u64::from(self.subblocks) {
-                let g = BlockId::new(base + i);
-                let v = self.oracle.on_write(DMA_AGENT, g);
-                self.memory.write(g, v);
+            let base = l2_block * subblocks;
+            for g in (base..base + subblocks).map(BlockId::new) {
+                let v = self.machine.oracle.on_write(DMA_AGENT, g);
+                self.machine.memory.write(g, v);
             }
         }
         Ok(())
@@ -380,29 +324,23 @@ impl System {
     /// Returns a coherence violation if the device would have read stale
     /// data (a protocol bug).
     pub fn dma_read(&mut self, paddr: u64, bytes: u64) -> Result<(), SimError> {
-        let first = paddr / self.l2_block_bytes;
-        let last = (paddr + bytes.max(1) - 1) / self.l2_block_bytes;
-        for l2_block in first..=last {
-            let txn = BusTransaction::new(BusOp::ReadMiss, DMA_AGENT, BlockId::new(l2_block));
-            let mut supplied = false;
-            for h in self.hierarchies.iter_mut().flatten() {
-                let reply = h.snoop(&txn);
-                if let Some(granules) = reply.supplied {
-                    supplied = true;
-                    for (g, v) in granules {
-                        self.memory.write(g, v);
-                    }
-                }
-            }
-            self.bus_stats.record(BusOp::ReadMiss, supplied);
-            let base = l2_block * u64::from(self.subblocks);
-            for i in 0..u64::from(self.subblocks) {
-                let g = BlockId::new(base + i);
-                let v = self.memory.read(g);
-                self.oracle.check_read(DMA_AGENT, g, v)?;
+        let subblocks = self.machine.subblocks();
+        for l2_block in self.l2_blocks(paddr, bytes) {
+            let block = BlockId::new(l2_block);
+            let response = self
+                .machine
+                .issue_as(DMA_AGENT, BusRequest::ReadMiss { block, subblocks });
+            let base = l2_block * u64::from(subblocks);
+            for (g, v) in (base..).map(BlockId::new).zip(response.granule_versions) {
+                self.machine.oracle.check_read(DMA_AGENT, g, v)?;
             }
         }
         Ok(())
+    }
+
+    /// The second-level blocks `bytes` bytes at `paddr` touch.
+    fn l2_blocks(&self, paddr: u64, bytes: u64) -> std::ops::RangeInclusive<u64> {
+        paddr / self.l2_block_bytes..=(paddr + bytes.max(1) - 1) / self.l2_block_bytes
     }
 
     /// The first-level block size (exposed for DMA-granularity math in
@@ -422,22 +360,15 @@ impl System {
         asid: vrcache_mem::addr::Asid,
         vpn: vrcache_mem::addr::Vpn,
     ) -> u32 {
-        let mut disturbed = 0;
-        for i in 0..self.hierarchies.len() {
-            let mut h = self.hierarchies[i].take().expect("not reentrant");
-            {
-                let mut bus = SnoopingBus::new(
-                    h.cpu(),
-                    &mut self.hierarchies,
-                    &mut self.memory,
-                    &mut self.bus_stats,
-                    self.subblocks,
-                );
-                disturbed += h.tlb_shootdown(asid, vpn, &mut bus);
-            }
-            self.hierarchies[i] = Some(h);
-        }
-        disturbed
+        (0..self.machine.cpus())
+            .map(|i| {
+                self.machine
+                    .with_bus(CpuId::new(i as u16), None, |h, bus, _| {
+                        h.tlb_shootdown(asid, vpn, bus)
+                    })
+                    .unwrap_or(0)
+            })
+            .sum()
     }
 
     /// Checks every hierarchy's structural invariants.
@@ -446,21 +377,30 @@ impl System {
     ///
     /// Returns the first violation's description.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for h in self.hierarchies.iter().flatten() {
+        for h in self.machine.iter() {
             h.check_invariants()
                 .map_err(|e| format!("{}: {e}", h.cpu()))?;
         }
         Ok(())
     }
 
-    /// The aggregate results so far.
+    /// The aggregate results so far: a fold over every hierarchy's
+    /// cache statistics and event counters.
     pub fn summary(&self) -> RunSummary {
         let mut l1 = CacheStats::default();
         let mut l2 = CacheStats::default();
-        for h in self.hierarchies.iter().flatten() {
+        let mut outcomes = OutcomeCounts::default();
+        for h in self.machine.iter() {
             l1.merge(&h.l1_stats());
             l2.merge(&h.l2_stats());
+            let e = h.events();
+            outcomes.synonym_sameset += e.synonym_sameset;
+            outcomes.synonym_move += e.synonym_move;
+            outcomes.tlb_misses += e.tlb_misses;
         }
+        outcomes.l1_hits = l1.hits();
+        outcomes.l2_hits = l2.hits();
+        outcomes.misses = l1.misses() - l2.hits();
         RunSummary {
             refs: self.refs_run,
             context_switches: self.switches_run,
@@ -468,8 +408,8 @@ impl System {
             h2_local: l2.hit_ratio(),
             l1,
             l2,
-            bus: self.bus_stats,
-            outcomes: self.outcomes,
+            bus: self.machine.bus_stats,
+            outcomes,
         }
     }
 }
@@ -478,7 +418,7 @@ impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
             .field("kind", &self.kind)
-            .field("cpus", &self.hierarchies.len())
+            .field("cpus", &self.machine.cpus())
             .field("refs_run", &self.refs_run)
             .finish_non_exhaustive()
     }
@@ -607,28 +547,57 @@ mod tests {
 
     #[test]
     fn outcome_counts_partition_the_references() {
-        // Heavy sharing and aliasing so the expected synonym count is far
-        // from zero — the assertion below must not hinge on a handful of
-        // lucky RNG draws.
+        // The summary folds its outcome counts from the cache statistics
+        // and event counters. Replaying through `Machine::access` while
+        // tallying every outcome by hand must give the same numbers.
+        // Heavy sharing and aliasing keep the synonym count far from zero.
+        use vrcache::hierarchy::SynonymKind;
         let trace = generate(&WorkloadConfig {
             cpus: 2,
             total_refs: 12_000,
-            context_switches: 0,
+            context_switches: 6,
             p_shared: 0.5,
             p_synonym_alias: 0.5,
             ..WorkloadConfig::default()
         });
-        let mut sys = System::new(HierarchyKind::Vr, 2, &small_cfg());
-        let run = sys.run_trace(&trace).unwrap();
-        let o = run.outcomes;
-        assert_eq!(o.l1_hits + o.l2_hits + o.misses, run.refs);
-        // The outcome tallies agree with the cache statistics.
-        assert_eq!(o.l1_hits, run.l1.hits());
-        assert_eq!(o.l2_hits, run.l2.hits());
-        assert!(o.tlb_misses > 0);
-        // Synonyms happen in this aliased workload and are L2 hits.
-        assert!(o.synonym_sameset + o.synonym_move > 0);
-        assert!(o.synonym_sameset + o.synonym_move <= o.l2_hits);
+        let cfg = small_cfg();
+        let cases = HierarchyKind::ALL
+            .map(|kind| (kind, cfg.clone()))
+            .into_iter()
+            .chain([
+                (HierarchyKind::Vr, cfg.clone().with_split_l1()),
+                (HierarchyKind::Vr, cfg.clone().with_write_through()),
+            ]);
+        for (kind, cfg) in cases {
+            let mut by_hand = System::new(kind, 2, &cfg);
+            let mut o = OutcomeCounts::default();
+            for event in &trace {
+                let TraceEvent::Access(a) = event else {
+                    by_hand.step(event).unwrap();
+                    continue;
+                };
+                let outcome = by_hand.machine.access(a, None).unwrap().unwrap();
+                if outcome.l1_hit {
+                    o.l1_hits += 1;
+                } else if outcome.l2_hit == Some(true) {
+                    o.l2_hits += 1;
+                } else {
+                    o.misses += 1;
+                }
+                o.synonym_sameset += u64::from(outcome.synonym == Some(SynonymKind::SameSet));
+                o.synonym_move += u64::from(outcome.synonym == Some(SynonymKind::Move));
+                o.tlb_misses += u64::from(outcome.tlb_hit == Some(false));
+            }
+            let run = System::new(kind, 2, &cfg).run_trace(&trace).unwrap();
+            assert_eq!(run.outcomes, o, "{kind} {cfg:?}");
+            assert_eq!(o.l1_hits + o.l2_hits + o.misses, run.refs);
+            if kind == HierarchyKind::Vr {
+                // Synonyms happen in this aliased workload and are L2 hits.
+                assert!(o.tlb_misses > 0);
+                assert!(o.synonym_sameset + o.synonym_move > 0);
+                assert!(o.synonym_sameset + o.synonym_move <= o.l2_hits);
+            }
+        }
     }
 
     #[test]

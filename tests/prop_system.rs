@@ -1,13 +1,15 @@
 //! Property-based system tests: arbitrary access interleavings — including
 //! synonyms, cross-process sharing and context switches — never violate
 //! coherence (version oracle) or the structural invariants, on any
-//! organization — plus the metamorphic relation VR ≡ RR(incl) over
-//! generated workloads.
+//! organization — plus the metamorphic relations VR ≡ RR(incl) and
+//! RR(incl) ≡ RR(no incl) over generated workloads, each with the knobs
+//! that break it.
 
 use proptest::prelude::*;
 
 use vrcache::config::HierarchyConfig;
 use vrcache_bus::stats::BusStats;
+use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
 use vrcache_mem::page::PageSize;
@@ -195,14 +197,40 @@ fn counts(kind: HierarchyKind, wl: &WorkloadConfig, cfg: &HierarchyConfig) -> (u
     (s.l1.hits(), s.l2.hits(), s.bus)
 }
 
+/// `size/block/ways` for each level over the 4K page.
+fn geometry(l1: (u64, u64, u32), l2: (u64, u64, u32)) -> HierarchyConfig {
+    let l1 = CacheGeometry::new(l1.0, l1.1, l1.2).unwrap();
+    let l2 = CacheGeometry::new(l2.0, l2.1, l2.2).unwrap();
+    HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).unwrap()
+}
+
+/// A synth genome with aliases, context switches and sharing.
+fn genome(seed: u64, cpus: u16, p_shared: f64, p_alias: f64, switches: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        processes_per_cpu: 2,
+        context_switches: switches,
+        p_synonym_alias: p_alias,
+        ..aliasless(seed, cpus, 5_000, p_shared, 0.3)
+    }
+}
+
+/// L1 and L2 hits of RR(incl) and RR(no incl).
+fn rr_hits(wl: &WorkloadConfig, cfg: &HierarchyConfig) -> [(u64, u64); 2] {
+    [HierarchyKind::RrInclusive, HierarchyKind::RrNonInclusive].map(|kind| {
+        let (l1, l2, _) = counts(kind, wl, cfg);
+        (l1, l2)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// VR ≡ RR(incl): with a 4K direct-mapped L1 (no larger than the
-    /// page) over a 64K direct-mapped write-back L2, an aliasless,
-    /// switch-free workload sees identical L1 hits, L2 hits and bus
-    /// transactions in both organizations — the V-R design costs nothing
-    /// when synonyms and context switches are absent.
+    /// VR ≡ RR(incl): with a 4K L1 (no larger than the page) over a 64K
+    /// write-back L2, an aliasless, switch-free workload sees identical
+    /// L1 hits, L2 hits and bus transactions in both organizations, at
+    /// any associativity of either level and either L2 block size — the
+    /// V-R design costs nothing when synonyms and context switches are
+    /// absent.
     #[test]
     fn vr_matches_inclusive_rr_without_aliases(
         seed in any::<u64>(),
@@ -210,13 +238,72 @@ proptest! {
         refs in 2_000u64..6_000,
         p_shared in 0.0f64..0.3,
         write_frac in 0.0f64..0.5,
+        l1_ways in 1u32..=2,
+        l2_ways in 1u32..=2,
+        b2 in prop_oneof![Just(16u64), Just(32)],
     ) {
         let wl = aliasless(seed, cpus, refs, p_shared, write_frac);
-        let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
+        let cfg = geometry((4 * 1024, 16, l1_ways), (64 * 1024, b2, l2_ways));
         prop_assert_eq!(
             counts(HierarchyKind::Vr, &wl, &cfg),
             counts(HierarchyKind::RrInclusive, &wl, &cfg)
         );
+    }
+
+    /// RR(incl) ≡ RR(no incl) on hits: with both levels direct-mapped and
+    /// one block size, the miss that evicts an L2 line refills the same
+    /// L1 set, so inclusion never changes a hit — on any genome, aliases,
+    /// switches and sharing included. (Bus write-backs may differ.)
+    #[test]
+    fn inclusive_rr_matches_non_inclusive_rr_hits(
+        seed in any::<u64>(),
+        cpus in 1u16..=4,
+        p_shared in 0.0f64..0.3,
+        p_alias in 0.0f64..0.3,
+        switches in 0u64..20,
+        large in any::<bool>(),
+    ) {
+        let wl = genome(seed, cpus, p_shared, p_alias, switches);
+        let k = if large { 4 } else { 1 };
+        let cfg = HierarchyConfig::direct_mapped(k * 4 * 1024, k * 64 * 1024, 16).unwrap();
+        let [incl, no_incl] = rr_hits(&wl, &cfg);
+        prop_assert_eq!(incl, no_incl);
+    }
+}
+
+/// Either knob alone breaks RR(incl) ≡ RR(no incl): a 2-way L1 (an L2
+/// eviction can now hit an L1 line its refill does not replace), or
+/// 32-byte L2 blocks (one L2 eviction covers two L1 blocks).
+#[test]
+fn inclusive_and_non_inclusive_rr_diverge_per_knob() {
+    let wl = genome(7, 2, 0.2, 0.2, 8);
+    let [incl, no_incl] = rr_hits(&wl, &geometry((4 * 1024, 16, 1), (64 * 1024, 16, 1)));
+    assert_eq!(incl, no_incl);
+    for (knob, l1_ways, b2) in [("2-way L1", 2, 16), ("32-byte L2 blocks", 1, 32)] {
+        let [incl, no_incl] = rr_hits(&wl, &geometry((4 * 1024, 16, l1_ways), (64 * 1024, b2, 1)));
+        assert_ne!(incl, no_incl, "{knob}");
+    }
+}
+
+/// Either knob alone breaks VR ≡ RR(incl) (the base workload is the one
+/// the relation holds on below): a synonym alias, which the V-cache
+/// resolves at the second level, or a context switch, which marks its
+/// lines swapped.
+#[test]
+fn vr_and_inclusive_rr_diverge_per_knob() {
+    let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
+    let base = aliasless(7, 2, 6_000, 0.1, 0.2);
+    let alias = WorkloadConfig {
+        p_synonym_alias: 0.2,
+        ..base.clone()
+    };
+    let switch = WorkloadConfig {
+        context_switches: 8,
+        ..base
+    };
+    for (knob, wl) in [("synonym alias", alias), ("context switch", switch)] {
+        let rr = counts(HierarchyKind::RrInclusive, &wl, &cfg);
+        assert_ne!(counts(HierarchyKind::Vr, &wl, &cfg), rr, "{knob}");
     }
 }
 
