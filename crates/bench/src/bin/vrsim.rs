@@ -20,6 +20,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::process::ExitCode;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread;
@@ -32,7 +33,7 @@ use vrcache_mem::access::CpuId;
 use vrcache_mem::page::PageSize;
 use vrcache_sim::system::{HierarchyKind, System};
 use vrcache_trace::analysis::{reuse_histogram, working_set_curve};
-use vrcache_trace::codec::{self, CodecError};
+use vrcache_trace::codec::{self, CodecError, Decoder};
 use vrcache_trace::presets::TracePreset;
 use vrcache_trace::record::TraceEvent;
 use vrcache_trace::trace::{Trace, TraceSummary};
@@ -86,14 +87,22 @@ fn preset_of(name: &str) -> Option<TracePreset> {
 
 fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     if let Some(path) = flags.get("trace-file") {
-        let bytes = read_trace_file(path)?;
-        return codec::decode(&bytes).map_err(|e| format!("decoding {path}: {e}"));
+        return open_trace_file(path)?
+            .into_trace()
+            .map_err(|e| format!("decoding {path}: {e}"));
     }
     generate_preset(flags)
 }
 
-fn read_trace_file(path: &str) -> Result<Vec<u8>, String> {
-    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
+/// A decoder over the trace file at `path`, its header parsed. The file
+/// is read through the decoder's fixed window, never whole.
+fn open_trace_file(path: &str) -> Result<Decoder<File>, String> {
+    let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let len = file
+        .metadata()
+        .map_err(|e| format!("reading {path}: {e}"))?
+        .len();
+    Decoder::from_reader(file, len).map_err(|e| format!("decoding {path}: {e}"))
 }
 
 fn generate_preset(flags: &HashMap<String, String>) -> Result<Trace, String> {
@@ -250,14 +259,13 @@ struct Chunk {
 }
 
 /// Replays the trace file at `path` with decoding overlapped: a scoped
-/// producer thread decodes fixed-size chunks and hands them over a
-/// bounded channel while this thread simulates, and every emptied chunk
-/// buffer goes back to be refilled. Chunks arrive in stream order, so
-/// the first failure, decode or simulation, is the one a one-thread
-/// replay would hit, with the same message.
+/// producer thread decodes the file into fixed-size chunks and hands
+/// them over a bounded channel while this thread simulates, and every
+/// emptied chunk buffer goes back to be refilled. Chunks arrive in
+/// stream order, so the first failure, decode or simulation, is the one
+/// a one-thread replay would hit, with the same message.
 fn replay_file(kind: HierarchyKind, cfg: &HierarchyConfig, path: &str) -> Result<String, String> {
-    let bytes = read_trace_file(path)?;
-    let decoder = codec::Decoder::new(&bytes).map_err(|e| format!("decoding {path}: {e}"))?;
+    let decoder = open_trace_file(path)?;
     let mut replay = Replay::new(kind, cfg, TraceSummary::new(decoder.name(), decoder.cpus()));
     let (full_tx, full_rx) = mpsc::sync_channel(CHUNKS_AHEAD);
     let (empty_tx, empty_rx) = mpsc::channel();
@@ -276,10 +284,10 @@ fn replay_file(kind: HierarchyKind, cfg: &HierarchyConfig, path: &str) -> Result
     replay.report()
 }
 
-/// The producer: decodes `decoder` into chunks until the stream ends,
-/// fails, or the consumer hangs up.
+/// The producer: decodes `decoder` into chunks, one batch call each,
+/// until the stream ends, fails, or the consumer hangs up.
 fn decode_chunks(
-    mut decoder: codec::Decoder<'_>,
+    mut decoder: Decoder<File>,
     full: &SyncSender<Chunk>,
     empty: &Receiver<Vec<TraceEvent>>,
 ) {
@@ -287,13 +295,7 @@ fn decode_chunks(
         let mut events = empty
             .try_recv()
             .unwrap_or_else(|_| Vec::with_capacity(CHUNK_EVENTS));
-        let mut error = None;
-        for event in decoder.by_ref().take(CHUNK_EVENTS) {
-            match event {
-                Ok(event) => events.push(event),
-                Err(e) => error = Some(e),
-            }
-        }
+        let error = decoder.read_into(&mut events, CHUNK_EVENTS).err();
         let last = error.is_some() || events.len() < CHUNK_EVENTS;
         if full.send(Chunk { events, error }).is_err() || last {
             return;

@@ -109,6 +109,17 @@ fn truncated_trace_file_fails_cleanly() {
     assert_clean_failure(&out, "ended early");
 }
 
+#[test]
+fn directory_trace_file_fails_cleanly() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("a-directory.vrt");
+    std::fs::create_dir_all(&dir).expect("the test temp directory is writable");
+    let dir = dir.to_str().unwrap();
+    for cmd in ["run", "inspect"] {
+        let out = vrsim(&[cmd, "--trace-file", dir]);
+        assert_clean_failure(&out, dir);
+    }
+}
+
 /// A pops trace long enough to span several of the decoder's chunks.
 fn long_trace() -> Trace {
     TracePreset::Pops.generate_scaled(0.01)

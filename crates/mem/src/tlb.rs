@@ -182,6 +182,8 @@ impl TlbEntry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
+    /// `sets - 1`: the vpn bits that pick a set.
+    set_mask: u32,
     entries: Vec<TlbEntry>,
     clock: u64,
     stats: TlbStats,
@@ -192,6 +194,7 @@ impl Tlb {
     pub fn new(config: TlbConfig) -> Self {
         Tlb {
             config,
+            set_mask: config.sets() - 1,
             entries: vec![TlbEntry::INVALID; config.entries() as usize],
             clock: 0,
             stats: TlbStats::default(),
@@ -214,7 +217,7 @@ impl Tlb {
     }
 
     fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
-        let set = (vpn.raw() as u32) & (self.config.sets() - 1);
+        let set = (vpn.raw() as u32) & self.set_mask;
         let start = (set * self.config.ways()) as usize;
         start..start + self.config.ways() as usize
     }

@@ -84,11 +84,17 @@ impl<'a, H: CacheHierarchy + ?Sized> SnoopingBus<'a, H> {
         let mut shared = false;
         let mut supplied: Option<Vec<(BlockId, Version)>> = None;
         for h in self.others.iter_mut().flatten() {
-            let before = h.coh_presence(txn.block);
-            let reply = h.snoop(txn);
-            if let Some(obs) = self.observer.as_deref_mut() {
-                obs.on_snoop(h.cpu(), before, txn, &reply);
-            }
+            let reply = match self.observer.as_deref_mut() {
+                // The presence probe walks the hierarchy: only an
+                // observer needs it.
+                Some(obs) => {
+                    let before = h.coh_presence(txn.block);
+                    let reply = h.snoop(txn);
+                    obs.on_snoop(h.cpu(), before, txn, &reply);
+                    reply
+                }
+                None => h.snoop(txn),
+            };
             shared |= reply.has_copy;
             if let Some(s) = reply.supplied {
                 debug_assert!(supplied.is_none(), "two owners supplied the same block");

@@ -268,8 +268,12 @@ impl System {
     pub fn step(&mut self, event: &TraceEvent) -> Result<(), SimError> {
         match event {
             TraceEvent::Access(a) => {
+                // Only the error matters here: dropping the outcome
+                // inside the closure keeps it off the return path.
                 self.machine
-                    .access(a, None)
+                    .with_bus(a.cpu, None, |h, bus, oracle| {
+                        h.access(a, bus, oracle).map(|_| ())
+                    })
                     .ok_or(SimError::UnknownCpu(a.cpu))??;
                 self.refs_run += 1;
                 if let Some(every) = self.check_invariants_every {

@@ -37,8 +37,14 @@
 //! never mix. Version 1 files (fixed-width, 22 bytes per access) are
 //! rejected with [`CodecError::UnsupportedVersion`]; regenerate them with
 //! `vrsim gen`.
+//!
+//! The [`Decoder`] reads any [`Read`] source, a file as well as a buffer,
+//! through a fixed 64 KiB window that it refills only when less than one
+//! maximal event encoding is left, so replay memory does not grow with
+//! the trace. A read that fails is [`CodecError::Io`].
 
 use core::fmt;
+use std::io::{self, Read};
 
 use bytes::{BufMut, Bytes};
 use vrcache_mem::access::{AccessKind, CpuId};
@@ -66,6 +72,15 @@ const SLOTS: usize = 16;
 const MAX_VARINT_BYTES: usize = 10;
 /// The shortest event: a head byte and two one-byte varints.
 const MIN_EVENT_BYTES: usize = 3;
+/// The most bytes the parser reads for one event: a head byte and four
+/// varints (cpu, asid and both deltas; a switch reads fewer). With this
+/// many bytes in the window the parser never runs off its end; once the
+/// source has ended the window is all there is, so a `Truncated` from
+/// the parser always means the input really ended.
+const MAX_EVENT_BYTES: usize = 1 + 4 * MAX_VARINT_BYTES;
+/// The size of the fixed refill window a [`Decoder`] reads its source
+/// through.
+pub const WINDOW_BYTES: usize = 64 * 1024;
 
 /// Errors from [`decode`] and [`Decoder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +94,8 @@ pub enum CodecError {
     Truncated,
     /// A header field, event head, varint or field value was invalid.
     Corrupt(&'static str),
+    /// Reading the input failed.
+    Io(io::ErrorKind),
 }
 
 impl fmt::Display for CodecError {
@@ -88,6 +105,7 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
             CodecError::Truncated => write!(f, "trace buffer ended early"),
             CodecError::Corrupt(what) => write!(f, "corrupt trace field: {what}"),
+            CodecError::Io(kind) => write!(f, "reading the trace failed: {kind}"),
         }
     }
 }
@@ -217,31 +235,24 @@ pub fn encode(trace: &Trace) -> Bytes {
     Bytes::from(out)
 }
 
-/// Parses a binary trace produced by [`encode`]: collects a [`Decoder`].
+/// Parses a binary trace produced by [`encode`]: collects a [`Decoder`]
+/// over the buffer.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] on bad magic, an unsupported version, a
 /// truncated buffer, or invalid field values.
 pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
-    let mut decoder = Decoder::new(buf)?;
-    // `Decoder::new` bounds the count by the buffer length, so a corrupt
-    // count cannot request an outsized allocation here.
-    let mut events = Vec::with_capacity(decoder.remaining() as usize);
-    for event in decoder.by_ref() {
-        events.push(event?);
-    }
-    Ok(Trace::new(
-        decoder.name(),
-        decoder.cpus(),
-        decoder.page_size(),
-        events,
-    ))
+    Decoder::new(buf)?.into_trace()
 }
 
-/// A streaming decoder: iterates events without materializing the whole
-/// trace, for replaying large stored traces with bounded memory. The one
-/// parser of the format; [`decode`] collects it.
+/// A streaming decoder: reads its source through a fixed-size refill
+/// window and yields events without materializing the whole trace, so a
+/// stored trace of any length replays in bounded memory. The one parser
+/// of the format: a buffer ([`Decoder::new`]) is just a source like a
+/// file ([`Decoder::from_reader`]), and [`decode`] collects it. Events
+/// come one at a time from the [`Iterator`], or a batch at a time from
+/// [`Decoder::read_into`].
 ///
 /// # Example
 ///
@@ -259,10 +270,15 @@ pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    name: &'a str,
+pub struct Decoder<R> {
+    source: R,
+    /// `window[pos..end]` is read from the source but not yet parsed.
+    window: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    /// The source has reported its end.
+    exhausted: bool,
+    name: String,
     cpus: u16,
     page: PageSize,
     remaining: u64,
@@ -270,17 +286,36 @@ pub struct Decoder<'a> {
     failed: bool,
 }
 
-impl<'a> Decoder<'a> {
-    /// Parses the header and positions the iterator at the first event.
+impl<'a> Decoder<&'a [u8]> {
+    /// Parses the header of an in-memory trace and positions the decoder
+    /// at the first event.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decoder::from_reader`].
+    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
+        Decoder::from_reader(buf, buf.len() as u64)
+    }
+}
+
+impl<R: Read> Decoder<R> {
+    /// Parses the header read from `source`, which holds `len` bytes in
+    /// all (a file's length), and positions the decoder at the first
+    /// event.
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] for a bad header, including a cpu count
-    /// of zero and an event count the buffer cannot hold.
-    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
+    /// of zero and an event count that `len` bytes cannot hold, and for a
+    /// failed read.
+    pub fn from_reader(source: R, len: u64) -> Result<Self, CodecError> {
         let mut d = Decoder {
-            buf,
-            name: "",
+            source,
+            window: vec![0; WINDOW_BYTES].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            exhausted: false,
+            name: String::new(),
             cpus: 0,
             page: PageSize::SIZE_4K,
             remaining: 0,
@@ -301,24 +336,31 @@ impl<'a> Decoder<'a> {
         d.page = PageSize::new(u64::from_le_bytes(d.array()?))
             .map_err(|_| CodecError::Corrupt("page size"))?;
         let name_len = usize::from(u16::from_le_bytes(d.array()?));
-        if d.buf.len() < name_len {
-            return Err(CodecError::Truncated);
+        // The name may outgrow the window: copy it out piece by piece.
+        let mut name = Vec::with_capacity(name_len);
+        while name.len() < name_len {
+            d.ensure(1)?;
+            let piece = (name_len - name.len()).min(d.end - d.pos);
+            if piece == 0 {
+                return Err(CodecError::Truncated);
+            }
+            name.extend_from_slice(&d.window[d.pos..d.pos + piece]);
+            d.pos += piece;
         }
-        let (name, rest) = d.buf.split_at(name_len);
-        d.buf = rest;
-        d.name = core::str::from_utf8(name).map_err(|_| CodecError::Corrupt("name"))?;
+        d.name = String::from_utf8(name).map_err(|_| CodecError::Corrupt("name"))?;
         d.remaining = u64::from_le_bytes(d.array()?);
         // Every event occupies at least MIN_EVENT_BYTES, so a count the
-        // rest of the buffer cannot hold is certainly truncated.
-        if d.remaining > (d.buf.len() / MIN_EVENT_BYTES) as u64 {
+        // rest of the input cannot hold is certainly truncated.
+        let body = len.saturating_sub((HEADER_BYTES + name_len) as u64);
+        if d.remaining > body / MIN_EVENT_BYTES as u64 {
             return Err(CodecError::Truncated);
         }
         Ok(d)
     }
 
     /// The trace's name.
-    pub fn name(&self) -> &'a str {
-        self.name
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Number of CPUs.
@@ -336,15 +378,174 @@ impl<'a> Decoder<'a> {
         self.remaining
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let (bytes, rest) = self
-            .buf
-            .split_first_chunk::<N>()
-            .ok_or(CodecError::Truncated)?;
-        self.buf = rest;
-        Ok(*bytes)
+    /// Appends the next events to `out`, up to `max`: fewer only when the
+    /// stream ends.
+    ///
+    /// # Errors
+    ///
+    /// The first [`CodecError`] of the stream: the events before it stay
+    /// appended, and the decoder yields nothing after it.
+    pub fn read_into(&mut self, out: &mut Vec<TraceEvent>, max: usize) -> Result<(), CodecError> {
+        if self.failed {
+            return Ok(());
+        }
+        let result = self.parse_into(out, max);
+        self.failed = result.is_err();
+        result
     }
 
+    /// Collects the rest of the stream into a [`Trace`].
+    ///
+    /// # Errors
+    ///
+    /// The first [`CodecError`] of the stream.
+    pub fn into_trace(mut self) -> Result<Trace, CodecError> {
+        // The header check bounds the count by the input length, so a
+        // corrupt count cannot request an outsized allocation here.
+        let mut events = Vec::with_capacity(self.remaining as usize);
+        self.read_into(&mut events, usize::MAX)?;
+        Ok(Trace::new(self.name, self.cpus, self.page, events))
+    }
+
+    fn parse_into(&mut self, out: &mut Vec<TraceEvent>, mut max: usize) -> Result<(), CodecError> {
+        while max > 0 {
+            if self.remaining == 0 {
+                return self.end_of_events();
+            }
+            self.ensure(MAX_EVENT_BYTES)?;
+            // Parse while the window surely holds the next event whole,
+            // without going back to the source in between.
+            let mut cursor = Cursor {
+                buf: &self.window[self.pos..self.end],
+            };
+            let batch = self.remaining.min(max as u64);
+            let mut parsed = 0;
+            let result = loop {
+                if parsed == batch || (cursor.buf.len() < MAX_EVENT_BYTES && !self.exhausted) {
+                    break Ok(());
+                }
+                match cursor.next_event(&mut self.streams) {
+                    Ok(event) => out.push(event),
+                    Err(e) => break Err(e),
+                }
+                parsed += 1;
+            };
+            self.pos = self.end - cursor.buf.len();
+            self.remaining -= parsed;
+            max -= parsed as usize;
+            result?;
+        }
+        Ok(())
+    }
+
+    /// The next declared event; the count must not be spent.
+    #[inline]
+    fn step(&mut self) -> Result<TraceEvent, CodecError> {
+        self.ensure(MAX_EVENT_BYTES)?;
+        let mut cursor = Cursor {
+            buf: &self.window[self.pos..self.end],
+        };
+        let event = cursor.next_event(&mut self.streams)?;
+        self.pos = self.end - cursor.buf.len();
+        self.remaining -= 1;
+        Ok(event)
+    }
+
+    /// Checks that the input ends with the last declared event.
+    fn end_of_events(&mut self) -> Result<(), CodecError> {
+        self.ensure(1)?;
+        if self.pos == self.end {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt("trailing bytes"))
+        }
+    }
+
+    /// Refills the window when fewer than `want` unparsed bytes remain
+    /// and the source may hold more.
+    #[inline]
+    fn ensure(&mut self, want: usize) -> Result<(), CodecError> {
+        if self.end - self.pos < want && !self.exhausted {
+            self.refill()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Moves the unparsed bytes to the front of the window and reads
+    /// until the window is full or the source ends.
+    fn refill(&mut self) -> Result<(), CodecError> {
+        self.window.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < self.window.len() {
+            match Read::read(&mut self.source, &mut self.window[self.end..]) {
+                Ok(0) => {
+                    self.exhausted = true;
+                    break;
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(CodecError::Io(e.kind())),
+            }
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        self.ensure(N)?;
+        let bytes = *self.window[self.pos..self.end]
+            .first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
+    }
+}
+
+impl<R> fmt::Debug for Decoder<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decoder")
+            .field("name", &self.name)
+            .field("cpus", &self.cpus)
+            .field("remaining", &self.remaining)
+            .field("failed", &self.failed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<R: Read> Iterator for Decoder<R> {
+    type Item = Result<TraceEvent, CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let item = if self.remaining == 0 {
+            Err(self.end_of_events().err()?)
+        } else {
+            self.step()
+        };
+        self.failed = item.is_err();
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        if self.failed {
+            (0, Some(0))
+        } else {
+            // One more item if bytes may outlast the declared events.
+            let more = self.pos < self.end || !self.exhausted;
+            (0, Some(self.remaining as usize + usize::from(more)))
+        }
+    }
+}
+
+/// The slice parser: reads event fields off the front of `buf`.
+struct Cursor<'b> {
+    buf: &'b [u8],
+}
+
+impl Cursor<'_> {
     #[inline]
     fn varint(&mut self) -> Result<u64, CodecError> {
         // Most deltas fit in one byte.
@@ -379,7 +580,7 @@ impl<'a> Decoder<'a> {
         u16::try_from(self.varint()?).map_err(|_| CodecError::Corrupt(what))
     }
 
-    fn next_event(&mut self) -> Result<TraceEvent, CodecError> {
+    fn next_event(&mut self, streams: &mut Streams) -> Result<TraceEvent, CodecError> {
         let [head, rest @ ..] = self.buf else {
             return Err(CodecError::Truncated);
         };
@@ -398,55 +599,25 @@ impl<'a> Decoder<'a> {
             }
             let from = Asid::new(self.varint_u16("asid")?);
             let to = Asid::new(self.varint_u16("asid")?);
-            self.streams.asid[s] = to;
+            streams.asid[s] = to;
             return Ok(TraceEvent::ContextSwitch { cpu, from, to });
         }
         let kind = kind_from_u8((head >> 1) & 0x3).ok_or(CodecError::Corrupt("access kind"))?;
         if head & ASID_FOLLOWS != 0 {
-            self.streams.asid[s] = Asid::new(self.varint_u16("asid")?);
+            streams.asid[s] = Asid::new(self.varint_u16("asid")?);
         }
         let st = stream(slot, kind);
-        let vaddr = self.streams.vaddr[st].offset(unzigzag(self.varint()?));
-        let paddr = self.streams.paddr[st].offset(unzigzag(self.varint()?));
-        self.streams.vaddr[st] = vaddr;
-        self.streams.paddr[st] = paddr;
+        let vaddr = streams.vaddr[st].offset(unzigzag(self.varint()?));
+        let paddr = streams.paddr[st].offset(unzigzag(self.varint()?));
+        streams.vaddr[st] = vaddr;
+        streams.paddr[st] = paddr;
         Ok(TraceEvent::Access(MemAccess {
             cpu,
-            asid: self.streams.asid[s],
+            asid: streams.asid[s],
             kind,
             vaddr,
             paddr,
         }))
-    }
-}
-
-impl Iterator for Decoder<'_> {
-    type Item = Result<TraceEvent, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let r = if self.remaining > 0 {
-            self.remaining -= 1;
-            self.next_event()
-        } else if self.buf.is_empty() {
-            return None;
-        } else {
-            Err(CodecError::Corrupt("trailing bytes"))
-        };
-        self.failed = r.is_err();
-        Some(r)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.failed {
-            (0, Some(0))
-        } else {
-            // One more item if bytes outlast the declared events.
-            let upper = self.remaining as usize + usize::from(!self.buf.is_empty());
-            (0, Some(upper))
-        }
     }
 }
 
@@ -698,6 +869,90 @@ mod tests {
         assert_eq!(d.size_hint(), (0, Some(t.len() + 1)));
         assert_eq!(d.by_ref().count(), t.len());
         assert_eq!(d.size_hint(), (0, Some(0)));
+    }
+
+    /// A reader that records the largest buffer it is asked to fill.
+    struct Probe<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+        reads: usize,
+    }
+
+    impl io::Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A trace more than twenty windows long: wide address strides give
+    /// every access multi-byte varints.
+    fn long_trace() -> Trace {
+        let events = (0..200_000u64)
+            .map(|i| {
+                TraceEvent::Access(MemAccess {
+                    cpu: CpuId::new((i % 3) as u16),
+                    asid: Asid::new(1),
+                    kind: AccessKind::DataRead,
+                    vaddr: VirtAddr::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                    paddr: PhysAddr::new(i << 12),
+                })
+            })
+            .collect();
+        Trace::new("long", 3, PageSize::SIZE_4K, events)
+    }
+
+    #[test]
+    fn the_window_never_grows_on_a_trace_many_windows_long() {
+        let t = long_trace();
+        let bytes = encode(&t);
+        assert!(bytes.len() > 20 * WINDOW_BYTES, "{} bytes", bytes.len());
+        let probe = Probe {
+            bytes: &bytes,
+            widest: 0,
+            reads: 0,
+        };
+        let mut d = Decoder::from_reader(probe, bytes.len() as u64).unwrap();
+        let mut events = Vec::new();
+        let mut chunk = Vec::new();
+        loop {
+            chunk.clear();
+            d.read_into(&mut chunk, 4096).unwrap();
+            assert_eq!(d.window.len(), WINDOW_BYTES);
+            assert!(d.source.widest <= WINDOW_BYTES, "{}", d.source.widest);
+            if chunk.is_empty() {
+                break;
+            }
+            events.extend_from_slice(&chunk);
+        }
+        assert_eq!(events, t.events());
+        assert!(d.source.reads > 20, "{} reads", d.source.reads);
+    }
+
+    #[test]
+    fn a_failed_read_is_a_typed_error_and_fuses() {
+        struct Broken;
+        impl io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::PermissionDenied.into())
+            }
+        }
+        let err = Decoder::from_reader(Broken, 100).unwrap_err();
+        assert_eq!(err, CodecError::Io(io::ErrorKind::PermissionDenied));
+        assert!(err.to_string().contains("permission denied"), "{err}");
+        // A read that fails mid-stream, windows after the header.
+        let t = long_trace();
+        let bytes = encode(&t);
+        let half = bytes.len() / 2;
+        let mut d =
+            Decoder::from_reader((&bytes[..half]).chain(Broken), bytes.len() as u64).unwrap();
+        let mut events = Vec::new();
+        let err = d.read_into(&mut events, usize::MAX).unwrap_err();
+        assert_eq!(err, CodecError::Io(io::ErrorKind::PermissionDenied));
+        assert!(!events.is_empty() && events.len() < t.len());
+        assert_eq!(events, t.events()[..events.len()]);
+        assert!(d.next().is_none(), "the decoder fuses after the error");
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property tests for the binary trace codec: arbitrary event sequences
-//! round-trip, and arbitrary byte soup never panics the decoder.
+//! round-trip, arbitrary byte soup never panics the decoder, and reading
+//! through the refill window in arbitrary pieces changes nothing.
+
+use std::io::{self, Read};
 
 use proptest::prelude::*;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
 use vrcache_mem::page::PageSize;
-use vrcache_trace::codec::{decode, encode, Decoder};
+use vrcache_trace::codec::{decode, encode, CodecError, Decoder, WINDOW_BYTES};
 use vrcache_trace::record::{MemAccess, TraceEvent};
 use vrcache_trace::trace::Trace;
 
@@ -35,6 +38,112 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
             }
         }),
     ]
+}
+
+/// A reader that hands out its bytes a few at a time: each `read`
+/// returns the next of `steps` (1..=N) bytes, cycling.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    steps: &'a [usize],
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let step = self.steps[self.reads % self.steps.len()];
+        self.reads += 1;
+        let n = step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a decode yields: the events before the first error, and
+/// that error (its event index is the events' length).
+type Outcome = (Vec<TraceEvent>, Option<CodecError>);
+
+/// Decodes `bytes` through the slice decoder, one event at a time.
+fn slice_outcome(bytes: &[u8]) -> Result<Outcome, CodecError> {
+    let mut events = Vec::new();
+    for item in Decoder::new(bytes)? {
+        match item {
+            Ok(event) => events.push(event),
+            Err(e) => return Ok((events, Some(e))),
+        }
+    }
+    Ok((events, None))
+}
+
+/// Decodes `bytes` read in `steps`-sized pieces, `batch` events a call.
+fn windowed_outcome(bytes: &[u8], steps: &[usize], batch: usize) -> Result<Outcome, CodecError> {
+    let source = Trickle {
+        bytes,
+        steps,
+        reads: 0,
+    };
+    let mut d = Decoder::from_reader(source, bytes.len() as u64)?;
+    let mut events = Vec::new();
+    loop {
+        let before = events.len();
+        if let Err(e) = d.read_into(&mut events, batch) {
+            return Ok((events, Some(e)));
+        }
+        if events.len() - before < batch {
+            return Ok((events, None));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn windowed_reader_matches_slice_decode(
+        events in proptest::collection::vec(event_strategy(), 1..64),
+        steps in proptest::collection::vec(1usize..=97, 1..6),
+        batch in 1usize..5000,
+        damage in 0u8..4,
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        tail in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        // Repeat the events until the encoding spans three windows, so
+        // refills land mid-event.
+        let one = encode(&Trace::new("w", 2, PageSize::SIZE_4K, events.clone())).len();
+        let copies = 3 * WINDOW_BYTES / one + 1;
+        let all: Vec<TraceEvent> = (0..copies).flat_map(|_| events.iter().copied()).collect();
+        let mut bytes = encode(&Trace::new("w", 2, PageSize::SIZE_4K, all.clone())).to_vec();
+        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+        match damage {
+            0 => {}
+            1 => bytes.truncate(pos),
+            2 => bytes.extend_from_slice(&tail),
+            _ => bytes[pos] ^= flip,
+        }
+        let windowed = windowed_outcome(&bytes, &steps, batch);
+        let slice = slice_outcome(&bytes);
+        prop_assert_eq!(&windowed, &slice);
+        // Refills are invisible: an intact stream decodes whole, a cut
+        // one is a prefix of it ending in `Truncated`, extra bytes come
+        // after all of it.
+        match (damage, &windowed) {
+            (0, _) => prop_assert_eq!(&windowed, &Ok((all, None))),
+            (1, Ok((events, error))) => {
+                prop_assert_eq!(error, &Some(CodecError::Truncated));
+                prop_assert_eq!(&events[..], &all[..events.len()]);
+            }
+            (1, Err(header)) => prop_assert_eq!(header, &CodecError::Truncated),
+            (2, _) => prop_assert_eq!(
+                &windowed,
+                &Ok((all, Some(CodecError::Corrupt("trailing bytes"))))
+            ),
+            _ => {}
+        }
+        // And `decode` agrees.
+        let expected = slice.and_then(|(events, error)| error.map_or(Ok(events), Err));
+        prop_assert_eq!(decode(&bytes).map(|t| t.events().to_vec()), expected);
+    }
 }
 
 proptest! {
