@@ -1,9 +1,9 @@
 //! Workspace lint driver: `cargo run -p vrcache-analysis --bin lint`.
 //!
 //! Walks every tracked `.rs` source (plus DESIGN.md, the model
-//! checker's transition table, the mutation, injection, hot-path,
+//! checker's transition table, the mutation, injection,
 //! protocol-spec, and address-domain baselines, and the latest mutation
-//! and injection reports), runs the ten lint passes, prints
+//! and injection reports), runs the nine lint passes, prints
 //! `file:line: [lint] message` diagnostics, and exits non-zero if
 //! anything fired. `scripts/check.sh` runs this as part of the
 //! pre-merge gate.
@@ -16,21 +16,20 @@
 //!   output is unchanged by the flag's existence.
 //! * `--list` — print the lint names, one per line, and exit.
 //! * `--only <lint>` — run a single lint by name (iterate on one pass
-//!   without paying for the other nine).
-//! * `--write <hotpath|protocol|domain>` — re-pin one baseline from
-//!   today's sources (`crates/analysis/hotpath_baseline.txt`,
-//!   `protocol_spec.txt` or `domain_baseline.txt`) after printing its
-//!   report. `scripts/check.sh` gates this behind a clean tier-1 run
+//!   without paying for the other eight).
+//! * `--write <protocol|domain>` — re-pin one baseline from today's
+//!   sources (`crates/analysis/protocol_spec.txt` or
+//!   `domain_baseline.txt`) after printing its report.
+//!   `scripts/check.sh` gates this behind a clean tier-1 run
 //!   (`REPIN=<name>`).
-//! * `--report <hotpath|protocol|domain>` — print the report without
-//!   touching the baseline: the hot-path per-crate attribution, the
-//!   per-hierarchy transition tables, or the flagged address flows and
-//!   inferred raw-parameter domains.
+//! * `--report <protocol|domain>` — print the report without touching
+//!   the baseline: the per-hierarchy transition tables, or the flagged
+//!   address flows and inferred raw-parameter domains.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use vrcache_analysis::lints::{domain as domain_lint, hotpath};
+use vrcache_analysis::lints::domain as domain_lint;
 use vrcache_analysis::{domain, protocol, run_all, run_named, walk, Diagnostic, Workspace, LINTS};
 
 /// Escapes a string for a JSON string literal (quotes, backslashes,
@@ -87,18 +86,6 @@ struct Pin {
 /// reason nothing can be pinned here.
 fn pin(ws: &Workspace, name: &str) -> Result<Pin, &'static str> {
     match name {
-        "hotpath" => {
-            let scan = hotpath::scan(ws);
-            if !scan.active {
-                return Err("no hot root resolves in this workspace; nothing to scan");
-            }
-            Ok(Pin {
-                report: hotpath::attribution(&scan),
-                path: hotpath::RATCHET.path,
-                body: hotpath::RATCHET.render(&scan.sites),
-                rows: scan.sites.len(),
-            })
-        }
         "protocol" => {
             let surface = protocol::extract(ws);
             if surface.hiers.is_empty() {
@@ -123,7 +110,7 @@ fn pin(ws: &Workspace, name: &str) -> Result<Pin, &'static str> {
                 rows: analysis.flags.len(),
             })
         }
-        _ => Err("no such baseline; use hotpath, protocol or domain"),
+        _ => Err("no such baseline; use protocol or domain"),
     }
 }
 
@@ -173,7 +160,7 @@ fn main() -> ExitCode {
             }
             "--write" | "--report" => {
                 let Some(name) = args.next() else {
-                    eprintln!("lint: {arg} needs a baseline name: hotpath, protocol or domain");
+                    eprintln!("lint: {arg} needs a baseline name: protocol or domain");
                     return ExitCode::from(2);
                 };
                 pinned = Some((arg == "--write", name));

@@ -8,8 +8,8 @@
 //! computation without a compiler whisper. This module closes that hole
 //! statically: it assigns every function parameter, return value and
 //! local binding in the simulator crates an **abstract domain**, seeded
-//! from the newtype annotations, and propagates values across call
-//! edges of the [`callgraph`](crate::callgraph) to a fixpoint.
+//! from the newtype annotations, and propagates values across the call
+//! sites it resolves in the [`FnNode`] bodies to a fixpoint.
 //!
 //! # The lattice
 //!
@@ -69,7 +69,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{self, CallGraph};
+use crate::callgraph::{parse_nodes, FnNode};
 use crate::flow::{self, split_args, split_top, split_top_once};
 use crate::ratchet::{crate_of, SiteKey, Sites};
 use crate::{contains_word, find_word, Workspace};
@@ -316,8 +316,12 @@ pub struct Analysis {
 
 /// Runs the analysis over the workspace (see the module docs).
 pub fn analyze(ws: &Workspace) -> Analysis {
-    let graph = callgraph::build(ws);
-    Engine::new(&graph, ws).run()
+    let nodes: Vec<FnNode> = ws
+        .sources
+        .iter()
+        .flat_map(|f| parse_nodes(&f.rel_path, &f.text))
+        .collect();
+    Engine::new(&nodes, ws).run()
 }
 
 fn is_analyzed_file(file: &str) -> bool {
@@ -357,7 +361,8 @@ const RAW_ARITH: &[&str] = &[
 const RAW_ESCAPE: &[&str] = &["raw", "index"];
 
 struct Engine<'g> {
-    graph: &'g CallGraph,
+    /// Every parsed function of the workspace, in source order.
+    nodes: &'g [FnNode],
     info: Vec<FnInfo>,
     /// Each analyzed body's statement pieces in source order, as
     /// [`flow::flatten`] lays out the [`flow::parse_fn`] skeleton
@@ -370,7 +375,8 @@ struct Engine<'g> {
     param_vals: BTreeMap<(usize, usize), AbsVal>,
     /// Inferred return values of raw-returning functions.
     ret_vals: BTreeMap<usize, AbsVal>,
-    /// Resolution tables mirroring `callgraph::build`.
+    /// Call resolution tables: methods by bare name and by (type,
+    /// name), free functions by bare name.
     methods: BTreeMap<String, Vec<usize>>,
     typed: BTreeMap<(String, String), Vec<usize>>,
     free: BTreeMap<String, Vec<usize>>,
@@ -380,8 +386,8 @@ struct Engine<'g> {
 }
 
 impl<'g> Engine<'g> {
-    fn new(graph: &'g CallGraph, ws: &Workspace) -> Engine<'g> {
-        let mut info = Vec::with_capacity(graph.nodes.len());
+    fn new(nodes: &'g [FnNode], ws: &Workspace) -> Engine<'g> {
+        let mut info = Vec::with_capacity(nodes.len());
         let mut fields: BTreeMap<String, Option<Domain>> = BTreeMap::new();
         let mut methods: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut typed: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
@@ -398,7 +404,7 @@ impl<'g> Engine<'g> {
                 }
             }
         }
-        for (i, n) in graph.nodes.iter().enumerate() {
+        for (i, n) in nodes.iter().enumerate() {
             let in_scope = is_analyzed_file(&n.file);
             let sanctioned = n.self_ty.as_deref().is_some_and(|ty| {
                 SANCTIONED
@@ -430,8 +436,7 @@ impl<'g> Engine<'g> {
             .into_iter()
             .filter_map(|(k, v)| v.map(|d| (k, d)))
             .collect();
-        let stmts = graph
-            .nodes
+        let stmts = nodes
             .iter()
             .zip(&info)
             .map(|(n, fi)| {
@@ -443,7 +448,7 @@ impl<'g> Engine<'g> {
             })
             .collect();
         Engine {
-            graph,
+            nodes,
             info,
             stmts,
             fields,
@@ -472,7 +477,7 @@ impl<'g> Engine<'g> {
         // the iteration cap is a safety net only.
         for _ in 0..12 {
             self.changed = false;
-            for i in 0..self.graph.nodes.len() {
+            for i in 0..self.nodes.len() {
                 self.walk_fn(i);
             }
             if !self.changed {
@@ -481,14 +486,14 @@ impl<'g> Engine<'g> {
         }
         // Reporting pass: same walk, with the sink checks recording.
         self.flags = Some(BTreeMap::new());
-        for i in 0..self.graph.nodes.len() {
+        for i in 0..self.nodes.len() {
             self.walk_fn(i);
         }
         let mut flags = self.flags.take().unwrap_or_default();
         // Mixed raw parameters: inferred join spans both families.
         let mut raw_params = BTreeMap::new();
         for ((fi, pi), val) in &self.param_vals {
-            let node = &self.graph.nodes[*fi];
+            let node = &self.nodes[*fi];
             if self.info[*fi].exempt {
                 continue;
             }
@@ -516,7 +521,7 @@ impl<'g> Engine<'g> {
                 .map(|(key, lines)| (key, lines.into_iter().collect()))
                 .collect(),
             raw_params,
-            fn_count: self.graph.nodes.len(),
+            fn_count: self.nodes.len(),
             active: true,
         }
     }
@@ -700,7 +705,7 @@ impl<'g> Engine<'g> {
         let Some(flags) = &mut self.flags else {
             return;
         };
-        let node = &self.graph.nodes[fi];
+        let node = &self.nodes[fi];
         for d in &val.doms {
             if *d == target {
                 continue;
@@ -942,10 +947,13 @@ impl<'g> Engine<'g> {
                     .with_raw();
             }
         }
-        // Resolve workspace candidates like the call graph does.
+        // Resolve workspace candidates: `Type::`/`Self::` paths to that
+        // type's methods, module paths to free functions, a bare name to
+        // free functions else every method of that name, and `self.`
+        // calls to the enclosing impl's method first.
         let candidates: Vec<usize> = match qualifier {
             Some(q) if q == "Self" => {
-                let own = self.graph.nodes[fi].self_ty.clone();
+                let own = self.nodes[fi].self_ty.clone();
                 own.and_then(|ty| self.typed.get(&(ty, name.to_string())))
                     .cloned()
                     .unwrap_or_default()
@@ -967,7 +975,7 @@ impl<'g> Engine<'g> {
             }
             None => {
                 // `self.name(..)`: narrow to the enclosing impl.
-                let own = self.graph.nodes[fi].self_ty.clone();
+                let own = self.nodes[fi].self_ty.clone();
                 match own.and_then(|ty| self.typed.get(&(ty, name.to_string()))) {
                     Some(own) => own.clone(),
                     None => self.methods.get(name).cloned().unwrap_or_default(),

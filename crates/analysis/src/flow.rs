@@ -4,11 +4,11 @@
 //!
 //! This is the substrate of the `protocol-spec` lint (see
 //! [`protocol`](crate::protocol)): given the literal-blanked body lines
-//! of a `snoop`/`snoop_*` handler (as the
-//! [`callgraph`](crate::callgraph) parser produces them), [`parse_fn`]
-//! recovers the control skeleton — `if`/`if let` branches, `let … else`
-//! guards, `match` arms, loops, bare scope blocks — and [`eval_handler`]
-//! walks it with an abstract state tracking
+//! of a `snoop`/`snoop_*` handler (as the fn-item parser
+//! [`parse_nodes`](crate::callgraph::parse_nodes) produces them),
+//! [`parse_fn`] recovers the control skeleton — `if`/`if let` branches,
+//! `let … else` guards, `match` arms, loops, bare scope blocks — and
+//! [`eval_handler`] walks it with an abstract state tracking
 //!
 //! * the set of coherence standings the snooped block may currently
 //!   have ([`Ctx`]: absent / shared / private),
@@ -19,8 +19,8 @@
 //!
 //! # Approximation policy
 //!
-//! The evaluation is deliberately one-sided, in the same spirit as the
-//! call graph's ambiguity policy: guards the analysis cannot decide
+//! The evaluation is deliberately one-sided, erring toward *may*:
+//! guards the analysis cannot decide
 //! (`Opaque`) take **both** branches and join, and loops run **zero or
 //! one** abstract iteration — so any fact established under an
 //! undecidable guard or inside a loop degrades to *may* (`Tri::May`,

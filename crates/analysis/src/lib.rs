@@ -1,12 +1,12 @@
 //! Static analysis for the vrcache workspace.
 //!
-//! Ten lints, run by `cargo run -p vrcache-analysis --bin lint`
+//! Nine lints, run by `cargo run -p vrcache-analysis --bin lint`
 //! (`--list` names them, `--only <lint>` runs one in isolation). Every
 //! lint that reads Rust source reads it through one front end: the
-//! literal-blanked, test-marked lines of
-//! [`walk::scan_source`], or the function bodies
-//! [`callgraph::parse_nodes`] lifts from them. A needle inside a string
-//! literal or a comment is invisible to all of them.
+//! literal-blanked, test-marked lines of [`walk::scan_source`], or the
+//! function bodies the fn-item parser [`callgraph::parse_nodes`] lifts
+//! from them. A needle inside a string literal or a comment is
+//! invisible to all of them.
 //!
 //! * **determinism** — simulation results must be a pure function of the
 //!   seed. Wall-clock and entropy sources are forbidden everywhere, and
@@ -37,14 +37,6 @@
 //!   be parity-off; a fault-injection campaign's report
 //!   (`target/injection-report.txt`) may contain no `sdc` row the
 //!   baseline doesn't pin, and no parity-on `sdc` row at all.
-//! * **hot-path-hygiene** — heap allocation and slow-structure sites in
-//!   any function reachable (over the [`callgraph`] module's syntactic
-//!   call graph) from the per-access hot roots (`access` and `snoop` of
-//!   `VrHierarchy`, `RrHierarchy` and `GoodmanHierarchy`, the codec's
-//!   streaming `Decoder::next`) must be pinned in
-//!   `crates/analysis/hotpath_baseline.txt`. The baseline is a
-//!   [`ratchet`]: a new site fails the gate, a removed site demands a
-//!   (shrunken) re-pin via `--write hotpath`, counts only go down.
 //! * **protocol-spec** — the coherence transition surface the [`flow`]
 //!   scanner extracts from the `snoop` handlers (state-before × bus-op →
 //!   state-after, reply, actions; see the [`protocol`] module) must
@@ -65,9 +57,11 @@
 //!   another domain's constructor, field, or parameter position outside
 //!   the sanctioned translation seams — and raw integers inferred to
 //!   carry both virtual- and physical-family values — are pinned in
-//!   `crates/analysis/domain_baseline.txt` through the same ratchet as
-//!   the hot-path baseline. Re-pin with `--write domain`; `--report
-//!   domain` prints flagged sites and inferred parameter domains.
+//!   `crates/analysis/domain_baseline.txt`. The baseline is a
+//!   [`ratchet`]: a new site fails the gate, a removed site demands a
+//!   (shrunken) re-pin via `--write domain`, counts only go down;
+//!   `--report domain` prints flagged sites and inferred parameter
+//!   domains.
 //!
 //! Every lint is a pure function over an in-memory [`Workspace`], so the
 //! crate's tests seed violations directly without touching the
@@ -130,9 +124,6 @@ pub struct Workspace {
     /// Contents of `target/injection-report.txt` (the latest
     /// fault-injection campaign), if present.
     pub injection_report: Option<String>,
-    /// Contents of `crates/analysis/hotpath_baseline.txt` (the pinned
-    /// hot-path allocation sites), if present.
-    pub hotpath_baseline: Option<String>,
     /// Contents of `crates/analysis/protocol_spec.txt` (the pinned
     /// coherence transition surface), if present.
     pub protocol_spec: Option<String>,
@@ -181,7 +172,7 @@ impl fmt::Display for Diagnostic {
 /// A lint pass: a pure function from workspace to findings.
 pub type LintFn = fn(&Workspace) -> Vec<Diagnostic>;
 
-/// Name → pass table for all ten lints, in execution order. The names
+/// Name → pass table for all nine lints, in execution order. The names
 /// are the stable identifiers the binary's `--only` / `--list` flags
 /// accept and the `Diagnostic::lint` field carries.
 pub const LINTS: &[(&str, LintFn)] = &[
@@ -192,7 +183,6 @@ pub const LINTS: &[(&str, LintFn)] = &[
     ("fault-coverage", lints::faults::check),
     ("mutation-baseline", lints::mutation::check),
     ("injection-baseline", lints::injection::check),
-    ("hot-path-hygiene", lints::hotpath::check),
     ("protocol-spec", lints::protocol::check),
     ("address-domain", lints::domain::check),
 ];

@@ -9,11 +9,10 @@
 //! translation seams (see [`domain::SANCTIONED`](crate::domain) and the
 //! `crates/mem` blanket). Flags aggregate to
 //! `(file, function, kind) → count` rows pinned in
-//! `crates/analysis/domain_baseline.txt` and compared by the shared
-//! [`ratchet`](crate::ratchet), exactly like the hot-path baseline: an
-//! unpinned site or a grown count fails the gate, and shrinkage (or a
-//! stale row) demands a smaller re-pin (`--write domain`, gated by
-//! `REPIN=domain scripts/check.sh`).
+//! `crates/analysis/domain_baseline.txt` and compared by the
+//! [`ratchet`](crate::ratchet): an unpinned site or a grown count fails
+//! the gate, and shrinkage (or a stale row) demands a smaller re-pin
+//! (`--write domain`, gated by `REPIN=domain scripts/check.sh`).
 //!
 //! The lint is inactive while no source names an address newtype
 //! (minimized test workspaces).

@@ -10,8 +10,8 @@
 //! would quietly stop meaning anything. This lint cross-checks the
 //! `FaultKind` enum in `crates/core/src/fault.rs` against the
 //! `fn inject_fault` body of every `impl FaultPort for` site (as the
-//! [`callgraph`](crate::callgraph) parser lifts it, so comments, string
-//! literals and test modules never count):
+//! [`callgraph`](crate::callgraph) fn-item parser lifts it, so
+//! comments, string literals and test modules never count):
 //!
 //! 1. **Unwired kind** — every enum variant must be textually mentioned
 //!    as `FaultKind::Variant` inside each implementation, whether it is

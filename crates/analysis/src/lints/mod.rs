@@ -5,7 +5,6 @@ pub mod determinism;
 pub mod doc_drift;
 pub mod domain;
 pub mod faults;
-pub mod hotpath;
 pub mod injection;
 pub mod mutation;
 pub mod panic_hygiene;

@@ -1,8 +1,7 @@
-//! The baseline ratchet shared by the `hot-path-hygiene` and
-//! `address-domain` lints.
+//! The baseline ratchet of the `address-domain` lint.
 //!
-//! Both lints aggregate their findings to `(file, function, kind) →
-//! lines` site maps and pin the per-key counts in a checked-in baseline
+//! The lint aggregates its findings to a `(file, function, kind) →
+//! lines` site map and pins the per-key counts in a checked-in baseline
 //! of `<file> <qualified-fn> <kind> <count>` rows. The ratchet compares
 //! today's map against the pin: a key with no row is *new*, a count
 //! above its row *grew*, a count below its row *shrank* (the
@@ -35,7 +34,7 @@ pub struct Ratchet {
     /// Header lines between the title and the shared format/ratchet
     /// lines, each starting with `# `.
     pub about: &'static str,
-    /// What one site is, e.g. `hot-path site` (plural: plus `s`).
+    /// What one site is, e.g. `cross-domain flow` (plural: plus `s`).
     pub noun: &'static str,
     /// How to fix a new site other than re-pinning it.
     pub fix: &'static str,

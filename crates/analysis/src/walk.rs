@@ -1,6 +1,6 @@
 //! Workspace discovery and source scanning: find the root, load tracked
 //! sources, and turn a source file into literal-blanked code lines that
-//! the structural lints (the call-graph analyzer foremost) can pattern
+//! the structural lints (the fn-item parser foremost) can pattern
 //! match without being fooled by comments, strings, or test modules.
 
 use std::fs;
@@ -49,8 +49,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     let mutation_report = fs::read_to_string(root.join("target/mutation-report.txt")).ok();
     let injection_baseline = fs::read_to_string(root.join("crates/inject/baseline.txt")).ok();
     let injection_report = fs::read_to_string(root.join("target/injection-report.txt")).ok();
-    let hotpath_baseline =
-        fs::read_to_string(root.join("crates/analysis/hotpath_baseline.txt")).ok();
     let protocol_spec = fs::read_to_string(root.join("crates/analysis/protocol_spec.txt")).ok();
     let domain_baseline = fs::read_to_string(root.join("crates/analysis/domain_baseline.txt")).ok();
     Ok(Workspace {
@@ -61,7 +59,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
         mutation_report,
         injection_baseline,
         injection_report,
-        hotpath_baseline,
         protocol_spec,
         domain_baseline,
     })
@@ -100,7 +97,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<
 /// text plus whether the line sits inside a `#[cfg(test)]` item.
 ///
 /// This is the shared front end for lints that reason about code
-/// *structure* (the call-graph analyzer foremost): string and char
+/// *structure* (the fn-item parser foremost): string and char
 /// literal contents — raw strings included — are blanked to spaces with
 /// their delimiters kept, comments are blanked entirely, so brace
 /// counting and textual pattern searches cannot be derailed by prose.
@@ -360,7 +357,6 @@ mod tests {
             "vendor/ must be excluded"
         );
         assert!(ws.design_md.is_some(), "DESIGN.md loads");
-        assert!(ws.hotpath_baseline.is_some(), "hot-path baseline loads");
         assert!(ws.domain_baseline.is_some(), "domain baseline loads");
     }
 

@@ -4,7 +4,8 @@
 //! binary against it, and asserts the gate fails without a baseline,
 //! that `--write domain` pins the flow, and that the pinned
 //! workspace then passes — until the flow is fixed, when the stale pin
-//! demands a re-pin.
+//! demands a re-pin. Also the lint binary's flag wiring: `--list`,
+//! `--only` and the baseline names `--write` accepts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,6 +55,12 @@ fn make_fixture(tag: &str) -> PathBuf {
 /// (exit code, stdout). `CARGO_MANIFEST_DIR` is stripped so root
 /// discovery starts from the fixture cwd, not this crate.
 fn run_lint(root: &Path, args: &[&str]) -> (i32, String) {
+    let (code, stdout, _) = run_lint_full(root, args);
+    (code, stdout)
+}
+
+/// [`run_lint`], with stderr too.
+fn run_lint_full(root: &Path, args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_lint"))
         .args(args)
         .current_dir(root)
@@ -61,7 +68,11 @@ fn run_lint(root: &Path, args: &[&str]) -> (i32, String) {
         .output()
         .expect("lint binary runs");
     let code = out.status.code().expect("lint exits with a code");
-    (code, String::from_utf8_lossy(&out.stdout).into_owned())
+    (
+        code,
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -151,5 +162,30 @@ fn domain_free_workspace_refuses_to_pin() {
     // And the lint itself is inactive: no baseline, yet clean.
     let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
     assert_eq!(code, 0, "domain-free workspace is out of scope: {stdout}");
+    fs::remove_dir_all(&root).expect("fixture dir is removable");
+}
+
+#[test]
+fn list_and_only_flags() {
+    let root = make_fixture("flags");
+    let (code, stdout) = run_lint(&root, &["--list"]);
+    assert_eq!(code, 0);
+    let names: Vec<&str> = stdout.lines().collect();
+    assert_eq!(names.len(), 9, "nine lints listed: {stdout}");
+    assert!(!names.contains(&"hot-path-hygiene"), "{stdout}");
+    assert!(names.contains(&"determinism"), "{stdout}");
+    assert!(names.contains(&"address-domain"), "{stdout}");
+
+    let (code, _) = run_lint(&root, &["--only", "no-such-lint"]);
+    assert_eq!(code, 2, "unknown lint name is a usage error");
+
+    for flag in ["--write", "--report"] {
+        let (code, _, stderr) = run_lint_full(&root, &[flag, "hotpath"]);
+        assert_eq!(code, 2, "{flag} of an unknown baseline is a usage error");
+        assert!(
+            stderr.contains("protocol") && stderr.contains("domain"),
+            "{flag}: the error names the baselines there are: {stderr}"
+        );
+    }
     fs::remove_dir_all(&root).expect("fixture dir is removable");
 }

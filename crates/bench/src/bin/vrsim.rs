@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread;
@@ -157,21 +158,20 @@ fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String>
     Ok(cfg)
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gen(flags: &HashMap<String, String>) -> Result<String, String> {
     let trace = load_trace(flags)?;
     let out = flags.get("out").ok_or("gen needs --out <file>")?;
     let bytes = codec::encode(&trace);
     std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "wrote {} ({} events, {} bytes)",
+    Ok(format!(
+        "wrote {} ({} events, {} bytes)\n",
         out,
         trace.len(),
         bytes.len()
-    );
-    Ok(())
+    ))
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_run(flags: &HashMap<String, String>) -> Result<String, String> {
     let cfg = config_of(flags)?;
     let kind = match flags.get("kind").map(String::as_str).unwrap_or("vr") {
         "vr" => HierarchyKind::Vr,
@@ -180,20 +180,16 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         "goodman" => HierarchyKind::GoodmanSingleLevel,
         k => return Err(format!("unknown kind: {k}")),
     };
-    let report = if let Some(path) = flags.get("trace-file") {
-        replay_file(kind, &cfg, path)?
+    if let Some(path) = flags.get("trace-file") {
+        replay_file(kind, &cfg, path)
     } else {
         let trace = generate_preset(flags)?;
         let mut replay = Replay::new(kind, &cfg, TraceSummary::new(trace.name(), trace.cpus()));
         for event in &trace {
             replay.step(event)?;
         }
-        replay.report()?
-    };
-    // Nothing is printed until the whole trace has replayed cleanly, so
-    // a failed run leaves stdout empty.
-    print!("{report}");
-    Ok(())
+        replay.report()
+    }
 }
 
 /// A `vrsim run` in progress: a fresh system of `summary.cpus`
@@ -327,22 +323,21 @@ fn simulate_chunks(
     Ok(())
 }
 
-fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_inspect(flags: &HashMap<String, String>) -> Result<String, String> {
     let trace = load_trace(flags)?;
-    println!("{}\n", trace.summary());
     let ws = working_set_curve(&trace, CpuId::new(0), 16, &[100, 1_000, 10_000]);
-    println!("working-set curve (cpu0, 16B blocks):\n{ws}");
     let reuse = reuse_histogram(&trace, CpuId::new(0), 16);
-    println!("reuse distances (cpu0, 16B blocks):\n{reuse}");
-    println!(
-        "\nfully-associative LRU miss ratios: 256 blocks {:.3}, 1024 blocks {:.3}",
+    Ok(format!(
+        "{}\n\nworking-set curve (cpu0, 16B blocks):\n{ws}\n\
+         reuse distances (cpu0, 16B blocks):\n{reuse}\n\
+         \nfully-associative LRU miss ratios: 256 blocks {:.3}, 1024 blocks {:.3}\n",
+        trace.summary(),
         reuse.lru_miss_ratio(256),
         reuse.lru_miss_ratio(1024),
-    );
-    Ok(())
+    ))
 }
 
-fn cmd_layout(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_layout(flags: &HashMap<String, String>) -> Result<String, String> {
     let block = u64_flag(flags, "block")?.unwrap_or(16);
     let l1 = CacheGeometry::direct_mapped(u64_flag(flags, "l1")?.unwrap_or(16 * 1024), block)
         .map_err(|e| e.to_string())?;
@@ -353,17 +348,31 @@ fn cmd_layout(flags: &HashMap<String, String>) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let page = PageSize::SIZE_4K;
     let t = TagLayout::compute(32, page, &l1, &l2);
-    println!("{t}");
-    println!(
-        "strict-inclusion bound: A2 >= {} ({}satisfied by direct-mapped L2)",
+    Ok(format!(
+        "{t}\nstrict-inclusion bound: A2 >= {} ({}satisfied by direct-mapped L2)\n",
         min_l2_assoc_for_inclusion(&l1, &l2, page),
         if satisfies_inclusion_bound(&l1, &l2, page) {
             ""
         } else {
             "NOT "
         },
-    );
-    Ok(())
+    ))
+}
+
+/// Writes a command's whole output to stdout, the one place `vrsim`
+/// does. Nothing is printed until the command has succeeded, so a
+/// failed run leaves stdout empty. A reader that closed the pipe early
+/// (`vrsim inspect | head -1`) chose to stop, so a broken pipe ends the
+/// command quietly; any other write error is a failure.
+fn emit(out: &str) -> Result<(), String> {
+    let mut stdout = io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn main() -> ExitCode {
@@ -385,7 +394,7 @@ fn main() -> ExitCode {
         "layout" => cmd_layout(&flags),
         _ => return usage(),
     };
-    match result {
+    match result.and_then(|out| emit(&out)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -3,10 +3,11 @@
 //! fails with a message and a non-zero exit, never a panic, a hang or
 //! partial output — also when the failure lies chunks deep into the
 //! stream, where the decoding thread has long run ahead of the
-//! simulator.
+//! simulator. A reader that closes the pipe early ends the command
+//! quietly.
 
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -22,12 +23,20 @@ use vrcache_trace::trace::Trace;
 const DEADLINE: Duration = Duration::from_secs(120);
 
 fn vrsim(args: &[&str]) -> Output {
-    let child = Command::new(env!("CARGO_BIN_EXE_vrsim"))
+    finish(spawn(args), args)
+}
+
+fn spawn(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_vrsim"))
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("vrsim runs");
+        .expect("vrsim runs")
+}
+
+/// Waits for `child` at most [`DEADLINE`] and collects what it wrote.
+fn finish(child: Child, args: &[&str]) -> Output {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || tx.send(child.wait_with_output()));
     rx.recv_timeout(DEADLINE)
@@ -233,4 +242,20 @@ fn layout_rejects_unparsable_sizes() {
         assert_clean_failure(&out, &format!("bad {flag}: abc"));
     }
     assert!(vrsim(&["layout", "--l1", "8192"]).status.success());
+}
+
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let path = temp_file(
+        "closed-stdout.vrt",
+        &codec::encode(&TracePreset::Pops.generate_scaled(0.001)),
+    );
+    let args = ["inspect", "--trace-file", path.to_str().unwrap()];
+    let mut child = spawn(&args);
+    // The reader hangs up before vrsim writes a byte.
+    drop(child.stdout.take());
+    let out = finish(child, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }

@@ -9,15 +9,15 @@ cd "$(dirname "$0")/.."
 # clock, never output.
 JOBS="${JOBS:-2}"
 
-# REPIN=hotpath|protocol|domain re-pins one lint baseline after tier-1:
-# the hot-path allocation ratchet, the extracted protocol transition
-# surface, or the address-domain flow ratchet. Checked up front so a
-# typo fails before the build, not after it.
+# REPIN=protocol|domain re-pins one lint baseline after tier-1: the
+# extracted protocol transition surface or the address-domain flow
+# ratchet. Checked up front so a typo fails before the build, not after
+# it.
 REPIN="${REPIN:-}"
 case "$REPIN" in
-  "" | hotpath | protocol | domain) ;;
+  "" | protocol | domain) ;;
   *)
-    echo "REPIN must be hotpath, protocol or domain (got '$REPIN')" >&2
+    echo "REPIN must be protocol or domain (got '$REPIN')" >&2
     exit 2
     ;;
 esac
