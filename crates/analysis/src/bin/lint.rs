@@ -1,9 +1,9 @@
 //! Workspace lint driver: `cargo run -p vrcache-analysis --bin lint`.
 //!
 //! Walks every tracked `.rs` source (plus DESIGN.md, the model
-//! checker's transition table, the mutation, injection,
-//! protocol-spec, and address-domain baselines, and the latest mutation
-//! and injection reports), runs the nine lint passes, prints
+//! checker's transition table, the mutation and injection baselines,
+//! the protocol spec, and the latest mutation and injection reports),
+//! runs the nine lint passes, prints
 //! `file:line: [lint] message` diagnostics, and exits non-zero if
 //! anything fired. `scripts/check.sh` runs this as part of the
 //! pre-merge gate.
@@ -17,14 +17,13 @@
 //! * `--list` — print the lint names, one per line, and exit.
 //! * `--only <lint>` — run a single lint by name (iterate on one pass
 //!   without paying for the other eight).
-//! * `--write <protocol|domain>` — re-pin one baseline from today's
-//!   sources (`crates/analysis/protocol_spec.txt` or
-//!   `domain_baseline.txt`) after printing its report.
+//! * `--write protocol` — re-pin `crates/analysis/protocol_spec.txt`
+//!   from today's sources after printing its report.
 //!   `scripts/check.sh` gates this behind a clean tier-1 run
-//!   (`REPIN=<name>`).
-//! * `--report <protocol|domain>` — print the report without touching
-//!   the baseline: the per-hierarchy transition tables, or the flagged
-//!   address flows and inferred raw-parameter domains.
+//!   (`REPIN=protocol`).
+//! * `--report <protocol|domain>` — print a report read-only: the
+//!   per-hierarchy transition tables, or the flagged address flows and
+//!   inferred raw-parameter domains.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -74,64 +73,41 @@ fn render_json(checked_files: usize, diags: &[Diagnostic]) -> String {
     )
 }
 
-/// One pinned baseline as today's sources would render it.
-struct Pin {
-    report: String,
-    path: &'static str,
-    body: String,
-    rows: usize,
-}
-
-/// Computes the report and the rendered baseline named `name`, or the
-/// reason nothing can be pinned here.
-fn pin(ws: &Workspace, name: &str) -> Result<Pin, &'static str> {
-    match name {
-        "protocol" => {
+/// `--report <protocol|domain>` prints a report; `--write protocol`
+/// prints the protocol report and re-pins the spec.
+fn report(root: &Path, ws: &Workspace, name: &str, write: bool) -> ExitCode {
+    let fail = |why: &str| {
+        eprintln!("lint: {why}");
+        ExitCode::from(2)
+    };
+    match (name, write) {
+        ("protocol", _) => {
             let surface = protocol::extract(ws);
             if surface.hiers.is_empty() {
-                return Err("no hierarchy snoop resolves in this workspace; nothing to extract");
+                return fail("no hierarchy snoop resolves in this workspace; nothing to extract");
             }
-            Ok(Pin {
-                report: protocol::report(&surface),
-                path: protocol::SPEC_PATH,
-                body: protocol::render(&surface),
-                rows: surface.rows.len(),
-            })
+            print!("{}", protocol::report(&surface));
+            if write {
+                let path = root.join(protocol::SPEC_PATH);
+                if let Err(e) = std::fs::write(&path, protocol::render(&surface)) {
+                    return fail(&format!("failed to write {path:?}: {e}"));
+                }
+                println!(
+                    "lint: pinned {} row(s) to {}",
+                    surface.rows.len(),
+                    protocol::SPEC_PATH
+                );
+            }
         }
-        "domain" => {
+        ("domain", false) => {
             let analysis = domain::analyze(ws);
             if !analysis.active {
-                return Err("no address newtype seeds this workspace; nothing to analyze");
+                return fail("no address newtype seeds this workspace; nothing to analyze");
             }
-            Ok(Pin {
-                report: domain_lint::report(&analysis),
-                path: domain_lint::RATCHET.path,
-                body: domain_lint::RATCHET.render(&analysis.flags),
-                rows: analysis.flags.len(),
-            })
+            print!("{}", domain_lint::report(&analysis));
         }
-        _ => Err("no such baseline; use protocol or domain"),
-    }
-}
-
-/// `--report <name>` prints the report; `--write <name>` prints it and
-/// re-pins the baseline file.
-fn repin(root: &Path, ws: &Workspace, name: &str, write: bool) -> ExitCode {
-    let pinned = match pin(ws, name) {
-        Ok(pinned) => pinned,
-        Err(why) => {
-            eprintln!("lint: {why}");
-            return ExitCode::from(2);
-        }
-    };
-    print!("{}", pinned.report);
-    if write {
-        let path = root.join(pinned.path);
-        if let Err(e) = std::fs::write(&path, pinned.body) {
-            eprintln!("lint: failed to write {path:?}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("lint: pinned {} row(s) to {}", pinned.rows, pinned.path);
+        (_, true) => return fail("only the protocol spec is pinned; use --write protocol"),
+        (_, false) => return fail("no such report; use protocol or domain"),
     }
     ExitCode::SUCCESS
 }
@@ -139,8 +115,8 @@ fn repin(root: &Path, ws: &Workspace, name: &str, write: bool) -> ExitCode {
 fn main() -> ExitCode {
     let mut json = false;
     let mut only: Option<String> = None;
-    // (`--write`?, baseline name) for `--write` / `--report`.
-    let mut pinned: Option<(bool, String)> = None;
+    // (`--write`?, report name) for `--write` / `--report`.
+    let mut reported: Option<(bool, String)> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -160,15 +136,15 @@ fn main() -> ExitCode {
             }
             "--write" | "--report" => {
                 let Some(name) = args.next() else {
-                    eprintln!("lint: {arg} needs a baseline name: protocol or domain");
+                    eprintln!("lint: {arg} needs a name: protocol (or domain, for --report)");
                     return ExitCode::from(2);
                 };
-                pinned = Some((arg == "--write", name));
+                reported = Some((arg == "--write", name));
             }
             other => {
                 eprintln!(
                     "lint: unknown argument `{other}` (usage: lint [--json] [--list] \
-                     [--only <lint>] [--write <baseline>] [--report <baseline>])"
+                     [--only <lint>] [--write protocol] [--report <protocol|domain>])"
                 );
                 return ExitCode::from(2);
             }
@@ -189,8 +165,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some((write, name)) = &pinned {
-        return repin(&root, &ws, name, *write);
+    if let Some((write, name)) = &reported {
+        return report(&root, &ws, name, *write);
     }
     let diags = match &only {
         None => run_all(&ws),

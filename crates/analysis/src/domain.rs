@@ -64,15 +64,31 @@
 //! points, the ASID-salted v-pointer key): their bodies are neither
 //! scanned for sinks nor propagated from.
 //!
-//! The `address-domain` lint (`lints/domain.rs`) ratchets the flagged
-//! sites against `crates/analysis/domain_baseline.txt`.
+//! The `address-domain` lint (`lints/domain.rs`) fails on every flagged
+//! site: the sanctioned seams are the reviewed allowlist.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{parse_nodes, FnNode};
 use crate::flow::{self, split_args, split_top, split_top_once};
-use crate::ratchet::{crate_of, SiteKey, Sites};
 use crate::{contains_word, find_word, Workspace};
+
+/// A flagged site key: `(file, qualified fn, kind)`.
+pub type SiteKey = (String, String, String);
+
+/// Flagged sites: key → the 1-based lines of its occurrences.
+pub type Sites = BTreeMap<SiteKey, Vec<usize>>;
+
+/// The owning crate of a workspace path: `crates/<name>/…` → `<name>`,
+/// otherwise the first path component (`tests`, `examples`).
+pub fn crate_of(file: &str) -> &str {
+    let mut parts = file.split('/');
+    match (parts.next(), parts.next()) {
+        (Some("crates"), Some(c)) => c,
+        (Some(first), _) => first,
+        (None, _) => "",
+    }
+}
 
 /// The crates whose sources the analysis covers: the simulator proper.
 /// The tooling crates (model/mutate/inject/exec/bench/analysis) drive
@@ -1514,5 +1530,11 @@ mod tests {
             "fn mix(vpn: Vpn, off: u8) {\n    let t = Tag::new((vpn.raw() << 3) + 7);\n    let _ = (t, off);\n}\n",
         )]);
         assert_eq!(kinds(&a), vec!["mix raw-vpn-to-tag"], "{:?}", a.flags);
+    }
+
+    #[test]
+    fn crate_of_names_the_owning_crate() {
+        assert_eq!(crate_of("crates/core/src/vr.rs"), "core");
+        assert_eq!(crate_of("examples/quickstart.rs"), "examples");
     }
 }

@@ -56,12 +56,11 @@
 //!   edges to a fixpoint. Flows where one domain's value reaches
 //!   another domain's constructor, field, or parameter position outside
 //!   the sanctioned translation seams — and raw integers inferred to
-//!   carry both virtual- and physical-family values — are pinned in
-//!   `crates/analysis/domain_baseline.txt`. The baseline is a
-//!   [`ratchet`]: a new site fails the gate, a removed site demands a
-//!   (shrunken) re-pin via `--write domain`, counts only go down;
-//!   `--report domain` prints flagged sites and inferred parameter
-//!   domains.
+//!   carry both virtual- and physical-family values — fail the gate,
+//!   one diagnostic per `(file, function, kind)` site. There is no
+//!   baseline: the reviewed [`domain::SANCTIONED`] seams are the only
+//!   allowlist. `--report domain` prints flagged sites and inferred
+//!   parameter domains.
 //!
 //! Every lint is a pure function over an in-memory [`Workspace`], so the
 //! crate's tests seed violations directly without touching the
@@ -77,7 +76,6 @@ pub mod domain;
 pub mod flow;
 pub mod lints;
 pub mod protocol;
-pub mod ratchet;
 pub mod walk;
 
 use std::fmt;
@@ -127,9 +125,6 @@ pub struct Workspace {
     /// Contents of `crates/analysis/protocol_spec.txt` (the pinned
     /// coherence transition surface), if present.
     pub protocol_spec: Option<String>,
-    /// Contents of `crates/analysis/domain_baseline.txt` (the pinned
-    /// cross-domain address flows), if present.
-    pub domain_baseline: Option<String>,
 }
 
 impl Workspace {

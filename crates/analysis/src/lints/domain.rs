@@ -1,41 +1,30 @@
-//! Address-domain lint: cross-domain flows found by the
-//! interprocedural [`domain`](crate::domain) analysis are pinned in a
-//! ratchet baseline that only shrinks.
+//! Address-domain lint: every cross-domain flow the interprocedural
+//! [`domain`](crate::domain) analysis finds fails the gate.
 //!
 //! The analysis seeds abstract domains from the `vrcache_mem::addr`
 //! newtypes, propagates them across call edges to a fixpoint, and flags
 //! every flow where one domain's value reaches another domain's
 //! constructor, field or parameter position outside the sanctioned
 //! translation seams (see [`domain::SANCTIONED`](crate::domain) and the
-//! `crates/mem` blanket). Flags aggregate to
-//! `(file, function, kind) → count` rows pinned in
-//! `crates/analysis/domain_baseline.txt` and compared by the
-//! [`ratchet`](crate::ratchet): an unpinned site or a grown count fails
-//! the gate, and shrinkage (or a stale row) demands a smaller re-pin
-//! (`--write domain`, gated by `REPIN=domain scripts/check.sh`).
+//! `crates/mem` blanket). Each flagged `(file, function, kind)` site is
+//! one diagnostic at its first line. There is no baseline: a flow the
+//! analysis cannot prove safe is either routed through a sanctioned
+//! translation or a typed newtype, or its seam is reviewed into
+//! `SANCTIONED`.
 //!
 //! The lint is inactive while no source names an address newtype
 //! (minimized test workspaces).
 
 use std::collections::BTreeMap;
 
-use crate::domain::{self, Analysis};
-use crate::ratchet::{crate_of, Ratchet};
+use crate::domain::{self, crate_of, Analysis};
 use crate::{Diagnostic, Workspace};
 
-/// The address-domain baseline's ratchet.
-pub const RATCHET: Ratchet = Ratchet {
-    lint: "address-domain",
-    repin: "domain",
-    path: "crates/analysis/domain_baseline.txt",
-    about: "cross-domain address flows the\n\
-            # interprocedural dataflow analysis (src/domain.rs) cannot prove safe.\n\
-            # Kinds: [may-][raw-]<from>-to-<to> (a value witnessing <from>\n\
-            # reaches a <to> sink), mixed-raw-param (a bare-integer parameter\n\
-            # inferred to carry both virtual- and physical-family values).\n",
-    noun: "cross-domain flow",
-    fix: "route it through a sanctioned translation or a typed newtype",
-};
+/// `N at line(s) a, b, …`.
+fn at_lines(lines: &[usize]) -> String {
+    let ls: Vec<String> = lines.iter().map(usize::to_string).collect();
+    format!("{} at line(s) {}", lines.len(), ls.join(", "))
+}
 
 /// Renders the human-readable report: flagged sites with their lines,
 /// then the inferred domains of every bare-integer parameter, then
@@ -46,12 +35,7 @@ pub fn report(a: &Analysis) -> String {
         out.push_str("  no cross-domain flows flagged\n");
     }
     for ((file, qual, kind), lines) in &a.flags {
-        let ls: Vec<String> = lines.iter().map(usize::to_string).collect();
-        out.push_str(&format!(
-            "  {file} `{qual}` {kind} ({} at line(s) {})\n",
-            lines.len(),
-            ls.join(", ")
-        ));
+        out.push_str(&format!("  {file} `{qual}` {kind} ({})\n", at_lines(lines)));
     }
     out.push_str("inferred raw-integer parameter domains:\n");
     let mut any = false;
@@ -83,11 +67,20 @@ pub fn report(a: &Analysis) -> String {
 
 /// Runs the address-domain lint.
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
-    let a = domain::analyze(ws);
-    if !a.active {
-        return Vec::new();
-    }
-    RATCHET.check(ws.domain_baseline.as_deref(), &a.flags)
+    domain::analyze(ws)
+        .flags
+        .iter()
+        .map(|((file, qual, kind), lines)| Diagnostic {
+            file: file.clone(),
+            line: lines.first().copied().unwrap_or(0),
+            lint: "address-domain",
+            message: format!(
+                "cross-domain flow `{kind}` in `{qual}` ({}) — route it through a \
+                 sanctioned translation or a typed newtype",
+                at_lines(lines)
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -100,93 +93,45 @@ mod tests {
     const CONFUSED: &str =
         "fn confuse(va: VirtAddr) -> PhysAddr {\n    PhysAddr::new(va.raw())\n}\n";
 
-    fn ws(src: &str, baseline: Option<&str>) -> Workspace {
+    fn ws(src: &str) -> Workspace {
         Workspace {
             sources: vec![SourceFile::new("crates/core/src/vr.rs", src)],
-            domain_baseline: baseline.map(str::to_string),
             ..Workspace::default()
         }
     }
 
-    const CLEAN_BASELINE: &str =
-        "# pinned\ncrates/core/src/vr.rs confuse raw-virtual-to-physical 1\n";
-
     #[test]
     fn inactive_without_any_domain_seed() {
-        let diags = check(&ws("fn plain(x: u64) -> u64 { x }\n", None));
+        let diags = check(&ws("fn plain(x: u64) -> u64 { x }\n"));
         assert!(diags.is_empty(), "no seeds, no lint: {diags:#?}");
     }
 
     #[test]
-    fn missing_baseline_is_flagged_when_active() {
-        let diags = check(&ws(CONFUSED, None));
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(
-            diags[0].message.contains("missing address-domain baseline"),
-            "{diags:#?}"
-        );
-    }
-
-    #[test]
-    fn pinned_sites_are_clean_and_new_sites_fail() {
-        let clean = check(&ws(CONFUSED, Some(CLEAN_BASELINE)));
-        assert!(clean.is_empty(), "{clean:#?}");
-
-        let grown =
-            format!("{CONFUSED}fn worse(pa: PhysAddr) -> Vpn {{\n    Vpn::new(pa.raw())\n}}\n");
-        let diags = check(&ws(&grown, Some(CLEAN_BASELINE)));
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(
-            diags[0]
-                .message
-                .contains("new cross-domain flow `raw-physical-to-vpn`"),
-            "{diags:#?}"
-        );
-        assert_eq!(diags[0].file, "crates/core/src/vr.rs");
-    }
-
-    #[test]
-    fn count_growth_fails_and_equality_passes() {
-        let grown = "fn confuse(va: VirtAddr) -> PhysAddr {\n    let a = \
+    fn flagged_flow_is_one_diagnostic_at_its_line_and_clean_passes() {
+        // Two occurrences of one site: one diagnostic, at the first.
+        let twice = "fn confuse(va: VirtAddr) -> PhysAddr {\n    let a = \
                      PhysAddr::new(va.raw());\n    let _ = a;\n    PhysAddr::new(va.raw())\n}\n";
-        let diags = check(&ws(grown, Some(CLEAN_BASELINE)));
+        let diags = check(&ws(twice));
         assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("grew 1 → 2"), "{diags:#?}");
-    }
+        let d = &diags[0];
+        assert_eq!((d.file.as_str(), d.line), ("crates/core/src/vr.rs", 2));
+        assert_eq!(d.lint, "address-domain");
+        assert!(
+            d.message.starts_with(
+                "cross-domain flow `raw-virtual-to-physical` in `confuse` (2 at line(s) 2, 4)"
+            ),
+            "{diags:#?}"
+        );
+        assert!(
+            d.message
+                .ends_with("route it through a sanctioned translation or a typed newtype"),
+            "{diags:#?}"
+        );
 
-    #[test]
-    fn improvement_demands_a_smaller_pin() {
-        let over = "# pinned\ncrates/core/src/vr.rs confuse raw-virtual-to-physical 2\n";
-        let diags = check(&ws(CONFUSED, Some(over)));
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("shrank 2 → 1"), "{diags:#?}");
-        assert_eq!(diags[0].file, RATCHET.path);
-    }
-
-    #[test]
-    fn stale_rows_and_malformed_rows_fail() {
-        let stale =
-            format!("{CLEAN_BASELINE}crates/core/src/vr.rs gone raw-virtual-to-physical 3\n");
-        let diags = check(&ws(CONFUSED, Some(&stale)));
-        assert_eq!(diags.len(), 1, "{diags:#?}");
-        assert!(diags[0].message.contains("stale row"), "{diags:#?}");
-
-        let malformed = format!("{CLEAN_BASELINE}not a valid row\n");
-        let diags = check(&ws(CONFUSED, Some(&malformed)));
-        assert!(diags[0].message.contains("malformed"), "{diags:#?}");
-    }
-
-    #[test]
-    fn baseline_rendering_is_deterministic_and_sorted() {
-        let a1 = domain::analyze(&ws(CONFUSED, None));
-        let a2 = domain::analyze(&ws(CONFUSED, None));
-        let b1 = RATCHET.render(&a1.flags);
-        assert_eq!(b1, RATCHET.render(&a2.flags), "byte-identical");
-        let rows: Vec<&str> = b1.lines().filter(|l| !l.starts_with('#')).collect();
-        let mut sorted = rows.clone();
-        sorted.sort();
-        assert_eq!(rows, sorted, "rows are sorted");
-        assert!(b1.contains("confuse raw-virtual-to-physical 1"), "{b1}");
+        // The same function with the flow fixed is clean.
+        let fixed = "fn confuse(pa: PhysAddr) -> PhysAddr {\n    PhysAddr::new(pa.raw())\n}\n";
+        let diags = check(&ws(fixed));
+        assert!(diags.is_empty(), "{diags:#?}");
     }
 
     #[test]
@@ -195,7 +140,7 @@ mod tests {
             "{CONFUSED}fn seed(va: VirtAddr) {{\n    sink(va.raw());\n}}\n\
              fn sink(x: u64) {{\n    let _ = x;\n}}\n"
         );
-        let text = report(&domain::analyze(&ws(&src, None)));
+        let text = report(&domain::analyze(&ws(&src)));
         assert!(text.contains("raw-virtual-to-physical"), "{text}");
         assert!(text.contains("sink(x): exactly(virtual)"), "{text}");
         assert!(text.contains("flagged site(s)"), "{text}");

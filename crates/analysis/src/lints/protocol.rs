@@ -36,11 +36,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::protocol::{self, kebab_case, ProtocolSurface, SPEC_PATH};
-use crate::ratchet::repin_hint;
 use crate::walk::enum_variants;
 use crate::{Diagnostic, Workspace};
 
 const LINT: &str = "protocol-spec";
+
+/// The re-pin instruction every spec drift diagnostic ends with.
+const REPIN_HINT: &str = "re-pin with `cargo run -p vrcache-analysis --bin lint -- --write \
+                          protocol` after a clean tier-1 run (`REPIN=protocol scripts/check.sh`)";
+
 /// Where the model checker's exercised-transition table lives.
 const COVERAGE_PATH: &str = "crates/model/coverage.txt";
 
@@ -217,7 +221,7 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         // lint stays inactive.
         return out;
     }
-    let repin = repin_hint("protocol");
+    let repin = REPIN_HINT;
 
     // 1. Drift against the pinned spec.
     let Some(spec_text) = &ws.protocol_spec else {

@@ -50,7 +50,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     let injection_baseline = fs::read_to_string(root.join("crates/inject/baseline.txt")).ok();
     let injection_report = fs::read_to_string(root.join("target/injection-report.txt")).ok();
     let protocol_spec = fs::read_to_string(root.join("crates/analysis/protocol_spec.txt")).ok();
-    let domain_baseline = fs::read_to_string(root.join("crates/analysis/domain_baseline.txt")).ok();
     Ok(Workspace {
         sources,
         design_md,
@@ -60,7 +59,6 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
         injection_baseline,
         injection_report,
         protocol_spec,
-        domain_baseline,
     })
 }
 
@@ -357,7 +355,7 @@ mod tests {
             "vendor/ must be excluded"
         );
         assert!(ws.design_md.is_some(), "DESIGN.md loads");
-        assert!(ws.domain_baseline.is_some(), "domain baseline loads");
+        assert!(ws.protocol_spec.is_some(), "protocol spec loads");
     }
 
     #[test]

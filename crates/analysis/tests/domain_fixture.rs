@@ -1,11 +1,10 @@
-//! End-to-end fixture test for the `address-domain` ratchet: builds a
+//! End-to-end fixture test for the `address-domain` lint: builds a
 //! throwaway workspace on disk whose `VrHierarchy::confuse` smuggles a
 //! virtual address into a physical constructor, runs the real `lint`
-//! binary against it, and asserts the gate fails without a baseline,
-//! that `--write domain` pins the flow, and that the pinned
-//! workspace then passes — until the flow is fixed, when the stale pin
-//! demands a re-pin. Also the lint binary's flag wiring: `--list`,
-//! `--only` and the baseline names `--write` accepts.
+//! binary against it, and asserts the gate fails with one diagnostic
+//! naming the flow's kind and line, then passes once the flow is fixed.
+//! Also the lint binary's flag wiring: `--list`, `--only` and the names
+//! `--write` and `--report` accept.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,7 +22,7 @@ const FIXTURE_VR: &str = "pub struct VrHierarchy;\n\
     }\n";
 
 /// The same hierarchy with the flow fixed: a same-domain round trip is
-/// legal, so the analysis flags nothing and any pinned row goes stale.
+/// legal, so the analysis flags nothing.
 const FIXED_VR: &str = "pub struct VrHierarchy;\n\
     impl VrHierarchy {\n\
     \x20   pub fn confuse(&self, pa: PhysAddr) -> PhysAddr {\n\
@@ -76,54 +75,29 @@ fn run_lint_full(root: &Path, args: &[&str]) -> (i32, String, String) {
 }
 
 #[test]
-fn seeded_flow_fails_then_pin_then_clean_then_stale() {
-    let root = make_fixture("ratchet");
+fn seeded_flow_fails_then_fix_is_clean() {
+    let root = make_fixture("seeded");
 
-    // 1. No baseline pinned at all: the gate fails demanding a pin.
+    // 1. The seeded flow fails the gate: one diagnostic, at the flow's
+    //    line, naming its function and kind.
     let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
-    assert_ne!(code, 0, "unpinned cross-domain flow must fail: {stdout}");
+    assert_eq!(code, 1, "a cross-domain flow must fail: {stdout}");
+    let diags: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("[address-domain]"))
+        .collect();
+    assert_eq!(diags.len(), 1, "one diagnostic per site: {stdout}");
     assert!(
-        stdout.contains("missing address-domain baseline"),
+        diags[0].starts_with("crates/core/src/vr.rs:4: "),
         "{stdout}"
     );
+    assert!(diags[0].contains("raw-virtual-to-physical"), "{stdout}");
+    assert!(diags[0].contains("VrHierarchy::confuse"), "{stdout}");
 
-    // 2. An empty pin makes the seeded flow a *new* site, named by
-    //    function and kind.
-    let baseline = root.join("crates/analysis/domain_baseline.txt");
-    fs::write(&baseline, "# empty pin\n").expect("baseline written");
-    let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
-    assert_ne!(code, 0, "new cross-domain flow must fail: {stdout}");
-    assert!(stdout.contains("new cross-domain flow"), "{stdout}");
-    assert!(stdout.contains("raw-virtual-to-physical"), "{stdout}");
-    assert!(stdout.contains("VrHierarchy::confuse"), "{stdout}");
-
-    // 3. Pin today's flows.
-    let (code, stdout) = run_lint(&root, &["--write", "domain"]);
-    assert_eq!(code, 0, "pinning must succeed: {stdout}");
-    let pinned = fs::read_to_string(&baseline).expect("baseline written");
-    assert!(
-        pinned.contains("VrHierarchy::confuse raw-virtual-to-physical 1"),
-        "{pinned}"
-    );
-
-    // 4. With the pin in place the same workspace is clean.
-    let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
-    assert_eq!(code, 0, "pinned workspace must pass: {stdout}");
-
-    // 5. Fixing the flow makes the pin stale: the ratchet demands a
-    //    shrunken re-pin rather than silently accepting the headroom.
+    // 2. Fixing the flow makes the workspace clean.
     fs::write(root.join("crates/core/src/vr.rs"), FIXED_VR).expect("fixture source");
     let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
-    assert_ne!(code, 0, "stale pin must fail until re-pinned: {stdout}");
-    assert!(stdout.contains("stale row"), "{stdout}");
-
-    // 6. Re-pinning shrinks the baseline to zero rows and passes.
-    let (code, stdout) = run_lint(&root, &["--write", "domain"]);
-    assert_eq!(code, 0, "re-pinning must succeed: {stdout}");
-    let repinned = fs::read_to_string(&baseline).expect("baseline written");
-    assert!(!repinned.contains("VrHierarchy::confuse"), "{repinned}");
-    let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
-    assert_eq!(code, 0, "re-pinned workspace must pass: {stdout}");
+    assert_eq!(code, 0, "the fixed workspace must pass: {stdout}");
 
     fs::remove_dir_all(&root).expect("fixture dir is removable");
 }
@@ -132,7 +106,7 @@ fn seeded_flow_fails_then_pin_then_clean_then_stale() {
 fn json_mode_reports_domain_rows() {
     let root = make_fixture("json");
     let (code, stdout) = run_lint(&root, &["--json", "--only", "address-domain"]);
-    assert_ne!(code, 0, "unpinned fixture must fail in json mode too");
+    assert_ne!(code, 0, "the seeded fixture must fail in json mode too");
     assert!(stdout.contains("\"violations\""), "{stdout}");
     assert!(stdout.contains("\"lint\": \"address-domain\""), "{stdout}");
     fs::remove_dir_all(&root).expect("fixture dir is removable");
@@ -157,9 +131,14 @@ fn domain_free_workspace_refuses_to_pin() {
         "pub fn plain(x: u64) -> u64 { x }\n",
     )
     .expect("fixture source");
-    let (code, _) = run_lint(&root, &["--write", "domain"]);
-    assert_eq!(code, 2, "nothing to analyze is a usage error");
-    // And the lint itself is inactive: no baseline, yet clean.
+    for args in [["--write", "domain"], ["--report", "domain"]] {
+        let (code, _) = run_lint(&root, &args);
+        assert_eq!(
+            code, 2,
+            "{args:?}: nothing to pin or analyze is a usage error"
+        );
+    }
+    // And the lint itself is inactive: clean.
     let (code, stdout) = run_lint(&root, &["--only", "address-domain"]);
     assert_eq!(code, 0, "domain-free workspace is out of scope: {stdout}");
     fs::remove_dir_all(&root).expect("fixture dir is removable");
@@ -179,12 +158,18 @@ fn list_and_only_flags() {
     let (code, _) = run_lint(&root, &["--only", "no-such-lint"]);
     assert_eq!(code, 2, "unknown lint name is a usage error");
 
-    for flag in ["--write", "--report"] {
-        let (code, _, stderr) = run_lint_full(&root, &[flag, "hotpath"]);
-        assert_eq!(code, 2, "{flag} of an unknown baseline is a usage error");
+    let (code, _, stderr) = run_lint_full(&root, &["--report", "hotpath"]);
+    assert_eq!(code, 2, "--report of an unknown name is a usage error");
+    assert!(
+        stderr.contains("protocol") && stderr.contains("domain"),
+        "the error names the reports there are: {stderr}"
+    );
+    for name in ["hotpath", "domain"] {
+        let (code, _, stderr) = run_lint_full(&root, &["--write", name]);
+        assert_eq!(code, 2, "--write {name} is a usage error");
         assert!(
-            stderr.contains("protocol") && stderr.contains("domain"),
-            "{flag}: the error names the baselines there are: {stderr}"
+            stderr.contains("--write protocol"),
+            "--write {name}: the error names the one pinned spec: {stderr}"
         );
     }
     fs::remove_dir_all(&root).expect("fixture dir is removable");

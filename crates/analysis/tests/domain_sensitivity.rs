@@ -27,7 +27,6 @@ fn with_vr(ws: &Workspace, mutated: String) -> Workspace {
                 }
             })
             .collect(),
-        domain_baseline: ws.domain_baseline.clone(),
         ..Workspace::default()
     }
 }
@@ -63,8 +62,8 @@ fn vaddr_for_paddr_swap_is_caught() {
         analysis.flags.keys().collect::<Vec<_>>()
     );
 
-    // And the pinned gate catches it: the mutated workspace (still
-    // carrying the real pinned baseline) fails the address-domain lint.
+    // And the gate catches it: the mutated workspace fails the
+    // address-domain lint.
     let diags = domain_lint::check(&with_vr(&ws, mutated));
     assert!(
         diags.iter().any(|d| d.lint == "address-domain"),
@@ -78,7 +77,7 @@ fn unmutated_workspace_stays_clean() {
     let diags = domain_lint::check(&ws);
     assert!(
         diags.is_empty(),
-        "the pinned workspace must be clean for the sensitivity delta to mean \
+        "the real workspace must be clean for the sensitivity delta to mean \
          anything: {diags:#?}"
     );
 }

@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread;
@@ -29,6 +28,7 @@ use std::thread;
 use vrcache::config::HierarchyConfig;
 use vrcache::inclusion::{min_l2_assoc_for_inclusion, satisfies_inclusion_bound};
 use vrcache::layout::TagLayout;
+use vrcache_bench::emit;
 use vrcache_cache::geometry::CacheGeometry;
 use vrcache_mem::access::CpuId;
 use vrcache_mem::page::PageSize;
@@ -357,22 +357,6 @@ fn cmd_layout(flags: &HashMap<String, String>) -> Result<String, String> {
             "NOT "
         },
     ))
-}
-
-/// Writes a command's whole output to stdout, the one place `vrsim`
-/// does. Nothing is printed until the command has succeeded, so a
-/// failed run leaves stdout empty. A reader that closed the pipe early
-/// (`vrsim inspect | head -1`) chose to stop, so a broken pipe ends the
-/// command quietly; any other write error is a failure.
-fn emit(out: &str) -> Result<(), String> {
-    let mut stdout = io::stdout().lock();
-    match stdout
-        .write_all(out.as_bytes())
-        .and_then(|()| stdout.flush())
-    {
-        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
-        _ => Ok(()),
-    }
 }
 
 fn main() -> ExitCode {

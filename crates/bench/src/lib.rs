@@ -2,10 +2,26 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the benchmark harness and the binaries.
+
+use std::io::{self, Write};
 
 use vrcache_sim::experiments::{self, ExperimentCtx};
 use vrcache_sim::report::TableReport;
+
+/// Writes a command's whole output to stdout. A reader that closed the
+/// pipe early (`vrsim inspect | head -1`) chose to stop, so a broken pipe
+/// is `Ok`; any other write error is `Err("writing stdout: …")`.
+pub fn emit(out: &str) -> Result<(), String> {
+    let mut stdout = io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
+}
 
 /// Every artifact of the paper's evaluation that the harness can
 /// regenerate.

@@ -1,7 +1,5 @@
 //! Hierarchy configuration.
 
-use std::num::NonZeroU64;
-
 use serde::{Deserialize, Serialize};
 use vrcache_cache::geometry::CacheGeometry;
 use vrcache_cache::replacement::ReplacementPolicy;
@@ -172,18 +170,6 @@ pub struct HierarchyConfig {
     /// The bus coherence protocol (V-R hierarchy; the baselines implement
     /// the invalidation protocol only).
     pub protocol: CoherenceProtocol,
-    /// Re-verify the structural invariants (inclusion linkage, v-pointer
-    /// symmetry, buffer-bit agreement) after mutating operations: `None`
-    /// disarms the checker (the default — one branch per operation),
-    /// `Some(n)` verifies after every `n`-th access/snoop/context
-    /// switch/TLB shootdown. Each verification walks the whole hierarchy,
-    /// so period 1 suits small targeted tests while trace-scale runs use
-    /// a sampling period (see [`with_sampled_runtime_checks`]) — at
-    /// paper-sized geometries a per-access walk slows simulation by
-    /// orders of magnitude.
-    ///
-    /// [`with_sampled_runtime_checks`]: HierarchyConfig::with_sampled_runtime_checks
-    pub runtime_checks: Option<NonZeroU64>,
     /// Model parity protection on the V/R tag+state arrays and TLB
     /// entries. With parity on, a fault injected through
     /// [`FaultPort`](crate::fault::FaultPort) is *detected* at the next
@@ -238,7 +224,6 @@ impl HierarchyConfig {
             l1_write_policy: L1WritePolicy::default(),
             context_switch_policy: ContextSwitchPolicy::default(),
             protocol: CoherenceProtocol::default(),
-            runtime_checks: None,
             parity: false,
             data_protection: DataProtection::None,
         })
@@ -321,25 +306,6 @@ impl HierarchyConfig {
     #[must_use]
     pub fn with_update_protocol(mut self) -> Self {
         self.protocol = CoherenceProtocol::Update;
-        self
-    }
-
-    /// Arms (or disarms) the structural invariant checker at period 1:
-    /// re-verify after *every* mutating operation.
-    #[must_use]
-    pub fn with_runtime_checks(mut self, enabled: bool) -> Self {
-        self.runtime_checks = if enabled { NonZeroU64::new(1) } else { None };
-        self
-    }
-
-    /// Arms the structural invariant checker at a sampling period:
-    /// re-verify after every `period`-th mutating operation (a period of
-    /// 0 is treated as 1). This is the form trace-scale tests use — full
-    /// coverage of the invariants without a full hierarchy walk on every
-    /// one of hundreds of thousands of references.
-    #[must_use]
-    pub fn with_sampled_runtime_checks(mut self, period: u64) -> Self {
-        self.runtime_checks = NonZeroU64::new(period.max(1));
         self
     }
 

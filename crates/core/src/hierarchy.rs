@@ -146,10 +146,8 @@ pub trait CacheHierarchy: Send {
 
     /// Verifies the structural invariants (inclusion, pointer symmetry,
     /// at-most-one V copy per physical block, buffer-bit/write-buffer
-    /// agreement). The V-R hierarchy also re-runs this automatically after
-    /// every mutating operation when
-    /// [`runtime_checks`](crate::config::HierarchyConfig::runtime_checks)
-    /// is armed.
+    /// agreement). Callers arm it: `System::with_invariant_checks` for
+    /// every organization, the model checker after every event.
     ///
     /// # Errors
     ///

@@ -11,15 +11,13 @@
 //! checked by the same rules (its key is its physical block, and every
 //! line is a data child).
 //!
-//! [`VrHierarchy`](crate::vr::VrHierarchy) owns an [`InvariantChecker`]
-//! and re-verifies itself after every access, snoop, context switch and
-//! TLB shootdown. The checker is armed by
-//! [`HierarchyConfig::runtime_checks`](crate::config::HierarchyConfig::runtime_checks)
-//! (off by default — each verification walks the whole hierarchy, which
-//! paper-sized sweeps cannot afford — armed at period 1 by the targeted
-//! core/corruption tests and at a sampling period by the trace-scale
-//! integration tests); when disarmed the per-operation cost is a single
-//! branch.
+//! Nothing here runs by itself: every hierarchy exposes [`check`] as
+//! [`CacheHierarchy::check_invariants`](crate::hierarchy::CacheHierarchy::check_invariants),
+//! and its callers arm it — the simulator's `System::with_invariant_checks`
+//! for every organization, the model checker after every explored
+//! event, and the unit rigs after every operation they drive. Each
+//! verification walks the whole hierarchy, which paper-sized sweeps
+//! cannot afford per access.
 //!
 //! Swapped-valid lines are deliberately *included* in every linkage check:
 //! the paper keeps a descheduled process's lines lookup-invisible (enforced
@@ -29,7 +27,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::num::NonZeroU64;
 
 use vrcache_bus::oracle::Version;
 use vrcache_cache::geometry::BlockId;
@@ -320,62 +317,6 @@ pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), Invariant
     Ok(())
 }
 
-/// Re-verifies a hierarchy after every mutating operation.
-///
-/// Constructed from
-/// [`HierarchyConfig::runtime_checks`](crate::config::HierarchyConfig::runtime_checks);
-/// when disarmed, [`InvariantChecker::verify`] is a single branch.
-#[derive(Debug, Clone)]
-pub struct InvariantChecker {
-    period: Option<NonZeroU64>,
-    ops: u64,
-    checks: u64,
-}
-
-impl InvariantChecker {
-    /// A checker that verifies every `period`-th operation (`None`
-    /// disarms it entirely).
-    pub fn new(period: Option<NonZeroU64>) -> Self {
-        InvariantChecker {
-            period,
-            ops: 0,
-            checks: 0,
-        }
-    }
-
-    /// Whether verification is armed.
-    pub fn enabled(&self) -> bool {
-        self.period.is_some()
-    }
-
-    /// How many full verifications have run.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Verifies `view` if armed and the sampling period has elapsed,
-    /// panicking with the violation and the operation (`context`) that
-    /// produced it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a structural invariant is broken — always an
-    /// implementation bug, never a workload property.
-    pub fn verify<L: FirstLevel>(&mut self, view: &HierarchyView<'_, L>, context: &'static str) {
-        let Some(period) = self.period else {
-            return;
-        };
-        self.ops += 1;
-        if self.ops % period.get() != 0 {
-            return;
-        }
-        self.checks += 1;
-        if let Err(violation) = check(view) {
-            panic!("hierarchy invariant violated after {context}: {violation}");
-        }
-    }
-}
-
 /// Unwrapping for values whose absence can only mean a broken internal
 /// invariant.
 ///
@@ -428,13 +369,9 @@ mod tests {
     use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
     use vrcache_trace::record::MemAccess;
 
-    /// 256B/16B direct-mapped V-cache over a 4K/16B R-cache (subblocks=1),
-    /// auto-verification disarmed so the corruptions below reach
-    /// `check_invariants` instead of panicking inside `access`.
+    /// 256B/16B direct-mapped V-cache over a 4K/16B R-cache (subblocks=1).
     fn rig() -> (VrHierarchy, LoopbackBus, VersionOracle) {
-        let cfg = HierarchyConfig::direct_mapped(256, 4096, 16)
-            .unwrap()
-            .with_runtime_checks(false);
+        let cfg = HierarchyConfig::direct_mapped(256, 4096, 16).unwrap();
         (
             VrHierarchy::new(CpuId::new(0), &cfg),
             LoopbackBus::new(),
@@ -633,92 +570,6 @@ mod tests {
             Err(InvariantViolation::BufferBitClear { granule })
                 if granule == BlockId::new(0x900)
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "hierarchy invariant violated after access")]
-    fn armed_checker_panics_on_corruption_during_access() {
-        let cfg = HierarchyConfig::direct_mapped(256, 4096, 16)
-            .unwrap()
-            .with_runtime_checks(true);
-        let mut h = VrHierarchy::new(CpuId::new(0), &cfg);
-        let mut bus = LoopbackBus::new();
-        let mut oracle = VersionOracle::new();
-        read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
-        let (_, r, _) = h.corrupt_parts();
-        r.peek_mut(BlockId::new(0x900)).unwrap().meta.subs[0].inclusion = false;
-        // The very next operation trips the auto-verification.
-        read(&mut h, &mut bus, &mut oracle, 0x2020, 0xA020);
-    }
-
-    #[test]
-    fn disarmed_checker_counts_nothing_armed_counts_every_operation() {
-        let (mut h, mut bus, mut oracle) = rig();
-        read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
-        assert_eq!(h.invariant_checks(), 0, "disarmed checker must be silent");
-
-        let cfg = HierarchyConfig::direct_mapped(256, 4096, 16)
-            .unwrap()
-            .with_runtime_checks(true);
-        let mut h = VrHierarchy::new(CpuId::new(0), &cfg);
-        read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
-        read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
-        h.context_switch(Asid::new(1), Asid::new(2));
-        assert_eq!(h.invariant_checks(), 3);
-    }
-
-    // Direct sampling-behavior tests of the checker itself: a healthy
-    // (empty-but-valid) view, driven `n` times, must be verified exactly
-    // on every period-th call and never otherwise.
-
-    #[test]
-    fn checker_samples_exactly_every_period() {
-        let (mut h, _, _) = rig();
-        let (v, r, wb) = h.corrupt_parts();
-        let view = HierarchyView { l1: v, l2: r, wb };
-        for (period, ops, expected) in [(1u64, 10u64, 10u64), (3, 10, 3), (4, 8, 2), (7, 6, 0)] {
-            let mut checker = InvariantChecker::new(NonZeroU64::new(period));
-            assert!(checker.enabled());
-            for n in 1..=ops {
-                checker.verify(&view, "test");
-                assert_eq!(
-                    checker.checks(),
-                    n / period,
-                    "period {period}: after {n} ops"
-                );
-            }
-            assert_eq!(checker.checks(), expected, "period {period}");
-        }
-    }
-
-    #[test]
-    fn disarmed_checker_never_verifies() {
-        let (mut h, _, _) = rig();
-        let (v, r, wb) = h.corrupt_parts();
-        let view = HierarchyView { l1: v, l2: r, wb };
-        let mut checker = InvariantChecker::new(None);
-        assert!(!checker.enabled());
-        for _ in 0..100 {
-            checker.verify(&view, "test");
-        }
-        assert_eq!(checker.checks(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hierarchy invariant violated after test")]
-    fn sampling_checker_skips_then_catches_corruption() {
-        let (mut h, mut bus, mut oracle) = rig();
-        read(&mut h, &mut bus, &mut oracle, 0x1000, 0x9000);
-        let (v, r, wb) = h.corrupt_parts();
-        r.peek_mut(BlockId::new(0x900)).unwrap().meta.subs[0].inclusion = false;
-        let view = HierarchyView { l1: v, l2: r, wb };
-        let mut checker = InvariantChecker::new(NonZeroU64::new(3));
-        // Ops 1 and 2 fall between samples: the corruption goes unseen.
-        checker.verify(&view, "test");
-        checker.verify(&view, "test");
-        assert_eq!(checker.checks(), 0, "no sample before the period elapses");
-        // The third op is the sampled one and must panic.
-        checker.verify(&view, "test");
     }
 
     #[test]

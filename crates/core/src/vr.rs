@@ -48,7 +48,7 @@ use crate::fault::{
     self, FaultKind, FaultPort, FaultRecord, Poison, Protection, Scrub, ScrubParts,
 };
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
-use crate::invariant::{self, InvariantChecker, InvariantExpect, InvariantViolation};
+use crate::invariant::{self, InvariantExpect, InvariantViolation};
 use crate::rcache::{ChildCache, CohState, FirstLevel, RCache, RMeta, SecondLevel};
 use crate::vcache::{child_line, VCache, VCaches, VMeta};
 
@@ -70,7 +70,6 @@ pub struct VrHierarchy {
     cs_policy: ContextSwitchPolicy,
     protocol: CoherenceProtocol,
     last_swapped_wb_at: Option<u64>,
-    checker: InvariantChecker,
     /// Modeled parity and data protection, with outstanding syndromes.
     protection: Protection,
 }
@@ -118,28 +117,12 @@ impl VrHierarchy {
             cs_policy: cfg.context_switch_policy,
             protocol: cfg.protocol,
             last_swapped_wb_at: None,
-            checker: InvariantChecker::new(cfg.runtime_checks),
             protection: Protection::new(cfg),
         }
     }
 
-    /// How many automatic invariant verifications have run (zero while
-    /// [`runtime_checks`](crate::config::HierarchyConfig::runtime_checks)
-    /// is disarmed).
-    pub fn invariant_checks(&self) -> u64 {
-        self.checker.checks()
-    }
-
-    /// Runs the armed checker after the operation named by `context`.
-    fn verify_after(&mut self, context: &'static str) {
-        if !self.checker.enabled() {
-            return;
-        }
-        self.checker.verify(&self.l2.view(&self.l1), context);
-    }
-
     /// Mutable access to the raw parts, for corruption-injection tests of
-    /// the invariant checker.
+    /// [`invariant::check`].
     #[cfg(test)]
     pub(crate) fn corrupt_parts(
         &mut self,
@@ -424,7 +407,6 @@ impl CacheHierarchy for VrHierarchy {
             } else {
                 oracle.check_read(self.cpu, p1, meta.version)?;
             }
-            self.verify_after("access");
             return Ok(AccessOutcome::hit_l1());
         }
         self.l1
@@ -453,7 +435,6 @@ impl CacheHierarchy for VrHierarchy {
             self.l2.cache.stats_mut().record(access.kind, l2_hit);
             let v = oracle.on_write(self.cpu, p1);
             self.forward_write_through(p1, v);
-            self.verify_after("access");
             return Ok(AccessOutcome {
                 l1_hit: false,
                 l2_hit: Some(l2_hit),
@@ -587,7 +568,6 @@ impl CacheHierarchy for VrHierarchy {
             oracle.check_read(self.cpu, p1, version)?;
         }
 
-        self.verify_after("access");
         Ok(AccessOutcome {
             l1_hit: false,
             l2_hit: Some(l2_hit),
@@ -623,7 +603,6 @@ impl CacheHierarchy for VrHierarchy {
                 }
             }
         }
-        self.verify_after("context switch");
     }
 
     fn tlb_shootdown(&mut self, asid: Asid, vpn: Vpn, _bus: &mut dyn SystemBus) -> u32 {
@@ -645,7 +624,6 @@ impl CacheHierarchy for VrHierarchy {
                 }
             }
         }
-        self.verify_after("TLB shootdown");
         disturbed
     }
 
@@ -653,7 +631,7 @@ impl CacheHierarchy for VrHierarchy {
         debug_assert_ne!(txn.source, self.cpu, "a hierarchy never snoops itself");
         self.scrub_poison();
         let (l1, events) = (&mut self.l1, &mut self.events);
-        let reply = match txn.op {
+        match txn.op {
             BusOp::ReadMiss => self.l2.snoop_read(l1, events, txn.block),
             BusOp::Invalidate => self.l2.snoop_invalidate(l1, events, txn.block),
             BusOp::ReadModifiedWrite => {
@@ -671,9 +649,7 @@ impl CacheHierarchy for VrHierarchy {
                 self.snoop_update(txn.block, granule, version)
             }
             BusOp::WriteBack => SnoopReply::default(),
-        };
-        self.verify_after("snoop");
-        reply
+        }
     }
 
     fn coh_presence(&self, block: BlockId) -> BlockPresence {
@@ -905,9 +881,7 @@ mod tests {
     /// Small geometry: 256B/16B direct-mapped V-cache (16 sets) over a
     /// 4K/16B direct-mapped R-cache.
     fn cfg() -> HierarchyConfig {
-        HierarchyConfig::direct_mapped(256, 4096, 16)
-            .unwrap()
-            .with_runtime_checks(true)
+        HierarchyConfig::direct_mapped(256, 4096, 16).unwrap()
     }
 
     struct Rig {
@@ -951,6 +925,23 @@ mod tests {
         fn write(&mut self, va: u64, pa: u64) -> AccessOutcome {
             self.go(AccessKind::DataWrite, va, pa)
         }
+
+        fn switch(&mut self, from: Asid, to: Asid) {
+            self.h.context_switch(from, to);
+            self.h.check_invariants().expect("invariants hold");
+        }
+
+        fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
+            let reply = self.h.snoop(txn);
+            self.h.check_invariants().expect("invariants hold");
+            reply
+        }
+
+        fn shootdown(&mut self, asid: Asid, vpn: Vpn) -> u32 {
+            let disturbed = self.h.tlb_shootdown(asid, vpn, &mut self.bus);
+            self.h.check_invariants().expect("invariants hold");
+            disturbed
+        }
     }
 
     #[test]
@@ -978,8 +969,7 @@ mod tests {
         r.write(0x1000, 0x9000);
         assert_eq!(r.h.coh_presence(p2), BlockPresence::Private);
         // A foreign read-miss downgrades the copy.
-        let reply =
-            r.h.snoop(&BusTransaction::new(BusOp::ReadMiss, CpuId::new(1), p2));
+        let reply = r.snoop(&BusTransaction::new(BusOp::ReadMiss, CpuId::new(1), p2));
         assert!(reply.has_copy);
         assert_eq!(r.h.coh_presence(p2), BlockPresence::Shared);
     }
@@ -991,7 +981,7 @@ mod tests {
         // the boundary case of the retirement walk.
         r.read(0x1000, 0x9000);
         let vpn = cfg().page.vpn_of(VirtAddr::new(0x1000));
-        let disturbed = r.h.tlb_shootdown(Asid::new(1), vpn, &mut r.bus);
+        let disturbed = r.shootdown(Asid::new(1), vpn);
         assert_eq!(disturbed, 1, "the page's first block must be retired");
     }
 
@@ -1014,7 +1004,7 @@ mod tests {
             block: p2,
             update: Some((p1, v)),
         };
-        let reply = r.h.snoop(&txn);
+        let reply = r.snoop(&txn);
         assert!(reply.has_copy);
         assert_eq!(r.h.events().update_buffer, 1);
         assert!(
@@ -1142,7 +1132,7 @@ mod tests {
     fn context_switch_invalidates_but_preserves_dirty_data() {
         let mut r = Rig::new(&cfg());
         r.write(0x1000, 0x9000);
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         assert_eq!(r.h.events().context_switches, 1);
         assert_eq!(r.h.events().lines_swapped, 1);
         // Same VA, *different process/physical page*: must miss.
@@ -1153,7 +1143,7 @@ mod tests {
         assert_eq!(r.h.events().swapped_writebacks, 1);
         // And it is still readable by the old process later (after the
         // scheduler switches back, which re-invalidates the V-cache).
-        r.h.context_switch(Asid::new(2), Asid::new(1));
+        r.switch(Asid::new(2), Asid::new(1));
         let out = r.go(AccessKind::DataRead, 0x1000, 0x9000);
         assert_eq!(out.l2_hit, Some(true));
     }
@@ -1163,7 +1153,7 @@ mod tests {
         let mut r = Rig::new(&cfg());
         r.write(0x1000, 0x9000);
         r.write(0x1010, 0x9010);
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         // No write-backs yet: the switch only marks.
         assert_eq!(r.h.events().swapped_writebacks, 0);
         assert_eq!(r.h.vcache().dirty_lines(), 2);
@@ -1176,8 +1166,8 @@ mod tests {
     fn swapped_line_same_process_back_misses_but_is_clean() {
         let mut r = Rig::new(&cfg());
         r.read(0x1000, 0x9000);
-        r.h.context_switch(Asid::new(1), Asid::new(2));
-        r.h.context_switch(Asid::new(2), Asid::new(1));
+        r.switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(2), Asid::new(1));
         // Back on the original process: the paper invalidates, so this is
         // a miss even though the data was never stale.
         let out = r.read(0x1000, 0x9000);
@@ -1287,7 +1277,7 @@ mod tests {
             };
             r.go(kind, va, pa);
             if i % 500 == 499 {
-                r.h.context_switch(Asid::new(1), Asid::new(1));
+                r.switch(Asid::new(1), Asid::new(1));
             }
         }
         // Invariants were checked after every access by Rig::go.
@@ -1349,7 +1339,7 @@ mod tests {
         r.write(0x1000, 0x9000);
         r.write(0x1010, 0x9010);
         r.write(0x1020, 0x9020);
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         assert_eq!(
             r.h.events().eager_flush_writebacks,
             3,
@@ -1358,7 +1348,7 @@ mod tests {
         assert_eq!(r.h.vcache().occupancy(), 0, "eager flush empties the cache");
         assert_eq!(r.h.events().swapped_writebacks, 0);
         // Data survives: the old process can read it back via the R-cache.
-        r.h.context_switch(Asid::new(2), Asid::new(1));
+        r.switch(Asid::new(2), Asid::new(1));
         let out = r.read(0x1000, 0x9000);
         assert_eq!(out.l2_hit, Some(true));
     }
@@ -1374,7 +1364,7 @@ mod tests {
             let mut r = Rig::new(&cfg);
             r.write(0x1000, 0x9000);
             r.write(0x1010, 0x9010);
-            r.h.context_switch(Asid::new(1), Asid::new(2));
+            r.switch(Asid::new(1), Asid::new(2));
             assert_eq!(r.h.events().eager_flush_writebacks, expect_eager);
         }
     }
@@ -1384,7 +1374,7 @@ mod tests {
         let cfg = cfg().with_asid_tags();
         let mut r = Rig::new(&cfg);
         r.write(0x1000, 0x9000); // asid 1 in the Rig
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         // Process 2 touches a different set (same VA would evict process
         // 1's line by set conflict — the very effect the paper cites for
         // small caches). A non-conflicting address must still MISS despite
@@ -1406,7 +1396,7 @@ mod tests {
         r.h.check_invariants().unwrap();
         // Back to process 1: with ASID tags there is no flush, so this is
         // a first-level HIT — the whole point of the alternative.
-        r.h.context_switch(Asid::new(2), Asid::new(1));
+        r.switch(Asid::new(2), Asid::new(1));
         let out = r.read(0x1000, 0x9000);
         assert!(out.l1_hit, "tagged entry survives the round trip");
         assert_eq!(r.h.events().swapped_writebacks, 0);
@@ -1419,7 +1409,7 @@ mod tests {
         let mut r = Rig::new(&cfg);
         // Process 1 writes a shared physical block.
         r.write(0x1000, 0x9000);
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         // Process 2 reads the same physical block through its own VA (a
         // cross-process synonym): must resolve via the R-cache, moving the
         // single copy, never duplicating it.
@@ -1439,7 +1429,7 @@ mod tests {
         assert!(out.synonym.is_some(), "cross-process synonym resolved");
         r.h.check_invariants().unwrap();
         // Process 1's old name now misses (single-copy rule).
-        r.h.context_switch(Asid::new(2), Asid::new(1));
+        r.switch(Asid::new(2), Asid::new(1));
         let out = r.read(0x1000, 0x9000);
         assert!(!out.l1_hit);
         assert!(out.synonym.is_some());
@@ -1583,7 +1573,7 @@ mod tests {
 
     #[test]
     fn parity_off_records_no_poison_and_no_detections() {
-        // No parity AND no runtime invariant checks: nothing notices.
+        // No parity: nothing notices.
         let raw = HierarchyConfig::direct_mapped(256, 4096, 16).unwrap();
         let mut r = Rig::new(&raw);
         warm(&mut r);
@@ -1603,15 +1593,14 @@ mod tests {
         warm(&mut r);
         r.h.inject_fault(FaultKind::RInclusionFlip, 0)
             .expect("target");
-        r.h.context_switch(Asid::new(1), Asid::new(2));
+        r.switch(Asid::new(1), Asid::new(2));
         assert!(detections(&r) >= 1, "context_switch scrubs");
 
         let mut r = parity_rig();
         warm(&mut r);
         r.h.inject_fault(FaultKind::TlbEntryFlip, 0)
             .expect("target");
-        let mut bus = LoopbackBus::new();
-        r.h.tlb_shootdown(Asid::new(7), Vpn::new(0x77), &mut bus);
+        r.shootdown(Asid::new(7), Vpn::new(0x77));
         assert!(detections(&r) >= 1, "tlb_shootdown scrubs");
     }
 }

@@ -135,7 +135,6 @@ fn tiny_cfg() -> HierarchyConfig {
         .invariant_expect("tiny geometry is valid")
         .with_write_buffer(2)
         .with_drain_period(1)
-        .with_runtime_checks(true)
 }
 
 /// Mappings for the tiny geometry: m0/m1 are a synonym pair (same
@@ -323,7 +322,6 @@ fn subblocked_cfg() -> HierarchyConfig {
         .invariant_expect("subblocked geometry is valid")
         .with_write_buffer(2)
         .with_drain_period(1)
-        .with_runtime_checks(true)
 }
 
 /// Mappings for the subblocked geometry: m0/m1 synonym pair, m2 a second

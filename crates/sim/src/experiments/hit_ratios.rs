@@ -111,8 +111,11 @@ pub fn render(title: &str, pairs: &[(u64, u64)], rows: &[HitRatioRow]) -> TableR
     t
 }
 
-/// Regenerates Table 6 (4K–16K first levels). The measured grid is
-/// memoized on the context: Figures 4–6 reuse it without re-simulating.
+/// Regenerates Table 6 (4K–16K first levels). The measured grid covers
+/// all three traces and is memoized on the context, so a figure's chart
+/// reuses the grid its table computed. `Artifact::render` gives each
+/// artifact a fresh context, though, so each of Figures 4–6 simulates
+/// the whole three-trace grid to use one trace's row.
 pub fn table6(ctx: &mut ExperimentCtx) -> (TableReport, Vec<HitRatioRow>) {
     if ctx.table6_rows.is_none() {
         let rows = hit_ratio_grid(ctx, &super::LARGE_PAIRS);

@@ -63,7 +63,9 @@ pub fn pair_label(pair: (u64, u64)) -> String {
 pub struct ExperimentCtx {
     scale: f64,
     traces: BTreeMap<TracePreset, Trace>,
-    /// Memoized Table 6 grid (figures 4-6 reuse it).
+    /// Memoized Table 6 grid, all three traces: reused by later calls
+    /// on this context only (a figure's chart after its table), never
+    /// across the fresh contexts `Artifact::render` builds.
     pub(crate) table6_rows: Option<Vec<hit_ratios::HitRatioRow>>,
 }
 

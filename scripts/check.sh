@@ -9,15 +9,15 @@ cd "$(dirname "$0")/.."
 # clock, never output.
 JOBS="${JOBS:-2}"
 
-# REPIN=protocol|domain re-pins one lint baseline after tier-1: the
-# extracted protocol transition surface or the address-domain flow
-# ratchet. Checked up front so a typo fails before the build, not after
-# it.
+# REPIN=protocol re-pins the extracted protocol transition surface
+# (crates/analysis/protocol_spec.txt), the one baseline the lint binary
+# writes, after tier-1. Any other value is a usage error (exit 2),
+# checked up front so a typo fails before the build, not after it.
 REPIN="${REPIN:-}"
 case "$REPIN" in
-  "" | protocol | domain) ;;
+  "" | protocol) ;;
   *)
-    echo "REPIN must be protocol or domain (got '$REPIN')" >&2
+    echo "REPIN must be protocol (got '$REPIN')" >&2
     exit 2
     ;;
 esac
@@ -37,12 +37,12 @@ scripts/trace_smoke.sh
 echo "==> model checker (smoke scope)"
 cargo run -q --release -p vrcache-model -- --scope smoke --jobs "$JOBS"
 
-# Opt-in: REPIN re-pins the chosen lint baseline (validated above).
+# Opt-in: REPIN re-pins the protocol spec (validated above).
 # The gate lives here — after the build and the full test suite
 # (tier-1) have passed — so a broken tree can never pin its own debt
 # or rewrite its own protocol contract.
 if [[ -n "$REPIN" ]]; then
-  echo "==> re-pin $REPIN baseline (tier-1 clean)"
+  echo "==> re-pin $REPIN spec (tier-1 clean)"
   cargo run -q --release -p vrcache-analysis --bin lint -- --write "$REPIN"
 fi
 

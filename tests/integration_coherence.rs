@@ -28,9 +28,7 @@ fn all_organizations_survive_sharing_torture() {
     for seed in [1, 2, 3] {
         let trace = torture_trace(seed, 4, 0.25, 16);
         for kind in HierarchyKind::ALL {
-            let cfg = HierarchyConfig::direct_mapped(2 * 1024, 32 * 1024, 16)
-                .unwrap()
-                .with_sampled_runtime_checks(64);
+            let cfg = HierarchyConfig::direct_mapped(2 * 1024, 32 * 1024, 16).unwrap();
             let mut sys = System::new(kind, 4, &cfg).with_invariant_checks(256);
             sys.run_trace(&trace)
                 .unwrap_or_else(|e| panic!("seed {seed} {kind}: {e}"));
@@ -45,10 +43,8 @@ fn all_organizations_survive_sharing_torture() {
 #[test]
 fn invalidation_and_rmw_paths_are_exercised() {
     let trace = torture_trace(7, 4, 0.3, 0);
-    let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16)
-        .unwrap()
-        .with_sampled_runtime_checks(64);
-    let mut sys = System::new(HierarchyKind::Vr, 4, &cfg);
+    let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
+    let mut sys = System::new(HierarchyKind::Vr, 4, &cfg).with_invariant_checks(64);
     let run = sys.run_trace(&trace).unwrap();
     assert!(run.bus.count(BusOp::Invalidate) > 0, "no upgrades happened");
     assert!(
@@ -72,9 +68,7 @@ fn tiny_caches_magnify_interaction_and_stay_clean() {
     // Small caches force constant replacement interplay between the
     // levels, the buffer and the bus — the hardest structural case.
     let trace = torture_trace(11, 2, 0.35, 40);
-    let cfg = HierarchyConfig::direct_mapped(256, 4 * 1024, 16)
-        .unwrap()
-        .with_sampled_runtime_checks(64);
+    let cfg = HierarchyConfig::direct_mapped(256, 4 * 1024, 16).unwrap();
     let mut sys = System::new(HierarchyKind::Vr, 2, &cfg).with_invariant_checks(64);
     sys.run_trace(&trace).unwrap();
     // Inclusion invalidations are expected at this pressure; their counter
@@ -93,9 +87,7 @@ fn associative_and_multiblock_l2_configurations_are_clean() {
     // B2 = 2 * B1, 2-way L2, 2-way L1: exercises subentries and way logic.
     let l1 = CacheGeometry::new(2 * 1024, 16, 2).unwrap();
     let l2 = CacheGeometry::new(32 * 1024, 32, 2).unwrap();
-    let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K)
-        .unwrap()
-        .with_sampled_runtime_checks(64);
+    let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).unwrap();
     for kind in HierarchyKind::ALL {
         let mut sys = System::new(kind, 2, &cfg).with_invariant_checks(128);
         sys.run_trace(&trace)
@@ -112,9 +104,7 @@ fn random_replacement_policies_are_clean() {
         ReplacementPolicy::Random,
         ReplacementPolicy::TreePlru,
     ] {
-        let mut cfg = HierarchyConfig::direct_mapped(1024, 16 * 1024, 16)
-            .unwrap()
-            .with_sampled_runtime_checks(64);
+        let mut cfg = HierarchyConfig::direct_mapped(1024, 16 * 1024, 16).unwrap();
         cfg.l1_policy = policy;
         cfg.l2_policy = policy;
         // Policies only matter with associativity.
@@ -132,7 +122,6 @@ fn deep_write_buffers_behave() {
     for depth in [1usize, 2, 8] {
         let cfg = HierarchyConfig::direct_mapped(1024, 16 * 1024, 16)
             .unwrap()
-            .with_sampled_runtime_checks(64)
             .with_write_buffer(depth);
         let mut sys = System::new(HierarchyKind::Vr, 2, &cfg).with_invariant_checks(256);
         sys.run_trace(&trace)
@@ -143,15 +132,13 @@ fn deep_write_buffers_behave() {
 #[test]
 fn shielding_factor_grows_with_cpu_count() {
     // The paper observes more shielding benefit with more processors.
-    let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16)
-        .unwrap()
-        .with_sampled_runtime_checks(64);
+    let cfg = HierarchyConfig::direct_mapped(4 * 1024, 64 * 1024, 16).unwrap();
     let mut factors = Vec::new();
     for cpus in [2u16, 4] {
         let trace = torture_trace(23, cpus, 0.25, 0);
         let mut totals = Vec::new();
         for kind in [HierarchyKind::Vr, HierarchyKind::RrNonInclusive] {
-            let mut sys = System::new(kind, cpus, &cfg);
+            let mut sys = System::new(kind, cpus, &cfg).with_invariant_checks(64);
             sys.run_trace(&trace).unwrap();
             let t: u64 = (0..cpus)
                 .map(|c| sys.events(CpuId::new(c)).l1_coherence_messages())
@@ -183,10 +170,8 @@ mod dma {
     }
 
     fn system(kind: HierarchyKind) -> System {
-        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
-            .unwrap()
-            .with_runtime_checks(true);
-        System::new(kind, 2, &cfg).with_invariant_checks(8)
+        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
+        System::new(kind, 2, &cfg).with_invariant_checks(1)
     }
 
     /// A device reading memory must observe a processor's dirty data — the
@@ -220,6 +205,7 @@ mod dma {
             )
             .unwrap();
             sys.dma_write(0x2000, 16).unwrap();
+            sys.check_invariants().unwrap();
             // Both processors must now re-fetch the device version; a hit
             // on the stale copy would trip the oracle.
             sys.run_events(
@@ -245,6 +231,7 @@ mod dma {
                 .unwrap();
             for block in 0..64u64 {
                 sys.dma_write(0x10_0000 + block * 16, 16).unwrap();
+                sys.check_invariants().unwrap();
             }
             let msgs: u64 = (0..2)
                 .map(|c| sys.events(CpuId::new(c)).l1_coherence_messages())
@@ -271,8 +258,11 @@ mod dma {
         )
         .unwrap();
         sys.dma_read(0x3000, 32).unwrap(); // spans both granules
+        sys.check_invariants().unwrap();
         sys.dma_write(0x3000, 32).unwrap();
+        sys.check_invariants().unwrap();
         sys.dma_read(0x3000, 32).unwrap(); // device reads its own data back
+        sys.check_invariants().unwrap();
         sys.run_events(
             [
                 access(0, AccessKind::DataRead, 0x3000),
@@ -302,10 +292,8 @@ mod tlb_shootdown {
     }
 
     fn system(kind: HierarchyKind) -> System {
-        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
-            .unwrap()
-            .with_runtime_checks(true);
-        System::new(kind, 2, &cfg).with_invariant_checks(8)
+        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
+        System::new(kind, 2, &cfg).with_invariant_checks(1)
     }
 
     /// The OS remaps a virtual page: after the shootdown, accesses through
@@ -338,6 +326,7 @@ mod tlb_shootdown {
             // a DMA read of it must pass the oracle.
             sys.dma_read(0x9000, 32)
                 .unwrap_or_else(|e| panic!("{kind}: old frame data lost: {e}"));
+            sys.check_invariants().unwrap();
         }
     }
 
@@ -380,10 +369,8 @@ fn dma_respects_subblock_geometry() {
 
     let l1 = CacheGeometry::direct_mapped(512, 16).unwrap();
     let l2 = CacheGeometry::direct_mapped(8 * 1024, 32).unwrap();
-    let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K)
-        .unwrap()
-        .with_runtime_checks(true);
-    let mut sys = System::new(HierarchyKind::Vr, 1, &cfg).with_invariant_checks(4);
+    let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).unwrap();
+    let mut sys = System::new(HierarchyKind::Vr, 1, &cfg).with_invariant_checks(1);
     let touch = |addr: u64, kind| {
         TraceEvent::Access(MemAccess {
             cpu: CpuId::new(0),
@@ -403,6 +390,7 @@ fn dma_respects_subblock_geometry() {
     )
     .unwrap();
     sys.dma_write(0x2000, 32).unwrap();
+    sys.check_invariants().unwrap();
     // Both granules must re-fetch the device data (oracle-verified).
     sys.run_events(
         [
@@ -435,9 +423,8 @@ mod update_protocol {
     fn system() -> System {
         let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
             .unwrap()
-            .with_runtime_checks(true)
             .with_update_protocol();
-        System::new(HierarchyKind::Vr, 2, &cfg).with_invariant_checks(4)
+        System::new(HierarchyKind::Vr, 2, &cfg).with_invariant_checks(1)
     }
 
     /// The defining property: a foreign write refreshes a sharer's copy in
@@ -540,7 +527,6 @@ mod update_protocol {
         let trace = torture_trace(31, 4, 0.3, 12);
         let cfg = HierarchyConfig::direct_mapped(2 * 1024, 32 * 1024, 16)
             .unwrap()
-            .with_sampled_runtime_checks(64)
             .with_update_protocol();
         let mut sys = System::new(HierarchyKind::Vr, 4, &cfg).with_invariant_checks(256);
         let run = sys.run_trace(&trace).unwrap();
@@ -562,13 +548,13 @@ mod update_protocol {
     #[test]
     fn update_trades_messages_for_sharer_hits() {
         let trace = torture_trace(37, 4, 0.35, 0);
-        let base = HierarchyConfig::direct_mapped(2 * 1024, 32 * 1024, 16)
-            .unwrap()
-            .with_sampled_runtime_checks(64);
+        let base = HierarchyConfig::direct_mapped(2 * 1024, 32 * 1024, 16).unwrap();
         let inval = System::new(HierarchyKind::Vr, 4, &base)
+            .with_invariant_checks(64)
             .run_trace(&trace)
             .unwrap();
-        let mut upd_sys = System::new(HierarchyKind::Vr, 4, &base.clone().with_update_protocol());
+        let mut upd_sys = System::new(HierarchyKind::Vr, 4, &base.clone().with_update_protocol())
+            .with_invariant_checks(64);
         let upd = upd_sys.run_trace(&trace).unwrap();
         assert!(
             upd.h1 >= inval.h1,
@@ -591,10 +577,8 @@ fn dma_write_over_dirty_block_supersedes_it() {
     use vrcache_trace::record::{MemAccess, TraceEvent};
 
     for kind in HierarchyKind::ALL {
-        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
-            .unwrap()
-            .with_runtime_checks(true);
-        let mut sys = System::new(kind, 2, &cfg).with_invariant_checks(4);
+        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
+        let mut sys = System::new(kind, 2, &cfg).with_invariant_checks(1);
         let touch = |k, addr: u64| {
             TraceEvent::Access(MemAccess {
                 cpu: CpuId::new(0),
@@ -608,6 +592,7 @@ fn dma_write_over_dirty_block_supersedes_it() {
             .unwrap();
         // Straight over the dirty block, without a read first.
         sys.dma_write(0x4000, 16).unwrap();
+        sys.check_invariants().unwrap();
         sys.run_events([touch(AccessKind::DataRead, 0x4000)].iter())
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         sys.check_invariants().unwrap();

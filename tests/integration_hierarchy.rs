@@ -9,11 +9,14 @@ use vrcache_trace::synth::{generate, WorkloadConfig};
 use vrcache_trace::trace::Trace;
 
 fn cfg(l1: u64, l2: u64) -> HierarchyConfig {
-    // Trace-scale runs: sample the full-walk invariant verification
-    // instead of paying it on every one of ~120k references.
-    HierarchyConfig::direct_mapped(l1, l2, 16)
-        .unwrap()
-        .with_sampled_runtime_checks(64)
+    HierarchyConfig::direct_mapped(l1, l2, 16).unwrap()
+}
+
+/// A system that verifies every hierarchy's structural invariants every
+/// 64th reference: trace-scale runs sample the full walk instead of
+/// paying it on every one of ~120k references.
+fn system(kind: HierarchyKind, cpus: u16, cfg: &HierarchyConfig) -> System {
+    System::new(kind, cpus, cfg).with_invariant_checks(64)
 }
 
 fn no_switch_trace() -> Trace {
@@ -33,10 +36,8 @@ fn no_switch_trace() -> Trace {
 fn vr_and_rr_tie_without_context_switches() {
     let trace = no_switch_trace();
     let c = cfg(8 * 1024, 128 * 1024);
-    let vr = System::new(HierarchyKind::Vr, 2, &c)
-        .run_trace(&trace)
-        .unwrap();
-    let rr = System::new(HierarchyKind::RrInclusive, 2, &c)
+    let vr = system(HierarchyKind::Vr, 2, &c).run_trace(&trace).unwrap();
+    let rr = system(HierarchyKind::RrInclusive, 2, &c)
         .run_trace(&trace)
         .unwrap();
     assert!(
@@ -64,7 +65,7 @@ fn context_switches_cost_only_the_virtual_l1() {
     let calm = mk(0);
     let busy = mk(120);
 
-    let run = |kind, trace: &Trace| System::new(kind, 2, &c).run_trace(trace).unwrap().h1;
+    let run = |kind, trace: &Trace| system(kind, 2, &c).run_trace(trace).unwrap().h1;
     let vr_calm = run(HierarchyKind::Vr, &calm);
     let vr_busy = run(HierarchyKind::Vr, &busy);
     let rr_calm = run(HierarchyKind::RrInclusive, &calm);
@@ -90,9 +91,7 @@ fn hit_ratio_monotone_in_cache_size() {
     for kind in HierarchyKind::ALL {
         let mut last = 0.0;
         for (l1, l2) in [(4096, 65536), (8192, 131072), (16384, 262144)] {
-            let run = System::new(kind, 2, &cfg(l1, l2))
-                .run_trace(&trace)
-                .unwrap();
+            let run = system(kind, 2, &cfg(l1, l2)).run_trace(&trace).unwrap();
             assert!(
                 run.h1 >= last - 0.01,
                 "{kind}: h1 dropped from {last} to {} at {l1}/{l2}",
@@ -115,7 +114,7 @@ fn synonym_heavy_trace_is_coherent() {
         shared_pages: 8,
         ..WorkloadConfig::default()
     });
-    let mut sys = System::new(HierarchyKind::Vr, 2, &cfg(4096, 65536)).with_invariant_checks(512);
+    let mut sys = system(HierarchyKind::Vr, 2, &cfg(4096, 65536));
     sys.run_trace(&trace).unwrap();
     let synonyms: u64 = (0..2).map(|c| sys.events(CpuId::new(c)).synonyms()).sum();
     assert!(synonyms > 50, "only {synonyms} synonym resolutions");
@@ -129,10 +128,10 @@ fn split_id_close_to_unified_on_presets() {
         let trace = preset.generate_scaled(0.01);
         let base = cfg(8 * 1024, 128 * 1024);
         let split = base.clone().with_split_l1();
-        let unified_run = System::new(HierarchyKind::Vr, trace.cpus(), &base)
+        let unified_run = system(HierarchyKind::Vr, trace.cpus(), &base)
             .run_trace(&trace)
             .unwrap();
-        let split_run = System::new(HierarchyKind::Vr, trace.cpus(), &split)
+        let split_run = system(HierarchyKind::Vr, trace.cpus(), &split)
             .run_trace(&trace)
             .unwrap();
         assert!(
@@ -150,10 +149,10 @@ fn split_id_close_to_unified_on_presets() {
 fn simulation_is_deterministic() {
     let trace = TracePreset::Pops.generate_scaled(0.005);
     let c = cfg(8 * 1024, 128 * 1024);
-    let a = System::new(HierarchyKind::Vr, trace.cpus(), &c)
+    let a = system(HierarchyKind::Vr, trace.cpus(), &c)
         .run_trace(&trace)
         .unwrap();
-    let b = System::new(HierarchyKind::Vr, trace.cpus(), &c)
+    let b = system(HierarchyKind::Vr, trace.cpus(), &c)
         .run_trace(&trace)
         .unwrap();
     assert_eq!(a, b);
@@ -171,7 +170,7 @@ fn single_write_buffer_rarely_stalls() {
         ..WorkloadConfig::default()
     });
     let c = cfg(16 * 1024, 256 * 1024).with_write_buffer(1);
-    let mut sys = System::new(HierarchyKind::Vr, 2, &c);
+    let mut sys = system(HierarchyKind::Vr, 2, &c);
     sys.run_trace(&trace).unwrap();
     let refs = trace.summary().total_refs;
     // Stalls can only come from >1 dirty eviction per reference, which the

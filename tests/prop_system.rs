@@ -101,7 +101,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn run_schedule(kind: HierarchyKind, cfg: &HierarchyConfig, steps: &[Step]) {
     let mut active = [0usize; 2];
     let events = materialize(steps, &mut active);
-    let mut sys = System::new(kind, CPUS, cfg).with_invariant_checks(16);
+    let mut sys = System::new(kind, CPUS, cfg).with_invariant_checks(1);
     sys.run_events(events.iter())
         .unwrap_or_else(|e| panic!("{kind}: {e}"));
     sys.check_invariants().unwrap();
@@ -114,7 +114,7 @@ proptest! {
     /// schedule.
     #[test]
     fn vr_never_breaks(steps in proptest::collection::vec(step_strategy(), 1..400)) {
-        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap().with_runtime_checks(true);
+        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
         run_schedule(HierarchyKind::Vr, &cfg, &steps);
     }
 
@@ -122,7 +122,7 @@ proptest! {
     /// coherent on any schedule.
     #[test]
     fn rr_and_goodman_never_break(steps in proptest::collection::vec(step_strategy(), 1..300)) {
-        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap().with_runtime_checks(true);
+        let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
         run_schedule(HierarchyKind::RrInclusive, &cfg, &steps);
         run_schedule(HierarchyKind::RrNonInclusive, &cfg, &steps);
         run_schedule(HierarchyKind::GoodmanSingleLevel, &cfg, &steps);
@@ -133,7 +133,7 @@ proptest! {
     fn vr_multiblock_never_breaks(steps in proptest::collection::vec(step_strategy(), 1..250)) {
         let l1 = vrcache_cache::geometry::CacheGeometry::new(512, 16, 2).unwrap();
         let l2 = vrcache_cache::geometry::CacheGeometry::new(8 * 1024, 32, 2).unwrap();
-        let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).unwrap().with_runtime_checks(true);
+        let cfg = HierarchyConfig::new(l1, l2, PageSize::SIZE_4K).unwrap();
         run_schedule(HierarchyKind::Vr, &cfg, &steps);
     }
 
@@ -142,7 +142,6 @@ proptest! {
     fn vr_split_never_breaks(steps in proptest::collection::vec(step_strategy(), 1..250)) {
         let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
             .unwrap()
-            .with_runtime_checks(true)
             .with_split_l1();
         run_schedule(HierarchyKind::Vr, &cfg, &steps);
     }
@@ -154,7 +153,6 @@ proptest! {
     fn update_protocol_never_breaks(steps in proptest::collection::vec(step_strategy(), 1..350)) {
         let cfg = HierarchyConfig::direct_mapped(512, 8 * 1024, 16)
             .unwrap()
-            .with_runtime_checks(true)
             .with_update_protocol();
         run_schedule(HierarchyKind::Vr, &cfg, &steps);
     }
@@ -164,7 +162,7 @@ proptest! {
     /// V-cache and cross-process synonyms are resolved by re-tagging.
     #[test]
     fn all_switch_schemes_never_break(steps in proptest::collection::vec(step_strategy(), 1..250)) {
-        let base = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap().with_runtime_checks(true);
+        let base = HierarchyConfig::direct_mapped(512, 8 * 1024, 16).unwrap();
         run_schedule(HierarchyKind::Vr, &base.clone().with_eager_flush(), &steps);
         run_schedule(HierarchyKind::Vr, &base.clone().with_asid_tags(), &steps);
         run_schedule(HierarchyKind::Vr, &base.with_write_through(), &steps);
