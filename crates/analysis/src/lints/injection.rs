@@ -13,11 +13,8 @@
 //! * no entry may carry `par=on`: a parity-on SDC is a bug in the
 //!   detection/recovery model, never a fact to allowlist;
 //! * if a campaign report is present (`target/injection-report.txt`),
-//!   every `sdc` row on a pinned workload shape (the default shape and
-//!   the reviewed shape grid) must be allowlisted, and a parity-on
-//!   `sdc` row is a violation no baseline can excuse — whatever its
-//!   shape. Exploratory-shape rows (`--pages`/`--refs`/`--beat-period`
-//!   retunes) are reported by the campaign but never enforced here.
+//!   every parity-off `sdc` row must be allowlisted, and a parity-on
+//!   `sdc` row is a violation no baseline can excuse.
 //!
 //! Baseline entries the report did not reach are *not* flagged: the SDC
 //! set differs between debug and release builds (debug assertions turn
@@ -28,7 +25,6 @@
 //! (seed trees, minimized test workspaces).
 
 use vrcache_inject::baseline::Baseline;
-use vrcache_inject::{id_shape, shape_is_pinned};
 
 use crate::{Diagnostic, Workspace};
 
@@ -112,9 +108,6 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
                         row.id
                     ),
                 });
-            } else if id_shape(row.id).is_some_and(|s| !shape_is_pinned(&s)) {
-                // An exploratory workload retune: its SDC surface is
-                // informational, only pinned shapes are baselined.
             } else if !baseline.contains(row.id) {
                 out.push(Diagnostic {
                     file: REPORT_PATH.to_string(),
@@ -199,25 +192,6 @@ mod tests {
             diags.iter().all(|d| d.message.contains("parity")),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn exploratory_shape_sdc_rows_are_not_enforced() {
-        // A `/w…` shape key outside the pinned grid: informational only.
-        let report = "vr/coh-state-flip/pt0/s1/par=off/w5x33x7 sdc — stale read\n";
-        assert!(check(&ws(Some("# empty\n"), Some(report))).is_empty());
-
-        // The same id on a pinned grid shape is enforced.
-        let report = "vr/coh-state-flip/pt0/s1/par=off/w4x80x8 sdc — stale read\n";
-        let diags = check(&ws(Some("# empty\n"), Some(report)));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("unreviewed"), "{diags:?}");
-
-        // Parity-on SDC is never excusable, whatever the shape.
-        let report = "vr/coh-state-flip/pt0/s1/par=on/w5x33x7 sdc — stale read\n";
-        let diags = check(&ws(Some("# empty\n"), Some(report)));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("parity ON"), "{diags:?}");
     }
 
     #[test]

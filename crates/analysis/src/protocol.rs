@@ -118,9 +118,9 @@ pub const HIERARCHIES: &[HierSpec] = &[
         home_file: "crates/core/src/goodman.rs",
         self_ty: "GoodmanHierarchy",
         lens: Lens {
-            presence: &[".reverse.get("],
-            home_invalidate: &[".reverse.remove("],
-            private_bit: Some(".private.insert("),
+            presence: &[".directory.get("],
+            home_invalidate: &[".directory.remove("],
+            private_bit: Some(".directory.insert("),
         },
         shared: None,
     },

@@ -65,7 +65,8 @@ pub struct HierarchyEvents {
     pub swapped_writeback_intervals: IntervalHistogram,
 
     // ---- TLB ----
-    /// Second-level TLB misses observed on the V-miss path.
+    /// TLB misses: the one count of them (the TLB keeps no books of its
+    /// own). V-R and Goodman consume the TLB only on a first-level miss.
     pub tlb_misses: u64,
 
     // ---- parity detection and recovery ----

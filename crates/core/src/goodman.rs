@@ -10,7 +10,7 @@
 //!
 //! * one virtually-indexed cache per processor, each line carrying both a
 //!   virtual tag (the lookup key) and a physical tag (the *real
-//!   directory*, mirrored here as a reverse index),
+//!   directory*, mirrored here as a reverse index with the state bits),
 //! * the real directory snoops the bus and detects synonyms without
 //!   disturbing the virtual side unless an invalidation or flush is truly
 //!   required,
@@ -54,15 +54,15 @@ pub struct GoodmanHierarchy {
     cpu: CpuId,
     l1: VCache,
     /// The real directory: physical granule -> virtual block of the (sole)
-    /// cached copy. In hardware this is the second, physical tag store.
-    reverse: BlockMap<BlockId>,
+    /// cached copy, and whether it is held private (exclusive). In
+    /// hardware this is the second, physical tag store with its state
+    /// bits.
+    directory: BlockMap<(BlockId, bool)>,
     tlb: Tlb,
     events: HierarchyEvents,
     granule_geo: CacheGeometry,
     bus_geo: CacheGeometry,
     page: vrcache_mem::page::PageSize,
-    /// Per-line exclusivity, tracked in the real directory's state bits.
-    private: BlockMap<bool>,
     refs: u64,
     last_wb_at: Option<u64>,
     /// Modeled parity (dual tag stores, TLB) and data protection, with
@@ -103,13 +103,12 @@ impl GoodmanHierarchy {
         GoodmanHierarchy {
             cpu,
             l1: VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0x9),
-            reverse: BlockMap::default(),
+            directory: BlockMap::default(),
             tlb: Tlb::new(cfg.tlb),
             events: HierarchyEvents::default(),
             granule_geo: cfg.l1,
             bus_geo: cfg.l2,
             page: cfg.page,
-            private: BlockMap::default(),
             refs: 0,
             last_wb_at: None,
             protection: Protection::new(cfg),
@@ -125,7 +124,9 @@ impl GoodmanHierarchy {
     /// `granule` (first-level physical block). Observational — exposed for
     /// state snapshots in the model checker.
     pub fn granule_private(&self, granule: BlockId) -> bool {
-        self.private.get(&granule).copied().unwrap_or(false)
+        self.directory
+            .get(&granule)
+            .is_some_and(|&(_, private)| private)
     }
 
     fn bus_block_of(&self, p1: BlockId) -> BlockId {
@@ -146,19 +147,12 @@ impl GoodmanHierarchy {
     /// is no second level to absorb it).
     fn retire(&mut self, line: vrcache_cache::array::Line<VMeta>, bus: &mut dyn SystemBus) {
         let p1 = line.meta.p_block;
-        self.reverse.remove(&p1);
-        self.private.remove(&p1);
+        self.directory.remove(&p1);
         if line.meta.dirty {
             self.events.l1_writebacks += 1;
-            self.events.writeback_intervals.note_event();
-            if let Some(prev) = self.last_wb_at {
-                // Bulk retirement (e.g. a TLB shootdown) can retire several
-                // lines within one reference; clamp to the 1-based histogram.
-                self.events
-                    .writeback_intervals
-                    .record((self.refs - prev).max(1));
-            }
-            self.last_wb_at = Some(self.refs);
+            self.events
+                .writeback_intervals
+                .note_event_at(&mut self.last_wb_at, self.refs);
             if line.meta.swapped {
                 self.events.swapped_writebacks += 1;
             }
@@ -170,11 +164,13 @@ impl GoodmanHierarchy {
     }
 
     fn obtain_write_permission(&mut self, p1: BlockId, bus: &mut dyn SystemBus) {
-        if !self.private.get(&p1).copied().unwrap_or(false) {
+        if !self.granule_private(p1) {
             bus.issue(BusRequest::Invalidate {
                 block: self.bus_block_of(p1),
             });
-            self.private.insert(p1, true);
+            if let Some(entry) = self.directory.get_mut(&p1) {
+                entry.1 = true;
+            }
         }
     }
 }
@@ -199,8 +195,7 @@ impl Scrub for GoodmanHierarchy {
             self.events.parity_refetches += 1;
             return;
         };
-        self.reverse.remove(&line.meta.p_block);
-        self.private.remove(&line.meta.p_block);
+        self.directory.remove(&line.meta.p_block);
         if matches!(kind, FaultKind::VTagFlip | FaultKind::VDataBit) && !line.meta.dirty {
             self.events.parity_refetches += 1;
         } else {
@@ -212,8 +207,8 @@ impl Scrub for GoodmanHierarchy {
     /// shared is always safe (the next write re-arbitrates for
     /// exclusivity over the bus).
     fn scrub_l2_line(&mut self, _kind: FaultKind, granule: BlockId) {
-        if self.reverse.contains_key(&granule) {
-            self.private.insert(granule, false);
+        if let Some(entry) = self.directory.get_mut(&granule) {
+            entry.1 = false;
         }
         self.events.parity_refetches += 1;
     }
@@ -235,7 +230,7 @@ impl FaultPort for GoodmanHierarchy {
                 let key = fault::pick_line(self.l1.iter(), seed)?;
                 let p_block = self.l1.peek(key)?.meta.p_block;
                 let wrong = fault::flip_tag_bit(key, self.l1.geometry().set_bits());
-                self.reverse.insert(p_block, wrong);
+                self.directory.entry(p_block).or_insert((wrong, false)).0 = wrong;
                 // Parity on the physical tag store names the entry; the
                 // line it should point at is recovered through it.
                 prot.record_meta(Poison::L1Line {
@@ -251,14 +246,16 @@ impl FaultPort for GoodmanHierarchy {
             FaultKind::CohStateFlip => {
                 // Prefer granting bogus exclusivity (shared -> private):
                 // the demotion direction only costs a redundant upgrade.
-                let private = &self.private;
+                let directory = &mut self.directory;
                 let candidates = self.l1.iter().map(|l| {
-                    let shared = !private.get(&l.meta.p_block).copied().unwrap_or(false);
+                    let shared = !directory.get(&l.meta.p_block).is_some_and(|e| e.1);
                     ((l.block, l.meta.p_block), shared)
                 });
                 let (key, granule) = fault::pick_preferring(candidates, seed)?;
-                let old = self.private.get(&granule).copied().unwrap_or(false);
-                self.private.insert(granule, !old);
+                let old = directory.get(&granule).is_some_and(|e| e.1);
+                if let Some(entry) = directory.get_mut(&granule) {
+                    entry.1 = !old;
+                }
                 prot.record_meta(Poison::L2Line { kind, p2: granule });
                 Some(FaultRecord {
                     kind,
@@ -318,18 +315,15 @@ impl CacheHierarchy for GoodmanHierarchy {
         // the hit path).
         let vpn = self.page.vpn_of(access.vaddr);
         let ppn = self.page.ppn_of(access.paddr);
-        let tlb_hit = self.tlb.lookup(access.asid, vpn).is_some();
-        if !tlb_hit {
-            self.events.tlb_misses += 1;
-            self.tlb.fill(access.asid, vpn, ppn);
-        }
+        let tlb_hit = self.tlb.translate(access.asid, vpn, ppn);
+        self.events.tlb_misses += u64::from(!tlb_hit);
 
         if let Some(sw) = self.l1.take_swapped(vblock) {
             self.retire(sw, bus);
         }
 
         // ---- real-directory lookup: synonym? ----
-        let synonym = if let Some(old_vblock) = self.reverse.get(&p1).copied() {
+        let synonym = if let Some(&(old_vblock, private)) = self.directory.get(&p1) {
             let same_set =
                 self.l1.geometry().set_of(old_vblock) == self.l1.geometry().set_of(vblock);
             let old = self
@@ -349,7 +343,7 @@ impl CacheHierarchy for GoodmanHierarchy {
             if let Some(victim) = out.evicted {
                 self.retire(victim, bus);
             }
-            self.reverse.insert(p1, vblock);
+            self.directory.insert(p1, (vblock, private));
             if same_set {
                 self.events.synonym_sameset += 1;
                 Some(SynonymKind::SameSet)
@@ -386,8 +380,7 @@ impl CacheHierarchy for GoodmanHierarchy {
             if let Some(victim) = out.evicted {
                 self.retire(victim, bus);
             }
-            self.reverse.insert(p1, vblock);
-            self.private.insert(p1, private);
+            self.directory.insert(p1, (vblock, private));
             None
         };
 
@@ -399,7 +392,6 @@ impl CacheHierarchy for GoodmanHierarchy {
             let line = self.l1.peek_mut(vblock).invariant_expect("just installed");
             line.meta.dirty = true;
             line.meta.version = v;
-            self.private.insert(p1, true);
         } else {
             let version = self
                 .l1
@@ -456,13 +448,13 @@ impl CacheHierarchy for GoodmanHierarchy {
         let granules = self.granules_of(txn.block);
         let mut supplied: Vec<(BlockId, Version)> = Vec::new();
         for g in granules {
-            let Some(vblock) = self.reverse.get(&g).copied() else {
+            let Some(&(vblock, _)) = self.directory.get(&g) else {
                 continue;
             };
             reply.has_copy = true;
             match txn.op {
                 BusOp::ReadMiss => {
-                    self.private.insert(g, false);
+                    self.directory.insert(g, (vblock, false));
                     let line = self
                         .l1
                         .peek_mut(vblock)
@@ -489,8 +481,7 @@ impl CacheHierarchy for GoodmanHierarchy {
                     }
                     self.events.inval_v += 1;
                     reply.l1_messages += 1;
-                    self.reverse.remove(&g);
-                    self.private.remove(&g);
+                    self.directory.remove(&g);
                 }
                 BusOp::WriteBack | BusOp::Update => unreachable!("handled above"),
             }
@@ -507,11 +498,10 @@ impl CacheHierarchy for GoodmanHierarchy {
         // private, present if any granule is cached at all.
         let mut present = false;
         for g in self.granules_of(block) {
-            if self.reverse.contains_key(&g) {
-                present = true;
-                if self.granule_private(g) {
-                    return BlockPresence::Private;
-                }
+            match self.directory.get(&g) {
+                Some((_, true)) => return BlockPresence::Private,
+                Some(_) => present = true,
+                None => {}
             }
         }
         if present {
@@ -551,9 +541,9 @@ impl CacheHierarchy for GoodmanHierarchy {
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         // The real directory and the virtual tags must be a bijection.
         for line in self.l1.iter() {
-            match self.reverse.get(&line.meta.p_block) {
-                Some(v) if *v == line.block => {}
-                Some(v) => {
+            match self.directory.get(&line.meta.p_block) {
+                Some((v, _)) if *v == line.block => {}
+                Some((v, _)) => {
                     return Err(InvariantViolation::other(format!(
                         "real directory maps {:?} to {:?}, cache holds it at {:?}",
                         line.meta.p_block, v, line.block
@@ -567,10 +557,10 @@ impl CacheHierarchy for GoodmanHierarchy {
                 }
             }
         }
-        if self.reverse.len() != self.l1.occupancy() {
+        if self.directory.len() != self.l1.occupancy() {
             return Err(InvariantViolation::other(format!(
                 "real directory has {} entries for {} cached lines",
-                self.reverse.len(),
+                self.directory.len(),
                 self.l1.occupancy()
             )));
         }

@@ -10,7 +10,8 @@
 //! `SecondLevel` is everything below the first level that the V-R
 //! hierarchy and the inclusive R-R baseline share (the paper's Table 4
 //! interface): the R-cache, the write buffer in front of it, and the
-//! protocol steps that read or write the subentries. It reaches the
+//! protocol steps that read or write the subentries, including the
+//! second-level half of every first-level miss. It reaches the
 //! first level only through the [`FirstLevel`] trait, which the V-cache
 //! pair and the physical L1 each implement.
 
@@ -383,13 +384,9 @@ impl SecondLevel {
             return Ok(());
         }
         events.l1_writebacks += 1;
-        events.writeback_intervals.note_event();
-        if let Some(prev) = self.last_wb_at {
-            // Bulk retirement (e.g. a TLB shootdown) can retire several
-            // lines within one reference; clamp to the 1-based histogram.
-            events.writeback_intervals.record((self.refs - prev).max(1));
-        }
-        self.last_wb_at = Some(self.refs);
+        events
+            .writeback_intervals
+            .note_event_at(&mut self.last_wb_at, self.refs);
         match self.wb.push(victim.p_block, victim.version, self.refs) {
             Some(forced) => self.complete_writeback(forced.block, forced.payload),
             None => Ok(()),
@@ -417,6 +414,77 @@ impl SecondLevel {
             .parent_mut(p1)
             .invariant_expect("a written granule has a resident parent");
         meta.subs[si].vdirty = true;
+    }
+
+    /// Clears the linkage (inclusion and vdirty) of every linked
+    /// subentry `pred` selects, by a walk of the whole second level:
+    /// parity recovery's repair when no trusted r-pointer names the
+    /// parent (a suspect pointer, or a child already gone).
+    pub(crate) fn unlink_where(&mut self, pred: impl Fn(&SubEntry) -> bool) {
+        let targets: Vec<(BlockId, usize)> = self
+            .cache
+            .iter()
+            .flat_map(|line| {
+                let p2 = line.block;
+                line.meta
+                    .subs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.inclusion && pred(s))
+                    .map(move |(i, _)| (p2, i))
+            })
+            .collect();
+        for (p2, si) in targets {
+            let sub = &mut self
+                .cache
+                .peek_mut(p2)
+                .invariant_expect("resident")
+                .meta
+                .subs[si];
+            sub.inclusion = false;
+            sub.vdirty = false;
+        }
+    }
+
+    /// Folds a pending buffered write of granule `p1`, the newest copy of
+    /// its data, into the parent line before a first-level miss reads it.
+    pub(crate) fn fold_pending(&mut self, p1: BlockId) -> Result<(), Orphan> {
+        match self.wb.force_complete(p1) {
+            Some(e) => self.complete_writeback(p1, e.payload),
+            None => Ok(()),
+        }
+    }
+
+    /// The second-level half of a miss at both levels: fetches granule
+    /// `p1`'s block over the bus (a read-modified-write when `exclusive`,
+    /// else a read-miss, private unless another cache holds it), installs
+    /// it, and evicts the replaced line. Returns the line's state and
+    /// `p1`'s data.
+    pub(crate) fn fetch<L: FirstLevel>(
+        &mut self,
+        l1: &mut L,
+        events: &mut HierarchyEvents,
+        p1: BlockId,
+        exclusive: bool,
+        bus: &mut dyn SystemBus,
+    ) -> (CohState, Version) {
+        let (block, subblocks) = (self.cache.l2_block_of(p1), self.cache.subblocks());
+        let resp = bus.issue(if exclusive {
+            BusRequest::ReadModifiedWrite { block, subblocks }
+        } else {
+            BusRequest::ReadMiss { block, subblocks }
+        });
+        let state = if exclusive || !resp.shared_elsewhere {
+            CohState::Private
+        } else {
+            CohState::Shared
+        };
+        let meta = RMeta::fetched(state, &resp.granule_versions);
+        let version = meta.subs[self.cache.sub_index(p1)].version;
+        if let Some(victim) = self.cache.fill(block, meta).evicted {
+            self.evict(l1, events, victim, bus);
+        }
+        (state, version)
     }
 
     /// Folds first-level line `child`, removed outside replacement (a

@@ -35,9 +35,7 @@ use crate::events::HierarchyEvents;
 use crate::fault::{DataLine, FaultKind, FaultPort, FaultRecord, Protection, Scrub, ScrubParts};
 use crate::hierarchy::{AccessOutcome, CacheHierarchy};
 use crate::invariant::{self, InvariantExpect, InvariantViolation};
-use crate::rcache::{
-    ChildCache, ChildLine, CohState, FirstLevel, Orphan, RCache, RMeta, SecondLevel,
-};
+use crate::rcache::{ChildCache, ChildLine, CohState, FirstLevel, Orphan, RCache, SecondLevel};
 
 /// Whether the baseline maintains inclusion between its levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +340,9 @@ impl Scrub for RrHierarchy {
             }
         };
         if self.inclusive() {
-            self.repair_dangling_inclusion();
+            // Repair any subentry left pointing at a vanished child.
+            let l1 = &self.l1;
+            self.l2.unlink_where(|s| l1.peek(s.v_block).is_none());
         }
         if matches!(kind, FaultKind::VTagFlip | FaultKind::VDataBit) && !dirty {
             self.events.parity_refetches += 1;
@@ -360,35 +360,6 @@ impl Scrub for RrHierarchy {
 
     fn l1_word(&mut self, _child: ChildCache, key: BlockId) -> Option<&mut Version> {
         Some(&mut self.l1.peek_mut(key)?.meta.version)
-    }
-}
-
-impl RrHierarchy {
-    /// Clears every inclusion bit whose child is no longer resident.
-    fn repair_dangling_inclusion(&mut self) {
-        let dangling: Vec<(BlockId, usize)> = self
-            .l2
-            .cache
-            .iter()
-            .flat_map(|line| {
-                let p2 = line.block;
-                line.meta
-                    .subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.inclusion)
-                    .map(move |(i, s)| (p2, i, s.v_block))
-            })
-            .filter(|(_, _, child)| self.l1.peek(*child).is_none())
-            .map(|(p2, i, _)| (p2, i))
-            .collect();
-        for (p2, si) in dangling {
-            if let Some(line) = self.l2.cache.peek_mut(p2) {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = false;
-                sub.vdirty = false;
-            }
-        }
     }
 }
 
@@ -446,13 +417,12 @@ impl CacheHierarchy for RrHierarchy {
 
         // In this organization the TLB precedes the first-level access on
         // every reference.
-        let vpn = self.page.vpn_of(access.vaddr);
-        let ppn = self.page.ppn_of(access.paddr);
-        let tlb_hit = self.tlb.lookup(access.asid, vpn).is_some();
-        if !tlb_hit {
-            self.events.tlb_misses += 1;
-            self.tlb.fill(access.asid, vpn, ppn);
-        }
+        let tlb_hit = self.tlb.translate(
+            access.asid,
+            self.page.vpn_of(access.vaddr),
+            self.page.ppn_of(access.paddr),
+        );
+        self.events.tlb_misses += u64::from(!tlb_hit);
 
         // ---- first level ----
         if let Some(meta) = self.l1.lookup(p1).map(|l| l.meta) {
@@ -479,10 +449,8 @@ impl CacheHierarchy for RrHierarchy {
         self.l1_stats.record(access.kind, false);
 
         // A pending write-back of this very granule holds the newest data.
-        if let Some(e) = self.l2.wb.force_complete(p1) {
-            if let Err(orphan) = self.l2.complete_writeback(e.block, e.payload) {
-                self.complete_writeback(orphan, bus);
-            }
+        if let Err(orphan) = self.l2.fold_pending(p1) {
+            self.complete_writeback(orphan, bus);
         }
 
         // ---- second level ----
@@ -495,31 +463,15 @@ impl CacheHierarchy for RrHierarchy {
             true
         } else {
             self.l2.cache.stats_mut().record(access.kind, false);
-            let request = if access.kind.is_write() {
-                BusRequest::ReadModifiedWrite {
-                    block: p2,
-                    subblocks: self.l2.cache.subblocks(),
-                }
-            } else {
-                BusRequest::ReadMiss {
-                    block: p2,
-                    subblocks: self.l2.cache.subblocks(),
-                }
-            };
-            let resp = bus.issue(request);
-            let state = if access.kind.is_write() || !resp.shared_elsewhere {
-                CohState::Private
-            } else {
-                CohState::Shared
-            };
-            let meta = RMeta::fetched(state, &resp.granule_versions);
-            let version = meta.subs[si].version;
             // Without inclusion every line is inclusion-clear, so the
             // fill's victim preference leaves replacement independent.
-            let out = self.l2.cache.fill(p2, meta);
-            if let Some(victim) = out.evicted {
-                self.l2.evict(&mut self.l1, &mut self.events, victim, bus);
-            }
+            let (state, version) = self.l2.fetch(
+                &mut self.l1,
+                &mut self.events,
+                p1,
+                access.kind.is_write(),
+                bus,
+            );
             self.install_in_l1(p1, version, state == CohState::Private, bus);
             false
         };

@@ -49,7 +49,7 @@ use crate::fault::{
 };
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
 use crate::invariant::{self, InvariantExpect, InvariantViolation};
-use crate::rcache::{ChildCache, CohState, FirstLevel, RCache, RMeta, SecondLevel};
+use crate::rcache::{ChildCache, CohState, FirstLevel, RCache, SecondLevel};
 use crate::vcache::{child_line, VCache, VCaches, VMeta};
 
 /// The paper's two-level virtual-real cache hierarchy for one processor.
@@ -186,15 +186,10 @@ impl VrHierarchy {
             .retire(&mut self.events, child_line(&victim), true)
             .invariant_expect(LANDS);
         if victim.meta.dirty && victim.meta.swapped {
-            let now = self.l2.refs();
             self.events.swapped_writebacks += 1;
-            self.events.swapped_writeback_intervals.note_event();
-            if let Some(prev) = self.last_swapped_wb_at {
-                self.events
-                    .swapped_writeback_intervals
-                    .record((now - prev).max(1));
-            }
-            self.last_swapped_wb_at = Some(now);
+            self.events
+                .swapped_writeback_intervals
+                .note_event_at(&mut self.last_swapped_wb_at, self.l2.refs());
         }
     }
 
@@ -415,13 +410,12 @@ impl CacheHierarchy for VrHierarchy {
             .record(access.kind, false);
 
         // ---- TLB (probed in parallel; its result is consumed only now) ----
-        let vpn = self.page.vpn_of(access.vaddr);
-        let ppn = self.page.ppn_of(access.paddr);
-        let tlb_hit = self.tlb.lookup(access.asid, vpn).is_some();
-        if !tlb_hit {
-            self.events.tlb_misses += 1;
-            self.tlb.fill(access.asid, vpn, ppn);
-        }
+        let tlb_hit = self.tlb.translate(
+            access.asid,
+            self.page.vpn_of(access.vaddr),
+            self.page.ppn_of(access.paddr),
+        );
+        self.events.tlb_misses += u64::from(!tlb_hit);
 
         // A swapped line may occupy this very slot key; retire it first.
         if let Some(sw) = self.l1.front_mut(child).take_swapped(vblock) {
@@ -455,14 +449,7 @@ impl CacheHierarchy for VrHierarchy {
 
                 // Newest data may be in the write buffer: fold it in first.
                 if sub.buffer {
-                    let e = self
-                        .l2
-                        .wb
-                        .force_complete(p1)
-                        .invariant_expect("buffer bit implies a pending write");
-                    self.l2
-                        .complete_writeback(p1, e.payload)
-                        .invariant_expect(LANDS);
+                    self.l2.fold_pending(p1).invariant_expect(LANDS);
                 }
 
                 let synonym = if sub.inclusion {
@@ -523,29 +510,7 @@ impl CacheHierarchy for VrHierarchy {
                 // afterwards, leaving sharers in place.
                 let rmw =
                     access.kind.is_write() && self.protocol == CoherenceProtocol::Invalidation;
-                let request = if rmw {
-                    BusRequest::ReadModifiedWrite {
-                        block: p2,
-                        subblocks: self.l2.cache.subblocks(),
-                    }
-                } else {
-                    BusRequest::ReadMiss {
-                        block: p2,
-                        subblocks: self.l2.cache.subblocks(),
-                    }
-                };
-                let resp = bus.issue(request);
-                let state = if rmw || !resp.shared_elsewhere {
-                    CohState::Private
-                } else {
-                    CohState::Shared
-                };
-                let meta = RMeta::fetched(state, &resp.granule_versions);
-                let version = meta.subs[si].version;
-                let out = self.l2.cache.fill(p2, meta);
-                if let Some(victim) = out.evicted {
-                    self.l2.evict(&mut self.l1, &mut self.events, victim, bus);
-                }
+                let (_, version) = self.l2.fetch(&mut self.l1, &mut self.events, p1, rmw, bus);
                 self.install_in_v(child, vblock, p1, version, false);
                 (false, None)
             }
@@ -719,15 +684,7 @@ impl VrHierarchy {
             self.l2.obtain_write_permission(p2, bus);
             true
         } else {
-            let resp = bus.issue(BusRequest::ReadModifiedWrite {
-                block: p2,
-                subblocks: self.l2.cache.subblocks(),
-            });
-            let meta = RMeta::fetched(CohState::Private, &resp.granule_versions);
-            let out = self.l2.cache.fill(p2, meta);
-            if let Some(victim) = out.evicted {
-                self.l2.evict(&mut self.l1, &mut self.events, victim, bus);
-            }
+            self.l2.fetch(&mut self.l1, &mut self.events, p1, true, bus);
             false
         }
     }
@@ -757,14 +714,19 @@ impl Scrub for VrHierarchy {
             FaultKind::RPointerFlip => {
                 // The r-pointer itself is suspect: locate the parent by
                 // its v-pointer instead and sever the linkage.
-                self.clear_linkage_by_v_pointer(child, key);
+                self.l2
+                    .unlink_where(|s| s.child == child && s.v_block == key);
                 // Pointer metadata faulted — even a clean line may have
                 // been reachable through a wrong parent.
                 self.events.parity_machine_checks += 1;
             }
             _ => {
                 // Tag, state or data flip: the r-pointer is trusted.
-                self.clear_sub_linkage(line.meta.p_block);
+                if let Some((meta, si)) = self.l2.cache.parent_mut(line.meta.p_block) {
+                    let sub = &mut meta.subs[si];
+                    sub.inclusion = false;
+                    sub.vdirty = false;
+                }
                 if matches!(kind, FaultKind::VTagFlip | FaultKind::VDataBit) && !line.meta.dirty {
                     // Clean data under a wrong tag (or a clean word
                     // failing its data check): treat as a miss.
@@ -785,43 +747,6 @@ impl Scrub for VrHierarchy {
 
     fn l1_word(&mut self, child: ChildCache, key: BlockId) -> Option<&mut Version> {
         Some(&mut self.l1.front_mut(child).peek_mut(key)?.meta.version)
-    }
-}
-
-impl VrHierarchy {
-    /// Clears the inclusion linkage of granule `p1`'s parent subentry.
-    fn clear_sub_linkage(&mut self, p1: BlockId) {
-        if let Some((meta, si)) = self.l2.cache.parent_mut(p1) {
-            let sub = &mut meta.subs[si];
-            sub.inclusion = false;
-            sub.vdirty = false;
-        }
-    }
-
-    /// Clears every subentry whose v-pointer names `(child, vblock)` —
-    /// the reverse lookup used when the forward r-pointer is suspect.
-    fn clear_linkage_by_v_pointer(&mut self, child: ChildCache, vblock: BlockId) {
-        let targets: Vec<(BlockId, usize)> = self
-            .l2
-            .cache
-            .iter()
-            .flat_map(|line| {
-                let p2 = line.block;
-                line.meta
-                    .subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.inclusion && s.child == child && s.v_block == vblock)
-                    .map(move |(i, _)| (p2, i))
-            })
-            .collect();
-        for (p2, si) in targets {
-            if let Some(line) = self.l2.cache.peek_mut(p2) {
-                let sub = &mut line.meta.subs[si];
-                sub.inclusion = false;
-                sub.vdirty = false;
-            }
-        }
     }
 }
 
@@ -1437,9 +1362,18 @@ mod tests {
 
     #[test]
     fn events_display_nonempty() {
-        let r = Rig::new(&cfg());
+        let mut r = Rig::new(&cfg());
         assert!(!r.h.events().to_string().is_empty());
-        assert!(r.h.tlb().stats().lookups() == 0);
+        assert_eq!(r.h.events().tlb_misses, 0);
+        // The first miss translates (a TLB miss); its page then hits.
+        r.read(0x1000, 0x9000);
+        r.read(0x1010, 0x9010);
+        assert_eq!(r.h.events().tlb_misses, 1);
+        assert!(r
+            .h
+            .tlb()
+            .peek(Asid::new(1), cfg().page.vpn_of(VirtAddr::new(0x1000)))
+            .is_some());
     }
 
     // ---- fault injection, parity detection and recovery ----

@@ -4,7 +4,6 @@
 //! cargo run --release -p vrcache-inject -- --campaign smoke
 //! cargo run --release -p vrcache-inject -- --campaign pairs-smoke --jobs 4
 //! cargo run --release -p vrcache-inject -- --campaign nightly --write-baseline
-//! cargo run --release -p vrcache-inject -- --campaign smoke --pages 12 --refs 200
 //! ```
 //!
 //! Runs fan out over `--jobs` workers of the deterministic
@@ -15,14 +14,12 @@
 //! campaigns (`pairs-smoke`/`pairs-full`) sweep ordered fault pairs;
 //! `shapes` replays single and pair smoke sets across the pinned
 //! workload-shape grid, and `nightly` is all three full sweeps in one
-//! report. The workload knobs (`--pages`, `--refs`, `--beat-period`)
-//! retune the synthetic workload for exploratory sweeps; baseline
-//! pinning only applies to the reviewed shapes (the default and the
-//! shape grid).
+//! report. Every run replays a reviewed workload shape (the default or
+//! a grid entry), so every parity-off SDC route is baselined.
 //!
 //! Exit status: `0` when the sweep upholds the robustness contract
-//! (no protection-on SDC, every pinned-shape parity-off SDC allowlisted
-//! with a reviewed justification, every fault kind and data-protection
+//! (no protection-on SDC, every parity-off SDC allowlisted with a
+//! reviewed justification, every fault kind and data-protection
 //! scheme exercised where the campaign covers them), `1` when a
 //! contract check fails, `2` on usage errors.
 
@@ -32,15 +29,13 @@ use std::process::ExitCode;
 use vrcache::config::DataProtection;
 use vrcache_exec::{human_duration, parse_jobs, resolve_jobs};
 use vrcache_inject::baseline::{self, Baseline};
-use vrcache_inject::campaign::{id_shape, shape_is_pinned};
-use vrcache_inject::{find_root, report, Campaign, WorkloadShape};
+use vrcache_inject::campaign::id_shape;
+use vrcache_inject::{find_root, report, Campaign};
 
 struct Args {
     campaign: String,
     filter: String,
     jobs: Option<usize>,
-    shape: WorkloadShape,
-    shape_set: bool,
     report_path: Option<PathBuf>,
     write_baseline: bool,
     list: bool,
@@ -54,7 +49,7 @@ fn usage() -> String {
      \x20 full         single faults, the whole point/seed matrix\n\
      \x20 pairs-smoke  ordered fault pairs over a reduced kind set\n\
      \x20 pairs-full   ordered pairs over the whole fault table\n\
-     \x20 shapes       smoke singles + smoke pairs across the shape grid\n\
+     \x20 shapes       smoke singles + smoke pairs across the pinned shape grid\n\
      \x20 nightly      full + pairs-full + shapes in one report\n\
      \n\
      options:\n\
@@ -62,23 +57,12 @@ fn usage() -> String {
      \x20 --filter <substring>      run only row ids containing <substring>\n\
      \x20 --jobs <n>                worker threads (default: host parallelism, max 16);\n\
      \x20                           the report is byte-identical for any value\n\
-     \x20 --pages <n>               workload pages, 1..=16 (default 8)\n\
-     \x20 --refs <n>                main-phase references per half (default 110)\n\
-     \x20 --beat-period <n>         sharing-beat period in iterations (default 16)\n\
-     \x20                           (knobs retune smoke/full/pairs-*; shapes and\n\
-     \x20                           nightly carry their own pinned grid)\n\
      \x20 --report <path>           report destination (default target/injection-report.txt)\n\
      \x20 --write-baseline          regenerate crates/inject/baseline.txt from this run's\n\
-     \x20                           pinned-shape parity-off SDC set (keeps existing\n\
-     \x20                           justifications, suggests route-class texts for new ids)\n\
+     \x20                           parity-off SDC set (keeps existing justifications,\n\
+     \x20                           suggests route-class texts for new ids)\n\
      \x20 --list                    print row ids without running\n"
         .to_string()
-}
-
-fn parse_knob(name: &str, value: &str) -> Result<u64, String> {
-    value
-        .parse::<u64>()
-        .map_err(|_| format!("{name} wants a non-negative integer, got `{value}`"))
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -86,8 +70,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         campaign: String::new(),
         filter: String::new(),
         jobs: None,
-        shape: WorkloadShape::default(),
-        shape_set: false,
         report_path: None,
         write_baseline: false,
         list: false,
@@ -103,18 +85,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--campaign" => args.campaign = value("--campaign")?,
             "--filter" => args.filter = value("--filter")?,
             "--jobs" => args.jobs = Some(parse_jobs(&value("--jobs")?)?),
-            "--pages" => {
-                args.shape.pages = parse_knob("--pages", &value("--pages")?)?;
-                args.shape_set = true;
-            }
-            "--refs" => {
-                args.shape.half_refs = parse_knob("--refs", &value("--refs")?)?;
-                args.shape_set = true;
-            }
-            "--beat-period" => {
-                args.shape.beat_period = parse_knob("--beat-period", &value("--beat-period")?)?;
-                args.shape_set = true;
-            }
             "--report" => args.report_path = Some(PathBuf::from(value("--report")?)),
             "--write-baseline" => args.write_baseline = true,
             "--list" => args.list = true,
@@ -124,21 +94,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.campaign.is_empty() {
         args.campaign = "smoke".to_string();
-    }
-    args.shape.validate().map_err(|e| e.to_string())?;
-    if args.shape_set && matches!(args.campaign.as_str(), "shapes" | "nightly") {
-        return Err(format!(
-            "--pages/--refs/--beat-period do not combine with --campaign {}: that \
-             campaign sweeps its own pinned shape grid",
-            args.campaign
-        ));
-    }
-    if args.write_baseline && args.shape_set && !shape_is_pinned(&args.shape) {
-        return Err(
-            "--write-baseline only applies to pinned workload shapes (the default and \
-             the shape grid): the baseline documents reviewed SDC surfaces"
-                .to_string(),
-        );
     }
     Ok(args)
 }
@@ -197,7 +152,6 @@ fn main() -> ExitCode {
         }
     };
     let campaign = match build_campaign(&args.campaign) {
-        Ok(c) if args.shape_set => c.with_shape(args.shape),
         Ok(c) => c,
         Err(msg) => {
             eprintln!("{msg}");
@@ -221,18 +175,7 @@ fn main() -> ExitCode {
     };
 
     let jobs = resolve_jobs(args.jobs, campaign.specs.len());
-    eprintln!(
-        "inject: campaign '{}' with {jobs} worker(s){}",
-        campaign.name,
-        if args.shape_set {
-            format!(
-                " (workload shape: {} pages, {} refs/half, beat every {})",
-                args.shape.pages, args.shape.half_refs, args.shape.beat_period
-            )
-        } else {
-            String::new()
-        }
-    );
+    eprintln!("inject: campaign '{}' with {jobs} worker(s)", campaign.name);
 
     // Injected faults are *supposed* to trip assertions; keep the
     // campaign's own output readable by silencing the per-panic
@@ -280,30 +223,17 @@ fn main() -> ExitCode {
         }
     };
 
-    // Parity-off SDC rows split by whether their shape is a reviewed,
-    // pinned surface (the default shape and the shape grid) or an
-    // exploratory retune.
-    let sdc_off = result.sdc_rows(Some(false));
-    let pinnable: Vec<String> = sdc_off
-        .iter()
-        .filter(|r| shape_is_pinned(&r.spec.shape))
-        .map(|r| r.id())
-        .collect();
-    let exploratory: Vec<String> = sdc_off
-        .iter()
-        .filter(|r| !shape_is_pinned(&r.spec.shape))
-        .map(|r| r.id())
-        .collect();
+    let sdc_off = result.sdc_ids(Some(false));
 
     if args.write_baseline {
-        let text = baseline::render_template(&pinnable, &baseline, &|id| suggest_justification(id));
+        let text = baseline::render_template(&sdc_off, &baseline, &|id| suggest_justification(id));
         if let Err(e) = std::fs::write(&baseline_path, text) {
             eprintln!("cannot write {}: {e}", baseline_path.display());
             return ExitCode::FAILURE;
         }
         println!(
             "baseline: wrote {} entries to {}",
-            pinnable.len(),
+            sdc_off.len(),
             baseline_path.display()
         );
     }
@@ -323,24 +253,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Contract 2: every parity-off SDC route on a pinned shape is
-    // allowlisted and explained. Exploratory shapes report their SDC
-    // set without enforcing it.
-    if !exploratory.is_empty() {
-        println!(
-            "note: {} parity-off SDC route(s) under exploratory workload shapes \
-             (baseline not enforced):",
-            exploratory.len()
-        );
-        for id in &exploratory {
-            println!("  {id}");
-        }
-    }
+    // Contract 2: every parity-off SDC route is allowlisted and
+    // explained.
     if !args.write_baseline {
-        let unpinned: Vec<&String> = pinnable
-            .iter()
-            .filter(|id| !baseline.contains(id))
-            .collect();
+        let unpinned: Vec<&String> = sdc_off.iter().filter(|id| !baseline.contains(id)).collect();
         if !unpinned.is_empty() {
             failed = true;
             eprintln!("FAIL: unreviewed parity-off SDC routes (run --write-baseline and explain):");
@@ -399,7 +315,7 @@ fn main() -> ExitCode {
     let stale: Vec<&baseline::BaselineEntry> = baseline
         .entries
         .iter()
-        .filter(|e| !pinnable.contains(&e.id))
+        .filter(|e| !sdc_off.contains(&e.id))
         .collect();
     if !stale.is_empty() && args.filter.is_empty() {
         println!(

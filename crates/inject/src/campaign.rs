@@ -300,14 +300,6 @@ pub const SHAPE_GRID: [WorkloadShape; 3] = [
     },
 ];
 
-/// Whether `shape` is pinned by the SDC baseline: the default shape and
-/// every [`SHAPE_GRID`] entry are reviewed surfaces whose parity-off SDC
-/// routes must be allowlisted; any other shape is exploratory
-/// (reported, never enforced).
-pub fn shape_is_pinned(shape: &WorkloadShape) -> bool {
-    shape.is_default() || SHAPE_GRID.contains(shape)
-}
-
 /// Parses the optional `/w<pages>x<refs>x<beat>` shape key from a row
 /// id — the last segment, when present. `None` means the id carries no
 /// shape key, i.e. the run used the default shape.
@@ -402,17 +394,6 @@ impl Campaign {
             name: "nightly",
             specs,
         }
-    }
-
-    /// This campaign with every spec retuned to `shape` (the CLI's
-    /// `--pages`/`--refs`/`--beat-period` knobs). Ids pick up the shape
-    /// key automatically for non-default shapes.
-    #[must_use]
-    pub fn with_shape(mut self, shape: WorkloadShape) -> Campaign {
-        for spec in &mut self.specs {
-            spec.shape = shape;
-        }
-        self
     }
 
     /// Whether this campaign's default-shape plans cover every fault
@@ -533,23 +514,18 @@ impl CampaignResult {
         counts
     }
 
-    /// Silent-data-corruption rows, optionally restricted to one parity
-    /// setting, sorted by id.
-    pub fn sdc_rows(&self, parity: Option<bool>) -> Vec<&CampaignRow> {
-        let mut rows: Vec<&CampaignRow> = self
+    /// Ids of silent-data-corruption rows, optionally restricted to one
+    /// parity setting, sorted.
+    pub fn sdc_ids(&self, parity: Option<bool>) -> Vec<String> {
+        let mut ids: Vec<String> = self
             .rows
             .iter()
             .filter(|r| r.result.outcome == Outcome::Sdc)
             .filter(|r| parity.is_none_or(|p| r.spec.parity == p))
+            .map(|r| r.id())
             .collect();
-        rows.sort_by_key(|r| r.id());
-        rows
-    }
-
-    /// Ids of silent-data-corruption rows, optionally restricted to one
-    /// parity setting, sorted.
-    pub fn sdc_ids(&self, parity: Option<bool>) -> Vec<String> {
-        self.sdc_rows(parity).iter().map(|r| r.id()).collect()
+        ids.sort();
+        ids
     }
 
     /// Fault kinds that never landed on a live target anywhere in the
@@ -652,13 +628,6 @@ mod tests {
         );
         assert!(c.specs.iter().all(|s| !s.shape.is_default()));
         assert!(c.specs.iter().all(|s| s.id().contains("/w")));
-        assert!(c.specs.iter().all(|s| shape_is_pinned(&s.shape)));
-        let exploratory = WorkloadShape {
-            pages: 5,
-            half_refs: 33,
-            beat_period: 7,
-        };
-        assert!(!shape_is_pinned(&exploratory));
     }
 
     #[test]
@@ -692,18 +661,6 @@ mod tests {
         );
         let ids: std::collections::BTreeSet<String> = c.specs.iter().map(|s| s.id()).collect();
         assert_eq!(ids.len(), c.specs.len(), "no overlap between the sweeps");
-    }
-
-    #[test]
-    fn with_shape_rekeys_ids() {
-        let shape = WorkloadShape {
-            pages: 12,
-            half_refs: 40,
-            beat_period: 8,
-        };
-        let c = Campaign::smoke().with_shape(shape);
-        assert!(c.specs.iter().all(|s| s.shape == shape));
-        assert!(c.specs[0].id().ends_with("/w12x40x8"));
     }
 
     #[test]

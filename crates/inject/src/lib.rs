@@ -60,11 +60,10 @@ pub mod report;
 pub mod workload;
 
 pub use campaign::{
-    id_shape, shape_is_pinned, Campaign, CampaignResult, Org, PlannedFault, RowProgress, Spec,
-    SHAPE_GRID,
+    id_shape, Campaign, CampaignResult, Org, PlannedFault, RowProgress, Spec, SHAPE_GRID,
 };
 pub use harness::{Outcome, RunResult};
-pub use workload::{ShapeError, WorkloadShape};
+pub use workload::WorkloadShape;
 
 /// Walks upward from `start` to the workspace root (the first directory
 /// whose `Cargo.toml` declares `[workspace]`).

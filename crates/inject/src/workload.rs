@@ -17,8 +17,8 @@
 //!   corruption that survived the main phase must face the oracle here.
 //!
 //! The default shape (8 pages, 110 references per half, a sharing beat
-//! every 16 iterations) is what the pinned `baseline.txt` was reviewed
-//! against; the campaign CLI can dial the knobs for exploratory sweeps.
+//! every 16 iterations) and the campaign's shape grid are what the
+//! pinned `baseline.txt` was reviewed against.
 
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
@@ -31,8 +31,8 @@ const PA_BASE: u64 = 0x9000;
 ///
 /// [`WorkloadShape::default`] reproduces the exact event sequence the
 /// pinned SDC baseline was reviewed against; any other shape produces a
-/// different (but equally deterministic) sequence, so baseline
-/// enforcement is skipped for non-default shapes.
+/// different (but equally deterministic) sequence, and its run ids
+/// carry the shape key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadShape {
     /// Physical pages the workload touches (1..=16; the canonical
@@ -56,63 +56,10 @@ impl Default for WorkloadShape {
     }
 }
 
-/// A rejected [`WorkloadShape`]: which knob was out of range and what
-/// value it held. Typed so callers can branch on the rejection (and
-/// tests can assert the exact path) instead of string-matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapeError {
-    /// `pages` outside `1..=16` — zero is a degenerate workload and
-    /// larger values collide with the synonym-alias window.
-    PagesOutOfRange {
-        /// The rejected value.
-        got: u64,
-    },
-    /// `half_refs == 0`: an empty main phase exercises nothing.
-    ZeroRefs,
-    /// `beat_period == 0`: the sharing-beat modulus would divide by
-    /// zero.
-    ZeroBeatPeriod,
-}
-
-impl core::fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ShapeError::PagesOutOfRange { got } => write!(
-                f,
-                "--pages must be in 1..=16 (got {got}): canonical page names must stay \
-                 below the 0x20000 synonym-alias window"
-            ),
-            ShapeError::ZeroRefs => f.write_str("--refs must be at least 1"),
-            ShapeError::ZeroBeatPeriod => f.write_str("--beat-period must be at least 1"),
-        }
-    }
-}
-
-impl std::error::Error for ShapeError {}
-
 impl WorkloadShape {
     /// Whether this is the baseline-pinned default shape.
     pub fn is_default(&self) -> bool {
         *self == WorkloadShape::default()
-    }
-
-    /// Validates the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the specific [`ShapeError`] for the first out-of-range
-    /// knob.
-    pub fn validate(&self) -> Result<(), ShapeError> {
-        if !(1..=16).contains(&self.pages) {
-            return Err(ShapeError::PagesOutOfRange { got: self.pages });
-        }
-        if self.half_refs == 0 {
-            return Err(ShapeError::ZeroRefs);
-        }
-        if self.beat_period == 0 {
-            return Err(ShapeError::ZeroBeatPeriod);
-        }
-        Ok(())
     }
 
     /// Compact `<pages>x<refs>x<beat>` form used in shape-keyed run ids.
@@ -302,7 +249,6 @@ mod tests {
             beat_period: 8,
         };
         assert!(!wide.is_default());
-        wide.validate().expect("valid knobs");
         let a = build_shaped(3, &wide);
         assert_eq!(a, build_shaped(3, &wide), "same shape+seed, same events");
         assert_eq!(a.len() as u64, len_shaped(&wide));
@@ -310,53 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn shape_validation_rejects_bad_knobs_with_typed_errors() {
-        for (bad, expected) in [
-            (
-                WorkloadShape {
-                    pages: 0,
-                    ..WorkloadShape::default()
-                },
-                ShapeError::PagesOutOfRange { got: 0 },
-            ),
-            (
-                WorkloadShape {
-                    pages: 17,
-                    ..WorkloadShape::default()
-                },
-                ShapeError::PagesOutOfRange { got: 17 },
-            ),
-            (
-                WorkloadShape {
-                    half_refs: 0,
-                    ..WorkloadShape::default()
-                },
-                ShapeError::ZeroRefs,
-            ),
-            (
-                WorkloadShape {
-                    beat_period: 0,
-                    ..WorkloadShape::default()
-                },
-                ShapeError::ZeroBeatPeriod,
-            ),
-        ] {
-            assert_eq!(bad.validate(), Err(expected), "{bad:?}");
+    fn shape_grid_entries_are_in_range() {
+        // Pages stay below the synonym-alias window, and neither phase
+        // length nor beat period may be zero.
+        for shape in crate::campaign::SHAPE_GRID
+            .iter()
+            .chain([&WorkloadShape::default()])
+        {
+            assert!((1..=16).contains(&shape.pages), "{shape:?}");
+            assert!(shape.half_refs >= 1, "{shape:?}");
+            assert!(shape.beat_period >= 1, "{shape:?}");
         }
-        WorkloadShape::default()
-            .validate()
-            .expect("default is valid");
-    }
-
-    #[test]
-    fn shape_error_messages_name_the_flag() {
-        assert!(ShapeError::PagesOutOfRange { got: 99 }
-            .to_string()
-            .contains("--pages must be in 1..=16 (got 99)"));
-        assert!(ShapeError::ZeroRefs.to_string().contains("--refs"));
-        assert!(ShapeError::ZeroBeatPeriod
-            .to_string()
-            .contains("--beat-period"));
     }
 
     #[test]

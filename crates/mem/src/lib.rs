@@ -51,4 +51,4 @@ pub use addr::{Asid, PageOffset, PhysAddr, Ppn, SetIndex, Tag, VirtAddr, Vpn};
 pub use error::MemError;
 pub use page::PageSize;
 pub use page_table::MemoryMap;
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use tlb::{Tlb, TlbConfig};

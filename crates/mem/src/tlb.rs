@@ -7,7 +7,6 @@
 //! sweep (`slow-down percentage`). Either way the structure is the same; the
 //! placement only changes the timing model.
 
-use core::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Asid, Ppn, Vpn};
@@ -96,48 +95,6 @@ impl Default for TlbConfig {
     }
 }
 
-/// Hit/miss statistics kept by a [`Tlb`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TlbStats {
-    /// Lookups that found a valid matching entry.
-    pub hits: u64,
-    /// Lookups that missed (the entry is refilled by the caller).
-    pub misses: u64,
-    /// Entries evicted to make room for a refill.
-    pub evictions: u64,
-    /// Entries dropped by [`Tlb::flush_asid`] / [`Tlb::flush_all`].
-    pub flushed: u64,
-}
-
-impl TlbStats {
-    /// Total lookups observed.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit ratio in `[0, 1]`; `1.0` when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups() == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-}
-
-impl fmt::Display for TlbStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tlb: {} lookups, {:.4} hit ratio, {} evictions, {} flushed",
-            self.lookups(),
-            self.hit_ratio(),
-            self.evictions,
-            self.flushed
-        )
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     valid: bool,
@@ -162,7 +119,9 @@ impl TlbEntry {
 ///
 /// The TLB stores `(asid, vpn) -> ppn` mappings. It does not walk the page
 /// table itself: on a miss the caller translates via
-/// [`MemoryMap`](crate::page_table::MemoryMap) and calls [`Tlb::fill`].
+/// [`MemoryMap`](crate::page_table::MemoryMap) and calls [`Tlb::fill`], or
+/// passes the translation to [`Tlb::translate`], which does both steps.
+/// It keeps no statistics: callers count misses from `translate`'s result.
 ///
 /// # Example
 ///
@@ -186,7 +145,6 @@ pub struct Tlb {
     set_mask: u32,
     entries: Vec<TlbEntry>,
     clock: u64,
-    stats: TlbStats,
 }
 
 impl Tlb {
@@ -197,7 +155,6 @@ impl Tlb {
             set_mask: config.sets() - 1,
             entries: vec![TlbEntry::INVALID; config.entries() as usize],
             clock: 0,
-            stats: TlbStats::default(),
         }
     }
 
@@ -206,23 +163,13 @@ impl Tlb {
         self.config
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Resets statistics without touching the cached translations.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     fn set_range(&self, vpn: Vpn) -> std::ops::Range<usize> {
         let set = (vpn.raw() as u32) & self.set_mask;
         let start = (set * self.config.ways()) as usize;
         start..start + self.config.ways() as usize
     }
 
-    /// Looks up a translation, updating LRU state and statistics.
+    /// Looks up a translation, updating LRU state.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<Ppn> {
         self.clock += 1;
         let clock = self.clock;
@@ -230,15 +177,13 @@ impl Tlb {
         for e in &mut self.entries[range] {
             if e.valid && e.asid == asid && e.vpn == vpn {
                 e.stamp = clock;
-                self.stats.hits += 1;
                 return Some(e.ppn);
             }
         }
-        self.stats.misses += 1;
         None
     }
 
-    /// Checks for a translation without updating LRU state or statistics.
+    /// Checks for a translation without updating LRU state.
     pub fn peek(&self, asid: Asid, vpn: Vpn) -> Option<Ppn> {
         let range = self.set_range(vpn);
         self.entries[range]
@@ -284,21 +229,17 @@ impl Tlb {
             ppn,
             stamp: clock,
         };
-        self.stats.evictions += 1;
     }
 
-    /// Convenience wrapper: lookup, and on a miss translate through `f` and
-    /// fill. Returns the translation (or `None` if `f` could not translate).
-    pub fn translate_with<F>(&mut self, asid: Asid, vpn: Vpn, f: F) -> Option<Ppn>
-    where
-        F: FnOnce() -> Option<Ppn>,
-    {
-        if let Some(ppn) = self.lookup(asid, vpn) {
-            return Some(ppn);
+    /// One translation step: looks `(asid, vpn)` up and, on a miss,
+    /// installs `ppn` (the page walk's answer). Returns whether the
+    /// lookup hit.
+    pub fn translate(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn) -> bool {
+        let hit = self.lookup(asid, vpn).is_some();
+        if !hit {
+            self.fill(asid, vpn, ppn);
         }
-        let ppn = f()?;
-        self.fill(asid, vpn, ppn);
-        Some(ppn)
+        hit
     }
 
     /// Invalidates the entry for `(asid, vpn)` if present (a TLB
@@ -308,7 +249,6 @@ impl Tlb {
         for e in &mut self.entries[range] {
             if e.valid && e.asid == asid && e.vpn == vpn {
                 e.valid = false;
-                self.stats.flushed += 1;
                 return true;
             }
         }
@@ -325,7 +265,6 @@ impl Tlb {
                 n += 1;
             }
         }
-        self.stats.flushed += n;
         n
     }
 
@@ -338,7 +277,6 @@ impl Tlb {
                 n += 1;
             }
         }
-        self.stats.flushed += n;
         n
     }
 
@@ -398,8 +336,6 @@ mod tests {
         assert_eq!(t.lookup(a, Vpn::new(5)), None);
         t.fill(a, Vpn::new(5), Ppn::new(50));
         assert_eq!(t.lookup(a, Vpn::new(5)), Some(Ppn::new(50)));
-        assert_eq!(t.stats().hits, 1);
-        assert_eq!(t.stats().misses, 1);
     }
 
     #[test]
@@ -424,7 +360,7 @@ mod tests {
         t.fill(a, Vpn::new(2), Ppn::new(102));
         assert_eq!(t.peek(a, Vpn::new(1)), None, "lru entry evicted");
         assert_eq!(t.peek(a, Vpn::new(0)), Some(Ppn::new(100)));
-        assert_eq!(t.stats().evictions, 1);
+        assert_eq!(t.valid_entries(), 2);
     }
 
     #[test]
@@ -446,7 +382,6 @@ mod tests {
         assert_eq!(t.flush_asid(Asid::new(1)), 2);
         assert_eq!(t.peek(Asid::new(2), Vpn::new(3)), Some(Ppn::new(3)));
         assert_eq!(t.valid_entries(), 1);
-        assert_eq!(t.stats().flushed, 2);
     }
 
     #[test]
@@ -457,7 +392,6 @@ mod tests {
         assert!(t.flush_asid_vpn(Asid::new(1), Vpn::new(1)));
         assert!(!t.flush_asid_vpn(Asid::new(1), Vpn::new(1)));
         assert_eq!(t.peek(Asid::new(1), Vpn::new(2)), Some(Ppn::new(2)));
-        assert_eq!(t.stats().flushed, 1);
     }
 
     #[test]
@@ -470,37 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn translate_with_fills_on_miss() {
+    fn translate_fills_on_miss() {
         let mut t = tlb(8, 2);
         let a = Asid::new(1);
-        let got = t.translate_with(a, Vpn::new(7), || Some(Ppn::new(70)));
-        assert_eq!(got, Some(Ppn::new(70)));
-        // Second time must be a hit (closure would panic).
-        let got = t.translate_with(a, Vpn::new(7), || panic!("should not be called"));
-        assert_eq!(got, Some(Ppn::new(70)));
-        assert_eq!(t.stats().hits, 1);
-        assert_eq!(t.stats().misses, 1);
-    }
-
-    #[test]
-    fn translate_with_propagates_failure() {
-        let mut t = tlb(8, 2);
-        assert_eq!(t.translate_with(Asid::new(1), Vpn::new(7), || None), None);
-        assert_eq!(t.valid_entries(), 0);
-    }
-
-    #[test]
-    fn stats_ratios() {
-        let s = TlbStats::default();
-        assert_eq!(s.hit_ratio(), 1.0);
-        let s = TlbStats {
-            hits: 3,
-            misses: 1,
-            ..Default::default()
-        };
-        assert_eq!(s.lookups(), 4);
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
-        assert!(s.to_string().contains("0.7500"));
+        assert!(!t.translate(a, Vpn::new(7), Ppn::new(70)));
+        assert_eq!(t.peek(a, Vpn::new(7)), Some(Ppn::new(70)));
+        // A hit keeps the cached translation: nothing is refilled.
+        assert!(t.translate(a, Vpn::new(7), Ppn::new(71)));
+        assert_eq!(t.peek(a, Vpn::new(7)), Some(Ppn::new(70)));
+        assert_eq!(t.valid_entries(), 1);
     }
 
     #[test]
@@ -520,12 +432,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_stats() {
-        let mut t = tlb(4, 2);
-        t.fill(Asid::new(1), Vpn::new(0), Ppn::new(0));
-        let before = t.stats();
-        let _ = t.peek(Asid::new(1), Vpn::new(0));
-        let _ = t.peek(Asid::new(1), Vpn::new(9));
-        assert_eq!(t.stats(), before);
+    fn peek_does_not_disturb_lru() {
+        // One 2-way set: a peek at vpn 0 must not save it from eviction.
+        let mut t = tlb(2, 2);
+        let a = Asid::new(1);
+        t.fill(a, Vpn::new(0), Ppn::new(100));
+        t.fill(a, Vpn::new(1), Ppn::new(101));
+        assert_eq!(t.peek(a, Vpn::new(0)), Some(Ppn::new(100)));
+        assert_eq!(t.peek(a, Vpn::new(9)), None);
+        t.fill(a, Vpn::new(2), Ppn::new(102));
+        assert_eq!(t.peek(a, Vpn::new(0)), None, "the peeked entry stayed lru");
+        assert_eq!(t.peek(a, Vpn::new(1)), Some(Ppn::new(101)));
     }
 }

@@ -83,16 +83,7 @@ impl TableReport {
             }
         }
         let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| field(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
             out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }

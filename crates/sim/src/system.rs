@@ -13,6 +13,7 @@ use vrcache_bus::stats::BusStats;
 use vrcache_cache::geometry::BlockId;
 use vrcache_cache::stats::CacheStats;
 use vrcache_mem::access::CpuId;
+use vrcache_mem::addr::{Asid, Vpn};
 use vrcache_trace::record::TraceEvent;
 use vrcache_trace::trace::Trace;
 
@@ -185,7 +186,8 @@ impl System {
         }
     }
 
-    /// Enables periodic invariant checking (every `every` references).
+    /// Enables invariant checking: after every `every`-th reference, and
+    /// after every context switch, TLB shootdown and DMA operation.
     /// Slows the simulation; intended for tests.
     #[must_use]
     pub fn with_invariant_checks(mut self, every: u64) -> Self {
@@ -276,11 +278,8 @@ impl System {
                     })
                     .ok_or(SimError::UnknownCpu(a.cpu))??;
                 self.refs_run += 1;
-                if let Some(every) = self.check_invariants_every {
-                    if self.refs_run.is_multiple_of(every) {
-                        self.check_invariants().map_err(SimError::Invariant)?;
-                    }
-                }
+                let refs = self.refs_run;
+                self.check_if(|every| refs.is_multiple_of(every))
             }
             TraceEvent::ContextSwitch { cpu, from, to } => {
                 self.machine
@@ -288,9 +287,18 @@ impl System {
                     .ok_or(SimError::UnknownCpu(*cpu))?
                     .context_switch(*from, *to);
                 self.switches_run += 1;
+                self.check_if(|_| true)
             }
         }
-        Ok(())
+    }
+
+    /// Checks every hierarchy's invariants if checks are armed and `due`
+    /// for their period (every event but a reference is always due).
+    fn check_if(&self, due: impl FnOnce(u64) -> bool) -> Result<(), SimError> {
+        match self.check_invariants_every {
+            Some(every) if due(every) => self.check_invariants().map_err(SimError::Invariant),
+            _ => Ok(()),
+        }
     }
 
     /// A direct-memory-access **write**: an I/O device deposits `bytes`
@@ -301,8 +309,7 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Never fails today; kept fallible for symmetry with
-    /// [`dma_read`](Self::dma_read).
+    /// An invariant violation the write left, when checks are armed.
     pub fn dma_write(&mut self, paddr: u64, bytes: u64) -> Result<(), SimError> {
         let subblocks = u64::from(self.machine.subblocks());
         for l2_block in self.l2_blocks(paddr, bytes) {
@@ -316,7 +323,7 @@ impl System {
                 self.machine.memory.write(g, v);
             }
         }
-        Ok(())
+        self.check_if(|_| true)
     }
 
     /// A direct-memory-access **read**: an I/O device reads `bytes` bytes
@@ -326,7 +333,7 @@ impl System {
     /// # Errors
     ///
     /// Returns a coherence violation if the device would have read stale
-    /// data (a protocol bug).
+    /// data (a protocol bug), or an invariant violation if checks are armed.
     pub fn dma_read(&mut self, paddr: u64, bytes: u64) -> Result<(), SimError> {
         let subblocks = self.machine.subblocks();
         for l2_block in self.l2_blocks(paddr, bytes) {
@@ -339,7 +346,7 @@ impl System {
                 self.machine.oracle.check_read(DMA_AGENT, g, v)?;
             }
         }
-        Ok(())
+        self.check_if(|_| true)
     }
 
     /// The second-level blocks `bytes` bytes at `paddr` touch.
@@ -359,12 +366,12 @@ impl System {
     /// (the paper's claim: for the V-R organization this is bounded by the
     /// page's footprint, and the TLB itself lives at the unhurried second
     /// level).
-    pub fn tlb_shootdown(
-        &mut self,
-        asid: vrcache_mem::addr::Asid,
-        vpn: vrcache_mem::addr::Vpn,
-    ) -> u32 {
-        (0..self.machine.cpus())
+    ///
+    /// # Errors
+    ///
+    /// An invariant violation the shootdown left, when checks are armed.
+    pub fn tlb_shootdown(&mut self, asid: Asid, vpn: Vpn) -> Result<u32, SimError> {
+        let disturbed = (0..self.machine.cpus())
             .map(|i| {
                 self.machine
                     .with_bus(CpuId::new(i as u16), None, |h, bus, _| {
@@ -372,7 +379,9 @@ impl System {
                     })
                     .unwrap_or(0)
             })
-            .sum()
+            .sum();
+        self.check_if(|_| true)?;
+        Ok(disturbed)
     }
 
     /// Checks every hierarchy's structural invariants.

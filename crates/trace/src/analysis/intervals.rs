@@ -51,6 +51,17 @@ impl IntervalHistogram {
         self.events += 1;
     }
 
+    /// The interval clock: notes an event at reference `now`, records
+    /// its distance from the previous event at `*last` (clamped to 1, as
+    /// a bulk retirement can land several events on one reference) and
+    /// advances `*last` to `now`.
+    pub fn note_event_at(&mut self, last: &mut Option<u64>, now: u64) {
+        self.note_event();
+        if let Some(prev) = last.replace(now) {
+            self.record((now - prev).max(1));
+        }
+    }
+
     /// The count for interval length `interval` (1–9), or for the
     /// "10 and larger" bucket if `interval >= 10`.
     pub fn count(&self, interval: u64) -> u64 {
@@ -125,11 +136,7 @@ pub fn inter_write_intervals(trace: &Trace, cpu: CpuId, snapshot_refs: u64) -> I
             break;
         }
         if a.kind.is_write() {
-            hist.note_event();
-            if let Some(prev) = last_write_at {
-                hist.record(refs_seen - prev);
-            }
-            last_write_at = Some(refs_seen);
+            hist.note_event_at(&mut last_write_at, refs_seen);
         }
     }
     hist
@@ -166,6 +173,18 @@ mod tests {
         assert_eq!(h.count(99), 2, "large intervals share the last bucket");
         assert_eq!(h.total(), 4);
         assert!((h.short_frac() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn interval_clock_clamps_and_advances() {
+        let mut h = IntervalHistogram::default();
+        let mut last = None;
+        h.note_event_at(&mut last, 4); // first event: no interval yet
+        h.note_event_at(&mut last, 4); // same reference: clamped to 1
+        h.note_event_at(&mut last, 16);
+        assert_eq!((h.events(), h.total()), (3, 2));
+        assert_eq!((h.count(1), h.count(12)), (1, 1));
+        assert_eq!(last, Some(16));
     }
 
     #[test]

@@ -28,6 +28,11 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release
 
+# The criterion benches are not part of the test build; compile them
+# so an API change cannot leave them broken.
+echo "==> cargo build --release --benches"
+cargo build --release --benches
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -312,7 +312,7 @@ mod tlb_shootdown {
                 .iter(),
             )
             .unwrap();
-            let disturbed = sys.tlb_shootdown(Asid::new(1), Vpn::new(1));
+            let disturbed = sys.tlb_shootdown(Asid::new(1), Vpn::new(1)).unwrap();
             sys.check_invariants().unwrap();
             if kind == HierarchyKind::Vr || kind == HierarchyKind::GoodmanSingleLevel {
                 assert_eq!(disturbed, 2, "{kind}: both cached lines retired");
@@ -337,7 +337,7 @@ mod tlb_shootdown {
         let mut sys = system(HierarchyKind::Vr);
         sys.run_events([access(0, AccessKind::DataWrite, 0x1000, 0x9000)].iter())
             .unwrap();
-        sys.tlb_shootdown(Asid::new(1), Vpn::new(1));
+        sys.tlb_shootdown(Asid::new(1), Vpn::new(1)).unwrap();
         sys.check_invariants().unwrap();
         // Re-reading the physical block through a different virtual name
         // must hit the R-cache and see the written version.
@@ -351,7 +351,7 @@ mod tlb_shootdown {
         let mut sys = system(HierarchyKind::Vr);
         sys.run_events([access(0, AccessKind::DataRead, 0x1000, 0x9000)].iter())
             .unwrap();
-        assert_eq!(sys.tlb_shootdown(Asid::new(1), Vpn::new(7)), 0);
+        assert_eq!(sys.tlb_shootdown(Asid::new(1), Vpn::new(7)), Ok(0));
         sys.check_invariants().unwrap();
     }
 }
