@@ -142,12 +142,8 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
                         impl_stack.pop();
                     }
                 }
-                ';' => {
-                    // A body-less declaration (trait method signature).
-                    if pending.is_some() {
-                        pending = None;
-                    }
-                }
+                // A body-less declaration (trait method signature).
+                ';' => pending = None,
                 _ => {}
             }
         }
@@ -226,10 +222,8 @@ fn block_types(header: &str) -> Option<(String, Option<String>)> {
         r
     } else if let Some(r) = t.strip_prefix("trait") {
         r
-    } else if let Some(r) = t.strip_prefix("impl") {
-        r
     } else {
-        return None;
+        t.strip_prefix("impl")?
     };
     let rest = skip_generics(rest);
     // `impl Trait for Type {` — the self type is after the ` for `

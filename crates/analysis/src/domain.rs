@@ -968,7 +968,7 @@ impl<'g> Engine<'g> {
         // free functions else every method of that name, and `self.`
         // calls to the enclosing impl's method first.
         let candidates: Vec<usize> = match qualifier {
-            Some(q) if q == "Self" => {
+            Some("Self") => {
                 let own = self.nodes[fi].self_ty.clone();
                 own.and_then(|ty| self.typed.get(&(ty, name.to_string())))
                     .cloned()

@@ -319,7 +319,7 @@ fn blank_literals(text: &str) -> String {
                 }
                 if b.get(j) == Some(&b'\'') {
                     out.push(b'\'');
-                    out.extend(std::iter::repeat(b' ').take(j - i - 1));
+                    out.extend(std::iter::repeat_n(b' ', j - i - 1));
                     out.push(b'\'');
                     i = j + 1;
                     continue;

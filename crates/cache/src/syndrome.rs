@@ -152,7 +152,7 @@ impl Codeword {
                 syndrome ^= p;
             }
         }
-        let parity_even = self.bits.count_ones() % 2 == 0;
+        let parity_even = self.bits.count_ones().is_multiple_of(2);
         match (syndrome, parity_even) {
             (0, true) => Decode::Clean,
             // The overall parity bit itself faulted: data intact.

@@ -421,17 +421,30 @@ impl CacheHierarchy for GoodmanHierarchy {
         self.tlb.flush_asid_vpn(asid, vpn);
         // Without a second level, the shot-down page's dirty lines must be
         // written back to memory over the bus.
+        // Only the resident lines of the page are visited, in ascending
+        // block order.
         let blocks_per_page = self.page.bytes() / self.granule_geo.block_bytes();
         let first_vblock = vpn.raw() * blocks_per_page;
-        let mut disturbed = 0;
-        for i in 0..blocks_per_page {
-            let key = BlockId::new(first_vblock + i);
-            if let Some(line) = self.l1.invalidate(key) {
-                disturbed += 1;
-                self.retire(line, bus);
-            }
+        let mut doomed: Vec<BlockId> = self
+            .l1
+            .iter()
+            .map(|line| line.block)
+            .filter(|block| {
+                block
+                    .raw()
+                    .checked_sub(first_vblock)
+                    .is_some_and(|i| i < blocks_per_page)
+            })
+            .collect();
+        doomed.sort_unstable();
+        for &key in &doomed {
+            let line = self
+                .l1
+                .invalidate(key)
+                .invariant_expect("a listed line is resident");
+            self.retire(line, bus);
         }
-        disturbed
+        doomed.len() as u32
     }
 
     fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
@@ -587,8 +600,12 @@ mod tests {
 
     impl Rig {
         fn new() -> Rig {
+            Rig::with(&cfg())
+        }
+
+        fn with(cfg: &HierarchyConfig) -> Rig {
             Rig {
-                h: GoodmanHierarchy::new(CpuId::new(0), &cfg()),
+                h: GoodmanHierarchy::new(CpuId::new(0), cfg),
                 bus: LoopbackBus::new(),
                 oracle: VersionOracle::new(),
             }
@@ -706,6 +723,83 @@ mod tests {
         let vpn = r.h.page.vpn_of(VirtAddr::new(0x1000));
         let disturbed = r.h.tlb_shootdown(Asid::new(1), vpn, &mut r.bus);
         assert_eq!(disturbed, 2, "page-edge blocks must both be retired");
+    }
+
+    /// A loopback bus that logs every written-back granule in order.
+    #[derive(Default)]
+    struct LoggingBus {
+        inner: LoopbackBus,
+        written: Vec<BlockId>,
+    }
+
+    impl SystemBus for LoggingBus {
+        fn issue(&mut self, request: BusRequest) -> crate::bus_api::BusResponse {
+            if let BusRequest::WriteBack { granules, .. } = &request {
+                self.written.extend(granules.iter().map(|&(g, _)| g));
+            }
+            self.inner.issue(request)
+        }
+    }
+
+    /// The page walk as it was before it visited only resident lines:
+    /// probe every block of the page in ascending order. The reference
+    /// the resident-line walk must match.
+    fn probe_walk(h: &mut GoodmanHierarchy, asid: Asid, vpn: Vpn, bus: &mut LoggingBus) -> u32 {
+        h.scrub_poison();
+        h.tlb.flush_asid_vpn(asid, vpn);
+        let blocks_per_page = h.page.bytes() / h.granule_geo.block_bytes();
+        let first_vblock = vpn.raw() * blocks_per_page;
+        let mut disturbed = 0;
+        for i in 0..blocks_per_page {
+            if let Some(line) = h.l1.invalidate(BlockId::new(first_vblock + i)) {
+                disturbed += 1;
+                h.retire(line, bus);
+            }
+        }
+        disturbed
+    }
+
+    #[test]
+    fn shootdown_walk_removes_exactly_the_page_in_block_order() {
+        // Fully associative, so nothing below is evicted before the
+        // shootdown; the page's lines are filled last-block first, so a
+        // walk in fill order would write back out of block order.
+        let l1 = CacheGeometry::new(256, 16, 16).unwrap();
+        let l2 = CacheGeometry::direct_mapped(4096, 16).unwrap();
+        let cfg = HierarchyConfig::new(l1, l2, vrcache_mem::page::PageSize::SIZE_4K).unwrap();
+        let mut r = Rig::with(&cfg);
+        r.go(AccessKind::DataWrite, 0x1ff0, 0x9050); // last block
+        r.go(AccessKind::DataRead, 0x1fe0, 0x9040);
+        r.go(AccessKind::DataWrite, 0x2000, 0x9060); // next page
+        r.go(AccessKind::DataWrite, 0x1010, 0x9030);
+        r.go(AccessKind::DataWrite, 0x1000, 0x9020); // first block
+        r.go(AccessKind::DataWrite, 0x0ff0, 0x9010); // previous page
+
+        let asid = Asid::new(1);
+        let vpn = r.h.page.vpn_of(VirtAddr::new(0x1000));
+        let mut reference = r.h.clone();
+        let mut reference_bus = LoggingBus::default();
+        let expected = probe_walk(&mut reference, asid, vpn, &mut reference_bus);
+        let mut bus = LoggingBus::default();
+        let disturbed = r.h.tlb_shootdown(asid, vpn, &mut bus);
+        r.h.check_invariants().unwrap();
+
+        assert_eq!(disturbed, 4);
+        assert_eq!(disturbed, expected);
+        assert_eq!(
+            bus.written,
+            vec![
+                l1.block_of(0x9020),
+                l1.block_of(0x9030),
+                l1.block_of(0x9050)
+            ],
+            "dirty lines write back in ascending block order"
+        );
+        assert_eq!(bus.written, reference_bus.written);
+        assert_eq!(format!("{:?}", r.h), format!("{reference:?}"));
+        let mut resident: Vec<BlockId> = r.h.l1.iter().map(|l| l.block).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, vec![l1.block_of(0x0ff0), l1.block_of(0x2000)]);
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub enum CohState {
 }
 
 /// Which first-level cache holds a subentry's child (split organization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered D before I, the order a page walk folds a block's two lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChildCache {
     /// The (unified or data) V-cache.
     Data,

@@ -577,19 +577,36 @@ impl CacheHierarchy for VrHierarchy {
         // r-pointer linkage dies with the old translation. Dirty data is
         // folded into the R-cache (which stays valid — it is physically
         // addressed).
+        //
+        // The page's keys are contiguous: its first block is page-aligned
+        // and an `AsidTags` tag sits above bit 48, so block `i` of the
+        // page has key `first + i`. Only resident lines in that range are
+        // visited, folded in ascending key order, D before I.
         let blocks_per_page = self.page.bytes() / self.granule_geo.block_bytes();
         let first_vblock = vpn.raw() * blocks_per_page;
-        let mut disturbed = 0;
-        for i in 0..blocks_per_page {
-            let key = self.v_key(asid, (first_vblock + i) << self.granule_geo.block_bits());
-            for child in [ChildCache::Data, ChildCache::Instr] {
-                if let Some(line) = self.l1.remove(child, key) {
-                    disturbed += 1;
-                    self.l2.fold(line);
-                }
-            }
+        let first = self
+            .v_key(asid, first_vblock << self.granule_geo.block_bits())
+            .raw();
+        let mut doomed: Vec<(BlockId, ChildCache)> = self
+            .l1
+            .lines()
+            .filter(|(_, line)| {
+                line.key
+                    .raw()
+                    .checked_sub(first)
+                    .is_some_and(|i| i < blocks_per_page)
+            })
+            .map(|(child, line)| (line.key, child))
+            .collect();
+        doomed.sort_unstable();
+        for &(key, child) in &doomed {
+            let line = self
+                .l1
+                .remove(child, key)
+                .invariant_expect("a listed line is resident");
+            self.l2.fold(line);
         }
-        disturbed
+        doomed.len() as u32
     }
 
     fn snoop(&mut self, txn: &BusTransaction) -> SnoopReply {
@@ -825,12 +842,16 @@ mod tests {
         }
 
         fn go(&mut self, kind: AccessKind, va: u64, pa: u64) -> AccessOutcome {
+            self.go_as(Asid::new(1), kind, va, pa)
+        }
+
+        fn go_as(&mut self, asid: Asid, kind: AccessKind, va: u64, pa: u64) -> AccessOutcome {
             let out = self
                 .h
                 .access(
                     &MemAccess {
                         cpu: CpuId::new(0),
-                        asid: Asid::new(1),
+                        asid,
                         kind,
                         vaddr: VirtAddr::new(va),
                         paddr: PhysAddr::new(pa),
@@ -908,6 +929,96 @@ mod tests {
         let vpn = cfg().page.vpn_of(VirtAddr::new(0x1000));
         let disturbed = r.shootdown(Asid::new(1), vpn);
         assert_eq!(disturbed, 1, "the page's first block must be retired");
+    }
+
+    /// The page walk as it was before it visited only resident lines:
+    /// probe every block of the page, D before I. The reference the
+    /// resident-line walk must match.
+    fn probe_walk(h: &mut VrHierarchy, asid: Asid, vpn: Vpn) -> u32 {
+        h.scrub_poison();
+        h.tlb.flush_asid_vpn(asid, vpn);
+        let blocks_per_page = h.page.bytes() / h.granule_geo.block_bytes();
+        let first_vblock = vpn.raw() * blocks_per_page;
+        let mut disturbed = 0;
+        for i in 0..blocks_per_page {
+            let key = h.v_key(asid, (first_vblock + i) << h.granule_geo.block_bits());
+            for child in [ChildCache::Data, ChildCache::Instr] {
+                if let Some(line) = h.l1.remove(child, key) {
+                    disturbed += 1;
+                    h.l2.fold(line);
+                }
+            }
+        }
+        disturbed
+    }
+
+    /// A 16-line fully-associative first level, so every line the edge
+    /// tests install stays resident until the shootdown.
+    fn edge_cfg() -> HierarchyConfig {
+        let l1 = CacheGeometry::new(256, 16, 16).unwrap();
+        let l2 = CacheGeometry::direct_mapped(4096, 16).unwrap();
+        HierarchyConfig::new(l1, l2, vrcache_mem::page::PageSize::SIZE_4K).unwrap()
+    }
+
+    /// Fills both edges of the page at 0x1000 (filled out of order, some
+    /// dirty, the inner two through the I half of a split first level),
+    /// the last block of the page below and the first of the page above,
+    /// and under `AsidTags` the page's edges again under ASID 2. Shoots
+    /// the page down under ASID 1, checks that exactly the page's lines
+    /// left and that the result equals [`probe_walk`]'s, and returns the
+    /// lines disturbed.
+    fn shoot_page_edges(cfg: &HierarchyConfig) -> u32 {
+        let (a1, a2) = (Asid::new(1), Asid::new(2));
+        let inner = match cfg.l1_org {
+            L1Organization::Split => AccessKind::InstrFetch,
+            L1Organization::Unified => AccessKind::DataRead,
+        };
+        let tagged = cfg.context_switch_policy == ContextSwitchPolicy::AsidTags;
+        let mut r = Rig::new(cfg);
+        r.go_as(a1, AccessKind::DataWrite, 0x1ff0, 0x9050); // last block
+        r.go_as(a1, inner, 0x1fe0, 0x9040);
+        r.go_as(a1, AccessKind::DataRead, 0x2000, 0x9060); // next page
+        r.go_as(a1, inner, 0x1010, 0x9030);
+        r.go_as(a1, AccessKind::DataWrite, 0x1000, 0x9020); // first block
+        r.go_as(a1, AccessKind::DataWrite, 0x0ff0, 0x9010); // previous page
+        let mut survivors = vec![(a1, 0x0ff0), (a1, 0x2000)];
+        if tagged {
+            r.go_as(a2, AccessKind::DataWrite, 0x1000, 0x9070);
+            r.go_as(a2, AccessKind::DataRead, 0x1ff0, 0x9080);
+            survivors.extend([(a2, 0x1000), (a2, 0x1ff0)]);
+        }
+
+        let vpn = cfg.page.vpn_of(VirtAddr::new(0x1000));
+        let mut reference = r.h.clone();
+        let expected = probe_walk(&mut reference, a1, vpn);
+        let disturbed = r.shootdown(a1, vpn);
+        assert_eq!(disturbed, expected);
+        assert_eq!(format!("{:?}", r.h), format!("{reference:?}"));
+
+        let mut resident: Vec<BlockId> = r.h.l1.lines().map(|(_, l)| l.key).collect();
+        let mut kept: Vec<BlockId> = survivors
+            .iter()
+            .map(|&(asid, va)| r.h.v_key(asid, va))
+            .collect();
+        resident.sort_unstable();
+        kept.sort_unstable();
+        assert_eq!(resident, kept, "only the page's own lines leave");
+        disturbed
+    }
+
+    #[test]
+    fn shootdown_walk_removes_exactly_the_page_unified() {
+        assert_eq!(shoot_page_edges(&edge_cfg()), 4);
+    }
+
+    #[test]
+    fn shootdown_walk_removes_exactly_the_page_split() {
+        assert_eq!(shoot_page_edges(&edge_cfg().with_split_l1()), 4);
+    }
+
+    #[test]
+    fn shootdown_walk_spares_other_asids_under_asid_tags() {
+        assert_eq!(shoot_page_edges(&edge_cfg().with_asid_tags()), 4);
     }
 
     #[test]

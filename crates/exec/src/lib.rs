@@ -207,9 +207,7 @@ where
         drop(tx);
 
         let total = cells.len();
-        let mut done = 0;
-        for (index, worker, result, duration) in rx {
-            done += 1;
+        for (done, (index, worker, result, duration)) in (1..).zip(rx) {
             observer(CellEvent {
                 index,
                 worker,

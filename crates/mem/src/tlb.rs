@@ -86,7 +86,7 @@ impl TlbConfig {
 }
 
 impl Default for TlbConfig {
-    /// 64 entries, fully... no: 2-way, a common late-1980s design point.
+    /// 64 entries, 2-way set-associative: a common late-1980s design point.
     fn default() -> Self {
         TlbConfig {
             entries: 64,

@@ -4,20 +4,23 @@
 //! to every reachable state up to the scope's depth bound. Duplicate
 //! states are folded through the canonical encoding (with version
 //! renaming), so the exploration terminates even though the oracle's
-//! version counter is unbounded. Every visited state passes the full
+//! version counter is unbounded. Only the frontier is kept in memory:
+//! a state's `World` lives in the queue until it is expanded, a state
+//! at the depth bound is counted but never stored, and the seen-set
+//! holds the exact canonical keys. Every visited state passes the full
 //! property battery ([`World::check`]); the first violation aborts the
 //! search, is minimized by greedy event deletion, and is packaged as a
 //! replayable counterexample — including the source of a standalone
 //! `#[test]` to pin the regression.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use vrcache::goodman::GoodmanHierarchy;
 use vrcache::vr::VrHierarchy;
 
 use crate::coverage::CoverageSet;
 use crate::scope::{ModelEvent, Scope, ScopeKind};
-use crate::world::{ModelHierarchy, Violation, World};
+use crate::world::{Encoder, ModelHierarchy, Universe, Violation, World};
 
 /// The result of exhaustively exploring one scope.
 #[derive(Debug, Clone)]
@@ -90,13 +93,14 @@ fn replay_typed<H: ModelHierarchy>(
     scope: &Scope,
     events: &[ModelEvent],
 ) -> Result<(), (usize, Violation)> {
+    let universe = Universe::of(scope);
     let mut coverage = CoverageSet::default();
     let mut world = World::<H>::new(scope);
-    world.check(scope).map_err(|v| (usize::MAX, v))?;
+    world.check_in(&universe).map_err(|v| (usize::MAX, v))?;
     for (i, &event) in events.iter().enumerate() {
         world
             .apply(scope, event, &mut coverage)
-            .and_then(|()| world.check(scope))
+            .and_then(|()| world.check_in(&universe))
             .map_err(|v| (i, v))?;
     }
     Ok(())
@@ -104,11 +108,12 @@ fn replay_typed<H: ModelHierarchy>(
 
 fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
     let alphabet = scope.events();
+    let universe = Universe::of(scope);
     let mut coverage = CoverageSet::default();
     let mut transitions = 0u64;
 
     let root = World::<H>::new(scope);
-    if let Err(violation) = root.check(scope) {
+    if let Err(violation) = root.check_in(&universe) {
         return ScopeReport {
             name: scope.name,
             states: 1,
@@ -118,49 +123,52 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
         };
     }
 
-    let mut worlds = vec![root];
+    // Every reached state gets a `parents` entry (its index is its
+    // position), so a violation's path can be rebuilt. Only the frontier
+    // holds worlds: a state is dropped once expanded, and a state at the
+    // depth bound is never stored, since it will not be expanded.
     let mut parents: Vec<Option<(usize, ModelEvent)>> = vec![None];
-    let mut depths = vec![0u32];
-    let mut seen: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-    seen.insert(worlds[0].canon_key(scope), 0);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
+    let mut enc = Encoder::new();
+    root.canon_key_into(&universe, &mut enc);
+    let mut seen: BTreeSet<Box<[u64]>> = BTreeSet::from([Box::from(enc.words())]);
+    let mut frontier: VecDeque<(usize, u32, World<H>)> = VecDeque::new();
+    if 0 < scope.depth {
+        frontier.push_back((0, 0, root));
+    }
 
-    while let Some(index) = queue.pop_front() {
-        if depths[index] >= scope.depth {
-            continue;
-        }
+    while let Some((index, depth, parent)) = frontier.pop_front() {
         for &event in &alphabet {
-            let mut world = worlds[index].clone();
+            let mut world = parent.clone();
             transitions += 1;
             let outcome = world
                 .apply(scope, event, &mut coverage)
-                .and_then(|()| world.check(scope));
+                .and_then(|()| world.check_in(&universe));
             if let Err(violation) = outcome {
                 let mut events = path_to(&parents, index);
                 events.push(event);
                 return ScopeReport {
                     name: scope.name,
-                    states: worlds.len() as u64,
+                    states: parents.len() as u64,
                     transitions,
                     coverage,
                     counterexample: Some(package::<H>(scope, events, violation)),
                 };
             }
-            let key = world.canon_key(scope);
-            if let std::collections::btree_map::Entry::Vacant(slot) = seen.entry(key) {
-                let new_index = worlds.len();
-                slot.insert(new_index);
-                worlds.push(world);
-                parents.push(Some((index, event)));
-                depths.push(depths[index] + 1);
-                queue.push_back(new_index);
+            world.canon_key_into(&universe, &mut enc);
+            if seen.contains(enc.words()) {
+                continue;
+            }
+            seen.insert(Box::from(enc.words()));
+            parents.push(Some((index, event)));
+            if depth + 1 < scope.depth {
+                frontier.push_back((parents.len() - 1, depth + 1, world));
             }
         }
     }
 
     ScopeReport {
         name: scope.name,
-        states: worlds.len() as u64,
+        states: parents.len() as u64,
         transitions,
         coverage,
         counterexample: None,
@@ -247,20 +255,6 @@ fn emit_test(scope: &Scope, events: &[ModelEvent], violation: &str) -> String {
     )
 }
 
-/// The union coverage of every scope — what `--scope all` produces and
-/// what `crates/model/coverage.txt` pins.
-pub fn union_coverage() -> Result<CoverageSet, Counterexample> {
-    let mut union = CoverageSet::default();
-    for scope in Scope::all() {
-        let report = run_scope(&scope);
-        if let Some(ce) = report.counterexample {
-            return Err(ce);
-        }
-        union.merge(&report.coverage);
-    }
-    Ok(union)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,12 +314,34 @@ mod tests {
         );
     }
 
+    /// Each scope's `(states, transitions)`, as `--scope all` prints
+    /// them: a search change that alters the explored space fails here.
+    const SHAPES: [(&str, u64, u64); 10] = [
+        ("smoke", 226, 2020),
+        ("goodman-2cpu", 1073, 6851),
+        ("vr-3cpu", 1370, 5136),
+        ("vr-asid-2cpu", 1462, 7990),
+        ("vr-eager-2cpu", 1228, 7344),
+        ("vr-inval-2cpu", 1542, 8194),
+        ("vr-move-2cpu", 1542, 8194),
+        ("vr-sub-2cpu", 1542, 8194),
+        ("vr-update-2cpu", 2448, 11220),
+        ("vr-wt-2cpu", 1614, 8143),
+    ];
+
     #[test]
     fn coverage_file_matches_what_the_scopes_exercise() {
-        let union = match union_coverage() {
-            Ok(u) => u,
-            Err(ce) => unreachable!("scope violated: {} — {}", ce.violation, ce.test_source),
-        };
+        let mut union = CoverageSet::default();
+        let mut shapes = Vec::new();
+        for scope in Scope::all() {
+            let report = run_scope(&scope);
+            if let Some(ce) = report.counterexample {
+                unreachable!("scope violated: {} — {}", ce.violation, ce.test_source);
+            }
+            union.merge(&report.coverage);
+            shapes.push((report.name, report.states, report.transitions));
+        }
+        assert_eq!(shapes, SHAPES, "the explored space of some scope moved");
         let pinned = CoverageSet::parse(include_str!("../coverage.txt"));
         assert_eq!(
             pinned, union,

@@ -33,21 +33,41 @@ pub fn op_label(op: BusOp) -> &'static str {
 }
 
 /// A deduplicated, ordered set of exercised transition rows.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Recording is the model checker's per-event cost, so a row is keyed
+/// by its three static words and its text is built only the first time
+/// that key is seen. Two sets are equal when their rows are.
+#[derive(Debug, Clone, Default)]
 pub struct CoverageSet {
     rows: BTreeSet<String>,
+    /// `(hierarchy, context, op)` of every recorded row, all of which
+    /// are in `rows` (parsed rows have no key).
+    keys: BTreeSet<(&'static str, &'static str, &'static str)>,
 }
+
+impl PartialEq for CoverageSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for CoverageSet {}
 
 impl CoverageSet {
     /// Records a snoop delivery.
-    pub fn record_snoop(&mut self, hier: &str, before: BlockPresence, op: BusOp) {
-        self.rows
-            .insert(format!("{hier} {} {}", before.label(), op_label(op)));
+    pub fn record_snoop(&mut self, hier: &'static str, before: BlockPresence, op: BusOp) {
+        self.record(hier, before.label(), op_label(op));
     }
 
     /// Records a transaction issue.
-    pub fn record_issue(&mut self, hier: &str, op: BusOp) {
-        self.rows.insert(format!("{hier} issue {}", op_label(op)));
+    pub fn record_issue(&mut self, hier: &'static str, op: BusOp) {
+        self.record(hier, "issue", op_label(op));
+    }
+
+    fn record(&mut self, hier: &'static str, context: &'static str, op: &'static str) {
+        if self.keys.insert((hier, context, op)) {
+            self.rows.insert(format!("{hier} {context} {op}"));
+        }
     }
 
     /// Number of distinct rows.
@@ -63,6 +83,7 @@ impl CoverageSet {
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &CoverageSet) {
         self.rows.extend(other.rows.iter().cloned());
+        self.keys.extend(other.keys.iter().copied());
     }
 
     /// The rows, sorted.
@@ -95,7 +116,10 @@ impl CoverageSet {
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(str::to_string)
             .collect();
-        CoverageSet { rows }
+        CoverageSet {
+            rows,
+            keys: BTreeSet::new(),
+        }
     }
 }
 

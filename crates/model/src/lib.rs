@@ -21,6 +21,8 @@
 //! standalone `#[test]` for `tests/model_counterexamples.rs`. Duplicate
 //! states are folded through a canonical encoding that renames data
 //! versions by first appearance, keeping the reachable graph finite.
+//! The search keeps only its frontier of unexpanded states plus the
+//! exact canonical keys of every state seen.
 //!
 //! Run it with `cargo run --release -p vrcache-model -- --scope smoke`
 //! (one processor, pre-merge gate) or `--scope all` (the full battery).
@@ -36,6 +38,6 @@ pub mod scope;
 pub mod world;
 
 pub use batch::{run_scope_battery, BatteryProgress, ScopeOutcome};
-pub use bfs::{replay, run_scope, union_coverage, Counterexample, ScopeReport};
+pub use bfs::{replay, run_scope, Counterexample, ScopeReport};
 pub use scope::{ModelEvent, Scope, ScopeKind};
 pub use world::{ModelHierarchy, Violation, World};

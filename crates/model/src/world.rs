@@ -11,7 +11,6 @@
 //! the trace-driven simulator calls; a counterexample found here is a
 //! counterexample against the shipped implementation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use vrcache::config::HierarchyConfig;
@@ -40,18 +39,25 @@ use crate::scope::{ModelEvent, Scope, ASIDS};
 /// counter grows without bound.
 pub struct Encoder {
     words: Vec<u64>,
-    rename: BTreeMap<u64, u64>,
+    /// Raw versions in order of first appearance: a version's ordinal is
+    /// its position. A state holds a handful of distinct versions, so a
+    /// linear scan beats any map.
+    seen: Vec<u64>,
 }
 
 impl Encoder {
     /// An empty encoding with the initial version pre-named 0.
     pub fn new() -> Self {
-        let mut rename = BTreeMap::new();
-        rename.insert(Version::INITIAL.raw(), 0);
         Encoder {
             words: Vec::new(),
-            rename,
+            seen: vec![Version::INITIAL.raw()],
         }
+    }
+
+    /// Empties the encoding for reuse, keeping its buffers.
+    pub(crate) fn reset(&mut self) {
+        self.words.clear();
+        self.seen.truncate(1);
     }
 
     /// Appends a raw word.
@@ -66,9 +72,20 @@ impl Encoder {
 
     /// Appends a version under the canonical renaming.
     pub fn version(&mut self, v: Version) {
-        let next = self.rename.len() as u64;
-        let renamed = *self.rename.entry(v.raw()).or_insert(next);
-        self.words.push(renamed);
+        let raw = v.raw();
+        let renamed = match self.seen.iter().position(|&s| s == raw) {
+            Some(i) => i,
+            None => {
+                self.seen.push(raw);
+                self.seen.len() - 1
+            }
+        };
+        self.words.push(renamed as u64);
+    }
+
+    /// The encoding so far.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// The finished encoding.
@@ -297,6 +314,27 @@ impl fmt::Display for Violation {
     }
 }
 
+/// The addresses a scope's global properties range over: the physical
+/// granules its mappings touch (value equivalence, and the oracle part
+/// of the canonical key) and their second-level blocks (SWMR), each
+/// sorted and deduplicated. Built once per exploration, so checking and
+/// encoding a state allocate nothing for it.
+#[derive(Debug, Clone)]
+pub(crate) struct Universe {
+    granules: Vec<BlockId>,
+    l2_blocks: Vec<BlockId>,
+}
+
+impl Universe {
+    /// The universe of `scope`.
+    pub(crate) fn of(scope: &Scope) -> Self {
+        Universe {
+            granules: scope.granules(),
+            l2_blocks: scope.l2_blocks(),
+        }
+    }
+}
+
 /// One complete system state: the machine (per-processor hierarchies,
 /// shared memory, version oracle) and each processor's current ASID.
 #[derive(Clone)]
@@ -414,6 +452,16 @@ impl<H: ModelHierarchy> World<H> {
     /// hierarchy, single-writer exclusivity across hierarchies, or a held
     /// copy older than the globally newest version.
     pub fn check(&self, scope: &Scope) -> Result<(), Violation> {
+        self.check_in(&Universe::of(scope))
+    }
+
+    /// [`World::check`] over a prebuilt [`Universe`], so a check builds
+    /// no address lists of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`World::check`].
+    pub(crate) fn check_in(&self, universe: &Universe) -> Result<(), Violation> {
         for h in self.machine.iter() {
             h.check_invariants()
                 .map_err(|violation| Violation::Invariant {
@@ -423,23 +471,24 @@ impl<H: ModelHierarchy> World<H> {
         }
 
         // SWMR, writer half: a private holder excludes every other copy.
-        for &block in &scope.l2_blocks() {
-            let presences: Vec<(CpuId, BlockPresence)> = self
+        for &block in &universe.l2_blocks {
+            let Some(owner) = self
                 .machine
                 .iter()
-                .map(|h| (h.cpu(), h.coh_presence(block)))
-                .collect();
-            if let Some(&(owner, _)) = presences.iter().find(|(_, p)| *p == BlockPresence::Private)
-            {
-                for &(other, presence) in &presences {
-                    if other != owner && presence != BlockPresence::Absent {
-                        return Err(Violation::PrivateNotExclusive {
-                            block,
-                            owner,
-                            other,
-                            other_presence: presence,
-                        });
-                    }
+                .find(|h| h.coh_presence(block) == BlockPresence::Private)
+                .map(|h| h.cpu())
+            else {
+                continue;
+            };
+            for h in self.machine.iter() {
+                let presence = h.coh_presence(block);
+                if h.cpu() != owner && presence != BlockPresence::Absent {
+                    return Err(Violation::PrivateNotExclusive {
+                        block,
+                        owner,
+                        other: h.cpu(),
+                        other_presence: presence,
+                    });
                 }
             }
         }
@@ -448,7 +497,7 @@ impl<H: ModelHierarchy> World<H> {
         // (The oracle alone only catches staleness when a processor
         // *reads*; this catches stale copies parked in a cache even if no
         // event in the explored prefix ever reads them.)
-        for &granule in &scope.granules() {
+        for &granule in &universe.granules {
             let newest = self.machine.oracle.newest(granule);
             for h in self.machine.iter() {
                 if let Some(held) = h.effective_version(granule) {
@@ -471,10 +520,18 @@ impl<H: ModelHierarchy> World<H> {
     /// renamed consistently across hierarchies, memory, and oracle).
     pub fn canon_key(&self, scope: &Scope) -> Vec<u64> {
         let mut enc = Encoder::new();
+        self.canon_key_into(&Universe::of(scope), &mut enc);
+        enc.finish()
+    }
+
+    /// Writes [`World::canon_key`] into `enc`, replacing what it held, so
+    /// one encoder's buffers serve a whole exploration.
+    pub(crate) fn canon_key_into(&self, universe: &Universe, enc: &mut Encoder) {
+        enc.reset();
         enc.word(self.machine.cpus() as u64);
         for (h, asid) in self.machine.iter().zip(&self.asids) {
             enc.word(u64::from(asid.raw()));
-            h.encode(&mut enc);
+            h.encode(enc);
         }
         let snapshot = self.machine.memory.snapshot();
         enc.word(snapshot.len() as u64);
@@ -482,10 +539,9 @@ impl<H: ModelHierarchy> World<H> {
             enc.word(block.raw());
             enc.version(version);
         }
-        for &granule in &scope.granules() {
+        for &granule in &universe.granules {
             enc.version(self.machine.oracle.newest(granule));
         }
-        enc.finish()
     }
 }
 

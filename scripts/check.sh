@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge gate for the vrcache workspace: format, build, test, lint.
+# Pre-merge gate for the vrcache workspace: format, build, clippy, test,
+# lint.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,6 +33,11 @@ cargo build --release
 # so an API change cannot leave them broken.
 echo "==> cargo build --release --benches"
 cargo build --release --benches
+
+# Every target (tests, benches, examples, the vendored shims) must be
+# clippy-clean: a new warning fails the gate.
+echo "==> cargo clippy --release --all-targets -- -D warnings"
+cargo clippy --release --all-targets -- -D warnings
 
 echo "==> cargo test -q"
 cargo test -q
