@@ -23,12 +23,17 @@ use crate::oracle::Version;
 /// let b = BlockId::new(3);
 /// assert_eq!(mem.read(b), Version::INITIAL);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MainMemory {
     blocks: BlockMap<Version>,
     reads: u64,
     writes: u64,
 }
+vrcache_mem::clone_fields!(MainMemory {
+    blocks,
+    reads,
+    writes
+});
 
 impl MainMemory {
     /// Creates a memory whose every block is at [`Version::INITIAL`].
@@ -54,13 +59,11 @@ impl MainMemory {
         self.blocks.insert(block, version);
     }
 
-    /// All blocks ever written, with their current versions, sorted by
-    /// block id. Deterministic regardless of internal hashing — intended
-    /// for state snapshots (model checking) and debugging.
-    pub fn snapshot(&self) -> Vec<(BlockId, Version)> {
-        let mut all: Vec<_> = self.blocks.iter().map(|(&b, &v)| (b, v)).collect();
-        all.sort_unstable_by_key(|&(b, _)| b);
-        all
+    /// All blocks ever written, with their current versions, in no
+    /// particular order: a caller that renders or compares them sorts
+    /// first (the model checker's canonical key does).
+    pub fn iter(&self) -> impl Iterator<Item = (BlockId, Version)> + '_ {
+        self.blocks.iter().map(|(&b, &v)| (b, v))
     }
 
     /// Number of memory reads serviced.

@@ -96,12 +96,17 @@ impl std::error::Error for CoherenceViolation {}
 /// assert!(oracle.check_read(CpuId::new(0), b, v1).is_err());
 /// assert!(oracle.check_read(CpuId::new(1), b, v2).is_ok());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct VersionOracle {
     counter: u64,
     newest: BlockMap<Version>,
     checks: u64,
 }
+vrcache_mem::clone_fields!(VersionOracle {
+    counter,
+    newest,
+    checks
+});
 
 impl VersionOracle {
     /// Creates an oracle with every block at [`Version::INITIAL`].

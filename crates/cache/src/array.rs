@@ -11,13 +11,14 @@ use crate::geometry::{BlockId, CacheGeometry};
 use crate::replacement::{ReplacementPolicy, ReplacementState, XorShift64};
 
 /// One cache line: the block it holds and the caller's metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Line<M> {
     /// The cached block.
     pub block: BlockId,
     /// Caller metadata (dirty bits, pointers, coherence state, ...).
     pub meta: M,
 }
+vrcache_mem::clone_fields!(Line<M> { block, meta } where M: Clone);
 
 /// The result of a [`CacheArray::fill`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub struct FillOutcome<M> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheArray<M> {
     geometry: CacheGeometry,
     /// `sets * ways` slots, set-major (`set * ways + way`); `None` =
@@ -63,6 +64,13 @@ pub struct CacheArray<M> {
     rng: XorShift64,
     clock: u64,
 }
+vrcache_mem::clone_fields!(CacheArray<M> {
+    geometry,
+    lines,
+    replacement,
+    rng,
+    clock,
+} where M: Clone);
 
 impl<M> CacheArray<M> {
     /// Creates an empty array with the given geometry, replacement policy

@@ -300,16 +300,62 @@ impl CacheGeometry {
         (inner_block.raw() & ((1 << shift) - 1)) as u32
     }
 
-    /// Enumerates the `inner`-sized block ids contained in `block` of this
-    /// geometry, in address order.
-    pub fn subblocks_of<'a>(
-        &self,
-        inner: &'a CacheGeometry,
-        block: BlockId,
-    ) -> impl Iterator<Item = BlockId> + 'a {
+    /// The `inner`-sized block ids contained in `block` of this geometry,
+    /// in address order.
+    pub fn subblocks_of(&self, inner: &CacheGeometry, block: BlockId) -> BlockRun {
         let shift = self.block_bits() - inner.block_bits();
-        let base = block.raw() << shift;
-        (0..(1u64 << shift)).map(move |i| BlockId(base + i))
+        BlockRun {
+            first: block.raw() << shift,
+            len: 1 << shift,
+        }
+    }
+}
+
+/// A run of consecutive block ids: the inner blocks one outer block
+/// contains ([`CacheGeometry::subblocks_of`]). It is two words and
+/// `Copy`, so naming a block's granules allocates nothing; position `i`
+/// of the run is [`BlockRun::at`].
+///
+/// ```
+/// use vrcache_cache::geometry::{BlockId, CacheGeometry};
+/// # fn main() -> Result<(), vrcache_mem::MemError> {
+/// let l1 = CacheGeometry::direct_mapped(64, 16)?;
+/// let l2 = CacheGeometry::direct_mapped(256, 32)?;
+/// let run = l2.subblocks_of(&l1, BlockId::new(2));
+/// assert_eq!(run.at(1), BlockId::new(5));
+/// assert!(run.contains(BlockId::new(4)) && !run.contains(BlockId::new(6)));
+/// assert_eq!(run.into_iter().count(), 2);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRun {
+    first: u64,
+    len: u64,
+}
+
+impl BlockRun {
+    /// The block at position `i` (`i` below the run's length).
+    #[inline]
+    pub fn at(self, i: usize) -> BlockId {
+        debug_assert!((i as u64) < self.len, "position {i} past the run");
+        BlockId(self.first + i as u64)
+    }
+
+    /// Whether `block` lies in the run.
+    #[inline]
+    pub fn contains(self, block: BlockId) -> bool {
+        block.0.wrapping_sub(self.first) < self.len
+    }
+}
+
+impl IntoIterator for BlockRun {
+    type Item = BlockId;
+    type IntoIter = core::iter::Map<core::ops::Range<u64>, fn(u64) -> BlockId>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        (self.first..self.first + self.len).map(BlockId as fn(u64) -> BlockId)
     }
 }
 
@@ -452,7 +498,7 @@ mod tests {
         assert_eq!(l1.block_in(BlockId::new(5), &l2), BlockId::new(2));
         assert_eq!(l2.subblock_index(&l1, BlockId::new(4)), 0);
         assert_eq!(l2.subblock_index(&l1, BlockId::new(5)), 1);
-        let subs: Vec<_> = l2.subblocks_of(&l1, BlockId::new(2)).collect();
+        let subs: Vec<_> = l2.subblocks_of(&l1, BlockId::new(2)).into_iter().collect();
         assert_eq!(subs, vec![BlockId::new(4), BlockId::new(5)]);
     }
 

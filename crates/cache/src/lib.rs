@@ -32,7 +32,7 @@ pub mod syndrome;
 pub mod write_buffer;
 
 pub use array::{CacheArray, FillOutcome, Line};
-pub use geometry::{BlockId, BlockMap, CacheGeometry};
+pub use geometry::{BlockId, BlockMap, BlockRun, CacheGeometry};
 pub use replacement::ReplacementPolicy;
 pub use stats::{AccessKind, CacheStats};
 pub use syndrome::{Codeword, Decode};

@@ -34,7 +34,7 @@ pub enum ReplacementPolicy {
 /// array keeps nothing under any policy: its victim is forced. One
 /// allocation at most, however many sets, so cloning an array (as the
 /// model checker does by the thousand) stays cheap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct ReplacementState {
     policy: ReplacementPolicy,
     ways: u32,
@@ -46,6 +46,12 @@ pub struct ReplacementState {
     /// has more than one way.
     plru: Vec<u64>,
 }
+vrcache_mem::clone_fields!(ReplacementState {
+    policy,
+    ways,
+    stamps,
+    plru
+});
 
 impl ReplacementState {
     /// Creates `policy` state for `sets` sets of `ways` ways each.

@@ -67,12 +67,13 @@ pub struct WriteBufferStats {
 /// assert_eq!(forced.block, BlockId::new(1));
 /// assert_eq!(wb.stats().full_stalls, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WriteBuffer<M> {
     capacity: usize,
     entries: VecDeque<PendingWrite<M>>,
     stats: WriteBufferStats,
 }
+vrcache_mem::clone_fields!(WriteBuffer<M> { capacity, entries, stats } where M: Clone);
 
 impl<M> WriteBuffer<M> {
     /// Creates a buffer with room for `capacity` pending write-backs.

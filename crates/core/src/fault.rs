@@ -317,7 +317,7 @@ pub(crate) enum Repair {
 
 /// A hierarchy's protection state: which arrays are protected, and the
 /// syndromes still waiting for the next scrub.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Protection {
     /// Modeled parity on the tag/state arrays and the TLB.
     parity: bool,
@@ -326,6 +326,11 @@ pub(crate) struct Protection {
     /// Outstanding syndromes, scrubbed at the next operation.
     poison: Vec<Poison>,
 }
+vrcache_mem::clone_fields!(Protection {
+    parity,
+    data,
+    poison
+});
 
 impl Protection {
     /// The protection `cfg` asks for, with nothing outstanding.

@@ -25,7 +25,7 @@
 
 use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
 use vrcache_bus::txn::{BusOp, BusTransaction};
-use vrcache_cache::geometry::{BlockId, BlockMap, CacheGeometry};
+use vrcache_cache::geometry::{BlockId, BlockMap, BlockRun, CacheGeometry};
 use vrcache_cache::stats::CacheStats;
 use vrcache_cache::write_buffer::WriteBufferStats;
 use vrcache_mem::access::CpuId;
@@ -49,7 +49,7 @@ use crate::vcache::{VCache, VMeta};
 /// Uses the `l1` geometry of its [`HierarchyConfig`]; the `l2` geometry
 /// only defines the bus transaction granularity (shared with the other
 /// organizations on the same bus).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GoodmanHierarchy {
     cpu: CpuId,
     l1: VCache,
@@ -69,6 +69,19 @@ pub struct GoodmanHierarchy {
     /// outstanding syndromes.
     protection: Protection,
 }
+vrcache_mem::clone_fields!(GoodmanHierarchy {
+    cpu,
+    l1,
+    directory,
+    tlb,
+    events,
+    granule_geo,
+    bus_geo,
+    page,
+    refs,
+    last_wb_at,
+    protection,
+});
 
 impl GoodmanHierarchy {
     /// Builds the single-level hierarchy for `cpu`.
@@ -133,10 +146,8 @@ impl GoodmanHierarchy {
         self.granule_geo.block_in(p1, &self.bus_geo)
     }
 
-    fn granules_of(&self, bus_block: BlockId) -> Vec<BlockId> {
-        self.bus_geo
-            .subblocks_of(&self.granule_geo, bus_block)
-            .collect()
+    fn granules_of(&self, bus_block: BlockId) -> BlockRun {
+        self.bus_geo.subblocks_of(&self.granule_geo, bus_block)
     }
 
     fn subblocks(&self) -> u32 {

@@ -25,7 +25,6 @@
 //! but structurally live — their r-pointer and the parent's subentry must
 //! stay intact until the lazy write-back retires them.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use vrcache_bus::oracle::Version;
@@ -226,7 +225,8 @@ pub struct HierarchyView<'a, L> {
 
 /// Verifies every structural invariant of the view, reporting the first
 /// breach. Swapped-valid lines are checked like live ones (see the module
-/// docs).
+/// docs). The walk allocates nothing, so a caller may run it after every
+/// event.
 ///
 /// # Errors
 ///
@@ -234,15 +234,7 @@ pub struct HierarchyView<'a, L> {
 /// per-first-level-line linkage, then per-subentry reverse linkage, then
 /// write-buffer agreement.
 pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), InvariantViolation> {
-    let mut seen_physical = BTreeSet::new();
     for (which, line) in view.l1.lines() {
-        // At most one first-level copy per physical block, across both
-        // fronts of a split first level.
-        if !seen_physical.insert(line.p_block) {
-            return Err(InvariantViolation::DuplicateVCopy {
-                p_block: line.p_block,
-            });
-        }
         // Inclusion: parent present and linked back.
         let p2 = view.l2.l2_block_of(line.p_block);
         let si = view.l2.sub_index(line.p_block);
@@ -252,6 +244,21 @@ pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), Invariant
         let sub = &parent.meta.subs[si];
         if !sub.inclusion {
             return Err(InvariantViolation::InclusionBitClear { v_block: line.key });
+        }
+        // At most one first-level copy per physical block, across both
+        // fronts of a split first level. Two copies share the one
+        // subentry, which links back to only one of them: when the line
+        // it names is another copy of this granule, that is the breach.
+        let linked = (sub.child, sub.v_block);
+        if linked != (which, line.key)
+            && view
+                .l1
+                .child(sub.child, sub.v_block)
+                .is_some_and(|other| other.p_block == line.p_block)
+        {
+            return Err(InvariantViolation::DuplicateVCopy {
+                p_block: line.p_block,
+            });
         }
         if sub.v_block != line.key {
             return Err(InvariantViolation::VPointerMismatch {
@@ -282,7 +289,7 @@ pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), Invariant
                         v_block: sub.v_block,
                     });
                 };
-                if child.p_block != granules[i] {
+                if child.p_block != granules.at(i) {
                     return Err(InvariantViolation::VPointerWrongGranule {
                         r_block: rline.block,
                         sub: i,
@@ -295,7 +302,7 @@ pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), Invariant
                     sub: i,
                 });
             }
-            if sub.buffer && !view.wb.contains(granules[i]) {
+            if sub.buffer && !view.wb.contains(granules.at(i)) {
                 return Err(InvariantViolation::BufferBitWithoutEntry {
                     r_block: rline.block,
                     sub: i,
@@ -413,6 +420,27 @@ mod tests {
         // A second V line (different set) caching the same physical block.
         v.data.fill(
             BlockId::new(0x101),
+            VMeta {
+                p_block: BlockId::new(0x900),
+                dirty: false,
+                swapped: false,
+                version: Version::INITIAL,
+            },
+        );
+        assert!(matches!(
+            h.check_invariants(),
+            Err(InvariantViolation::DuplicateVCopy { p_block }) if p_block == BlockId::new(0x900)
+        ));
+    }
+
+    #[test]
+    fn detects_duplicate_v_copy_walked_before_the_linked_one() {
+        let (mut h, mut bus, mut oracle) = rig();
+        read(&mut h, &mut bus, &mut oracle, 0x1010, 0x9000); // vblock 0x101
+        let (v, _, _) = h.corrupt_parts();
+        // The forged copy sits in set 0, ahead of the linked line in set 1.
+        v.data.fill(
+            BlockId::new(0x100),
             VMeta {
                 p_block: BlockId::new(0x900),
                 dirty: false,

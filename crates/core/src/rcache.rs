@@ -17,7 +17,7 @@
 
 use vrcache_bus::oracle::Version;
 use vrcache_cache::array::{CacheArray, FillOutcome, Line};
-use vrcache_cache::geometry::{BlockId, CacheGeometry};
+use vrcache_cache::geometry::{BlockId, BlockRun, CacheGeometry};
 use vrcache_cache::replacement::ReplacementPolicy;
 use vrcache_cache::stats::CacheStats;
 use vrcache_cache::write_buffer::WriteBuffer;
@@ -88,7 +88,7 @@ impl SubEntry {
 }
 
 /// Per-line metadata of the R-cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RMeta {
     /// Coherence state.
     pub state: CohState,
@@ -97,6 +97,11 @@ pub struct RMeta {
     /// One subentry per contained L1-sized subblock, in address order.
     pub subs: Vec<SubEntry>,
 }
+vrcache_mem::clone_fields!(RMeta {
+    state,
+    rdirty,
+    subs
+});
 
 impl RMeta {
     /// Metadata for a block just fetched from the bus: `versions[i]` is the
@@ -131,13 +136,19 @@ impl SubEntry {
 }
 
 /// The physically-addressed, write-back second-level cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RCache {
     array: CacheArray<RMeta>,
     stats: CacheStats,
     l1geo: CacheGeometry,
     subblocks: u32,
 }
+vrcache_mem::clone_fields!(RCache {
+    array,
+    stats,
+    l1geo,
+    subblocks
+});
 
 impl RCache {
     /// Creates an empty R-cache whose subentries correspond to blocks of
@@ -192,11 +203,8 @@ impl RCache {
     }
 
     /// The granule block ids of L2 block `p2`, in subentry order.
-    pub fn granules_of(&self, p2: BlockId) -> Vec<BlockId> {
-        self.array
-            .geometry()
-            .subblocks_of(&self.l1geo, p2)
-            .collect()
+    pub fn granules_of(&self, p2: BlockId) -> BlockRun {
+        self.array.geometry().subblocks_of(&self.l1geo, p2)
     }
 
     /// The resident line holding granule `p1`'s subentry, with the
@@ -286,7 +294,7 @@ pub(crate) type Orphan = (BlockId, Version);
 
 /// The R-cache, the write buffer in front of it, and their protocol
 /// steps, shared by the V-R hierarchy and the R-R baselines.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SecondLevel {
     /// The second-level cache.
     pub(crate) cache: RCache,
@@ -297,6 +305,13 @@ pub(crate) struct SecondLevel {
     refs: u64,
     last_wb_at: Option<u64>,
 }
+vrcache_mem::clone_fields!(SecondLevel {
+    cache,
+    wb,
+    drain_period,
+    refs,
+    last_wb_at,
+});
 
 impl SecondLevel {
     /// The second level `cfg` describes; `seed` seeds its replacement.
@@ -520,7 +535,7 @@ impl SecondLevel {
             if sub.buffer {
                 let e = self
                     .wb
-                    .force_complete(granules[i])
+                    .force_complete(granules.at(i))
                     .invariant_expect("buffer bit implies a pending write");
                 sub.version = e.payload;
                 sub.buffer = false;
@@ -531,7 +546,7 @@ impl SecondLevel {
                 let child = l1
                     .remove(sub.child, sub.v_block)
                     .invariant_expect("inclusion bit implies a first-level child");
-                debug_assert_eq!(child.p_block, granules[i]);
+                debug_assert_eq!(child.p_block, granules.at(i));
                 if sub.fold(child) {
                     meta.rdirty = true;
                 }
@@ -542,9 +557,9 @@ impl SecondLevel {
             bus.issue(BusRequest::WriteBack {
                 block: p2,
                 granules: granules
-                    .iter()
+                    .into_iter()
                     .zip(meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             });
         }
@@ -583,7 +598,7 @@ impl SecondLevel {
         let granules = self.cache.granules_of(p2);
         let line = self.cache.peek_mut(p2).invariant_expect("resident");
         let mut any_dirty = line.meta.rdirty;
-        for (sub, g) in line.meta.subs.iter_mut().zip(&granules) {
+        for (sub, g) in line.meta.subs.iter_mut().zip(granules) {
             if sub.vdirty {
                 debug_assert!(sub.inclusion, "vdirty without inclusion");
                 events.flush_v += 1;
@@ -599,7 +614,7 @@ impl SecondLevel {
                 reply.l1_messages += 1;
                 let e = self
                     .wb
-                    .coherence_take(*g)
+                    .coherence_take(g)
                     .invariant_expect("buffer bit implies a pending write");
                 sub.version = e.payload;
                 sub.buffer = false;
@@ -611,9 +626,9 @@ impl SecondLevel {
             line.meta.rdirty = false;
             reply.supplied = Some(
                 granules
-                    .iter()
+                    .into_iter()
                     .zip(line.meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             );
         }
@@ -639,7 +654,7 @@ impl SecondLevel {
             ..SnoopReply::default()
         };
         let granules = self.cache.granules_of(p2);
-        for (sub, g) in line.meta.subs.iter().zip(&granules) {
+        for (sub, g) in line.meta.subs.iter().zip(granules) {
             if sub.inclusion {
                 events.inval_v += 1;
                 reply.l1_messages += 1;
@@ -649,7 +664,7 @@ impl SecondLevel {
             if sub.buffer {
                 events.inval_buffer += 1;
                 reply.l1_messages += 1;
-                let taken = self.wb.coherence_take(*g);
+                let taken = self.wb.coherence_take(g);
                 debug_assert!(taken.is_some(), "buffer bit implies a pending write");
             }
         }
@@ -675,15 +690,15 @@ impl SecondLevel {
         let granules = self.cache.granules_of(p2);
         let copies: Vec<(ChildCache, BlockId)> = l1
             .lines()
-            .filter(|(_, line)| granules.contains(&line.p_block))
+            .filter(|(_, line)| granules.contains(line.p_block))
             .map(|(child, line)| (child, line.key))
             .collect();
         let mut lost_dirty = false;
         for (child, key) in copies {
             lost_dirty |= l1.remove(child, key).is_some_and(|line| line.dirty);
         }
-        for g in &granules {
-            lost_dirty |= self.wb.coherence_take(*g).is_some();
+        for g in granules {
+            lost_dirty |= self.wb.coherence_take(g).is_some();
         }
         if let Some(line) = self.cache.invalidate(p2) {
             lost_dirty |= line.meta.rdirty;
@@ -829,7 +844,9 @@ mod tests {
         assert_eq!(r.sub_index(BlockId::new(5)), 1);
         assert_eq!(r.sub_index(BlockId::new(4)), 0);
         assert_eq!(
-            r.granules_of(BlockId::new(2)),
+            r.granules_of(BlockId::new(2))
+                .into_iter()
+                .collect::<Vec<_>>(),
             vec![BlockId::new(4), BlockId::new(5)]
         );
     }

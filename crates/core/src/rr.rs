@@ -250,8 +250,8 @@ impl RrHierarchy {
         let mut reply = SnoopReply::default();
         let granules = self.l2.cache.granules_of(p2);
         let mut upstream: Vec<(usize, Version)> = Vec::new();
-        for (i, g) in granules.iter().enumerate() {
-            if let Some(l1_line) = self.l1.peek_mut(*g) {
+        for (i, g) in granules.into_iter().enumerate() {
+            if let Some(l1_line) = self.l1.peek_mut(g) {
                 reply.has_copy = true;
                 l1_line.meta.private = false;
                 if l1_line.meta.dirty {
@@ -259,7 +259,7 @@ impl RrHierarchy {
                     upstream.push((i, l1_line.meta.version));
                 }
             }
-            if let Some(e) = self.l2.wb.coherence_take(*g) {
+            if let Some(e) = self.l2.wb.coherence_take(g) {
                 upstream.push((i, e.payload));
             }
         }
@@ -269,7 +269,7 @@ impl RrHierarchy {
                 reply.supplied = Some(
                     upstream
                         .into_iter()
-                        .map(|(i, v)| (granules[i], v))
+                        .map(|(i, v)| (granules.at(i), v))
                         .collect(),
                 );
             }
@@ -286,9 +286,9 @@ impl RrHierarchy {
             line.meta.rdirty = false;
             reply.supplied = Some(
                 granules
-                    .iter()
+                    .into_iter()
                     .zip(line.meta.subs.iter())
-                    .map(|(g, s)| (*g, s.version))
+                    .map(|(g, s)| (g, s.version))
                     .collect(),
             );
         }
@@ -306,11 +306,11 @@ impl RrHierarchy {
         if self.l2.cache.invalidate(p2).is_some() {
             reply.has_copy = true;
         }
-        for g in &self.l2.cache.granules_of(p2) {
-            if self.l1.invalidate(*g).is_some() {
+        for g in self.l2.cache.granules_of(p2) {
+            if self.l1.invalidate(g).is_some() {
                 reply.has_copy = true;
             }
-            let _ = self.l2.wb.coherence_take(*g);
+            let _ = self.l2.wb.coherence_take(g);
         }
         reply
     }

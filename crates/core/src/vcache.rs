@@ -46,11 +46,12 @@ impl DataLine for VMeta {
 }
 
 /// The virtually-addressed, write-back first-level cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VCache {
     array: CacheArray<VMeta>,
     stats: CacheStats,
 }
+vrcache_mem::clone_fields!(VCache { array, stats });
 
 impl VCache {
     /// Creates an empty V-cache.
@@ -165,13 +166,14 @@ impl VCache {
 
 /// The V-R first level: a unified V-cache, or the D and I halves of a
 /// split one.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct VCaches {
     /// Unified V-cache, or the D half of a split first level.
     pub(crate) data: VCache,
     /// The I half of a split first level.
     pub(crate) instr: Option<VCache>,
 }
+vrcache_mem::clone_fields!(VCaches { data, instr });
 
 impl VCaches {
     /// The V-cache holding `child`, if this first level has it.

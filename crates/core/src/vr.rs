@@ -53,7 +53,7 @@ use crate::rcache::{ChildCache, CohState, FirstLevel, RCache, SecondLevel};
 use crate::vcache::{child_line, VCache, VCaches, VMeta};
 
 /// The paper's two-level virtual-real cache hierarchy for one processor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct VrHierarchy {
     cpu: CpuId,
     /// The V-cache, or the split pair.
@@ -73,6 +73,20 @@ pub struct VrHierarchy {
     /// Modeled parity and data protection, with outstanding syndromes.
     protection: Protection,
 }
+vrcache_mem::clone_fields!(VrHierarchy {
+    cpu,
+    l1,
+    l2,
+    tlb,
+    events,
+    granule_geo,
+    page,
+    write_policy,
+    cs_policy,
+    protocol,
+    last_swapped_wb_at,
+    protection,
+});
 
 /// Why a completed write-back always lands: the V-R second level is
 /// inclusive.

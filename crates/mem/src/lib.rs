@@ -52,3 +52,45 @@ pub use error::MemError;
 pub use page::PageSize;
 pub use page_table::MemoryMap;
 pub use tlb::{Tlb, TlbConfig};
+
+/// Implements `Clone` field by field, with a `clone_from` that forwards
+/// to every field's own `clone_from`.
+///
+/// Derived `Clone` leaves `clone_from` at its default, `*self =
+/// source.clone()`, which drops every buffer `self` owns and allocates
+/// new ones. Forwarding lets a long-lived value be overwritten in place:
+/// `Vec`, `VecDeque`, `HashMap`, `Option` and `Box` reuse what they hold.
+/// Both methods destructure `Self` without `..`, so a field missing from
+/// the list is a compile error. Generic parameters and their bounds
+/// follow a trailing `where`.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Pair<T> {
+///     a: Vec<T>,
+///     b: u8,
+/// }
+/// vrcache_mem::clone_fields!(Pair<T> { a, b } where T: Clone);
+///
+/// let src = Pair { a: vec![1, 2], b: 3 };
+/// let mut dst = Pair { a: Vec::with_capacity(8), b: 0 };
+/// dst.clone_from(&src);
+/// assert_eq!(dst, src);
+/// assert!(dst.a.capacity() >= 8);
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ($ty:ty { $($field:ident),+ $(,)? } $(where $($generics:tt)+)?) => {
+        impl $(<$($generics)+>)? Clone for $ty {
+            fn clone(&self) -> Self {
+                let Self { $($field),+ } = self;
+                Self { $($field: $field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),+ } = self;
+                $($field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}

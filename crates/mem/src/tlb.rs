@@ -138,7 +138,7 @@ impl TlbEntry {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tlb {
     config: TlbConfig,
     /// `sets - 1`: the vpn bits that pick a set.
@@ -146,6 +146,12 @@ pub struct Tlb {
     entries: Vec<TlbEntry>,
     clock: u64,
 }
+crate::clone_fields!(Tlb {
+    config,
+    set_mask,
+    entries,
+    clock
+});
 
 impl Tlb {
     /// Creates an empty TLB with the given configuration.

@@ -12,8 +12,13 @@
 //! search, is minimized by greedy event deletion, and is packaged as a
 //! replayable counterexample — including the source of a standalone
 //! `#[test]` to pin the regression.
+//!
+//! The per-transition step allocates nothing once warm: each child is
+//! written over a recycled world with `clone_from`, the key is built in
+//! one reused [`Encoder`], and the seen-set appends keys to one arena.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use vrcache::goodman::GoodmanHierarchy;
 use vrcache::vr::VrHierarchy;
@@ -125,20 +130,36 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
 
     // Every reached state gets a `parents` entry (its index is its
     // position), so a violation's path can be rebuilt. Only the frontier
-    // holds worlds: a state is dropped once expanded, and a state at the
+    // holds worlds: a state is recycled once expanded, and a state at the
     // depth bound is never stored, since it will not be expanded.
     let mut parents: Vec<Option<(usize, ModelEvent)>> = vec![None];
     let mut enc = Encoder::new();
     root.canon_key_into(&universe, &mut enc);
-    let mut seen: BTreeSet<Box<[u64]>> = BTreeSet::from([Box::from(enc.words())]);
+    let mut seen = SeenSet::new();
+    seen.insert(enc.words());
     let mut frontier: VecDeque<(usize, u32, World<H>)> = VecDeque::new();
     if 0 < scope.depth {
         frontier.push_back((0, 0, root));
     }
 
+    // Worlds no longer needed (duplicate or bound-depth children,
+    // expanded parents), kept to be overwritten in place. One expansion
+    // draws at most one per event, so that many suffice.
+    let mut pool: Vec<World<H>> = Vec::with_capacity(alphabet.len());
+    let recycle = |pool: &mut Vec<World<H>>, world: World<H>| {
+        if pool.len() < alphabet.len() {
+            pool.push(world);
+        }
+    };
     while let Some((index, depth, parent)) = frontier.pop_front() {
         for &event in &alphabet {
-            let mut world = parent.clone();
+            let mut world = match pool.pop() {
+                Some(mut world) => {
+                    world.clone_from(&parent);
+                    world
+                }
+                None => parent.clone(),
+            };
             transitions += 1;
             let outcome = world
                 .apply(scope, event, &mut coverage)
@@ -155,15 +176,18 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
                 };
             }
             world.canon_key_into(&universe, &mut enc);
-            if seen.contains(enc.words()) {
+            if !seen.insert(enc.words()) {
+                recycle(&mut pool, world);
                 continue;
             }
-            seen.insert(Box::from(enc.words()));
             parents.push(Some((index, event)));
             if depth + 1 < scope.depth {
                 frontier.push_back((parents.len() - 1, depth + 1, world));
+            } else {
+                recycle(&mut pool, world);
             }
         }
+        recycle(&mut pool, parent);
     }
 
     ScopeReport {
@@ -173,6 +197,127 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
         coverage,
         counterexample: None,
     }
+}
+
+/// The exact set of canonical keys seen so far.
+///
+/// Keys are stored back to back in one [`Arena`], each behind a two-word
+/// header: its length, and the offset of the previous key with the same
+/// fingerprint. A `BTreeMap` from a key's 64-bit fingerprint to the
+/// offset of the newest key with that fingerprint indexes them. A lookup
+/// compares whole keys only when fingerprints match, so a fingerprint
+/// collision costs a comparison and never loses a state: hash compaction
+/// with an exact fallback (Stern & Dill, "Improved Probabilistic
+/// Verification by Hash Compaction", CHARME 1995).
+struct SeenSet {
+    arena: Arena,
+    index: BTreeMap<u64, u64>,
+    fingerprint: fn(&[u64]) -> u64,
+}
+
+/// The header word that ends a fingerprint's chain.
+const NO_KEY: u64 = u64::MAX;
+
+impl SeenSet {
+    fn new() -> Self {
+        SeenSet::with_fingerprint(fingerprint)
+    }
+
+    /// A set that fingerprints keys with `fingerprint` (tests force
+    /// collisions through it).
+    fn with_fingerprint(fingerprint: fn(&[u64]) -> u64) -> Self {
+        SeenSet {
+            arena: Arena::default(),
+            index: BTreeMap::new(),
+            fingerprint,
+        }
+    }
+
+    /// Adds `key`, returning whether it was new.
+    fn insert(&mut self, key: &[u64]) -> bool {
+        let at = self.arena.len as u64;
+        let prev = match self.index.entry((self.fingerprint)(key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+                NO_KEY
+            }
+            Entry::Occupied(mut slot) => {
+                let mut next = *slot.get();
+                while next != NO_KEY {
+                    let start = next as usize;
+                    if self.arena.word(start) == key.len() as u64
+                        && self.arena.holds_at(start + 2, key)
+                    {
+                        return false;
+                    }
+                    next = self.arena.word(start + 1);
+                }
+                slot.insert(at)
+            }
+        };
+        self.arena.push(&[key.len() as u64, prev]);
+        self.arena.push(key);
+        true
+    }
+}
+
+/// A growable run of words kept in fixed-size chunks, continuing from
+/// the end of one chunk into the next. It grows a chunk at a time, so it
+/// never copies what it holds or reserves more than one chunk ahead, and
+/// a chunk is small enough to be carved from memory the search has freed.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Vec<u64>>,
+    len: usize,
+}
+
+/// Words per arena chunk (4 KiB).
+const CHUNK_WORDS: usize = 1 << 9;
+
+impl Arena {
+    /// Appends `words`.
+    fn push(&mut self, mut words: &[u64]) {
+        while !words.is_empty() {
+            if self.len == self.chunks.len() * CHUNK_WORDS {
+                self.chunks.push(Vec::with_capacity(CHUNK_WORDS));
+            }
+            let last = self.chunks.len() - 1;
+            let chunk = &mut self.chunks[last];
+            let n = words.len().min(CHUNK_WORDS - chunk.len());
+            chunk.extend_from_slice(&words[..n]);
+            self.len += n;
+            words = &words[n..];
+        }
+    }
+
+    /// The word at offset `at`.
+    fn word(&self, at: usize) -> u64 {
+        self.chunks[at / CHUNK_WORDS][at % CHUNK_WORDS]
+    }
+
+    /// Whether the words from offset `at` on begin with `key`.
+    fn holds_at(&self, mut at: usize, mut key: &[u64]) -> bool {
+        while !key.is_empty() {
+            let offset = at % CHUNK_WORDS;
+            let n = key.len().min(CHUNK_WORDS - offset);
+            if self.chunks[at / CHUNK_WORDS][offset..offset + n] != key[..n] {
+                return false;
+            }
+            at += n;
+            key = &key[n..];
+        }
+        true
+    }
+}
+
+/// A key's fingerprint: a multiply-rotate mix of its length and words.
+fn fingerprint(key: &[u64]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (key.len() as u64).wrapping_mul(K);
+    for &w in key {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+    }
+    h ^ (h >> 29)
 }
 
 /// Reconstructs the event path from the initial state to `index`.
@@ -271,6 +416,58 @@ mod tests {
         assert_eq!(a.transitions, b.transitions);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.summary(), b.summary());
+    }
+
+    #[test]
+    fn seen_set_is_exact_under_fingerprint_collisions() {
+        // Every key collides: only the exact comparison can tell them apart.
+        let mut seen = SeenSet::with_fingerprint(|_| 7);
+        let (a, b): (&[u64], &[u64]) = (&[1, 2, 3], &[1, 2, 4]);
+        assert!(seen.insert(a));
+        assert!(seen.insert(b));
+        assert!(!seen.insert(a));
+        assert!(!seen.insert(b));
+        // A key that is a prefix of another, or extends it, is distinct.
+        assert!(seen.insert(&[1, 2]));
+        assert!(seen.insert(&[1, 2, 3, 0]));
+        assert!(seen.insert(&[]));
+        for key in [&[1, 2][..], &[1, 2, 3, 0], &[], a, b] {
+            assert!(!seen.insert(key), "{key:?} was already inserted");
+        }
+    }
+
+    #[test]
+    fn seen_set_keys_run_across_arena_chunks() {
+        // Odd-length keys land at every offset of a chunk, so many run on
+        // into the next one; one key is longer than a whole chunk.
+        let mut seen = SeenSet::with_fingerprint(|key| key.len() as u64 % 3);
+        let keys: Vec<Vec<u64>> = (0..200u64)
+            .map(|i| (0..7 + i % 5).map(|w| i * 31 + w).collect())
+            .chain([(0..3 * CHUNK_WORDS as u64 / 2).collect()])
+            .collect();
+        for key in &keys {
+            assert!(seen.insert(key));
+        }
+        assert!(seen.arena.chunks.len() > 3);
+        for key in &keys {
+            assert!(!seen.insert(key));
+            let mut near = key.clone();
+            near[key.len() - 1] ^= 1 << 40;
+            assert!(
+                seen.insert(&near),
+                "a key differing in its last word is new"
+            );
+        }
+    }
+
+    #[test]
+    fn seen_set_fingerprint_separates_keys() {
+        let mut seen = SeenSet::new();
+        assert!(seen.insert(&[5, 6]));
+        assert!(seen.insert(&[6, 5]));
+        assert!(seen.insert(&[5, 6, 0]));
+        assert!(!seen.insert(&[5, 6]));
+        assert_eq!(seen.index.len(), 3, "three keys, three fingerprints");
     }
 
     #[test]

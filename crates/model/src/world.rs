@@ -37,12 +37,17 @@ use crate::scope::{ModelEvent, Scope, ASIDS};
 /// two states that differ solely by a version renaming are bisimilar —
 /// folding them keeps the reachable graph finite even though the oracle's
 /// counter grows without bound.
+///
+/// Its buffers live as long as it does: one encoder reused across an
+/// exploration allocates only while they grow.
 pub struct Encoder {
     words: Vec<u64>,
     /// Raw versions in order of first appearance: a version's ordinal is
     /// its position. A state holds a handful of distinct versions, so a
     /// linear scan beats any map.
     seen: Vec<u64>,
+    /// Scratch for [`Encoder::sorted`].
+    records: Records,
 }
 
 impl Encoder {
@@ -51,6 +56,7 @@ impl Encoder {
         Encoder {
             words: Vec::new(),
             seen: vec![Version::INITIAL.raw()],
+            records: Records::default(),
         }
     }
 
@@ -83,6 +89,30 @@ impl Encoder {
         self.words.push(renamed as u64);
     }
 
+    /// Appends a set of records in ascending order of their keys: the
+    /// record count, then each record's words. `fill` writes the records
+    /// in any order, each opened by [`Records::begin`] with a key unique
+    /// in the set; versions are renamed in the sorted order, so the
+    /// encoding does not depend on the order `fill` walked.
+    pub fn sorted(&mut self, fill: impl FnOnce(&mut Records)) {
+        let mut records = std::mem::take(&mut self.records);
+        records.words.clear();
+        records.spans.clear();
+        fill(&mut records);
+        records.close();
+        records.spans.sort_unstable_by_key(|&(key, _, _)| key);
+        self.word(records.spans.len() as u64);
+        for &(_, start, end) in &records.spans {
+            for &word in &records.words[start..end] {
+                match word {
+                    RecordWord::Raw(w) => self.word(w),
+                    RecordWord::Version(v) => self.version(v),
+                }
+            }
+        }
+        self.records = records;
+    }
+
     /// The encoding so far.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
@@ -97,6 +127,52 @@ impl Encoder {
 impl Default for Encoder {
     fn default() -> Self {
         Encoder::new()
+    }
+}
+
+/// Records written for one [`Encoder::sorted`] walk, each opened by its
+/// sort key. Versions are kept raw until the walk is sorted.
+#[derive(Default)]
+pub struct Records {
+    words: Vec<RecordWord>,
+    /// `(key, start, end)` of each record in `words`.
+    spans: Vec<(u64, usize, usize)>,
+}
+
+#[derive(Clone, Copy)]
+enum RecordWord {
+    Raw(u64),
+    Version(Version),
+}
+
+impl Records {
+    /// Opens a record whose first word, and sort key, is `key`.
+    pub fn begin(&mut self, key: u64) {
+        self.close();
+        self.spans.push((key, self.words.len(), self.words.len()));
+        self.words.push(RecordWord::Raw(key));
+    }
+
+    /// Appends a raw word to the open record.
+    pub fn word(&mut self, w: u64) {
+        self.words.push(RecordWord::Raw(w));
+    }
+
+    /// Appends a boolean to the open record.
+    pub fn flag(&mut self, b: bool) {
+        self.word(u64::from(b));
+    }
+
+    /// Appends a version to the open record, renamed once sorted.
+    pub fn version(&mut self, v: Version) {
+        self.words.push(RecordWord::Version(v));
+    }
+
+    /// Ends the open record, if any.
+    fn close(&mut self) {
+        if let Some(span) = self.spans.last_mut() {
+            span.2 = self.words.len();
+        }
     }
 }
 
@@ -137,49 +213,47 @@ impl ModelHierarchy for VrHierarchy {
     fn encode(&self, enc: &mut Encoder) {
         let vcaches = [Some(self.vcache()), self.icache()];
         for vcache in vcaches.iter().flatten() {
-            let mut lines: Vec<_> = vcache.iter().collect();
-            lines.sort_unstable_by_key(|l| l.block);
-            enc.word(lines.len() as u64);
-            for line in lines {
-                enc.word(line.block.raw());
-                enc.word(line.meta.p_block.raw());
-                enc.flag(line.meta.dirty);
-                enc.flag(line.meta.swapped);
-                enc.version(line.meta.version);
-            }
+            enc.sorted(|rec| {
+                for line in vcache.iter() {
+                    rec.begin(line.block.raw());
+                    rec.word(line.meta.p_block.raw());
+                    rec.flag(line.meta.dirty);
+                    rec.flag(line.meta.swapped);
+                    rec.version(line.meta.version);
+                }
+            });
         }
         enc.flag(self.icache().is_some());
 
-        let mut lines: Vec<_> = self.rcache().iter().collect();
-        lines.sort_unstable_by_key(|l| l.block);
-        enc.word(lines.len() as u64);
-        for line in lines {
-            enc.word(line.block.raw());
-            enc.word(match line.meta.state {
-                CohState::Shared => 0,
-                CohState::Private => 1,
-            });
-            enc.flag(line.meta.rdirty);
-            for sub in &line.meta.subs {
-                enc.flag(sub.inclusion);
-                enc.flag(sub.buffer);
-                enc.flag(sub.vdirty);
-                if sub.inclusion {
-                    // `child` and `v_block` are only maintained while the
-                    // inclusion bit is set; mask the stale residue out so
-                    // it cannot split equivalent states.
-                    enc.word(match sub.child {
-                        vrcache::rcache::ChildCache::Data => 0,
-                        vrcache::rcache::ChildCache::Instr => 1,
-                    });
-                    enc.word(sub.v_block.raw());
-                } else {
-                    enc.word(u64::MAX);
-                    enc.word(u64::MAX);
+        enc.sorted(|rec| {
+            for line in self.rcache().iter() {
+                rec.begin(line.block.raw());
+                rec.word(match line.meta.state {
+                    CohState::Shared => 0,
+                    CohState::Private => 1,
+                });
+                rec.flag(line.meta.rdirty);
+                for sub in &line.meta.subs {
+                    rec.flag(sub.inclusion);
+                    rec.flag(sub.buffer);
+                    rec.flag(sub.vdirty);
+                    if sub.inclusion {
+                        // `child` and `v_block` are only maintained while
+                        // the inclusion bit is set; mask the stale residue
+                        // out so it cannot split equivalent states.
+                        rec.word(match sub.child {
+                            vrcache::rcache::ChildCache::Data => 0,
+                            vrcache::rcache::ChildCache::Instr => 1,
+                        });
+                        rec.word(sub.v_block.raw());
+                    } else {
+                        rec.word(u64::MAX);
+                        rec.word(u64::MAX);
+                    }
+                    rec.version(sub.version);
                 }
-                enc.version(sub.version);
             }
-        }
+        });
 
         // FIFO order matters: which entry drains next is protocol state.
         enc.word(self.write_buffer().len() as u64);
@@ -225,17 +299,16 @@ impl ModelHierarchy for GoodmanHierarchy {
     }
 
     fn encode(&self, enc: &mut Encoder) {
-        let mut lines: Vec<_> = self.cache().iter().collect();
-        lines.sort_unstable_by_key(|l| l.block);
-        enc.word(lines.len() as u64);
-        for line in lines {
-            enc.word(line.block.raw());
-            enc.word(line.meta.p_block.raw());
-            enc.flag(line.meta.dirty);
-            enc.flag(line.meta.swapped);
-            enc.flag(self.granule_private(line.meta.p_block));
-            enc.version(line.meta.version);
-        }
+        enc.sorted(|rec| {
+            for line in self.cache().iter() {
+                rec.begin(line.block.raw());
+                rec.word(line.meta.p_block.raw());
+                rec.flag(line.meta.dirty);
+                rec.flag(line.meta.swapped);
+                rec.flag(self.granule_private(line.meta.p_block));
+                rec.version(line.meta.version);
+            }
+        });
     }
 
     fn effective_version(&self, granule: BlockId) -> Option<Version> {
@@ -337,11 +410,11 @@ impl Universe {
 
 /// One complete system state: the machine (per-processor hierarchies,
 /// shared memory, version oracle) and each processor's current ASID.
-#[derive(Clone)]
 pub struct World<H: ModelHierarchy> {
     machine: Machine<H>,
     asids: Vec<Asid>,
 }
+vrcache_mem::clone_fields!(World<H> { machine, asids } where H: ModelHierarchy);
 
 impl<H: ModelHierarchy> World<H> {
     /// The initial state of `scope`: cold caches, pristine memory, every
@@ -533,12 +606,12 @@ impl<H: ModelHierarchy> World<H> {
             enc.word(u64::from(asid.raw()));
             h.encode(enc);
         }
-        let snapshot = self.machine.memory.snapshot();
-        enc.word(snapshot.len() as u64);
-        for (block, version) in snapshot {
-            enc.word(block.raw());
-            enc.version(version);
-        }
+        enc.sorted(|rec| {
+            for (block, version) in self.machine.memory.iter() {
+                rec.begin(block.raw());
+                rec.version(version);
+            }
+        });
         for &granule in &universe.granules {
             enc.version(self.machine.oracle.newest(granule));
         }
@@ -548,6 +621,10 @@ impl<H: ModelHierarchy> World<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::Mapping;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vrcache_cache::geometry::CacheGeometry;
 
     #[test]
     fn encoder_renames_versions_by_first_appearance() {
@@ -573,6 +650,29 @@ mod tests {
         b.version(vb);
         b.version(vb);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn sorted_records_encode_alike_in_any_walk_order() {
+        let mut oracle = VersionOracle::new();
+        let v1 = oracle.on_write(CpuId::new(0), BlockId::new(1));
+        let v2 = oracle.on_write(CpuId::new(0), BlockId::new(1));
+        let write = |walk: &[(u64, Version)]| {
+            let mut enc = Encoder::new();
+            enc.sorted(|rec| {
+                for &(key, v) in walk {
+                    rec.begin(key);
+                    rec.flag(true);
+                    rec.version(v);
+                }
+            });
+            enc.finish()
+        };
+        let key = write(&[(3, v1), (1, v2)]);
+        assert_eq!(key, write(&[(1, v2), (3, v1)]));
+        // The count, then each record by key; versions are renamed in
+        // sorted order, so v2 (at key 1) is named first.
+        assert_eq!(key, vec![2, 1, 1, 1, 3, 1, 2]);
     }
 
     #[test]
@@ -631,5 +731,126 @@ mod tests {
             .unwrap();
         w.check(&scope).unwrap();
         assert!(!cov.is_empty());
+    }
+
+    /// `scope` grown: one more processor, caches twice the size, twelve
+    /// more mappings (one block each, on a page of their own), and a
+    /// write buffer twice as deep that drains only when full.
+    fn grown(scope: &Scope) -> Scope {
+        let mut big = scope.clone();
+        big.cpus += 1;
+        let double = |g: CacheGeometry| {
+            CacheGeometry::direct_mapped(g.size_bytes() * 2, g.block_bytes()).unwrap()
+        };
+        big.cfg.l1 = double(scope.cfg.l1);
+        big.cfg.l2 = double(scope.cfg.l2);
+        big.cfg = big
+            .cfg
+            .with_write_buffer(scope.cfg.write_buffer * 2)
+            .with_drain_period(1 << 20);
+        big.mappings.extend((0..12).map(|k| Mapping {
+            va: 0x8000 + 0x1010 * k,
+            pa: 0x8000 + 0x1010 * k,
+        }));
+        big
+    }
+
+    /// A world of `scope` after `steps` events drawn by a seeded walk.
+    fn walked<H: ModelHierarchy>(scope: &Scope, seed: u64, steps: usize) -> World<H> {
+        let alphabet = scope.events();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cov = CoverageSet::default();
+        let mut w = World::<H>::new(scope);
+        for _ in 0..steps {
+            let event = alphabet[rng.gen_range(0..alphabet.len())];
+            w.apply(scope, event, &mut cov).unwrap();
+        }
+        w
+    }
+
+    /// What a world shows: its canonical key, its check verdict, and the
+    /// full state of memory, oracle and every hierarchy (counters
+    /// included, which the key leaves out).
+    fn observe<H: ModelHierarchy + fmt::Debug>(
+        w: &World<H>,
+        scope: &Scope,
+    ) -> (Vec<u64>, Result<(), String>, String) {
+        let hierarchies: Vec<&H> = w.machine.iter().collect();
+        (
+            w.canon_key(scope),
+            w.check(scope).map_err(|v| v.to_string()),
+            format!(
+                "{:?} {:?} {:?} {:?}",
+                w.machine.memory, w.machine.oracle, hierarchies, w.asids
+            ),
+        )
+    }
+
+    /// Along a seeded walk of `scope`, a copy of `donor` overwritten with
+    /// `clone_from` must be indistinguishable from a fresh `clone`, both
+    /// as it stands and after each alphabet event.
+    fn clone_from_matches_clone<H: ModelHierarchy + fmt::Debug>(
+        scope: &Scope,
+        donor: &World<H>,
+        seed: u64,
+    ) {
+        let alphabet = scope.events();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cov = CoverageSet::default();
+        let mut w = World::<H>::new(scope);
+        let recycled = |w: &World<H>| {
+            let mut r = donor.clone();
+            r.clone_from(w);
+            r
+        };
+        for _ in 0..24 {
+            assert_eq!(observe(&recycled(&w), scope), observe(&w.clone(), scope));
+            for &event in &alphabet {
+                let (mut fresh, mut reused) = (w.clone(), recycled(&w));
+                let a = fresh
+                    .apply(scope, event, &mut cov)
+                    .map_err(|v| v.to_string());
+                let b = reused
+                    .apply(scope, event, &mut cov)
+                    .map_err(|v| v.to_string());
+                assert_eq!(a, b, "{event}");
+                assert_eq!(observe(&fresh, scope), observe(&reused, scope), "{event}");
+            }
+            let event = alphabet[rng.gen_range(0..alphabet.len())];
+            w.apply(scope, event, &mut cov).unwrap();
+        }
+    }
+
+    #[test]
+    fn vr_clone_from_a_fuller_world_matches_clone() {
+        let scope = Scope::by_name("vr-sub-2cpu").unwrap();
+        let donor_scope = grown(&Scope::by_name("vr-3cpu").unwrap());
+        let donor = walked::<VrHierarchy>(&donor_scope, 7, 3000);
+        let hierarchies: Vec<&VrHierarchy> = donor.machine.iter().collect();
+        let lines: usize = hierarchies
+            .iter()
+            .map(|h| h.vcache().iter().count() + h.rcache().iter().count())
+            .sum();
+        // Fuller than any state of the walked scope: more lines than its
+        // caches have slots, buffered writes, more memory blocks than it
+        // has granules.
+        let slots =
+            usize::from(scope.cpus) * (scope.cfg.l1.blocks() + scope.cfg.l2.blocks()) as usize;
+        assert!(lines > slots, "donor holds {lines} lines");
+        assert!(hierarchies.iter().any(|h| !h.write_buffer().is_empty()));
+        assert!(donor.machine.memory.iter().count() > scope.granules().len());
+        clone_from_matches_clone(&scope, &donor, 11);
+    }
+
+    #[test]
+    fn goodman_clone_from_a_fuller_world_matches_clone() {
+        let scope = Scope::by_name("goodman-2cpu").unwrap();
+        let donor_scope = grown(&scope);
+        let donor = walked::<GoodmanHierarchy>(&donor_scope, 7, 3000);
+        let lines: usize = donor.machine.iter().map(|h| h.cache().iter().count()).sum();
+        let slots = usize::from(scope.cpus) * scope.cfg.l1.blocks() as usize;
+        assert!(lines > slots, "donor holds {lines} lines");
+        assert!(donor.machine.memory.iter().count() > scope.granules().len());
+        clone_from_matches_clone(&scope, &donor, 11);
     }
 }

@@ -21,7 +21,6 @@ use crate::snoop::{SnoopObserver, SnoopingBus};
 
 /// Per-CPU hierarchies on one snooping bus, with the shared memory, the
 /// coherence oracle and the bus counters. Slot `i` holds CPU `i`.
-#[derive(Clone)]
 pub struct Machine<H: CacheHierarchy + ?Sized> {
     slots: Vec<Option<Box<H>>>,
     /// The flat main memory behind the bus.
@@ -32,6 +31,13 @@ pub struct Machine<H: CacheHierarchy + ?Sized> {
     pub bus_stats: BusStats,
     subblocks: u32,
 }
+vrcache_mem::clone_fields!(Machine<H> {
+    slots,
+    memory,
+    oracle,
+    bus_stats,
+    subblocks,
+} where H: CacheHierarchy + Clone);
 
 impl<H: CacheHierarchy + ?Sized> Machine<H> {
     /// A machine over `hierarchies` (the `i`-th is CPU `i`) with pristine

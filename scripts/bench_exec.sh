@@ -5,7 +5,9 @@
 #   * the model checker's full scope battery   (vrcache-model --scope all)
 #   * the 624-run fault-injection full campaign (vrcache-inject --campaign full)
 #
-# Writes BENCH_exec.json at the repo root. Timing lives here in the
+# Writes BENCH_exec.json at the repo root: each cell is the median of
+# five runs, and the file names the measured commit (with a flag for
+# uncommitted changes to tracked files). Timing lives here in the
 # shell (date +%s%N), not in the drivers: driver output is required to
 # be byte-identical across worker counts, so the binaries themselves
 # never read the wall clock for their reports.
@@ -17,6 +19,13 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-4}"
 HOST_CPUS="$(nproc 2>/dev/null || echo 1)"
 OUT="BENCH_exec.json"
+RUNS=5
+COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+  DIRTY=true
+else
+  DIRTY=false
+fi
 
 echo "==> building release binaries"
 cargo build -q --release -p vrcache-model -p vrcache-inject
@@ -24,7 +33,7 @@ cargo build -q --release -p vrcache-model -p vrcache-inject
 # now_ns: monotonic-enough nanosecond stamp for coarse intervals.
 now_ns() { date +%s%N; }
 
-# time_cmd <outfile-prefix> <cmd...>: runs the command, discarding
+# time_cmd <cmd...>: runs the command, discarding
 # stdout/stderr, and prints elapsed seconds with millisecond precision.
 time_cmd() {
   local t0 t1
@@ -36,21 +45,31 @@ time_cmd() {
   printf '%d.%03d' $((ns / 1000000000)) $(((ns % 1000000000) / 1000000))
 }
 
+# median_time <cmd...>: runs the command RUNS times and prints the
+# median elapsed seconds.
+median_time() {
+  local i times=()
+  for ((i = 0; i < RUNS; i++)); do
+    times+=("$(time_cmd "$@")")
+  done
+  printf '%s\n' "${times[@]}" | sort -n | sed -n "$(((RUNS + 1) / 2))p"
+}
+
 MODEL_BIN=target/release/vrcache-model
 INJECT_BIN=target/release/vrcache-inject
 
-echo "==> model full battery, --jobs 1"
-MODEL_1="$(time_cmd "$MODEL_BIN" --scope all --jobs 1)"
+echo "==> model full battery, --jobs 1 (median of ${RUNS})"
+MODEL_1="$(median_time "$MODEL_BIN" --scope all --jobs 1)"
 echo "    ${MODEL_1}s"
-echo "==> model full battery, --jobs ${JOBS}"
-MODEL_N="$(time_cmd "$MODEL_BIN" --scope all --jobs "$JOBS")"
+echo "==> model full battery, --jobs ${JOBS} (median of ${RUNS})"
+MODEL_N="$(median_time "$MODEL_BIN" --scope all --jobs "$JOBS")"
 echo "    ${MODEL_N}s"
 
-echo "==> inject full campaign, --jobs 1"
-INJECT_1="$(time_cmd "$INJECT_BIN" --campaign full --jobs 1)"
+echo "==> inject full campaign, --jobs 1 (median of ${RUNS})"
+INJECT_1="$(median_time "$INJECT_BIN" --campaign full --jobs 1)"
 echo "    ${INJECT_1}s"
-echo "==> inject full campaign, --jobs ${JOBS}"
-INJECT_N="$(time_cmd "$INJECT_BIN" --campaign full --jobs "$JOBS")"
+echo "==> inject full campaign, --jobs ${JOBS} (median of ${RUNS})"
+INJECT_N="$(median_time "$INJECT_BIN" --campaign full --jobs "$JOBS")"
 echo "    ${INJECT_N}s"
 
 # Speedup with three decimals, integer arithmetic only.
@@ -68,9 +87,12 @@ INJECT_SPEEDUP="$(ratio "$INJECT_1" "$INJECT_N")"
 
 cat > "$OUT" <<EOF
 {
-  "note": "wall-clock of batch drivers on the vrcache-exec fixed-partition pool; speedup is bounded above by host_cpus — on a single-CPU host the honest expectation is ~1.0x, and the determinism tests (not this file) are what prove the pool correct",
+  "note": "wall-clock of batch drivers on the vrcache-exec fixed-partition pool, median of runs_per_cell runs per cell; speedup is bounded above by host_cpus — on a single-CPU host the honest expectation is ~1.0x, and the determinism tests (not this file) are what prove the pool correct",
+  "commit": "${COMMIT}",
+  "dirty": ${DIRTY},
   "host_cpus": ${HOST_CPUS},
   "jobs": ${JOBS},
+  "runs_per_cell": ${RUNS},
   "benchmarks": [
     {
       "name": "model_full_battery",

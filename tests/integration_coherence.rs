@@ -182,7 +182,6 @@ mod dma {
         sys.run_events([access(0, AccessKind::DataWrite, 0x1000)].iter())
             .unwrap();
         sys.dma_read(0x1000, 16).unwrap();
-        sys.check_invariants().unwrap();
         // The flush reached the V-cache (vdirty was set).
         assert_eq!(sys.events(CpuId::new(0)).flush_v, 1);
         // And the data survives for the processor.
@@ -205,7 +204,6 @@ mod dma {
             )
             .unwrap();
             sys.dma_write(0x2000, 16).unwrap();
-            sys.check_invariants().unwrap();
             // Both processors must now re-fetch the device version; a hit
             // on the stale copy would trip the oracle.
             sys.run_events(
@@ -231,7 +229,6 @@ mod dma {
                 .unwrap();
             for block in 0..64u64 {
                 sys.dma_write(0x10_0000 + block * 16, 16).unwrap();
-                sys.check_invariants().unwrap();
             }
             let msgs: u64 = (0..2)
                 .map(|c| sys.events(CpuId::new(c)).l1_coherence_messages())
@@ -258,11 +255,8 @@ mod dma {
         )
         .unwrap();
         sys.dma_read(0x3000, 32).unwrap(); // spans both granules
-        sys.check_invariants().unwrap();
         sys.dma_write(0x3000, 32).unwrap();
-        sys.check_invariants().unwrap();
         sys.dma_read(0x3000, 32).unwrap(); // device reads its own data back
-        sys.check_invariants().unwrap();
         sys.run_events(
             [
                 access(0, AccessKind::DataRead, 0x3000),
@@ -313,7 +307,6 @@ mod tlb_shootdown {
             )
             .unwrap();
             let disturbed = sys.tlb_shootdown(Asid::new(1), Vpn::new(1)).unwrap();
-            sys.check_invariants().unwrap();
             if kind == HierarchyKind::Vr || kind == HierarchyKind::GoodmanSingleLevel {
                 assert_eq!(disturbed, 2, "{kind}: both cached lines retired");
             } else {
@@ -326,7 +319,6 @@ mod tlb_shootdown {
             // a DMA read of it must pass the oracle.
             sys.dma_read(0x9000, 32)
                 .unwrap_or_else(|e| panic!("{kind}: old frame data lost: {e}"));
-            sys.check_invariants().unwrap();
         }
     }
 
@@ -338,7 +330,6 @@ mod tlb_shootdown {
         sys.run_events([access(0, AccessKind::DataWrite, 0x1000, 0x9000)].iter())
             .unwrap();
         sys.tlb_shootdown(Asid::new(1), Vpn::new(1)).unwrap();
-        sys.check_invariants().unwrap();
         // Re-reading the physical block through a different virtual name
         // must hit the R-cache and see the written version.
         let out = sys.run_events([access(0, AccessKind::DataRead, 0x5000, 0x9000)].iter());
@@ -352,7 +343,6 @@ mod tlb_shootdown {
         sys.run_events([access(0, AccessKind::DataRead, 0x1000, 0x9000)].iter())
             .unwrap();
         assert_eq!(sys.tlb_shootdown(Asid::new(1), Vpn::new(7)), Ok(0));
-        sys.check_invariants().unwrap();
     }
 }
 
@@ -390,7 +380,6 @@ fn dma_respects_subblock_geometry() {
     )
     .unwrap();
     sys.dma_write(0x2000, 32).unwrap();
-    sys.check_invariants().unwrap();
     // Both granules must re-fetch the device data (oracle-verified).
     sys.run_events(
         [
@@ -473,7 +462,6 @@ mod update_protocol {
         sys.run_events([access(0, AccessKind::DataRead, 0x2200)].iter())
             .unwrap(); // same L1 set in the 512B cache
         sys.dma_read(0x2000, 16).unwrap();
-        sys.check_invariants().unwrap();
     }
 
     /// Once the last sharer evicts its copy, the writer notices (nobody
@@ -592,7 +580,6 @@ fn dma_write_over_dirty_block_supersedes_it() {
             .unwrap();
         // Straight over the dirty block, without a read first.
         sys.dma_write(0x4000, 16).unwrap();
-        sys.check_invariants().unwrap();
         sys.run_events([touch(AccessKind::DataRead, 0x4000)].iter())
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         sys.check_invariants().unwrap();
