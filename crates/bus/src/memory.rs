@@ -41,6 +41,12 @@ impl MainMemory {
         Self::default()
     }
 
+    /// Makes room for `blocks` written blocks, so writes up to that many
+    /// never grow the table (a copy made with `clone_from` keeps it).
+    pub fn reserve(&mut self, blocks: usize) {
+        self.blocks.reserve(blocks);
+    }
+
     /// Fetches the version of `block` currently in memory (a bus read that
     /// memory satisfies).
     pub fn read(&mut self, block: BlockId) -> Version {

@@ -114,6 +114,12 @@ impl VersionOracle {
         Self::default()
     }
 
+    /// Makes room for `blocks` written blocks, so writes to up to that
+    /// many never grow the table (a copy made with `clone_from` keeps it).
+    pub fn reserve(&mut self, blocks: usize) {
+        self.newest.reserve(blocks);
+    }
+
     /// Registers a processor write to `block`, returning the fresh version
     /// the writer's cached copy now holds.
     pub fn on_write(&mut self, _cpu: CpuId, block: BlockId) -> Version {

@@ -10,6 +10,17 @@
 use vrcache_bus::oracle::Version;
 use vrcache_cache::geometry::BlockId;
 
+use crate::inline::InlineVec;
+
+/// One version per L1-sized granule of a block, in address order: held
+/// in place up to four granules (`B2/B1 <= 4`), so a fetch allocates
+/// nothing at the paper's block ratios.
+pub type GranuleVersions = InlineVec<Version, 4>;
+
+/// `(granule block id, version)` pairs of a block, held like
+/// [`GranuleVersions`].
+pub type GranuleData = InlineVec<(BlockId, Version), 4>;
+
 /// A request a hierarchy places on the bus during an access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BusRequest {
@@ -39,7 +50,7 @@ pub enum BusRequest {
         /// Physical block id at L2 granularity.
         block: BlockId,
         /// `(granule block id, version)` pairs, one per L1-sized granule.
-        granules: Vec<(BlockId, Version)>,
+        granules: GranuleData,
     },
     /// Update-protocol broadcast: every sharer refreshes its copy of
     /// `granule` to `version` in place. The response's
@@ -76,7 +87,7 @@ pub struct BusResponse {
     pub shared_elsewhere: bool,
     /// For data-carrying requests: the version of each L1-sized granule of
     /// the block, in address order. Empty for invalidations and write-backs.
-    pub granule_versions: Vec<Version>,
+    pub granule_versions: GranuleVersions,
 }
 
 /// The bus as seen from inside a hierarchy.
@@ -95,7 +106,7 @@ pub struct SnoopReply {
     /// If this hierarchy owned the block dirty, the granule versions it
     /// supplies (the bus writes them to memory and hands them to the
     /// requester).
-    pub supplied: Option<Vec<(BlockId, Version)>>,
+    pub supplied: Option<GranuleData>,
     /// Coherence messages that reached this hierarchy's first-level cache or
     /// its write buffer while servicing the snoop — the paper's
     /// Tables 11–13 metric.
@@ -129,7 +140,7 @@ mod tests {
         assert_eq!(
             BusRequest::WriteBack {
                 block: b,
-                granules: vec![]
+                granules: GranuleData::default()
             }
             .block(),
             b

@@ -33,13 +33,14 @@ use vrcache_mem::addr::{Asid, Vpn};
 use vrcache_mem::tlb::Tlb;
 use vrcache_trace::record::MemAccess;
 
-use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
+use crate::bus_api::{BusRequest, GranuleData, SnoopReply, SystemBus};
 use crate::config::HierarchyConfig;
 use crate::events::HierarchyEvents;
 use crate::fault::{
     self, FaultKind, FaultPort, FaultRecord, Poison, Protection, Scrub, ScrubParts,
 };
 use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy, SynonymKind};
+use crate::inline::InlineVec;
 use crate::invariant::{InvariantExpect, InvariantViolation};
 use crate::rcache::ChildCache;
 use crate::vcache::{VCache, VMeta};
@@ -116,7 +117,11 @@ impl GoodmanHierarchy {
         GoodmanHierarchy {
             cpu,
             l1: VCache::new(cfg.l1, cfg.l1_policy, cfg.seed ^ 0x9),
-            directory: BlockMap::default(),
+            // Sized for a full cache, so no insert ever grows it.
+            directory: BlockMap::with_capacity_and_hasher(
+                cfg.l1.blocks() as usize,
+                Default::default(),
+            ),
             tlb: Tlb::new(cfg.tlb),
             events: HierarchyEvents::default(),
             granule_geo: cfg.l1,
@@ -140,6 +145,23 @@ impl GoodmanHierarchy {
         self.directory
             .get(&granule)
             .is_some_and(|&(_, private)| private)
+    }
+
+    /// Every entry of the real directory as `(granule, virtual block,
+    /// private)`, in no particular order. Observational, like
+    /// [`GoodmanHierarchy::granule_private`].
+    pub fn directory(&self) -> impl Iterator<Item = (BlockId, BlockId, bool)> + '_ {
+        self.directory
+            .iter()
+            .map(|(&granule, &(v_block, private))| (granule, v_block, private))
+    }
+
+    /// Mutable access to the TLB, the event counters and the cache, for
+    /// tests that perturb a hierarchy's state directly (what a model
+    /// checker's state key may leave out). Nothing keeps the invariants
+    /// across such an edit.
+    pub fn parts_mut(&mut self) -> (&mut Tlb, &mut HierarchyEvents, &mut VCache) {
+        (&mut self.tlb, &mut self.events, &mut self.l1)
     }
 
     fn bus_block_of(&self, p1: BlockId) -> BlockId {
@@ -169,7 +191,7 @@ impl GoodmanHierarchy {
             }
             bus.issue(BusRequest::WriteBack {
                 block: self.bus_block_of(p1),
-                granules: vec![(p1, line.meta.version)],
+                granules: [(p1, line.meta.version)].into_iter().collect(),
             });
         }
     }
@@ -436,7 +458,7 @@ impl CacheHierarchy for GoodmanHierarchy {
         // block order.
         let blocks_per_page = self.page.bytes() / self.granule_geo.block_bytes();
         let first_vblock = vpn.raw() * blocks_per_page;
-        let mut doomed: Vec<BlockId> = self
+        let mut doomed: InlineVec<BlockId, 8> = self
             .l1
             .iter()
             .map(|line| line.block)
@@ -470,7 +492,7 @@ impl CacheHierarchy for GoodmanHierarchy {
             return reply;
         }
         let granules = self.granules_of(txn.block);
-        let mut supplied: Vec<(BlockId, Version)> = Vec::new();
+        let mut supplied = GranuleData::default();
         for g in granules {
             let Some(&(vblock, _)) = self.directory.get(&g) else {
                 continue;

@@ -68,6 +68,7 @@ pub mod fault;
 pub mod goodman;
 pub mod hierarchy;
 pub mod inclusion;
+pub mod inline;
 pub mod invariant;
 pub mod layout;
 pub mod rcache;

@@ -185,7 +185,7 @@ impl RrHierarchy {
         );
         bus.issue(BusRequest::WriteBack {
             block: self.l2.cache.l2_block_of(p1),
-            granules: vec![(p1, version)],
+            granules: [(p1, version)].into_iter().collect(),
         });
     }
 

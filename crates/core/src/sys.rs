@@ -101,7 +101,7 @@ mod tests {
             subblocks: 2,
         });
         assert!(!r.shared_elsewhere);
-        assert_eq!(r.granule_versions, vec![Version::INITIAL; 2]);
+        assert_eq!(*r.granule_versions, [Version::INITIAL; 2]);
         assert_eq!(bus.stats().count(BusOp::ReadMiss), 1);
     }
 
@@ -112,7 +112,7 @@ mod tests {
         let g = BlockId::new(6); // granule of L2 block 3 (2 subblocks)
         bus.issue(BusRequest::WriteBack {
             block: BlockId::new(3),
-            granules: vec![(g, Version::INITIAL)],
+            granules: [(g, Version::INITIAL)].into_iter().collect(),
         });
         assert_eq!(bus.memory().peek(g), Version::INITIAL);
         assert_eq!(bus.stats().count(BusOp::WriteBack), 1);

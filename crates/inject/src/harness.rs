@@ -147,7 +147,7 @@ fn fabricated_response(request: &BusRequest, subblocks: u32) -> BusResponse {
     match request {
         BusRequest::ReadMiss { .. } | BusRequest::ReadModifiedWrite { .. } => BusResponse {
             shared_elsewhere: false,
-            granule_versions: vec![Version::INITIAL; subblocks as usize],
+            granule_versions: std::iter::repeat_n(Version::INITIAL, subblocks as usize).collect(),
         },
         _ => BusResponse::default(),
     }

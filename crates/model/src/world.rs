@@ -89,11 +89,33 @@ impl Encoder {
         self.words.push(renamed as u64);
     }
 
+    /// Appends a cache's lines in slot order: the line count, then the
+    /// words `line` writes for each. In a direct-mapped array, the shape
+    /// of every scope's caches, a line's slot is a function of its block,
+    /// so slot order is canonical without a sort. (In a set-associative
+    /// array it would also record which way a block took: a finer key,
+    /// which can split equal states but never merge distinct ones.)
+    pub fn in_slot_order<L>(
+        &mut self,
+        lines: impl IntoIterator<Item = L>,
+        mut line: impl FnMut(&mut Self, L),
+    ) {
+        let count_at = self.words.len();
+        self.words.push(0);
+        let mut count = 0;
+        for l in lines {
+            line(self, l);
+            count += 1;
+        }
+        self.words[count_at] = count;
+    }
+
     /// Appends a set of records in ascending order of their keys: the
     /// record count, then each record's words. `fill` writes the records
     /// in any order, each opened by [`Records::begin`] with a key unique
     /// in the set; versions are renamed in the sorted order, so the
-    /// encoding does not depend on the order `fill` walked.
+    /// encoding does not depend on the order `fill` walked. For walks
+    /// whose order is arbitrary: a hash map's, or memory's.
     pub fn sorted(&mut self, fill: impl FnOnce(&mut Records)) {
         let mut records = std::mem::take(&mut self.records);
         records.words.clear();
@@ -189,12 +211,17 @@ pub trait ModelHierarchy: CacheHierarchy + Clone {
 
     /// Appends this hierarchy's protocol-relevant state to `enc`.
     ///
-    /// Everything the next transition can depend on must be encoded;
-    /// statistics, event counters, and (for the V-R hierarchy) the TLB
-    /// contents and write-buffer timestamps are deliberately excluded —
-    /// they never influence which coherence action is taken next. All
-    /// scopes run with a drain period of 1, so the reference counter's
-    /// drain phase is constant and needs no encoding either.
+    /// Two things must be encoded: everything the next transition can
+    /// depend on, and everything [`World::check`] reads — its structural
+    /// invariants, [`CacheHierarchy::coh_presence`] and
+    /// [`ModelHierarchy::effective_version`]. The search checks a state
+    /// only when its key is new, so a check that read an unencoded field
+    /// could pass a state whose duplicate would fail it. Statistics,
+    /// event counters, the TLB contents, write-buffer timestamps,
+    /// replacement clocks and a subentry's `child`/`v_block` while its
+    /// inclusion bit is clear are left out: no coherence action and no
+    /// check reads them. All scopes run with a drain period of 1, so the
+    /// drain countdown is 1 between events and needs no encoding either.
     fn encode(&self, enc: &mut Encoder);
 
     /// The version of the newest copy of `granule` this hierarchy holds
@@ -213,45 +240,41 @@ impl ModelHierarchy for VrHierarchy {
     fn encode(&self, enc: &mut Encoder) {
         let vcaches = [Some(self.vcache()), self.icache()];
         for vcache in vcaches.iter().flatten() {
-            enc.sorted(|rec| {
-                for line in vcache.iter() {
-                    rec.begin(line.block.raw());
-                    rec.word(line.meta.p_block.raw());
-                    rec.flag(line.meta.dirty);
-                    rec.flag(line.meta.swapped);
-                    rec.version(line.meta.version);
-                }
+            enc.in_slot_order(vcache.iter(), |enc, line| {
+                enc.word(line.block.raw());
+                enc.word(line.meta.p_block.raw());
+                enc.flag(line.meta.dirty);
+                enc.flag(line.meta.swapped);
+                enc.version(line.meta.version);
             });
         }
         enc.flag(self.icache().is_some());
 
-        enc.sorted(|rec| {
-            for line in self.rcache().iter() {
-                rec.begin(line.block.raw());
-                rec.word(match line.meta.state {
-                    CohState::Shared => 0,
-                    CohState::Private => 1,
-                });
-                rec.flag(line.meta.rdirty);
-                for sub in &line.meta.subs {
-                    rec.flag(sub.inclusion);
-                    rec.flag(sub.buffer);
-                    rec.flag(sub.vdirty);
-                    if sub.inclusion {
-                        // `child` and `v_block` are only maintained while
-                        // the inclusion bit is set; mask the stale residue
-                        // out so it cannot split equivalent states.
-                        rec.word(match sub.child {
-                            vrcache::rcache::ChildCache::Data => 0,
-                            vrcache::rcache::ChildCache::Instr => 1,
-                        });
-                        rec.word(sub.v_block.raw());
-                    } else {
-                        rec.word(u64::MAX);
-                        rec.word(u64::MAX);
-                    }
-                    rec.version(sub.version);
+        enc.in_slot_order(self.rcache().iter(), |enc, line| {
+            enc.word(line.block.raw());
+            enc.word(match line.meta.state {
+                CohState::Shared => 0,
+                CohState::Private => 1,
+            });
+            enc.flag(line.meta.rdirty);
+            for sub in line.meta.subs.iter() {
+                enc.flag(sub.inclusion);
+                enc.flag(sub.buffer);
+                enc.flag(sub.vdirty);
+                if sub.inclusion {
+                    // `child` and `v_block` are only maintained while the
+                    // inclusion bit is set; mask the stale residue out so
+                    // it cannot split equivalent states.
+                    enc.word(match sub.child {
+                        vrcache::rcache::ChildCache::Data => 0,
+                        vrcache::rcache::ChildCache::Instr => 1,
+                    });
+                    enc.word(sub.v_block.raw());
+                } else {
+                    enc.word(u64::MAX);
+                    enc.word(u64::MAX);
                 }
+                enc.version(sub.version);
             }
         });
 
@@ -299,14 +322,20 @@ impl ModelHierarchy for GoodmanHierarchy {
     }
 
     fn encode(&self, enc: &mut Encoder) {
+        enc.in_slot_order(self.cache().iter(), |enc, line| {
+            enc.word(line.block.raw());
+            enc.word(line.meta.p_block.raw());
+            enc.flag(line.meta.dirty);
+            enc.flag(line.meta.swapped);
+            enc.version(line.meta.version);
+        });
+        // The check compares the whole directory with the cache, and
+        // the presence probe reads it by granule: all of it is state.
         enc.sorted(|rec| {
-            for line in self.cache().iter() {
-                rec.begin(line.block.raw());
-                rec.word(line.meta.p_block.raw());
-                rec.flag(line.meta.dirty);
-                rec.flag(line.meta.swapped);
-                rec.flag(self.granule_private(line.meta.p_block));
-                rec.version(line.meta.version);
+            for (granule, v_block, private) in self.directory() {
+                rec.begin(granule.raw());
+                rec.word(v_block.raw());
+                rec.flag(private);
             }
         });
     }
@@ -421,8 +450,14 @@ impl<H: ModelHierarchy> World<H> {
     /// processor running the first ASID.
     pub fn new(scope: &Scope) -> Self {
         let hierarchies = (0..scope.cpus).map(|c| Box::new(H::build(CpuId::new(c), &scope.cfg)));
+        let mut machine = Machine::new(hierarchies, scope.cfg.subblocks());
+        // Room for every block the scope can write, so no event grows a
+        // table; copies made with `clone_from` keep the room.
+        let granules = scope.l2_blocks().len() * scope.cfg.subblocks() as usize;
+        machine.memory.reserve(granules);
+        machine.oracle.reserve(granules);
         World {
-            machine: Machine::new(hierarchies, scope.cfg.subblocks()),
+            machine,
             asids: vec![ASIDS[0]; usize::from(scope.cpus)],
         }
     }
@@ -818,6 +853,113 @@ mod tests {
             }
             let event = alphabet[rng.gen_range(0..alphabet.len())];
             w.apply(scope, event, &mut cov).unwrap();
+        }
+    }
+
+    /// Scrambles what [`ModelHierarchy::encode`] leaves out.
+    trait Perturb {
+        fn perturb(&mut self, rng: &mut StdRng);
+    }
+
+    /// Fills a random TLB entry or flushes them all, and bumps counters
+    /// and statistics.
+    fn perturb_common(
+        rng: &mut StdRng,
+        tlb: &mut vrcache_mem::tlb::Tlb,
+        events: &mut vrcache::events::HierarchyEvents,
+        l1: &mut vrcache::vcache::VCache,
+    ) {
+        use vrcache_mem::addr::{Ppn, Vpn};
+        if rng.gen_bool(0.25) {
+            tlb.flush_all();
+        } else {
+            let asid = ASIDS[rng.gen_range(0..ASIDS.len())];
+            tlb.fill(
+                asid,
+                Vpn::new(rng.gen_range(0..64)),
+                Ppn::new(rng.gen_range(0..64)),
+            );
+        }
+        events.flush_v += rng.gen_range(1..4);
+        events.l1_writebacks += 1;
+        events.inclusion_invalidations += rng.gen_range(0..2);
+        l1.stats_mut().record(AccessKind::DataRead, rng.gen());
+    }
+
+    impl Perturb for VrHierarchy {
+        fn perturb(&mut self, rng: &mut StdRng) {
+            let (tlb, events, l1, l2) = self.parts_mut();
+            perturb_common(rng, tlb, events, l1);
+            l2.stats_mut().record(AccessKind::DataWrite, rng.gen());
+            // The residue of unlinked subentries.
+            let blocks: Vec<BlockId> = l2.iter().map(|line| line.block).collect();
+            for block in blocks {
+                let line = l2.peek_mut(block).unwrap();
+                for sub in line.meta.subs.iter_mut().filter(|sub| !sub.inclusion) {
+                    sub.child = if rng.gen() {
+                        vrcache::rcache::ChildCache::Instr
+                    } else {
+                        vrcache::rcache::ChildCache::Data
+                    };
+                    sub.v_block = BlockId::new(rng.gen_range(0..1 << 20));
+                }
+            }
+        }
+    }
+
+    impl Perturb for GoodmanHierarchy {
+        fn perturb(&mut self, rng: &mut StdRng) {
+            let (tlb, events, l1) = self.parts_mut();
+            perturb_common(rng, tlb, events, l1);
+        }
+    }
+
+    /// Along a seeded walk of `scope`, scrambling every hierarchy's
+    /// unencoded state must change the world but neither its key nor
+    /// its check verdict: the premise of checking each key once.
+    fn check_is_a_function_of_the_key<H: ModelHierarchy + Perturb + fmt::Debug>(
+        scope: &Scope,
+        seed: u64,
+    ) {
+        let alphabet = scope.events();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cov = CoverageSet::default();
+        let mut w = World::<H>::new(scope);
+        for step in 0..120 {
+            let (key, verdict, state) = observe(&w, scope);
+            let mut scrambled = w.clone();
+            for cpu in 0..scope.cpus {
+                scrambled
+                    .machine
+                    .get_mut(CpuId::new(cpu))
+                    .unwrap()
+                    .perturb(&mut rng);
+            }
+            let (key2, verdict2, state2) = observe(&scrambled, scope);
+            assert_ne!(
+                state, state2,
+                "{}: step {step} perturbed nothing",
+                scope.name
+            );
+            assert_eq!(key, key2, "{}: step {step} key moved", scope.name);
+            assert_eq!(verdict, verdict2, "{}: step {step} check moved", scope.name);
+            let event = alphabet[rng.gen_range(0..alphabet.len())];
+            w.apply(scope, event, &mut cov).unwrap();
+        }
+    }
+
+    #[test]
+    fn check_reads_nothing_the_key_leaves_out() {
+        for (i, scope) in Scope::all().iter().enumerate() {
+            let seed = 0x5eed + i as u64;
+            match scope.kind {
+                crate::scope::ScopeKind::Vr => {
+                    check_is_a_function_of_the_key::<VrHierarchy>(scope, seed);
+                }
+                crate::scope::ScopeKind::Goodman => {
+                    check_is_a_function_of_the_key::<GoodmanHierarchy>(scope, seed);
+                }
+            }
         }
     }
 

@@ -9,10 +9,11 @@
 //! (state, bus event) pair of a protocol transition table, which is how
 //! the model checker records which transitions a run actually exercised.
 
-use vrcache::bus_api::{BusRequest, BusResponse, SnoopReply, SystemBus};
+use vrcache::bus_api::{
+    BusRequest, BusResponse, GranuleData, GranuleVersions, SnoopReply, SystemBus,
+};
 use vrcache::hierarchy::{BlockPresence, CacheHierarchy};
 use vrcache_bus::memory::MainMemory;
-use vrcache_bus::oracle::Version;
 use vrcache_bus::stats::BusStats;
 use vrcache_bus::txn::{BusOp, BusTransaction};
 use vrcache_cache::geometry::BlockId;
@@ -80,9 +81,9 @@ impl<'a, H: CacheHierarchy + ?Sized> SnoopingBus<'a, H> {
 
     /// Delivers `txn` to every other hierarchy, reporting whether any had
     /// a copy and what a dirty owner supplied.
-    fn snoop_all(&mut self, txn: &BusTransaction) -> (bool, Option<Vec<(BlockId, Version)>>) {
+    fn snoop_all(&mut self, txn: &BusTransaction) -> (bool, Option<GranuleData>) {
         let mut shared = false;
-        let mut supplied: Option<Vec<(BlockId, Version)>> = None;
+        let mut supplied: Option<GranuleData> = None;
         for h in self.others.iter_mut().flatten() {
             let reply = match self.observer.as_deref_mut() {
                 // The presence probe walks the hierarchy: only an
@@ -168,7 +169,7 @@ impl<H: CacheHierarchy + ?Sized> SystemBus for SnoopingBus<'_, H> {
                 self.stats.record(BusOp::Update, false);
                 BusResponse {
                     shared_elsewhere: shared,
-                    granule_versions: Vec::new(),
+                    granule_versions: GranuleVersions::default(),
                 }
             }
         }
