@@ -141,11 +141,10 @@ impl VCache {
         n
     }
 
-    /// Removes and returns every line (the eager context-switch flush).
-    pub fn drain_all(&mut self) -> Vec<Line<VMeta>> {
-        let mut out = Vec::with_capacity(self.occupancy());
-        self.array.clear(|line| out.push(line));
-        out
+    /// Removes every line, handing each to `each` in slot order (the
+    /// eager context-switch flush). Returns how many were removed.
+    pub fn drain_all(&mut self, each: impl FnMut(Line<VMeta>)) -> usize {
+        self.array.clear(each)
     }
 
     /// Number of valid lines (including swapped ones).
@@ -365,11 +364,12 @@ mod tests {
         m.dirty = true;
         v.fill(BlockId::new(1), m);
         v.fill(BlockId::new(2), meta(2));
-        let lines = v.drain_all();
+        let mut lines = Vec::new();
+        assert_eq!(v.drain_all(|line| lines.push(line)), 2);
         assert_eq!(lines.len(), 2);
         assert_eq!(v.occupancy(), 0);
         assert_eq!(lines.iter().filter(|l| l.meta.dirty).count(), 1);
-        assert!(v.drain_all().is_empty());
+        assert_eq!(v.drain_all(|_| unreachable!("the cache is empty")), 0);
     }
 
     #[test]
