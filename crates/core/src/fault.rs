@@ -599,7 +599,6 @@ fn scrub_outstanding<H: Scrub + ?Sized>(h: &mut H) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrcache_bus::oracle::VersionOracle;
 
     #[test]
     fn all_kinds_have_unique_labels() {
@@ -749,80 +748,6 @@ mod tests {
         assert_eq!(now, was.with_bit_flipped(2));
         assert!(rec.detail.contains("data bit 2 flipped") && rec.detail.ends_with("dirty=true"));
         assert_eq!(p.outstanding(), 3);
-    }
-
-    /// Every organization, behind the two traits a campaign drives.
-    trait Hier: crate::hierarchy::CacheHierarchy + FaultPort {}
-    impl<T: crate::hierarchy::CacheHierarchy + FaultPort> Hier for T {}
-
-    fn orgs(cfg: &HierarchyConfig) -> Vec<(&'static str, Box<dyn Hier>)> {
-        use crate::rr::InclusionMode;
-        use crate::{GoodmanHierarchy, RrHierarchy, VrHierarchy};
-        let cpu = vrcache_mem::access::CpuId::new(0);
-        vec![
-            ("vr", Box::new(VrHierarchy::new(cpu, cfg))),
-            (
-                "rr-incl",
-                Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::Inclusive)),
-            ),
-            (
-                "rr-noincl",
-                Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive)),
-            ),
-            ("goodman", Box::new(GoodmanHierarchy::new(cpu, cfg))),
-        ]
-    }
-
-    /// Reads eight lines, writing two of them first; every read is
-    /// checked against the version oracle.
-    fn replay(h: &mut dyn Hier, bus: &mut crate::sys::LoopbackBus, oracle: &mut VersionOracle) {
-        use vrcache_mem::access::{AccessKind, CpuId};
-        use vrcache_mem::addr::{PhysAddr, VirtAddr};
-        for (i, kind) in (0..10u64).map(|i| match i {
-            0 | 1 => (i * 2, AccessKind::DataWrite),
-            _ => (i - 2, AccessKind::DataRead),
-        }) {
-            let access = vrcache_trace::record::MemAccess {
-                cpu: CpuId::new(0),
-                asid: Asid::new(1),
-                kind,
-                vaddr: VirtAddr::new(0x1000 + i * 0x10),
-                paddr: PhysAddr::new(0x9000 + i * 0x10),
-            };
-            h.access(&access, bus, oracle)
-                .expect("reads see the newest data");
-        }
-    }
-
-    #[test]
-    fn every_organization_scrubs_data_words_through_the_shared_path() {
-        for dp in [DataProtection::Parity, DataProtection::Secded] {
-            let cfg = HierarchyConfig::direct_mapped(256, 4096, 16)
-                .unwrap()
-                .with_data_protection(dp);
-            for kind in [FaultKind::VDataBit, FaultKind::RDataBit] {
-                for (org, mut h) in orgs(&cfg) {
-                    let mut bus = crate::sys::LoopbackBus::new();
-                    let mut oracle = VersionOracle::new();
-                    replay(h.as_mut(), &mut bus, &mut oracle);
-                    let Some(rec) = h.inject_fault(kind, 5) else {
-                        assert_eq!((org, kind), ("goodman", FaultKind::RDataBit));
-                        continue;
-                    };
-                    assert_eq!(rec.kind, kind);
-                    replay(h.as_mut(), &mut bus, &mut oracle);
-                    let ev = h.events();
-                    let detected = ev.parity_refetches + ev.parity_machine_checks;
-                    let case = format!("{org} {kind} {dp:?}: {}", rec.detail);
-                    if dp == DataProtection::Secded {
-                        assert_eq!((ev.secded_corrections, detected), (1, 0), "{case}");
-                    } else {
-                        assert_eq!((ev.secded_corrections, detected), (0, 1), "{case}");
-                    }
-                    h.check_invariants().expect(&case);
-                }
-            }
-        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl FirstLevel for CacheArray<PMeta> {
 }
 
 /// A two-level hierarchy of physically-addressed caches.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RrHierarchy {
     cpu: CpuId,
     mode: InclusionMode,
@@ -113,6 +113,18 @@ pub struct RrHierarchy {
     /// Modeled parity and data protection, with outstanding syndromes.
     protection: Protection,
 }
+vrcache_mem::clone_fields!(RrHierarchy {
+    cpu,
+    mode,
+    l1,
+    l1_stats,
+    l2,
+    tlb,
+    events,
+    granule_geo,
+    page,
+    protection,
+});
 
 impl RrHierarchy {
     /// Builds the baseline hierarchy for `cpu`.
@@ -170,6 +182,27 @@ impl RrHierarchy {
     /// The TLB (in front of the first level in this organization).
     pub fn tlb(&self) -> &Tlb {
         &self.tlb
+    }
+
+    /// Every first-level line as `(block, dirty, private, version)`, in
+    /// slot order: observational, for the model checker's state key.
+    pub fn l1_lines(&self) -> impl Iterator<Item = (BlockId, bool, bool, Version)> + '_ {
+        self.l1
+            .iter()
+            .map(|l| (l.block, l.meta.dirty, l.meta.private, l.meta.version))
+    }
+
+    /// Mutable access to the TLB, the event counters, the first-level
+    /// statistics and the second-level cache, for tests that perturb a
+    /// hierarchy's state directly (what a model checker's state key may
+    /// leave out). Nothing keeps the invariants across such an edit.
+    pub fn parts_mut(&mut self) -> (&mut Tlb, &mut HierarchyEvents, &mut CacheStats, &mut RCache) {
+        (
+            &mut self.tlb,
+            &mut self.events,
+            &mut self.l1_stats,
+            &mut self.l2.cache,
+        )
     }
 
     fn inclusive(&self) -> bool {

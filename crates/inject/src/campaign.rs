@@ -5,61 +5,12 @@
 
 use vrcache::config::{DataProtection, HierarchyConfig};
 use vrcache::fault::FaultKind;
-use vrcache::goodman::GoodmanHierarchy;
-use vrcache::rr::{InclusionMode, RrHierarchy};
-use vrcache::vr::VrHierarchy;
-use vrcache_mem::access::CpuId;
+use vrcache_sim::system::HierarchyKind;
 
 use vrcache_exec::run_cells_observed;
 
-use crate::harness::{self, FaultTarget, Outcome, RunResult};
+use crate::harness::{self, Outcome, RunResult};
 use crate::workload::WorkloadShape;
-
-/// A hierarchy organization under injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Org {
-    /// The paper's virtual-real hierarchy.
-    Vr,
-    /// The real-real baseline with inclusion.
-    RrInclusive,
-    /// The real-real baseline without inclusion.
-    RrNonInclusive,
-    /// Goodman's single-level dual-tag virtual cache.
-    Goodman,
-}
-
-impl Org {
-    /// Every organization, in report order.
-    pub const ALL: [Org; 4] = [Org::Vr, Org::RrInclusive, Org::RrNonInclusive, Org::Goodman];
-
-    /// Stable kebab-case label used in row ids.
-    pub const fn label(self) -> &'static str {
-        match self {
-            Org::Vr => "vr",
-            Org::RrInclusive => "rr-incl",
-            Org::RrNonInclusive => "rr-noincl",
-            Org::Goodman => "goodman",
-        }
-    }
-
-    /// Builds one processor's hierarchy of this organization.
-    pub(crate) fn build(self, cpu: CpuId, cfg: &HierarchyConfig) -> Box<dyn FaultTarget> {
-        match self {
-            Org::Vr => Box::new(VrHierarchy::new(cpu, cfg)),
-            Org::RrInclusive => Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::Inclusive)),
-            Org::RrNonInclusive => {
-                Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive))
-            }
-            Org::Goodman => Box::new(GoodmanHierarchy::new(cpu, cfg)),
-        }
-    }
-}
-
-impl std::fmt::Display for Org {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// One planned fault of a run: what to inject and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +39,7 @@ pub const PAIR_POINT_B: u64 = 140;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Spec {
     /// The organization under test.
-    pub org: Org,
+    pub org: HierarchyKind,
     /// The ordered fault plan (one or two entries).
     pub plan: Vec<PlannedFault>,
     /// Workload seed, doubling as the injection's target-selection seed.
@@ -115,7 +66,7 @@ impl Spec {
         let idxs: Vec<String> = self.plan.iter().map(|f| f.point_idx.to_string()).collect();
         let mut id = format!(
             "{}/{}/pt{}/s{}/par={}",
-            self.org.label(),
+            self.org.id(),
             kinds.join("+"),
             idxs.join("+"),
             self.seed,
@@ -200,7 +151,7 @@ fn protection_axis(kinds: &[FaultKind]) -> Vec<(bool, DataProtection)> {
 /// at one workload shape.
 fn enumerate_singles(points: &[u64], seeds: &[u64], shape: WorkloadShape) -> Vec<Spec> {
     let mut specs = Vec::new();
-    for org in Org::ALL {
+    for org in HierarchyKind::ALL {
         for kind in FaultKind::ALL {
             for (point_idx, &point) in points.iter().enumerate() {
                 for &seed in seeds {
@@ -230,7 +181,7 @@ fn enumerate_singles(points: &[u64], seeds: &[u64], shape: WorkloadShape) -> Vec
 /// [`PAIR_POINT_A`] and the second at [`PAIR_POINT_B`].
 fn enumerate_pairs(kinds: &[FaultKind], seeds: &[u64], shape: WorkloadShape) -> Vec<Spec> {
     let mut specs = Vec::new();
-    for org in Org::ALL {
+    for org in HierarchyKind::ALL {
         for &first in kinds {
             for &second in kinds {
                 for &seed in seeds {

@@ -4,7 +4,7 @@
 //!
 //! A run executes a [`Spec`]'s whole fault plan — one fault for the
 //! single campaigns, an ordered pair for the compositional campaigns.
-//! Structural kinds go through [`FaultPort`] between two events;
+//! Structural kinds go through [`Org::inject_fault`] between two events;
 //! bus-level kinds are armed at [`FaultyBus`], a [`SystemBus`] wrapper
 //! that corrupts the next applicable transaction in flight (faults
 //! armed earlier fire first). The replay runs under `catch_unwind` so
@@ -14,27 +14,17 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use vrcache::bus_api::{BusRequest, BusResponse, SystemBus};
-use vrcache::fault::{FaultKind, FaultPort, FaultRecord};
+use vrcache::fault::{FaultKind, FaultRecord};
 use vrcache::hierarchy::CacheHierarchy;
 use vrcache_bus::oracle::Version;
 use vrcache_bus::retry::{NackStats, RetryPolicy};
 use vrcache_mem::access::CpuId;
-use vrcache_sim::machine::Machine;
+use vrcache_sim::machine::{Machine, Org};
 use vrcache_sim::snoop::SnoopingBus;
 use vrcache_trace::record::TraceEvent;
 
 use crate::campaign::Spec;
 use crate::workload;
-
-/// A hierarchy the harness can both drive and corrupt.
-///
-/// Blanket-implemented for every [`CacheHierarchy`] that also exposes a
-/// [`FaultPort`] — the trait object `dyn FaultTarget` carries both
-/// vtables, so the same boxed hierarchy rides the snooping bus *and*
-/// takes injections.
-pub trait FaultTarget: CacheHierarchy + FaultPort {}
-
-impl<T: CacheHierarchy + FaultPort> FaultTarget for T {}
 
 /// How one injection run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,7 +149,7 @@ fn fabricated_response(request: &BusRequest, subblocks: u32) -> BusResponse {
 /// (forwarded intact); with recovery off, the corruption reaches the
 /// system.
 struct FaultyBus<'a, 'b> {
-    inner: &'a mut SnoopingBus<'b, dyn FaultTarget>,
+    inner: &'a mut SnoopingBus<'b, Org>,
     state: &'a mut BusFaultState,
 }
 
@@ -224,7 +214,7 @@ struct Observations {
 
 impl Observations {
     /// Re-reads the detection counters from every hierarchy.
-    fn tally(&mut self, machine: &Machine<dyn FaultTarget>) {
+    fn tally(&mut self, machine: &Machine) {
         (self.refetches, self.machine_checks, self.corrections) = (0, 0, 0);
         for h in machine.iter() {
             let e = h.events();
@@ -269,8 +259,7 @@ pub fn run(spec: &Spec) -> RunResult {
     };
 
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let hierarchies = (0..CPUS).map(|c| spec.org.build(CpuId::new(c), &cfg));
-        let mut machine: Machine<dyn FaultTarget> = Machine::new(hierarchies, subblocks);
+        let mut machine = Machine::new(spec.org, CPUS, &cfg);
 
         for (i, event) in events.iter().enumerate() {
             for (position, fault) in spec.plan.iter().enumerate() {
@@ -438,11 +427,12 @@ pub fn run(spec: &Spec) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Org, PlannedFault};
+    use crate::campaign::PlannedFault;
     use crate::workload::WorkloadShape;
     use vrcache::config::DataProtection;
+    use vrcache_sim::system::HierarchyKind::{self, GoodmanSingleLevel, Vr};
 
-    fn spec(org: Org, kind: FaultKind, parity: bool) -> Spec {
+    fn spec(org: HierarchyKind, kind: FaultKind, parity: bool) -> Spec {
         Spec {
             org,
             plan: vec![PlannedFault {
@@ -457,7 +447,7 @@ mod tests {
         }
     }
 
-    fn pair_spec(org: Org, first: FaultKind, second: FaultKind, parity: bool) -> Spec {
+    fn pair_spec(org: HierarchyKind, first: FaultKind, second: FaultKind, parity: bool) -> Spec {
         let mut s = spec(org, first, parity);
         s.plan.push(PlannedFault {
             kind: second,
@@ -469,7 +459,7 @@ mod tests {
 
     #[test]
     fn parity_on_v_tag_flip_is_detected() {
-        let r = run(&spec(Org::Vr, FaultKind::VTagFlip, true));
+        let r = run(&spec(Vr, FaultKind::VTagFlip, true));
         assert!(r.any_applied(), "a warm V-cache has tag targets");
         assert!(
             matches!(
@@ -485,7 +475,7 @@ mod tests {
 
     #[test]
     fn parity_on_bus_drop_recovers_via_nack() {
-        let r = run(&spec(Org::Vr, FaultKind::BusDropTxn, true));
+        let r = run(&spec(Vr, FaultKind::BusDropTxn, true));
         assert!(r.any_applied(), "the workload issues bus traffic");
         assert_eq!(r.outcome, Outcome::DetectedRecovered, "{}", r.detail);
     }
@@ -493,7 +483,7 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         for kind in [FaultKind::VTagFlip, FaultKind::BusDropTxn] {
-            let s = spec(Org::Vr, kind, true);
+            let s = spec(Vr, kind, true);
             let a = run(&s);
             let b = run(&s);
             assert_eq!(a.outcome, b.outcome);
@@ -504,7 +494,7 @@ mod tests {
     #[test]
     fn structure_less_kind_is_not_applicable() {
         // Goodman has no write buffer at all.
-        let r = run(&spec(Org::Goodman, FaultKind::WriteBufferDrop, true));
+        let r = run(&spec(GoodmanSingleLevel, FaultKind::WriteBufferDrop, true));
         assert_eq!(r.outcome, Outcome::NotApplicable);
         assert!(!r.any_applied());
     }
@@ -513,13 +503,13 @@ mod tests {
     fn secded_correction_is_classified_detected_corrected() {
         // Every organization's data words go through the one shared
         // SECDED path, at both levels.
-        for org in Org::ALL {
+        for org in HierarchyKind::ALL {
             for kind in [FaultKind::VDataBit, FaultKind::RDataBit] {
                 let mut s = spec(org, kind, true);
                 s.protection = DataProtection::Secded;
                 let r = run(&s);
-                let case = format!("{} {kind}: {}", org.label(), r.detail);
-                if org == Org::Goodman && kind == FaultKind::RDataBit {
+                let case = format!("{} {kind}: {}", org.id(), r.detail);
+                if org == GoodmanSingleLevel && kind == FaultKind::RDataBit {
                     // No second-level data array to hit.
                     assert_eq!(r.outcome, Outcome::NotApplicable, "{case}");
                     continue;
@@ -534,7 +524,7 @@ mod tests {
 
     #[test]
     fn unprotected_data_bit_reaches_the_oracle() {
-        let r = run(&spec(Org::Vr, FaultKind::VDataBit, false));
+        let r = run(&spec(Vr, FaultKind::VDataBit, false));
         assert!(r.any_applied());
         // With no data protection the flipped word either surfaces as a
         // stale read or is overwritten before anyone loads it.
@@ -548,7 +538,7 @@ mod tests {
 
     #[test]
     fn pair_applies_both_faults_in_plan_order() {
-        let s = pair_spec(Org::Vr, FaultKind::VTagFlip, FaultKind::CohStateFlip, true);
+        let s = pair_spec(Vr, FaultKind::VTagFlip, FaultKind::CohStateFlip, true);
         let r = run(&s);
         assert_eq!(r.applied.len(), 2);
         assert!(r.applied[0].is_some(), "{}", r.detail);
@@ -564,7 +554,7 @@ mod tests {
         // Goodman has no write buffer: the first fault cannot land, the
         // second still must.
         let s = pair_spec(
-            Org::Goodman,
+            GoodmanSingleLevel,
             FaultKind::WriteBufferDrop,
             FaultKind::VTagFlip,
             true,

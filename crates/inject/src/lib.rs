@@ -60,7 +60,7 @@ pub mod report;
 pub mod workload;
 
 pub use campaign::{
-    id_shape, Campaign, CampaignResult, Org, PlannedFault, RowProgress, Spec, SHAPE_GRID,
+    id_shape, Campaign, CampaignResult, PlannedFault, RowProgress, Spec, SHAPE_GRID,
 };
 pub use harness::{Outcome, RunResult};
 pub use workload::WorkloadShape;

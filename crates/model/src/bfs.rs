@@ -27,12 +27,9 @@
 
 use std::collections::VecDeque;
 
-use vrcache::goodman::GoodmanHierarchy;
-use vrcache::vr::VrHierarchy;
-
 use crate::coverage::CoverageSet;
-use crate::scope::{ModelEvent, Scope, ScopeKind};
-use crate::world::{Encoder, ModelHierarchy, Universe, Violation, World};
+use crate::scope::{ModelEvent, Scope};
+use crate::world::{Encoder, Universe, Violation, World};
 
 /// The result of exhaustively exploring one scope.
 #[derive(Debug, Clone)]
@@ -75,14 +72,6 @@ pub struct Counterexample {
     pub test_source: String,
 }
 
-/// Explores `scope` exhaustively, dispatching on its hierarchy kind.
-pub fn run_scope(scope: &Scope) -> ScopeReport {
-    match scope.kind {
-        ScopeKind::Vr => run::<VrHierarchy>(scope),
-        ScopeKind::Goodman => run::<GoodmanHierarchy>(scope),
-    }
-}
-
 /// Replays `events` on a fresh world of `scope`, checking after every
 /// event.
 ///
@@ -91,23 +80,16 @@ pub fn run_scope(scope: &Scope) -> ScopeReport {
 /// Returns the rendered violation (prefixed with the index and display of
 /// the offending event) if the replay trips any property.
 pub fn replay(scope: &Scope, events: &[ModelEvent]) -> Result<(), String> {
-    let outcome = match scope.kind {
-        ScopeKind::Vr => replay_typed::<VrHierarchy>(scope, events),
-        ScopeKind::Goodman => replay_typed::<GoodmanHierarchy>(scope, events),
-    };
-    outcome.map_err(|(i, v)| match events.get(i) {
+    replay_checked(scope, events).map_err(|(i, v)| match events.get(i) {
         Some(ev) => format!("event {i} ({ev}): {v}"),
         None => format!("initial state: {v}"),
     })
 }
 
-fn replay_typed<H: ModelHierarchy>(
-    scope: &Scope,
-    events: &[ModelEvent],
-) -> Result<(), (usize, Violation)> {
+fn replay_checked(scope: &Scope, events: &[ModelEvent]) -> Result<(), (usize, Violation)> {
     let universe = Universe::of(scope);
     let mut coverage = CoverageSet::default();
-    let mut world = World::<H>::new(scope);
+    let mut world = World::new(scope);
     world.check_in(&universe).map_err(|v| (usize::MAX, v))?;
     for (i, &event) in events.iter().enumerate() {
         world
@@ -118,20 +100,21 @@ fn replay_typed<H: ModelHierarchy>(
     Ok(())
 }
 
-fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
+/// Explores `scope` exhaustively.
+pub fn run_scope(scope: &Scope) -> ScopeReport {
     let alphabet = scope.events();
     let universe = Universe::of(scope);
     let mut coverage = CoverageSet::default();
     let mut transitions = 0u64;
 
-    let root = World::<H>::new(scope);
+    let root = World::new(scope);
     if let Err(violation) = root.check_in(&universe) {
         return ScopeReport {
             name: scope.name,
             states: 1,
             transitions,
             coverage,
-            counterexample: Some(package::<H>(scope, Vec::new(), violation)),
+            counterexample: Some(package(scope, Vec::new(), violation)),
         };
     }
 
@@ -144,7 +127,7 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
     root.canon_key_into(&universe, &mut enc);
     let mut seen = SeenSet::new();
     seen.insert(enc.words());
-    let mut frontier: VecDeque<(usize, u32, World<H>)> = VecDeque::new();
+    let mut frontier: VecDeque<(usize, u32, World)> = VecDeque::new();
     if 0 < scope.depth {
         frontier.push_back((0, 0, root));
     }
@@ -152,8 +135,8 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
     // Worlds no longer needed (duplicate or bound-depth children,
     // expanded parents), kept to be overwritten in place. One expansion
     // draws at most one per event, so that many suffice.
-    let mut pool: Vec<World<H>> = Vec::with_capacity(alphabet.len());
-    let recycle = |pool: &mut Vec<World<H>>, world: World<H>| {
+    let mut pool: Vec<World> = Vec::with_capacity(alphabet.len());
+    let recycle = |pool: &mut Vec<World>, world: World| {
         if pool.len() < alphabet.len() {
             pool.push(world);
         }
@@ -189,7 +172,7 @@ fn run<H: ModelHierarchy>(scope: &Scope) -> ScopeReport {
                         states: parents.len() as u64,
                         transitions,
                         coverage,
-                        counterexample: Some(package::<H>(scope, events, violation)),
+                        counterexample: Some(package(scope, events, violation)),
                     };
                 }
             };
@@ -404,12 +387,8 @@ fn path_to(parents: &[Option<(usize, ModelEvent)>], mut index: usize) -> Vec<Mod
 }
 
 /// Minimizes a violating script by greedy deletion and packages it.
-fn package<H: ModelHierarchy>(
-    scope: &Scope,
-    events: Vec<ModelEvent>,
-    violation: Violation,
-) -> Counterexample {
-    let (events, violation) = minimize::<H>(scope, events, violation);
+fn package(scope: &Scope, events: Vec<ModelEvent>, violation: Violation) -> Counterexample {
+    let (events, violation) = minimize(scope, events, violation);
     let violation = violation.to_string();
     let test_source = emit_test(scope, &events, &violation);
     Counterexample {
@@ -422,7 +401,7 @@ fn package<H: ModelHierarchy>(
 /// Greedy delta-debugging: repeatedly drop any single event whose removal
 /// still violates, until no single deletion does. The surviving script is
 /// 1-minimal — every remaining event is necessary.
-fn minimize<H: ModelHierarchy>(
+fn minimize(
     scope: &Scope,
     mut events: Vec<ModelEvent>,
     mut violation: Violation,
@@ -433,7 +412,7 @@ fn minimize<H: ModelHierarchy>(
         while i < events.len() {
             let mut candidate = events.clone();
             candidate.remove(i);
-            if let Err((_, v)) = replay_typed::<H>(scope, &candidate) {
+            if let Err((_, v)) = replay_checked(scope, &candidate) {
                 events = candidate;
                 violation = v;
                 reduced = true;

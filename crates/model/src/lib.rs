@@ -39,5 +39,5 @@ pub mod world;
 
 pub use batch::{run_scope_battery, BatteryProgress, ScopeOutcome};
 pub use bfs::{replay, run_scope, Counterexample, ScopeReport};
-pub use scope::{ModelEvent, Scope, ScopeKind};
-pub use world::{ModelHierarchy, Violation, World};
+pub use scope::{ModelEvent, Scope};
+pub use world::{Violation, World};

@@ -15,25 +15,7 @@ use vrcache::invariant::InvariantExpect;
 use vrcache_cache::geometry::{BlockId, CacheGeometry};
 use vrcache_mem::addr::Asid;
 use vrcache_mem::page::PageSize;
-
-/// Which hierarchy implementation a scope drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScopeKind {
-    /// The paper's two-level virtual-real hierarchy.
-    Vr,
-    /// Goodman's single-level dual-tag virtual cache.
-    Goodman,
-}
-
-impl ScopeKind {
-    /// Stable label used in coverage rows ("vr" / "goodman").
-    pub fn label(self) -> &'static str {
-        match self {
-            ScopeKind::Vr => "vr",
-            ScopeKind::Goodman => "goodman",
-        }
-    }
-}
+use vrcache_sim::system::HierarchyKind;
 
 /// One fixed virtual→physical mapping the event alphabet can touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +35,8 @@ pub const ASIDS: [Asid; 2] = [Asid::new(1), Asid::new(2)];
 pub struct Scope {
     /// Scope name as accepted by `--scope` and [`Scope::by_name`].
     pub name: &'static str,
-    /// Hierarchy implementation under test.
-    pub kind: ScopeKind,
+    /// Hierarchy organization under test.
+    pub kind: HierarchyKind,
     /// Processor count (1–3).
     pub cpus: u16,
     /// The hierarchy configuration every processor uses.
@@ -166,7 +148,7 @@ impl Scope {
     pub fn smoke() -> Scope {
         Scope {
             name: "smoke",
-            kind: ScopeKind::Vr,
+            kind: HierarchyKind::Vr,
             cpus: 1,
             cfg: tiny_cfg(),
             mappings: tiny_mappings(),
@@ -181,7 +163,7 @@ impl Scope {
         let mut scopes = vec![
             Scope {
                 name: "vr-inval-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: tiny_cfg(),
                 mappings: tiny_mappings(),
@@ -189,7 +171,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-update-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: tiny_cfg().with_update_protocol(),
                 mappings: tiny_mappings(),
@@ -197,7 +179,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-wt-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: tiny_cfg().with_write_through(),
                 mappings: tiny_mappings(),
@@ -205,7 +187,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-eager-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: tiny_cfg().with_eager_flush(),
                 mappings: tiny_mappings(),
@@ -213,7 +195,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-asid-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: tiny_cfg().with_asid_tags(),
                 mappings: tiny_mappings(),
@@ -221,7 +203,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-sub-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: subblocked_cfg(),
                 mappings: subblocked_mappings(),
@@ -229,7 +211,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-move-2cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 2,
                 cfg: move_cfg(),
                 mappings: move_mappings(),
@@ -237,7 +219,7 @@ impl Scope {
             },
             Scope {
                 name: "vr-3cpu",
-                kind: ScopeKind::Vr,
+                kind: HierarchyKind::Vr,
                 cpus: 3,
                 cfg: tiny_cfg(),
                 mappings: tiny_mappings(),
@@ -245,7 +227,7 @@ impl Scope {
             },
             Scope {
                 name: "goodman-2cpu",
-                kind: ScopeKind::Goodman,
+                kind: HierarchyKind::GoodmanSingleLevel,
                 cpus: 2,
                 cfg: tiny_cfg(),
                 mappings: tiny_mappings(),
@@ -403,7 +385,7 @@ mod tests {
             "move synonyms must cross V sets"
         );
         // And the resolution really is a move: drive it once.
-        let mut w = crate::world::World::<vrcache::vr::VrHierarchy>::new(&s);
+        let mut w = crate::world::World::new(&s);
         let mut cov = crate::coverage::CoverageSet::default();
         w.apply(&s, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();

@@ -13,17 +13,15 @@
 
 use std::fmt;
 
-use vrcache::config::HierarchyConfig;
-use vrcache::goodman::GoodmanHierarchy;
 use vrcache::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy};
 use vrcache::invariant::{InvariantExpect, InvariantViolation};
-use vrcache::rcache::CohState;
-use vrcache::vr::VrHierarchy;
+use vrcache::rcache::{ChildCache, CohState};
+use vrcache::vcache::VCache;
 use vrcache_bus::oracle::{CoherenceViolation, Version, VersionOracle};
 use vrcache_cache::geometry::BlockId;
 use vrcache_mem::access::{AccessKind, CpuId};
 use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
-use vrcache_sim::machine::Machine;
+use vrcache_sim::machine::{Machine, Org};
 use vrcache_trace::record::MemAccess;
 
 use crate::coverage::{CoverageSet, Recorder};
@@ -198,154 +196,131 @@ impl Records {
     }
 }
 
-/// What a hierarchy must additionally provide to be model-checked: a
-/// uniform constructor, a canonical state encoding, and the version of the
-/// freshest copy it holds of a physical granule (for the value-equivalence
-/// property).
-pub trait ModelHierarchy: CacheHierarchy + Clone {
-    /// Coverage-row label ("vr" / "goodman").
-    const LABEL: &'static str;
-
-    /// Builds a hierarchy for `cpu` under `cfg`.
-    fn build(cpu: CpuId, cfg: &HierarchyConfig) -> Self;
-
-    /// Appends this hierarchy's protocol-relevant state to `enc`.
-    ///
-    /// Two things must be encoded: everything the next transition can
-    /// depend on, and everything [`World::check`] reads — its structural
-    /// invariants, [`CacheHierarchy::coh_presence`] and
-    /// [`ModelHierarchy::effective_version`]. The search checks a state
-    /// only when its key is new, so a check that read an unencoded field
-    /// could pass a state whose duplicate would fail it. Statistics,
-    /// event counters, the TLB contents, write-buffer timestamps,
-    /// replacement clocks and a subentry's `child`/`v_block` while its
-    /// inclusion bit is clear are left out: no coherence action and no
-    /// check reads them. All scopes run with a drain period of 1, so the
-    /// drain countdown is 1 between events and needs no encoding either.
-    fn encode(&self, enc: &mut Encoder);
-
-    /// The version of the newest copy of `granule` this hierarchy holds
-    /// anywhere (first level, write buffer, or second level), or `None`
-    /// when it holds no copy.
-    fn effective_version(&self, granule: BlockId) -> Option<Version>;
-}
-
-impl ModelHierarchy for VrHierarchy {
-    const LABEL: &'static str = "vr";
-
-    fn build(cpu: CpuId, cfg: &HierarchyConfig) -> Self {
-        VrHierarchy::new(cpu, cfg)
-    }
-
-    fn encode(&self, enc: &mut Encoder) {
-        let vcaches = [Some(self.vcache()), self.icache()];
-        for vcache in vcaches.iter().flatten() {
-            enc.in_slot_order(vcache.iter(), |enc, line| {
-                enc.word(line.block.raw());
-                enc.word(line.meta.p_block.raw());
-                enc.flag(line.meta.dirty);
-                enc.flag(line.meta.swapped);
-                enc.version(line.meta.version);
-            });
-        }
-        enc.flag(self.icache().is_some());
-
-        enc.in_slot_order(self.rcache().iter(), |enc, line| {
-            enc.word(line.block.raw());
-            enc.word(match line.meta.state {
-                CohState::Shared => 0,
-                CohState::Private => 1,
-            });
-            enc.flag(line.meta.rdirty);
-            for sub in line.meta.subs.iter() {
-                enc.flag(sub.inclusion);
-                enc.flag(sub.buffer);
-                enc.flag(sub.vdirty);
-                if sub.inclusion {
-                    // `child` and `v_block` are only maintained while the
-                    // inclusion bit is set; mask the stale residue out so
-                    // it cannot split equivalent states.
-                    enc.word(match sub.child {
-                        vrcache::rcache::ChildCache::Data => 0,
-                        vrcache::rcache::ChildCache::Instr => 1,
-                    });
-                    enc.word(sub.v_block.raw());
-                } else {
-                    enc.word(u64::MAX);
-                    enc.word(u64::MAX);
-                }
-                enc.version(sub.version);
-            }
-        });
-
-        // FIFO order matters: which entry drains next is protocol state.
-        enc.word(self.write_buffer().len() as u64);
-        for pending in self.write_buffer().iter() {
-            enc.word(pending.block.raw());
-            enc.version(pending.payload);
-        }
-    }
-
-    fn effective_version(&self, granule: BlockId) -> Option<Version> {
-        // Precedence mirrors where the freshest data physically sits:
-        // a first-level copy (swapped ones included — they stay coherent
-        // and can be re-validated), else the youngest write-buffer entry,
-        // else the second level.
-        let vcaches = [Some(self.vcache()), self.icache()];
-        for vcache in vcaches.iter().flatten() {
-            if let Some(line) = vcache.iter().find(|l| l.meta.p_block == granule) {
-                return Some(line.meta.version);
-            }
-        }
-        let mut pending = None;
-        for entry in self.write_buffer().iter() {
-            if entry.block == granule {
-                pending = Some(entry.payload);
-            }
-        }
-        if pending.is_some() {
-            return pending;
-        }
-        let p2 = self.rcache().l2_block_of(granule);
-        let sub = self.rcache().sub_index(granule);
-        self.rcache()
-            .peek(p2)
-            .map(|line| line.meta.subs[sub].version)
-    }
-}
-
-impl ModelHierarchy for GoodmanHierarchy {
-    const LABEL: &'static str = "goodman";
-
-    fn build(cpu: CpuId, cfg: &HierarchyConfig) -> Self {
-        GoodmanHierarchy::new(cpu, cfg)
-    }
-
-    fn encode(&self, enc: &mut Encoder) {
-        enc.in_slot_order(self.cache().iter(), |enc, line| {
+/// Appends `h`'s protocol-relevant state to `enc`.
+///
+/// Two things must be encoded: everything the next transition can
+/// depend on, and everything [`World::check`] reads — the structural
+/// invariants, [`CacheHierarchy::coh_presence`] and [`effective_version`].
+/// The search checks a state only when its key is new, so a check that
+/// read an unencoded field could pass a state whose duplicate would fail
+/// it. Statistics, event counters, the TLB contents, write-buffer
+/// timestamps, replacement clocks and a subentry's `child`/`v_block`
+/// while its inclusion bit is clear are left out: no coherence action and
+/// no check reads them. All scopes run with a drain period of 1, so the
+/// drain countdown is 1 between events and needs no encoding either.
+fn encode(h: &Org, enc: &mut Encoder) {
+    let vcache = |enc: &mut Encoder, vcache: &VCache| {
+        enc.in_slot_order(vcache.iter(), |enc, line| {
             enc.word(line.block.raw());
             enc.word(line.meta.p_block.raw());
             enc.flag(line.meta.dirty);
             enc.flag(line.meta.swapped);
             enc.version(line.meta.version);
         });
-        // The check compares the whole directory with the cache, and
-        // the presence probe reads it by granule: all of it is state.
-        enc.sorted(|rec| {
-            for (granule, v_block, private) in self.directory() {
-                rec.begin(granule.raw());
-                rec.word(v_block.raw());
-                rec.flag(private);
+    };
+    let (rcache, write_buffer) = match h {
+        Org::Vr(h) => {
+            for l1 in [Some(h.vcache()), h.icache()].into_iter().flatten() {
+                vcache(enc, l1);
             }
-        });
-    }
+            enc.flag(h.icache().is_some());
+            (h.rcache(), h.write_buffer())
+        }
+        Org::Rr(h) => {
+            enc.in_slot_order(h.l1_lines(), |enc, (block, dirty, private, version)| {
+                enc.word(block.raw());
+                enc.flag(dirty);
+                enc.flag(private);
+                enc.version(version);
+            });
+            (h.rcache(), h.write_buffer())
+        }
+        Org::Goodman(h) => {
+            vcache(enc, h.cache());
+            // The check compares the whole directory with the cache, and
+            // the presence probe reads it by granule: all of it is state.
+            enc.sorted(|rec| {
+                for (granule, v_block, private) in h.directory() {
+                    rec.begin(granule.raw());
+                    rec.word(v_block.raw());
+                    rec.flag(private);
+                }
+            });
+            return;
+        }
+    };
 
-    fn effective_version(&self, granule: BlockId) -> Option<Version> {
-        self.cache()
-            .iter()
-            .find(|l| l.meta.p_block == granule)
-            .map(|l| l.meta.version)
+    enc.in_slot_order(rcache.iter(), |enc, line| {
+        enc.word(line.block.raw());
+        enc.word(match line.meta.state {
+            CohState::Shared => 0,
+            CohState::Private => 1,
+        });
+        enc.flag(line.meta.rdirty);
+        for sub in line.meta.subs.iter() {
+            enc.flag(sub.inclusion);
+            enc.flag(sub.buffer);
+            enc.flag(sub.vdirty);
+            if sub.inclusion {
+                // `child` and `v_block` are only maintained while the
+                // inclusion bit is set; mask the stale residue out so
+                // it cannot split equivalent states.
+                enc.word(match sub.child {
+                    ChildCache::Data => 0,
+                    ChildCache::Instr => 1,
+                });
+                enc.word(sub.v_block.raw());
+            } else {
+                enc.word(u64::MAX);
+                enc.word(u64::MAX);
+            }
+            enc.version(sub.version);
+        }
+    });
+
+    // FIFO order matters: which entry drains next is protocol state.
+    enc.word(write_buffer.len() as u64);
+    for pending in write_buffer.iter() {
+        enc.word(pending.block.raw());
+        enc.version(pending.payload);
     }
+}
+
+/// The version of the newest copy of `granule` that `h` holds anywhere
+/// (first level, write buffer, or second level), or `None` when it holds
+/// no copy.
+fn effective_version(h: &Org, granule: BlockId) -> Option<Version> {
+    // Precedence mirrors where the freshest data physically sits: a
+    // first-level copy (swapped ones included — they stay coherent and
+    // can be re-validated), else the youngest write-buffer entry, else
+    // the second level.
+    let vcache = |vcache: &VCache| {
+        let line = vcache.iter().find(|l| l.meta.p_block == granule)?;
+        Some(line.meta.version)
+    };
+    let (l1, rcache, write_buffer) = match h {
+        Org::Vr(h) => {
+            let l1 = [Some(h.vcache()), h.icache()].into_iter().flatten();
+            (l1.filter_map(vcache).next(), h.rcache(), h.write_buffer())
+        }
+        Org::Rr(h) => {
+            let l1 = h.l1_lines().find(|&(block, ..)| block == granule);
+            (
+                l1.map(|(.., version)| version),
+                h.rcache(),
+                h.write_buffer(),
+            )
+        }
+        Org::Goodman(h) => return vcache(h.cache()),
+    };
+    l1.or_else(|| {
+        let pending = write_buffer.iter().filter(|e| e.block == granule).last();
+        pending.map(|e| e.payload)
+    })
+    .or_else(|| {
+        let line = rcache.peek(rcache.l2_block_of(granule))?;
+        Some(line.meta.subs[rcache.sub_index(granule)].version)
+    })
 }
 
 /// A property violation found by the checker.
@@ -439,18 +414,17 @@ impl Universe {
 
 /// One complete system state: the machine (per-processor hierarchies,
 /// shared memory, version oracle) and each processor's current ASID.
-pub struct World<H: ModelHierarchy> {
-    machine: Machine<H>,
+pub struct World {
+    machine: Machine,
     asids: Vec<Asid>,
 }
-vrcache_mem::clone_fields!(World<H> { machine, asids } where H: ModelHierarchy);
+vrcache_mem::clone_fields!(World { machine, asids });
 
-impl<H: ModelHierarchy> World<H> {
+impl World {
     /// The initial state of `scope`: cold caches, pristine memory, every
     /// processor running the first ASID.
     pub fn new(scope: &Scope) -> Self {
-        let hierarchies = (0..scope.cpus).map(|c| Box::new(H::build(CpuId::new(c), &scope.cfg)));
-        let mut machine = Machine::new(hierarchies, scope.cfg.subblocks());
+        let mut machine = Machine::new(scope.kind, scope.cpus, &scope.cfg);
         // Room for every block the scope can write, so no event grows a
         // table; copies made with `clone_from` keep the room.
         let granules = scope.l2_blocks().len() * scope.cfg.subblocks() as usize;
@@ -493,7 +467,7 @@ impl<H: ModelHierarchy> World<H> {
             vaddr: VirtAddr::new(m.va),
             paddr: PhysAddr::new(m.pa),
         };
-        let mut recorder = Recorder::new(coverage, H::LABEL);
+        let mut recorder = Recorder::new(coverage, scope.kind.id());
         self.machine
             .access(&access, Some(&mut recorder))
             .invariant_expect("hierarchy slots are occupied between events")
@@ -540,7 +514,7 @@ impl<H: ModelHierarchy> World<H> {
                 let va = VirtAddr::new(scope.mappings[mapping].va);
                 let vpn = scope.cfg.page.vpn_of(va);
                 for cpu in 0..scope.cpus {
-                    let mut recorder = Recorder::new(coverage, H::LABEL);
+                    let mut recorder = Recorder::new(coverage, scope.kind.id());
                     self.machine
                         .with_bus(CpuId::new(cpu), Some(&mut recorder), |h, bus, _| {
                             h.tlb_shootdown(asid, vpn, bus)
@@ -608,7 +582,7 @@ impl<H: ModelHierarchy> World<H> {
         for &granule in &universe.granules {
             let newest = self.machine.oracle.newest(granule);
             for h in self.machine.iter() {
-                if let Some(held) = h.effective_version(granule) {
+                if let Some(held) = effective_version(h, granule) {
                     if held != newest {
                         return Err(Violation::StaleCopy {
                             cpu: h.cpu(),
@@ -639,7 +613,7 @@ impl<H: ModelHierarchy> World<H> {
         enc.word(self.machine.cpus() as u64);
         for (h, asid) in self.machine.iter().zip(&self.asids) {
             enc.word(u64::from(asid.raw()));
-            h.encode(enc);
+            encode(h, enc);
         }
         enc.sorted(|rec| {
             for (block, version) in self.machine.memory.iter() {
@@ -660,6 +634,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vrcache_cache::geometry::CacheGeometry;
+    use vrcache_sim::system::HierarchyKind;
 
     #[test]
     fn encoder_renames_versions_by_first_appearance() {
@@ -713,13 +688,10 @@ mod tests {
     #[test]
     fn fresh_world_passes_every_check_and_has_a_stable_key() {
         let scope = Scope::smoke();
-        let w = World::<VrHierarchy>::new(&scope);
+        let w = World::new(&scope);
         w.check(&scope).unwrap();
         assert_eq!(w.canon_key(&scope), w.canon_key(&scope));
-        assert_eq!(
-            w.canon_key(&scope),
-            World::<VrHierarchy>::new(&scope).canon_key(&scope)
-        );
+        assert_eq!(w.canon_key(&scope), World::new(&scope).canon_key(&scope));
     }
 
     #[test]
@@ -728,10 +700,10 @@ mod tests {
         // happened before an equivalent final state must share a key.
         let scope = Scope::smoke();
         let mut cov = CoverageSet::default();
-        let mut a = World::<VrHierarchy>::new(&scope);
+        let mut a = World::new(&scope);
         a.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();
-        let mut b = World::<VrHierarchy>::new(&scope);
+        let mut b = World::new(&scope);
         b.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();
         b.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
@@ -745,12 +717,12 @@ mod tests {
     fn effective_version_tracks_a_write() {
         let scope = Scope::smoke();
         let mut cov = CoverageSet::default();
-        let mut w = World::<VrHierarchy>::new(&scope);
+        let mut w = World::new(&scope);
         let g = scope.granules()[0];
         w.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();
         let h = w.machine.get(CpuId::new(0)).unwrap();
-        assert_eq!(h.effective_version(g), Some(w.oracle().newest(g)));
+        assert_eq!(effective_version(h, g), Some(w.oracle().newest(g)));
         w.check(&scope).unwrap();
     }
 
@@ -758,7 +730,7 @@ mod tests {
     fn goodman_world_applies_events_cleanly() {
         let scope = Scope::by_name("goodman-2cpu").unwrap();
         let mut cov = CoverageSet::default();
-        let mut w = World::<GoodmanHierarchy>::new(&scope);
+        let mut w = World::new(&scope);
         w.apply(&scope, ModelEvent::Write { cpu: 0, mapping: 0 }, &mut cov)
             .unwrap();
         w.check(&scope).unwrap();
@@ -791,11 +763,11 @@ mod tests {
     }
 
     /// A world of `scope` after `steps` events drawn by a seeded walk.
-    fn walked<H: ModelHierarchy>(scope: &Scope, seed: u64, steps: usize) -> World<H> {
+    fn walked(scope: &Scope, seed: u64, steps: usize) -> World {
         let alphabet = scope.events();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cov = CoverageSet::default();
-        let mut w = World::<H>::new(scope);
+        let mut w = World::new(scope);
         for _ in 0..steps {
             let event = alphabet[rng.gen_range(0..alphabet.len())];
             w.apply(scope, event, &mut cov).unwrap();
@@ -806,11 +778,8 @@ mod tests {
     /// What a world shows: its canonical key, its check verdict, and the
     /// full state of memory, oracle and every hierarchy (counters
     /// included, which the key leaves out).
-    fn observe<H: ModelHierarchy + fmt::Debug>(
-        w: &World<H>,
-        scope: &Scope,
-    ) -> (Vec<u64>, Result<(), String>, String) {
-        let hierarchies: Vec<&H> = w.machine.iter().collect();
+    fn observe(w: &World, scope: &Scope) -> (Vec<u64>, Result<(), String>, String) {
+        let hierarchies: Vec<&Org> = w.machine.iter().collect();
         (
             w.canon_key(scope),
             w.check(scope).map_err(|v| v.to_string()),
@@ -824,16 +793,12 @@ mod tests {
     /// Along a seeded walk of `scope`, a copy of `donor` overwritten with
     /// `clone_from` must be indistinguishable from a fresh `clone`, both
     /// as it stands and after each alphabet event.
-    fn clone_from_matches_clone<H: ModelHierarchy + fmt::Debug>(
-        scope: &Scope,
-        donor: &World<H>,
-        seed: u64,
-    ) {
+    fn clone_from_matches_clone(scope: &Scope, donor: &World, seed: u64) {
         let alphabet = scope.events();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cov = CoverageSet::default();
-        let mut w = World::<H>::new(scope);
-        let recycled = |w: &World<H>| {
+        let mut w = World::new(scope);
+        let recycled = |w: &World| {
             let mut r = donor.clone();
             r.clone_from(w);
             r
@@ -856,20 +821,34 @@ mod tests {
         }
     }
 
-    /// Scrambles what [`ModelHierarchy::encode`] leaves out.
-    trait Perturb {
-        fn perturb(&mut self, rng: &mut StdRng);
+    /// Lines held in every cache of `h`.
+    fn lines(h: &Org) -> usize {
+        match h {
+            Org::Vr(h) => h.vcache().iter().count() + h.rcache().iter().count(),
+            Org::Rr(h) => h.l1_lines().count() + h.rcache().iter().count(),
+            Org::Goodman(h) => h.cache().iter().count(),
+        }
     }
 
-    /// Fills a random TLB entry or flushes them all, and bumps counters
-    /// and statistics.
-    fn perturb_common(
-        rng: &mut StdRng,
-        tlb: &mut vrcache_mem::tlb::Tlb,
-        events: &mut vrcache::events::HierarchyEvents,
-        l1: &mut vrcache::vcache::VCache,
-    ) {
+    /// Scrambles what [`encode`] leaves out: fills a random TLB entry
+    /// or flushes them all, bumps counters and statistics, and rewrites
+    /// the residue of unlinked subentries.
+    fn perturb(h: &mut Org, rng: &mut StdRng) {
         use vrcache_mem::addr::{Ppn, Vpn};
+        let (tlb, events, l1_stats, l2) = match h {
+            Org::Vr(h) => {
+                let (tlb, events, l1, l2) = h.parts_mut();
+                (tlb, events, l1.stats_mut(), Some(l2))
+            }
+            Org::Rr(h) => {
+                let (tlb, events, l1_stats, l2) = h.parts_mut();
+                (tlb, events, l1_stats, Some(l2))
+            }
+            Org::Goodman(h) => {
+                let (tlb, events, l1) = h.parts_mut();
+                (tlb, events, l1.stats_mut(), None)
+            }
+        };
         if rng.gen_bool(0.25) {
             tlb.flush_all();
         } else {
@@ -883,57 +862,37 @@ mod tests {
         events.flush_v += rng.gen_range(1..4);
         events.l1_writebacks += 1;
         events.inclusion_invalidations += rng.gen_range(0..2);
-        l1.stats_mut().record(AccessKind::DataRead, rng.gen());
-    }
-
-    impl Perturb for VrHierarchy {
-        fn perturb(&mut self, rng: &mut StdRng) {
-            let (tlb, events, l1, l2) = self.parts_mut();
-            perturb_common(rng, tlb, events, l1);
-            l2.stats_mut().record(AccessKind::DataWrite, rng.gen());
-            // The residue of unlinked subentries.
-            let blocks: Vec<BlockId> = l2.iter().map(|line| line.block).collect();
-            for block in blocks {
-                let line = l2.peek_mut(block).unwrap();
-                for sub in line.meta.subs.iter_mut().filter(|sub| !sub.inclusion) {
-                    sub.child = if rng.gen() {
-                        vrcache::rcache::ChildCache::Instr
-                    } else {
-                        vrcache::rcache::ChildCache::Data
-                    };
-                    sub.v_block = BlockId::new(rng.gen_range(0..1 << 20));
-                }
+        l1_stats.record(AccessKind::DataRead, rng.gen());
+        let Some(l2) = l2 else { return };
+        l2.stats_mut().record(AccessKind::DataWrite, rng.gen());
+        let blocks: Vec<BlockId> = l2.iter().map(|line| line.block).collect();
+        for block in blocks {
+            let line = l2.peek_mut(block).unwrap();
+            for sub in line.meta.subs.iter_mut().filter(|sub| !sub.inclusion) {
+                sub.child = if rng.gen() {
+                    ChildCache::Instr
+                } else {
+                    ChildCache::Data
+                };
+                sub.v_block = BlockId::new(rng.gen_range(0..1 << 20));
             }
-        }
-    }
-
-    impl Perturb for GoodmanHierarchy {
-        fn perturb(&mut self, rng: &mut StdRng) {
-            let (tlb, events, l1) = self.parts_mut();
-            perturb_common(rng, tlb, events, l1);
         }
     }
 
     /// Along a seeded walk of `scope`, scrambling every hierarchy's
     /// unencoded state must change the world but neither its key nor
     /// its check verdict: the premise of checking each key once.
-    fn check_is_a_function_of_the_key<H: ModelHierarchy + Perturb + fmt::Debug>(
-        scope: &Scope,
-        seed: u64,
-    ) {
+    fn check_is_a_function_of_the_key(scope: &Scope, seed: u64) {
         let alphabet = scope.events();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cov = CoverageSet::default();
-        let mut w = World::<H>::new(scope);
+        let mut w = World::new(scope);
         for step in 0..120 {
             let (key, verdict, state) = observe(&w, scope);
             let mut scrambled = w.clone();
             for cpu in 0..scope.cpus {
-                scrambled
-                    .machine
-                    .get_mut(CpuId::new(cpu))
-                    .unwrap()
-                    .perturb(&mut rng);
+                let h = scrambled.machine.get_mut(CpuId::new(cpu)).unwrap();
+                perturb(h, &mut rng);
             }
             let (key2, verdict2, state2) = observe(&scrambled, scope);
             assert_ne!(
@@ -948,18 +907,42 @@ mod tests {
         }
     }
 
+    /// `vr-inval-2cpu`'s geometry and mappings under both R-R
+    /// baselines, explored to depth 9. Not in [`Scope::all`], which is
+    /// the pinned battery.
+    fn rr_scopes() -> [Scope; 2] {
+        let base = Scope::by_name("vr-inval-2cpu").unwrap();
+        [
+            ("rr-incl-2cpu", HierarchyKind::RrInclusive),
+            ("rr-noincl-2cpu", HierarchyKind::RrNonInclusive),
+        ]
+        .map(|(name, kind)| Scope {
+            name,
+            kind,
+            depth: 9,
+            ..base.clone()
+        })
+    }
+
     #[test]
     fn check_reads_nothing_the_key_leaves_out() {
-        for (i, scope) in Scope::all().iter().enumerate() {
-            let seed = 0x5eed + i as u64;
-            match scope.kind {
-                crate::scope::ScopeKind::Vr => {
-                    check_is_a_function_of_the_key::<VrHierarchy>(scope, seed);
-                }
-                crate::scope::ScopeKind::Goodman => {
-                    check_is_a_function_of_the_key::<GoodmanHierarchy>(scope, seed);
-                }
-            }
+        for (i, scope) in Scope::all().iter().chain(&rr_scopes()).enumerate() {
+            check_is_a_function_of_the_key(scope, 0x5eed + i as u64);
+        }
+    }
+
+    /// Both R-R baselines explore clean, at pinned sizes: every reached
+    /// state passes the structural invariants and value equivalence.
+    /// Single-writer is vacuous here until `RrHierarchy` implements
+    /// `coh_presence` (it reports `Unknown`, so no holder is ever
+    /// private).
+    #[test]
+    fn rr_scopes_explore_clean() {
+        for (scope, size) in rr_scopes().iter().zip([(612, 10_404), (676, 11_492)]) {
+            let report = crate::bfs::run_scope(scope);
+            let cex = report.counterexample.map(|c| (c.violation, c.events));
+            assert_eq!(cex, None, "{}", scope.name);
+            assert_eq!((report.states, report.transitions), size, "{}", scope.name);
         }
     }
 
@@ -967,19 +950,16 @@ mod tests {
     fn vr_clone_from_a_fuller_world_matches_clone() {
         let scope = Scope::by_name("vr-sub-2cpu").unwrap();
         let donor_scope = grown(&Scope::by_name("vr-3cpu").unwrap());
-        let donor = walked::<VrHierarchy>(&donor_scope, 7, 3000);
-        let hierarchies: Vec<&VrHierarchy> = donor.machine.iter().collect();
-        let lines: usize = hierarchies
-            .iter()
-            .map(|h| h.vcache().iter().count() + h.rcache().iter().count())
-            .sum();
+        let donor = walked(&donor_scope, 7, 3000);
+        let lines: usize = donor.machine.iter().map(lines).sum();
         // Fuller than any state of the walked scope: more lines than its
         // caches have slots, buffered writes, more memory blocks than it
         // has granules.
         let slots =
             usize::from(scope.cpus) * (scope.cfg.l1.blocks() + scope.cfg.l2.blocks()) as usize;
         assert!(lines > slots, "donor holds {lines} lines");
-        assert!(hierarchies.iter().any(|h| !h.write_buffer().is_empty()));
+        let buffered = |h: &Org| matches!(h, Org::Vr(h) if !h.write_buffer().is_empty());
+        assert!(donor.machine.iter().any(buffered));
         assert!(donor.machine.memory.iter().count() > scope.granules().len());
         clone_from_matches_clone(&scope, &donor, 11);
     }
@@ -988,11 +968,20 @@ mod tests {
     fn goodman_clone_from_a_fuller_world_matches_clone() {
         let scope = Scope::by_name("goodman-2cpu").unwrap();
         let donor_scope = grown(&scope);
-        let donor = walked::<GoodmanHierarchy>(&donor_scope, 7, 3000);
-        let lines: usize = donor.machine.iter().map(|h| h.cache().iter().count()).sum();
+        let donor = walked(&donor_scope, 7, 3000);
+        let lines: usize = donor.machine.iter().map(lines).sum();
         let slots = usize::from(scope.cpus) * scope.cfg.l1.blocks() as usize;
         assert!(lines > slots, "donor holds {lines} lines");
         assert!(donor.machine.memory.iter().count() > scope.granules().len());
+        clone_from_matches_clone(&scope, &donor, 11);
+    }
+
+    /// A Goodman world written over a V-R one replaces each hierarchy
+    /// whole, and must still equal a fresh `clone`.
+    #[test]
+    fn goodman_clone_from_a_vr_world_matches_clone() {
+        let scope = Scope::by_name("goodman-2cpu").unwrap();
+        let donor = walked(&Scope::by_name("vr-inval-2cpu").unwrap(), 7, 300);
         clone_from_matches_clone(&scope, &donor, 11);
     }
 }

@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 
 use vrcache::config::HierarchyConfig;
 use vrcache::events::HierarchyEvents;
+use vrcache::hierarchy::CacheHierarchy;
 use vrcache_mem::access::CpuId;
 use vrcache_trace::presets::TracePreset;
 use vrcache_trace::trace::Trace;

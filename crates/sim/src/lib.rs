@@ -9,7 +9,7 @@
 //! * [`machine`] — a [`Machine`] of N private hierarchies on one
 //!   snooping bus over a version-checked main memory: the one replay
 //!   step the simulator, the model checker and the injection harness
-//!   share.
+//!   share. Each hierarchy is an [`Org`], one variant per organization.
 //! * [`snoop`] — the [`SnoopingBus`](snoop::SnoopingBus) a transaction
 //!   rides to every other hierarchy, with an optional transition
 //!   observer.
@@ -50,6 +50,6 @@ pub mod report;
 pub mod snoop;
 pub mod system;
 
-pub use machine::Machine;
+pub use machine::{Machine, Org};
 pub use report::TableReport;
 pub use system::{HierarchyKind, RunSummary, SimError, System};

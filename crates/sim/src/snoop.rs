@@ -1,9 +1,10 @@
 //! The snooping bus: the one place a transaction leaves its issuing
 //! hierarchy and visits everyone else.
 //!
-//! [`SnoopingBus`] is generic over the hierarchy type, so every
-//! [`Machine`](crate::machine::Machine), boxed or concrete, rides the same
-//! bus semantics; `Machine::with_bus` builds one per transaction. An
+//! [`SnoopingBus`] is generic over the hierarchy type, so the
+//! [`Machine`](crate::machine::Machine)'s [`Org`](crate::machine::Org)
+//! slots and any other slice of boxed hierarchies ride the same bus
+//! semantics; `Machine::with_bus` builds one per transaction. An
 //! optional [`SnoopObserver`] sees every snoop delivery together with the
 //! snooper's coherence standing *before* the transaction — exactly the
 //! (state, bus event) pair of a protocol transition table, which is how
@@ -180,8 +181,8 @@ impl<H: CacheHierarchy + ?Sized> SystemBus for SnoopingBus<'_, H> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use crate::system::HierarchyKind;
     use vrcache::config::HierarchyConfig;
-    use vrcache::vr::VrHierarchy;
     use vrcache_mem::access::AccessKind;
     use vrcache_mem::addr::{Asid, PhysAddr, VirtAddr};
     use vrcache_trace::record::MemAccess;
@@ -203,8 +204,7 @@ mod tests {
     #[test]
     fn observer_sees_pre_snoop_presence() {
         let cfg = HierarchyConfig::direct_mapped(256, 4096, 16).unwrap();
-        let hierarchies = (0..2).map(|c| Box::new(VrHierarchy::new(CpuId::new(c), &cfg)));
-        let mut machine = Machine::new(hierarchies, cfg.subblocks());
+        let mut machine = Machine::new(HierarchyKind::Vr, 2, &cfg);
         let mut rec = Recorder(Vec::new());
 
         let access = |cpu: u16, kind: AccessKind| MemAccess {

@@ -6,8 +6,6 @@ use vrcache::bus_api::BusRequest;
 use vrcache::config::HierarchyConfig;
 use vrcache::events::HierarchyEvents;
 use vrcache::hierarchy::CacheHierarchy;
-use vrcache::rr::{InclusionMode, RrHierarchy};
-use vrcache::vr::VrHierarchy;
 use vrcache_bus::oracle::{CoherenceViolation, VersionOracle};
 use vrcache_bus::stats::BusStats;
 use vrcache_cache::geometry::BlockId;
@@ -17,7 +15,7 @@ use vrcache_mem::addr::{Asid, Vpn};
 use vrcache_trace::record::TraceEvent;
 use vrcache_trace::trace::Trace;
 
-use crate::machine::Machine;
+use crate::machine::{Machine, Org};
 
 /// Which hierarchy organization every processor of the system uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +47,17 @@ impl HierarchyKind {
             HierarchyKind::RrInclusive => "RR(incl)",
             HierarchyKind::RrNonInclusive => "RR(no incl)",
             HierarchyKind::GoodmanSingleLevel => "Goodman 1-level",
+        }
+    }
+
+    /// Stable kebab-case id, as in fault-injection row ids and
+    /// model-checker coverage rows.
+    pub const fn id(self) -> &'static str {
+        match self {
+            HierarchyKind::Vr => "vr",
+            HierarchyKind::RrInclusive => "rr-incl",
+            HierarchyKind::RrNonInclusive => "rr-noincl",
+            HierarchyKind::GoodmanSingleLevel => "goodman",
         }
     }
 }
@@ -143,7 +152,7 @@ impl RunSummary {
 /// organization, plus the bookkeeping of a trace replay.
 pub struct System {
     kind: HierarchyKind,
-    machine: Machine<dyn CacheHierarchy>,
+    machine: Machine,
     l1_block_bytes: u64,
     l2_block_bytes: u64,
     check_invariants_every: Option<u64>,
@@ -160,24 +169,9 @@ impl System {
     /// Panics if `cpus` is zero.
     pub fn new(kind: HierarchyKind, cpus: u16, cfg: &HierarchyConfig) -> System {
         assert!(cpus > 0, "a system needs at least one cpu");
-        let hierarchies = (0..cpus).map(|c| -> Box<dyn CacheHierarchy> {
-            let cpu = CpuId::new(c);
-            match kind {
-                HierarchyKind::Vr => Box::new(VrHierarchy::new(cpu, cfg)),
-                HierarchyKind::RrInclusive => {
-                    Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::Inclusive))
-                }
-                HierarchyKind::RrNonInclusive => {
-                    Box::new(RrHierarchy::new(cpu, cfg, InclusionMode::NonInclusive))
-                }
-                HierarchyKind::GoodmanSingleLevel => {
-                    Box::new(vrcache::goodman::GoodmanHierarchy::new(cpu, cfg))
-                }
-            }
-        });
         System {
             kind,
-            machine: Machine::new(hierarchies, cfg.subblocks()),
+            machine: Machine::new(kind, cpus, cfg),
             l1_block_bytes: cfg.l1.block_bytes(),
             l2_block_bytes: cfg.l2.block_bytes(),
             check_invariants_every: None,
@@ -210,7 +204,7 @@ impl System {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
-    pub fn hierarchy(&self, cpu: CpuId) -> &dyn CacheHierarchy {
+    pub fn hierarchy(&self, cpu: CpuId) -> &Org {
         self.machine.get(cpu).expect("cpu in range")
     }
 
@@ -632,5 +626,7 @@ mod tests {
         assert_eq!(HierarchyKind::Vr.to_string(), "VR");
         assert_eq!(HierarchyKind::RrInclusive.to_string(), "RR(incl)");
         assert_eq!(HierarchyKind::RrNonInclusive.to_string(), "RR(no incl)");
+        let ids = HierarchyKind::ALL.map(HierarchyKind::id);
+        assert_eq!(ids, ["vr", "rr-incl", "rr-noincl", "goodman"]);
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pre-merge gate for the vrcache workspace: format, build, clippy, test,
-# lint.
+# lint, and the benchmark's build and tests.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,6 +59,14 @@ fi
 
 echo "==> workspace lints"
 cargo run -q --release -p vrcache-analysis --bin lint
+
+# The benchmark (perfbench/) is a package of its own, outside the
+# workspace, so nothing above compiles it: an API change in the
+# simulator's crates that breaks it would otherwise pass. Build and
+# test it: the Rust worker and the Python runner.
+echo "==> benchmark builds and passes its tests"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 # Opt-in: MUTATE=1 runs the bounded mutation smoke sweep (~25 mutants,
 # a few minutes on one core). The full sweep is `--suite full`.

@@ -15,7 +15,6 @@
 
 use proptest::prelude::*;
 use vrcache::hierarchy::SynonymKind;
-use vrcache::vr::VrHierarchy;
 use vrcache_model::coverage::CoverageSet;
 use vrcache_model::{ModelEvent, Scope, World};
 
@@ -23,7 +22,7 @@ use vrcache_model::{ModelEvent, Scope, World};
 /// every event; returns the sorted multiset of oracle versions written.
 fn replay_collect_versions(scope: &Scope, events: &[ModelEvent]) -> Vec<u64> {
     let mut coverage = CoverageSet::default();
-    let mut world = World::<VrHierarchy>::new(scope);
+    let mut world = World::new(scope);
     world.check(scope).unwrap();
     for (i, &event) in events.iter().enumerate() {
         world
@@ -90,7 +89,7 @@ fn both_synonym_paths_fire_on_their_geometry() {
     let mut coverage = CoverageSet::default();
 
     let sameset = Scope::by_name("vr-inval-2cpu").unwrap();
-    let mut world = World::<VrHierarchy>::new(&sameset);
+    let mut world = World::new(&sameset);
     world
         .apply(
             &sameset,
@@ -103,7 +102,7 @@ fn both_synonym_paths_fire_on_their_geometry() {
     world.check(&sameset).unwrap();
 
     let moving = Scope::by_name("vr-move-2cpu").unwrap();
-    let mut world = World::<VrHierarchy>::new(&moving);
+    let mut world = World::new(&moving);
     world
         .apply(
             &moving,
