@@ -3,7 +3,7 @@
 //! Walks every tracked `.rs` source (plus DESIGN.md, the model
 //! checker's transition table, the mutation and injection baselines,
 //! the protocol spec, and the latest mutation and injection reports),
-//! runs the nine lint passes, prints
+//! runs the six lint passes, prints
 //! `file:line: [lint] message` diagnostics, and exits non-zero if
 //! anything fired. `scripts/check.sh` runs this as part of the
 //! pre-merge gate.
@@ -16,7 +16,7 @@
 //!   output is unchanged by the flag's existence.
 //! * `--list` — print the lint names, one per line, and exit.
 //! * `--only <lint>` — run a single lint by name (iterate on one pass
-//!   without paying for the other eight).
+//!   without paying for the other five).
 //! * `--write protocol` — re-pin `crates/analysis/protocol_spec.txt`
 //!   from today's sources after printing its report.
 //!   `scripts/check.sh` gates this behind a clean tier-1 run

@@ -4,8 +4,8 @@
 //! [`parse_nodes`] makes one pass over the literal-blanked lines that
 //! [`walk::scan_source`](crate::walk::scan_source) produces and records
 //! each function's enclosing `impl`/`trait` type, signature and body
-//! lines. The protocol-spec, fault-coverage and address-domain analyses
-//! read function bodies only through it.
+//! lines. The protocol-spec and address-domain analyses read function
+//! bodies only through it.
 
 use crate::walk::scan_source;
 
@@ -19,9 +19,6 @@ pub struct FnNode {
     /// Enclosing `impl` self type or `trait` name (`None` for free
     /// functions).
     pub self_ty: Option<String>,
-    /// The trait an enclosing `impl Trait for Type` block implements
-    /// (`None` for inherent impls, trait blocks and free functions).
-    pub trait_name: Option<String>,
     /// The function's bare name.
     pub name: String,
     /// The signature text from the `fn` keyword up to (not including)
@@ -62,8 +59,8 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
     let lines = scan_source(text);
     let mut nodes = Vec::new();
     let mut depth = 0usize;
-    // (self type, implemented trait, depth at which the block closes).
-    let mut impl_stack: Vec<(String, Option<String>, usize)> = Vec::new();
+    // (self type, depth at which the block closes).
+    let mut impl_stack: Vec<(String, usize)> = Vec::new();
     // (node index, depth at which the body closes).
     let mut fn_stack: Vec<(usize, usize)> = Vec::new();
     let mut pending: Option<Pending> = None;
@@ -110,12 +107,10 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
                                 Some(at) => sig[..at].trim_end().to_string(),
                                 None => sig,
                             };
-                            let block = impl_stack.last();
                             nodes.push(FnNode {
                                 file: rel_path.to_string(),
                                 line,
-                                self_ty: block.map(|(ty, _, _)| ty.clone()),
-                                trait_name: block.and_then(|(_, tr, _)| tr.clone()),
+                                self_ty: impl_stack.last().map(|(ty, _)| ty.clone()),
                                 name,
                                 sig,
                                 body: Vec::new(),
@@ -125,8 +120,8 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
                             activated = Some(idx);
                         }
                         Some(Pending::Block { header }) => {
-                            if let Some((ty, tr)) = block_types(&header) {
-                                impl_stack.push((ty, tr, depth));
+                            if let Some(ty) = block_type(&header) {
+                                impl_stack.push((ty, depth));
                             }
                         }
                         None => {}
@@ -138,7 +133,7 @@ pub fn parse_nodes(rel_path: &str, text: &str) -> Vec<FnNode> {
                     while fn_stack.last().map(|&(_, d)| d) == Some(depth) {
                         fn_stack.pop();
                     }
-                    while impl_stack.last().map(|(_, _, d)| *d) == Some(depth) {
+                    while impl_stack.last().map(|(_, d)| *d) == Some(depth) {
                         impl_stack.pop();
                     }
                 }
@@ -208,13 +203,11 @@ fn block_header(code: &str) -> Option<String> {
     }
 }
 
-/// Extracts the self type and the implemented trait from an
-/// `impl`/`trait` header: the self type is the last path segment of the
-/// type after `for` (trait impls, whose trait is the type before it),
-/// else the first type after the keyword — generics stripped
-/// (`impl<'a> Decoder<'a>` → `Decoder`, `impl Iterator for Decoder<'_>`
-/// → `Decoder` implementing `Iterator`).
-fn block_types(header: &str) -> Option<(String, Option<String>)> {
+/// Extracts the self type from an `impl`/`trait` header: the last path
+/// segment of the type after `for` (trait impls), else the first type
+/// after the keyword — generics stripped (`impl<'a> Decoder<'a>` →
+/// `Decoder`, `impl Iterator for Decoder<'_>` → `Decoder`).
+fn block_type(header: &str) -> Option<String> {
     let t = header.trim_start();
     let rest = if let Some(r) = t.strip_prefix("pub(crate) trait") {
         r
@@ -229,12 +222,8 @@ fn block_types(header: &str) -> Option<(String, Option<String>)> {
     // `impl Trait for Type {` — the self type is after the ` for `
     // (matched at angle depth 0 so `Vec<T> for` inside generics is safe;
     // after skip_generics the header's own parameter list is gone).
-    let (trait_name, ty) = match split_at_for(rest) {
-        Some((before, after)) => (Some(first_path_segment_tail(before)), after),
-        None => (None, rest),
-    };
-    let ty = first_path_segment_tail(ty);
-    (!ty.is_empty()).then_some((ty, trait_name))
+    let ty = first_path_segment_tail(after_for(rest).unwrap_or(rest));
+    (!ty.is_empty()).then_some(ty)
 }
 
 /// Skips a leading `<...>` generic parameter list (angle-bracket
@@ -261,9 +250,8 @@ fn skip_generics(s: &str) -> &str {
     ""
 }
 
-/// Finds a ` for ` at angle depth 0 and returns the text before and
-/// after it.
-fn split_at_for(s: &str) -> Option<(&str, &str)> {
+/// Finds a ` for ` at angle depth 0 and returns the text after it.
+fn after_for(s: &str) -> Option<&str> {
     let b = s.as_bytes();
     let mut depth = 0usize;
     let mut i = 0;
@@ -277,7 +265,7 @@ fn split_at_for(s: &str) -> Option<(&str, &str)> {
                 && b[i - 1] == b' '
                 && (i + 3 == b.len() || !is_ident_char(b[i + 3])) =>
             {
-                return Some((&s[..i], &s[i + 3..]));
+                return Some(&s[i + 3..]);
             }
             _ => {}
         }
@@ -359,28 +347,6 @@ mod tests {
         assert_eq!(
             names,
             vec!["Decoder::new", "Decoder::next", "Option::invariant_expect"]
-        );
-    }
-
-    #[test]
-    fn trait_impls_record_their_trait() {
-        let nodes = parse_nodes(
-            "crates/core/src/vr.rs",
-            "impl FaultPort for VrHierarchy {\n    fn inject_fault(&mut self) {}\n}\n\
-             impl VrHierarchy {\n    fn access(&mut self) {}\n}\n\
-             pub trait Port {\n    fn probe(&self) {}\n}\n",
-        );
-        let got: Vec<(String, Option<&str>)> = nodes
-            .iter()
-            .map(|n| (n.qual_name(), n.trait_name.as_deref()))
-            .collect();
-        assert_eq!(
-            got,
-            [
-                ("VrHierarchy::inject_fault".to_string(), Some("FaultPort")),
-                ("VrHierarchy::access".to_string(), None),
-                ("Port::probe".to_string(), None),
-            ]
         );
     }
 

@@ -1,13 +1,10 @@
 //! The individual lint passes.
 
 pub mod address;
-pub mod determinism;
 pub mod doc_drift;
 pub mod domain;
-pub mod faults;
 pub mod injection;
 pub mod mutation;
-pub mod panic_hygiene;
 pub mod protocol;
 
 /// Transition coverage: protocol-spec carries the `coverage.txt` ↔ snoop

@@ -19,7 +19,7 @@
 //!     Print the Figure-3 tag layout and the inclusion bound.
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::process::ExitCode;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -51,8 +51,8 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
@@ -86,7 +86,7 @@ fn preset_of(name: &str) -> Option<TracePreset> {
     }
 }
 
-fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
+fn load_trace(flags: &BTreeMap<String, String>) -> Result<Trace, String> {
     if let Some(path) = flags.get("trace-file") {
         return open_trace_file(path)?
             .into_trace()
@@ -106,7 +106,7 @@ fn open_trace_file(path: &str) -> Result<Decoder<File>, String> {
     Decoder::from_reader(file, len).map_err(|e| format!("decoding {path}: {e}"))
 }
 
-fn generate_preset(flags: &HashMap<String, String>) -> Result<Trace, String> {
+fn generate_preset(flags: &BTreeMap<String, String>) -> Result<Trace, String> {
     let preset = flags.get("preset").map(String::as_str).unwrap_or("pops");
     let preset = preset_of(preset).ok_or_else(|| format!("unknown preset: {preset}"))?;
     let scale: f64 = flags
@@ -124,14 +124,14 @@ fn generate_preset(flags: &HashMap<String, String>) -> Result<Trace, String> {
 /// The value of the numeric flag `--name`, if given. The one parser of
 /// every numeric flag: a value that is not a `u64` is an error, never a
 /// silent default.
-fn u64_flag(flags: &HashMap<String, String>, name: &str) -> Result<Option<u64>, String> {
+fn u64_flag(flags: &BTreeMap<String, String>, name: &str) -> Result<Option<u64>, String> {
     flags
         .get(name)
         .map(|s| s.parse().map_err(|_| format!("bad --{name}: {s}")))
         .transpose()
 }
 
-fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String> {
+fn config_of(flags: &BTreeMap<String, String>) -> Result<HierarchyConfig, String> {
     let l1 = u64_flag(flags, "l1")?.unwrap_or(16 * 1024);
     let l2 = u64_flag(flags, "l2")?.unwrap_or(256 * 1024);
     let block = u64_flag(flags, "block")?.unwrap_or(16);
@@ -158,7 +158,7 @@ fn config_of(flags: &HashMap<String, String>) -> Result<HierarchyConfig, String>
     Ok(cfg)
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<String, String> {
+fn cmd_gen(flags: &BTreeMap<String, String>) -> Result<String, String> {
     let trace = load_trace(flags)?;
     let out = flags.get("out").ok_or("gen needs --out <file>")?;
     let bytes = codec::encode(&trace);
@@ -171,7 +171,7 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<String, String> {
     ))
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<String, String> {
+fn cmd_run(flags: &BTreeMap<String, String>) -> Result<String, String> {
     let cfg = config_of(flags)?;
     let kind = match flags.get("kind").map(String::as_str).unwrap_or("vr") {
         "vr" => HierarchyKind::Vr,
@@ -323,7 +323,7 @@ fn simulate_chunks(
     Ok(())
 }
 
-fn cmd_inspect(flags: &HashMap<String, String>) -> Result<String, String> {
+fn cmd_inspect(flags: &BTreeMap<String, String>) -> Result<String, String> {
     let trace = load_trace(flags)?;
     let ws = working_set_curve(&trace, CpuId::new(0), 16, &[100, 1_000, 10_000]);
     let reuse = reuse_histogram(&trace, CpuId::new(0), 16);
@@ -337,7 +337,7 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<String, String> {
     ))
 }
 
-fn cmd_layout(flags: &HashMap<String, String>) -> Result<String, String> {
+fn cmd_layout(flags: &BTreeMap<String, String>) -> Result<String, String> {
     let block = u64_flag(flags, "block")?.unwrap_or(16);
     let l1 = CacheGeometry::direct_mapped(u64_flag(flags, "l1")?.unwrap_or(16 * 1024), block)
         .map_err(|e| e.to_string())?;

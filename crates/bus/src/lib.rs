@@ -1,5 +1,5 @@
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 //! Shared-bus substrate for the vrcache multiprocessor simulator.

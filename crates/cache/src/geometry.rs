@@ -2,7 +2,6 @@
 
 use core::fmt;
 use core::hash::{BuildHasherDefault, Hasher};
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use vrcache_mem::{MemError, PhysAddr, SetIndex, Tag, VirtAddr};
@@ -50,7 +49,11 @@ impl fmt::Display for BlockId {
 /// version oracle, main memory, Goodman's real directory). Iteration
 /// order is unspecified: callers that render or compare contents sort
 /// first.
-pub type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "a point-lookup table on the per-access path; every walk of it sorts first"
+)]
+pub type BlockMap<V> = std::collections::HashMap<BlockId, V, BuildHasherDefault<BlockHasher>>;
 
 /// A multiply-rotate hasher for [`BlockMap`] keys.
 ///

@@ -1,5 +1,5 @@
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 //! Generic set-associative cache substrate.

@@ -1,7 +1,7 @@
 //! Model-based property tests: [`CacheArray`] against a naive reference
 //! model, for every replacement policy.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vrcache_cache::array::CacheArray;
@@ -46,7 +46,7 @@ proptest! {
         let policy = policies()[policy_idx];
         let mut cache: CacheArray<u32> = CacheArray::new(geo, policy, 42);
         // Reference model: block -> meta for blocks we believe cached.
-        let mut model: HashMap<u64, u32> = HashMap::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
 
         for op in &ops {
             match op {
@@ -92,7 +92,7 @@ proptest! {
             // Global occupancy agrees with the model.
             prop_assert_eq!(cache.occupancy(), model.len());
             // No set exceeds its associativity.
-            let mut per_set: HashMap<vrcache_mem::SetIndex, u32> = HashMap::new();
+            let mut per_set: BTreeMap<vrcache_mem::SetIndex, u32> = BTreeMap::new();
             for line in cache.iter() {
                 *per_set.entry(geo.set_of(line.block)).or_insert(0) += 1;
             }

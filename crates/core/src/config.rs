@@ -404,6 +404,21 @@ mod tests {
         assert_eq!(labels, ["none", "parity", "secded"]);
     }
 
+    /// `ALL` is the campaigns' protection axis: a scheme missing from it
+    /// is never swept. A new variant fails to compile here until it is
+    /// named, then fails the count until `ALL` lists it.
+    #[test]
+    fn all_lists_every_protection_once() {
+        for p in DataProtection::ALL {
+            match p {
+                DataProtection::None | DataProtection::Parity | DataProtection::Secded => {}
+            }
+        }
+        let labels: std::collections::BTreeSet<_> =
+            DataProtection::ALL.iter().map(|p| p.label()).collect();
+        assert_eq!(labels.len(), 3, "one entry per variant named above");
+    }
+
     #[test]
     fn split_halves_are_half_sized() {
         let c = HierarchyConfig::paper_default().unwrap().with_split_l1();

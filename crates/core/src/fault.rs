@@ -608,6 +608,34 @@ mod tests {
         assert_eq!(labels.len(), FaultKind::ALL.len());
     }
 
+    /// `ALL` is the campaigns' fault axis: a kind missing from it is
+    /// never injected. A new variant fails to compile here until it is
+    /// named, then fails the count until `ALL` lists it.
+    #[test]
+    fn all_lists_every_kind_once() {
+        for kind in FaultKind::ALL {
+            match kind {
+                FaultKind::VTagFlip
+                | FaultKind::VStateFlip
+                | FaultKind::RPointerFlip
+                | FaultKind::RInclusionFlip
+                | FaultKind::RBufferFlip
+                | FaultKind::RVdirtyFlip
+                | FaultKind::VPointerFlip
+                | FaultKind::CohStateFlip
+                | FaultKind::TlbEntryFlip
+                | FaultKind::WriteBufferDrop
+                | FaultKind::VDataBit
+                | FaultKind::RDataBit
+                | FaultKind::BusDropTxn
+                | FaultKind::BusDuplicateTxn
+                | FaultKind::BusLostInvalidate => {}
+            }
+        }
+        let distinct: std::collections::BTreeSet<_> = FaultKind::ALL.into_iter().collect();
+        assert_eq!(distinct.len(), 15, "one entry per variant named above");
+    }
+
     #[test]
     fn bus_level_kinds_are_exactly_the_bus_ones() {
         let bus: Vec<FaultKind> = FaultKind::ALL

@@ -25,8 +25,6 @@ pub enum BlockPresence {
     Shared,
     /// A copy held with exclusive write permission.
     Private,
-    /// The implementation does not expose its coherence state.
-    Unknown,
 }
 
 impl BlockPresence {
@@ -36,7 +34,6 @@ impl BlockPresence {
             BlockPresence::Absent => "absent",
             BlockPresence::Shared => "shared",
             BlockPresence::Private => "private",
-            BlockPresence::Unknown => "unknown",
         }
     }
 }
@@ -116,13 +113,9 @@ pub trait CacheHierarchy: Send {
 
     /// This hierarchy's coherence standing on a second-level `block`
     /// (physical, second-level granularity). Purely observational — used by
-    /// the model checker to label exercised transitions; implementations
-    /// without an exposed coherence state may leave the default
-    /// [`BlockPresence::Unknown`].
-    fn coh_presence(&self, block: BlockId) -> BlockPresence {
-        let _ = block;
-        BlockPresence::Unknown
-    }
+    /// the model checker to label exercised transitions and to check the
+    /// single-writer rule.
+    fn coh_presence(&self, block: BlockId) -> BlockPresence;
 
     /// This hierarchy's processor.
     fn cpu(&self) -> CpuId;

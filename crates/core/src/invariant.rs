@@ -327,12 +327,12 @@ pub fn check<L: FirstLevel>(view: &HierarchyView<'_, L>) -> Result<(), Invariant
 /// Unwrapping for values whose absence can only mean a broken internal
 /// invariant.
 ///
-/// The workspace panic-hygiene lint bans bare `.unwrap()` / `.expect(..)`
-/// in this crate's library code: a combinator chain dying with a generic
-/// message is useless at a violation site. `invariant_expect` names the
-/// invariant that was assumed, so the panic reads as a structural claim —
-/// the same role `let .. else { unreachable!(..) }` plays where a binding
-/// is in charge.
+/// This crate denies clippy's `unwrap_used` / `expect_used` in its
+/// library code: a combinator chain dying with a generic message is
+/// useless at a violation site. `invariant_expect` names the invariant
+/// that was assumed, so the panic reads as a structural claim — the same
+/// role `let .. else { unreachable!(..) }` plays where a binding is in
+/// charge.
 pub trait InvariantExpect<T> {
     /// Unwraps, panicking with the named invariant on absence/error.
     ///

@@ -1,5 +1,6 @@
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::wildcard_enum_match_arm)]
 #![warn(missing_docs)]
 
 //! # vrcache — a two-level virtual-real cache hierarchy

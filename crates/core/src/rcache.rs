@@ -813,7 +813,20 @@ impl RCache {
                     // Prefer granting bogus exclusivity (Shared -> Private):
                     // the demotion direction only costs a redundant upgrade.
                     FaultKind::CohStateFlip => line.meta.state == CohState::Shared,
-                    _ => sub.inclusion,
+                    FaultKind::RInclusionFlip
+                    | FaultKind::RVdirtyFlip
+                    | FaultKind::VPointerFlip => sub.inclusion,
+                    // Not an R-side kind: declined below, whatever the target.
+                    FaultKind::VTagFlip
+                    | FaultKind::VStateFlip
+                    | FaultKind::RPointerFlip
+                    | FaultKind::TlbEntryFlip
+                    | FaultKind::WriteBufferDrop
+                    | FaultKind::VDataBit
+                    | FaultKind::RDataBit
+                    | FaultKind::BusDropTxn
+                    | FaultKind::BusDuplicateTxn
+                    | FaultKind::BusLostInvalidate => sub.inclusion,
                 };
                 ((line.block, si), live)
             })
@@ -847,7 +860,16 @@ impl RCache {
                 };
                 format!("{label} {p2} state {old:?} -> {:?}", line.meta.state)
             }
-            _ => return None,
+            FaultKind::VTagFlip
+            | FaultKind::VStateFlip
+            | FaultKind::RPointerFlip
+            | FaultKind::TlbEntryFlip
+            | FaultKind::WriteBufferDrop
+            | FaultKind::VDataBit
+            | FaultKind::RDataBit
+            | FaultKind::BusDropTxn
+            | FaultKind::BusDuplicateTxn
+            | FaultKind::BusLostInvalidate => return None,
         };
         protection.record_meta(Poison::L2Line { kind, p2 });
         Some(FaultRecord { kind, detail })

@@ -33,7 +33,7 @@ use crate::bus_api::{BusRequest, SnoopReply, SystemBus};
 use crate::config::{HierarchyConfig, L1Organization};
 use crate::events::HierarchyEvents;
 use crate::fault::{DataLine, FaultKind, FaultPort, FaultRecord, Protection, Scrub, ScrubParts};
-use crate::hierarchy::{AccessOutcome, CacheHierarchy};
+use crate::hierarchy::{AccessOutcome, BlockPresence, CacheHierarchy};
 use crate::invariant::{self, InvariantExpect, InvariantViolation};
 use crate::rcache::{ChildCache, ChildLine, CohState, FirstLevel, Orphan, RCache, SecondLevel};
 
@@ -578,6 +578,27 @@ impl CacheHierarchy for RrHierarchy {
         }
     }
 
+    fn coh_presence(&self, block: BlockId) -> BlockPresence {
+        // What the snoop handlers consult: the second-level state when the
+        // block is resident, else (possible only without inclusion) the
+        // private flags of its first-level granules.
+        if let Some(line) = self.l2.cache.peek(block) {
+            return match line.meta.state {
+                CohState::Private => BlockPresence::Private,
+                CohState::Shared => BlockPresence::Shared,
+            };
+        }
+        let mut presence = BlockPresence::Absent;
+        for g in self.l2.cache.granules_of(block) {
+            match self.l1.peek(g) {
+                Some(line) if line.meta.private => return BlockPresence::Private,
+                Some(_) => presence = BlockPresence::Shared,
+                None => {}
+            }
+        }
+        presence
+    }
+
     fn cpu(&self) -> CpuId {
         self.cpu
     }
@@ -877,6 +898,62 @@ mod tests {
                 "refill {refill_from_l2}: the sharer must be invalidated"
             );
         }
+    }
+
+    /// The reported standing tracks the snoops: a write takes the block
+    /// private, a foreign read demotes both copies to shared.
+    #[test]
+    fn coh_presence_follows_writes_and_foreign_reads() {
+        let p2 = BlockId::new(0x4);
+        for mode in [InclusionMode::Inclusive, InclusionMode::NonInclusive] {
+            let mut oracle = VersionOracle::new();
+            let mut peer = RrHierarchy::new(CpuId::new(1), &cfg(), mode);
+            assert_eq!(peer.coh_presence(p2), BlockPresence::Absent, "{mode:?}");
+            peer.access(
+                &peer_acc(AccessKind::DataWrite, 0x40),
+                &mut LoopbackBus::new(),
+                &mut oracle,
+            )
+            .unwrap();
+            assert_eq!(peer.coh_presence(p2), BlockPresence::Private, "{mode:?}");
+            let mut h = RrHierarchy::new(CpuId::new(0), &cfg(), mode);
+            let mut bus = PairBus {
+                peer: &mut peer,
+                memory: LoopbackBus::new(),
+            };
+            h.access(&acc(AccessKind::DataRead, 0x40), &mut bus, &mut oracle)
+                .unwrap();
+            assert_eq!(bus.peer.coh_presence(p2), BlockPresence::Shared, "{mode:?}");
+            assert_eq!(h.coh_presence(p2), BlockPresence::Shared, "{mode:?}");
+        }
+    }
+
+    /// Without inclusion a block can live in the first level alone; its
+    /// standing is then the L1 line's private flag, which a foreign read
+    /// clears.
+    #[test]
+    fn non_inclusive_l1_only_presence_is_the_private_flag() {
+        // 2-way L1 (8 sets) over a direct-mapped L2 (256 sets): blocks 0
+        // and 256 share an L2 set but fit together in one L1 set.
+        let l1 = CacheGeometry::new(256, 16, 2).unwrap();
+        let l2 = CacheGeometry::direct_mapped(4096, 16).unwrap();
+        let cfg = HierarchyConfig::new(l1, l2, vrcache_mem::page::PageSize::SIZE_4K).unwrap();
+        let p1 = BlockId::new(0);
+        let mut h = RrHierarchy::new(CpuId::new(0), &cfg, InclusionMode::NonInclusive);
+        run(
+            &mut h,
+            &[
+                acc(AccessKind::DataWrite, 0x0),
+                acc(AccessKind::DataRead, 0x1000),
+            ],
+        );
+        assert!(h.l2.cache.peek(p1).is_none() && h.l1.peek(p1).is_some());
+        assert_eq!(h.coh_presence(p1), BlockPresence::Private);
+        let foreign = |op| BusTransaction::new(op, CpuId::new(1), p1);
+        h.snoop(&foreign(BusOp::ReadMiss));
+        assert_eq!(h.coh_presence(p1), BlockPresence::Shared);
+        h.snoop(&foreign(BusOp::Invalidate));
+        assert_eq!(h.coh_presence(p1), BlockPresence::Absent);
     }
 
     /// Without inclusion a buffered write-back can outlive its L2 parent;

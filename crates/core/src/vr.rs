@@ -194,7 +194,7 @@ impl VrHierarchy {
             ContextSwitchPolicy::AsidTags => {
                 BlockId::new(vblock.raw() | (u64::from(asid.raw()) << 48))
             }
-            _ => vblock,
+            ContextSwitchPolicy::SwappedValid | ContextSwitchPolicy::EagerFlush => vblock,
         }
     }
 
@@ -764,7 +764,20 @@ impl Scrub for VrHierarchy {
                 // been reachable through a wrong parent.
                 self.events.parity_machine_checks += 1;
             }
-            _ => {
+            FaultKind::VTagFlip
+            | FaultKind::VStateFlip
+            | FaultKind::RInclusionFlip
+            | FaultKind::RBufferFlip
+            | FaultKind::RVdirtyFlip
+            | FaultKind::VPointerFlip
+            | FaultKind::CohStateFlip
+            | FaultKind::TlbEntryFlip
+            | FaultKind::WriteBufferDrop
+            | FaultKind::VDataBit
+            | FaultKind::RDataBit
+            | FaultKind::BusDropTxn
+            | FaultKind::BusDuplicateTxn
+            | FaultKind::BusLostInvalidate => {
                 // Tag, state or data flip: the r-pointer is trusted.
                 if let Some((meta, si)) = self.l2.cache.parent_mut(line.meta.p_block) {
                     let sub = &mut meta.subs[si];

@@ -20,7 +20,8 @@
 //!   remaining cells still run.
 //! * **Instrumentation** — each cell's wall-clock duration (read
 //!   through the vendored bench harness, the workspace's sanctioned
-//!   timing home) and completion events are delivered to an observer on
+//!   timing home: `clippy.toml` disallows `Instant::now` everywhere
+//!   else) and completion events are delivered to an observer on
 //!   the caller's thread. Progress is for stderr; durations must never
 //!   be rendered into report bytes.
 //!
@@ -28,8 +29,8 @@
 //! [`parse_jobs`] for the flag value and [`default_jobs`] /
 //! [`resolve_jobs`] for the worker count.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 use std::fmt;

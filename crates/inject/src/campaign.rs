@@ -523,6 +523,16 @@ impl CampaignResult {
 mod tests {
     use super::*;
 
+    /// A scheme in `DataProtection::ALL` but off the axis would never be
+    /// swept, and the run's exercised-protection contract would skip it.
+    #[test]
+    fn data_plans_sweep_every_protection_scheme() {
+        let axis = protection_axis(&[FaultKind::VDataBit]);
+        for p in DataProtection::ALL {
+            assert!(axis.iter().any(|&(_, q)| q == p), "{}", p.label());
+        }
+    }
+
     #[test]
     fn smoke_enumerates_the_widened_cross_product() {
         let c = Campaign::smoke();

@@ -230,7 +230,7 @@ impl Ppn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn virt_addr_round_trip() {
@@ -278,7 +278,9 @@ mod tests {
 
     #[test]
     fn asid_is_hashable_and_ordered() {
-        let mut set = HashSet::new();
+        fn hashable<T: core::hash::Hash>(_: &T) {}
+        hashable(&Asid::new(1));
+        let mut set = BTreeSet::new();
         set.insert(Asid::new(1));
         set.insert(Asid::new(1));
         set.insert(Asid::new(2));

@@ -1,7 +1,7 @@
 //! Model-based property tests for the memory substrate: the TLB against a
 //! naive map, and the page table's translation invariants.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vrcache_mem::addr::{Asid, Ppn, VirtAddr, Vpn};
@@ -34,7 +34,7 @@ proptest! {
     fn tlb_never_lies(ops in proptest::collection::vec(tlb_op(), 1..300)) {
         let mut tlb = Tlb::new(TlbConfig::new(16, 2).unwrap());
         // The authoritative translations ever installed.
-        let mut truth: HashMap<(u16, u64), u64> = HashMap::new();
+        let mut truth: BTreeMap<(u16, u64), u64> = BTreeMap::new();
 
         for op in &ops {
             match op {
@@ -90,8 +90,8 @@ proptest! {
     ) {
         let page = PageSize::new(4096).unwrap();
         let mut map = MemoryMap::new(page);
-        let mut first_seen: HashMap<(u16, u64), u64> = HashMap::new();
-        let mut frame_owner: HashMap<u64, (u16, u64)> = HashMap::new();
+        let mut first_seen: BTreeMap<(u16, u64), u64> = BTreeMap::new();
+        let mut frame_owner: BTreeMap<u64, (u16, u64)> = BTreeMap::new();
 
         for (asid, vpage, offset) in &touches {
             let va = VirtAddr::new(vpage * 4096 + offset);

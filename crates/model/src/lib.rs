@@ -27,8 +27,8 @@
 //! Run it with `cargo run --release -p vrcache-model -- --scope smoke`
 //! (one processor, pre-merge gate) or `--scope all` (the full battery).
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -932,10 +932,9 @@ mod tests {
     }
 
     /// Both R-R baselines explore clean, at pinned sizes: every reached
-    /// state passes the structural invariants and value equivalence.
-    /// Single-writer is vacuous here until `RrHierarchy` implements
-    /// `coh_presence` (it reports `Unknown`, so no holder is ever
-    /// private).
+    /// state passes the structural invariants, the single-writer rule
+    /// (over `RrHierarchy::coh_presence`: the R-cache state, or without
+    /// inclusion an L1-only block's private flags) and value equivalence.
     #[test]
     fn rr_scopes_explore_clean() {
         for (scope, size) in rr_scopes().iter().zip([(612, 10_404), (676, 11_492)]) {

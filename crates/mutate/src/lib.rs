@@ -31,7 +31,6 @@
 //! rendered in sorted order. The surviving-mutant set is pinned in
 //! `crates/mutate/baseline.txt` and enforced by the `mutation-baseline`
 //! lint in `vrcache-analysis`.
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 

@@ -5,9 +5,8 @@
 //! timestamps, durations, or machine-dependent data: two runs of the
 //! same suite over the same source produce byte-identical reports.
 //!
-//! This module keeps every collection ordered (`BTreeMap`), holding the
-//! report path to the same determinism bar the workspace lint enforces
-//! on statistics code.
+//! This module keeps every collection ordered (`BTreeMap`); the root
+//! `clippy.toml` disallows hash-ordered collections workspace-wide.
 
 use std::collections::BTreeMap;
 use std::fmt;

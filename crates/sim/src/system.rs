@@ -503,22 +503,22 @@ mod tests {
         // VR and RR(incl) must both see far fewer L1 coherence messages
         // than RR(no incl) on a sharing-heavy trace.
         let trace = small_trace(4, 60_000, 0);
-        let mut msgs = std::collections::HashMap::new();
+        let mut msgs = std::collections::BTreeMap::new();
         for kind in HierarchyKind::ALL {
             let mut sys = System::new(kind, 4, &small_cfg());
             sys.run_trace(&trace).unwrap();
             let m: u64 = (0..4)
                 .map(|c| sys.events(CpuId::new(c)).l1_coherence_messages())
                 .sum();
-            msgs.insert(kind, m);
+            msgs.insert(kind.id(), m);
         }
         assert!(
-            msgs[&HierarchyKind::Vr] < msgs[&HierarchyKind::RrNonInclusive],
+            msgs["vr"] < msgs["rr-noincl"],
             "vr {} vs no-incl {}",
-            msgs[&HierarchyKind::Vr],
-            msgs[&HierarchyKind::RrNonInclusive]
+            msgs["vr"],
+            msgs["rr-noincl"]
         );
-        assert!(msgs[&HierarchyKind::RrInclusive] < msgs[&HierarchyKind::RrNonInclusive]);
+        assert!(msgs["rr-incl"] < msgs["rr-noincl"]);
     }
 
     #[test]

@@ -576,7 +576,7 @@ mod tests {
         cfg.drift_period = 100;
         let refs = run_engine(&cfg, 50_000);
         let heap_base = ProcessLayout::for_asid(Asid::new(1)).heap_base;
-        let pages: std::collections::HashSet<u64> = refs
+        let pages: std::collections::BTreeSet<u64> = refs
             .iter()
             .filter(|(k, _)| k.is_data())
             .map(|(_, a)| (a.raw() - heap_base) / cfg.page_size.bytes())

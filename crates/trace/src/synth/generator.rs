@@ -274,7 +274,7 @@ mod tests {
         c.p_shared = 0.2;
         let t = generate(&c);
         let page = c.page_size;
-        let mut cpu_pages: Vec<std::collections::HashSet<u64>> =
+        let mut cpu_pages: Vec<std::collections::BTreeSet<u64>> =
             vec![Default::default(), Default::default()];
         for e in t.iter() {
             if let Some(a) = e.access() {
@@ -296,7 +296,7 @@ mod tests {
         c.p_synonym_alias = 0.3;
         let t = generate(&c);
         let page = c.page_size;
-        let mut names: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
+        let mut names: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
             Default::default();
         for e in t.iter() {
             if let Some(a) = e.access() {

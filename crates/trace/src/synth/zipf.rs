@@ -85,7 +85,7 @@ impl Zipf {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn samples_in_range() {
@@ -100,7 +100,7 @@ mod tests {
     fn theta_zero_is_uniformish() {
         let z = Zipf::new(4, 0.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut counts = HashMap::new();
+        let mut counts = BTreeMap::new();
         for _ in 0..8000 {
             *counts.entry(z.sample(&mut rng)).or_insert(0u32) += 1;
         }
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn scatter_is_a_permutation_feeling_map() {
         let z = Zipf::new(64, 1.0).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for r in 0..64 {
             seen.insert(z.scatter(r));
         }

@@ -35,9 +35,19 @@ echo "==> cargo build --release --benches"
 cargo build --release --benches
 
 # Every target (tests, benches, examples, the vendored shims) must be
-# clippy-clean: a new warning fails the gate.
+# clippy-clean: a new warning fails the gate. The root clippy.toml bans
+# wall-clock reads and hash-ordered collections; the strict crates deny
+# unwrap/expect in library code, core denies wildcard enum arms, and
+# [workspace.lints] forbids unsafe code.
 echo "==> cargo clippy --release --all-targets -- -D warnings"
 cargo clippy --release --all-targets -- -D warnings
+
+# The benchmark (perfbench/) is a package of its own, outside the
+# workspace's [lints]: hold it to the same clippy.toml and forbid
+# unsafe code on the command line.
+echo "==> cargo clippy (perfbench) -- -D warnings -F unsafe_code"
+cargo clippy -q --release --offline --manifest-path perfbench/Cargo.toml --all-targets \
+  -- -D warnings -F unsafe_code
 
 echo "==> cargo test -q"
 cargo test -q
